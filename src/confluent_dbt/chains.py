@@ -27,7 +27,7 @@ import numpy as np
 import scipy.integrate
 
 from .classical import IsotonicOscillator, TrigPoschlTeller
-from .verify import quadrature
+from .verify import quadrature, worst
 
 
 @dataclass(frozen=True)
@@ -227,12 +227,12 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float, de=None):
     vt, _ = confluent_two_step(anchored, v, 0.0)
     vm, w = matveev_potential(seed, v, xs, x_ref, de)
     scale = max(1.0, float(np.max(np.abs(vm))))
-    pot_rel = max(abs(a - vt(x)) for a, x in zip(vm, xs)) / scale
-    w_rel = 0.0
+    pot_rel = worst(abs(a - vt(x)) for a, x in zip(vm, xs)) / scale
+    w_rels = []
     for x, wv in zip(xs, w):
         ref = -quadrature(lambda t: seed.f(t) ** 2, x_ref, x).value
-        w_rel = max(w_rel, abs(wv - ref) / max(abs(ref), 1e-30))
-    return pot_rel, w_rel
+        w_rels.append(abs(wv - ref) / max(abs(ref), 1e-30))
+    return pot_rel, worst(w_rels)
 
 
 # -- iterated confluent chains ---------------------------------------------------
@@ -300,7 +300,11 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
             dense_output=True,
         )
         if not sol.success:
-            raise RuntimeError(f"chain integration failed: {sol.message}")
+            # the integrator stalls where the chain turns singular
+            raise ValueError(
+                f"chain integration failed: {sol.message}; the constants "
+                "are likely outside the regular window"
+            )
         samples[:, sel] = sol.sol(xs[sel])
 
     psi, dpsi = samples[0], samples[1]
@@ -313,7 +317,11 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
         (f"constant {j + 1}", lambdas[j] + integrals[j]) for j in range(levels)
     ]
     for label, arr in screened:
-        if np.any(arr == 0.0) or (arr.min() < 0.0 < arr.max()):
+        if (
+            not np.all(np.isfinite(arr))
+            or np.any(arr == 0.0)
+            or (arr.min() < 0.0 < arr.max())
+        ):
             raise ValueError(
                 f"chain denominator vanishes on the grid ({label}); "
                 "the constants are outside the regular window"

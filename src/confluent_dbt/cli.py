@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ import numpy as np
 from . import chains, classical, isotonic, reports, tdpt, verify
 
 SCHEMA = 1
+SPECTRUM_LEVELS = 4  # levels checked by the per-spec spectrum suites
 
 
 # -- input parsing ----------------------------------------------------------------
@@ -41,6 +43,33 @@ def _rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+
+
+def _positive_rational(text: str) -> Fraction:
+    value = _rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
+def _int_from(minimum: int):
+    """argparse type: an integer >= minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}: {text!r}")
+        return value
+
+    return parse
+
+
+_kmax = _int_from(0)
+# the coarse spectrum grid must hold more unknowns than the levels solved for
+_grid_n = _int_from(SPECTRUM_LEVELS + 1)
 
 
 def _rational_list(text: str) -> list:
@@ -205,9 +234,9 @@ def _tdpt_check(name: str, spec: tdpt.TdptSpec, kmax: int, grid_n: int):
         )
 
     def spectrum():
-        levels = 4
+        levels = SPECTRUM_LEVELS
         result, expected = tdpt.isospectrality_witness(spec, levels, grid_n)
-        worst = max(
+        worst = verify.worst(
             abs(g - w) / max(1.0, abs(w))
             for g, w in zip(result.energies, expected)
         )
@@ -317,12 +346,12 @@ def _iso_check(
         )
 
     def spectrum():
-        levels = 4
+        levels = SPECTRUM_LEVELS
         w = float(omega)
         result, expected = isotonic.quasi_isospectrality_witness(
             spec, w, levels, grid_n
         )
-        worst = max(
+        worst = verify.worst(
             abs(g - e) / max(1.0, abs(e))
             for g, e in zip(result.energies, expected)
         )
@@ -346,6 +375,22 @@ def _iso_check(
 
 
 # -- tdpt ---------------------------------------------------------------------------
+
+
+def _tdpt_points(args) -> np.ndarray:
+    """Table grid, inside 0 < x < pi/2 where the potentials are finite."""
+    xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
+    if not (xs[0] > 0.0 and xs[-1] < math.pi / 2):
+        raise ValueError("tdpt table points must lie inside 0 < x < pi/2")
+    return xs
+
+
+def _isotonic_points(args) -> np.ndarray:
+    """Table grid, inside x > 0 where the potentials are finite."""
+    xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
+    if not xs[0] > 0.0:
+        raise ValueError("isotonic table points must lie inside x > 0")
+    return xs
 
 
 def _tdpt_spec(args) -> tdpt.TdptSpec:
@@ -381,6 +426,15 @@ def _cmd_tdpt_build(args) -> int:
 def _cmd_tdpt_verify(args) -> int:
     spec = _tdpt_spec(args)
     names = TDPT_SUITES if args.suite == "all" else (args.suite,)
+    needs_regular = [s for s in names if s in ("ode", "ortho", "spectrum")]
+    if needs_regular and not tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1):
+        threshold = tdpt.regularity_threshold(spec.n, spec.N, spec.M)
+        raise ValueError(
+            f"irregular spec: lambda1 = {spec.lambda1} lies inside the "
+            f"forbidden window (0, {threshold}]; suite(s) "
+            f"{', '.join(needs_regular)} need a regular one "
+            "(--suite regularity reports it)"
+        )
     report_list = [
         _tdpt_check(name, spec, args.kmax, args.grid_n) for name in names
     ]
@@ -391,7 +445,7 @@ def _cmd_tdpt_table(args) -> int:
     spec = _tdpt_spec(args)
     pot = tdpt.extended_potential(spec)
     base = spec.base
-    xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
+    xs = _tdpt_points(args)
     states = [tdpt.eigenfunction(spec, k) for k in range(args.kmax + 1)]
     header = ["x", "v_base", "v_ext"] + [
         f"psi_{k}" for k in range(args.kmax + 1)
@@ -451,9 +505,7 @@ def _cmd_isotonic_table(args) -> int:
     spec = _iso_spec(args)
     pot = isotonic.extended_potential(spec)
     omega = float(args.omega)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
+    xs = _isotonic_points(args)
     family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
     states = [isotonic.eigenfunction(spec, k) for k in family.levels]
     header = ["x", "v_base", "v_ext"] + [f"psi_{k}" for k in family.levels]
@@ -560,8 +612,8 @@ def _cmd_chain_crosscheck(args) -> int:
             params = dict(spec.as_dict(), omega=label["omega"], points=args.points)
 
         def body():
-            scale = max(1.0, max(abs(exact(x)) for x in pts))
-            worst = max(abs(vt(x) - exact(x)) for x in pts) / scale
+            scale = max(1.0, verify.worst(abs(exact(x)) for x in pts))
+            worst = verify.worst(abs(vt(x) - exact(x)) for x in pts) / scale
             p = dict(params, tolerance=1e-9)
             return worst < 1e-9, p, (
                 f"max relative deviation from the exact form {_fmt(worst)}"
@@ -603,18 +655,19 @@ def _load_params_file(args):
         raise ValueError(f"malformed params file: {exc}")
     if not isinstance(data, dict):
         raise ValueError("malformed params file: expected a JSON object")
-    for key, attr in (
-        ("n", "n"),
-        ("N", "big_n"),
-        ("M", "big_m"),
-        ("lambda1", "lambda1"),
-        ("omega", "omega"),
-        ("kmax", "kmax"),
+    for key, attr, parse in (
+        ("n", "n", int),
+        ("N", "big_n", int),
+        ("M", "big_m", int),
+        ("lambda1", "lambda1", _rational),
+        ("omega", "omega", _positive_rational),
+        ("kmax", "kmax", _kmax),
     ):
         if key in data and getattr(args, attr, None) is None:
-            value = data[key]
-            if key in ("lambda1", "omega"):
-                value = Fraction(str(value))
+            try:
+                value = parse(str(data[key]))
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"malformed params file: {key}: {exc}")
             setattr(args, attr, value)
 
 
@@ -749,9 +802,7 @@ def _cmd_table(args) -> int:
             _emit(_json_text(payload), args.out)
             return 0
         pot = tdpt.extended_potential(spec)
-        xs = (
-            args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
-        )
+        xs = _tdpt_points(args)
         if args.kind == "potential":
             header = ["x", "v_base", "v_ext"]
             rows = [[x, spec.base.v(x), pot.v(x)] for x in xs]
@@ -777,10 +828,8 @@ def _cmd_table(args) -> int:
         _emit(_json_text(payload), args.out)
         return 0
     omega = float(args.omega if args.omega is not None else Fraction(1))
-    if omega <= 0:
-        raise ValueError("omega must be positive")
     pot = isotonic.extended_potential(spec)
-    xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
+    xs = _isotonic_points(args)
     if args.kind == "potential":
         header = ["x", "v_base", "v_ext"]
         rows = [[x, spec.base.v(x, omega), pot.v(x, omega)] for x in xs]
@@ -799,8 +848,18 @@ def _add_out(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as `-3/2` or `-1,2` as a value, not as an option
+    (argparse only does so for integers and decimals); no option of this
+    CLI starts with a dash and a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confluent-dbt",
         description="rational potential extensions from confluent Darboux chains",
     )
@@ -823,7 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--N", dest="big_n", type=int, required=True)
     b.add_argument("--M", dest="big_m", type=int, required=True)
     b.add_argument("--lambda1", type=_rational, required=True)
-    b.add_argument("--kmax", type=int, default=4)
+    b.add_argument("--kmax", type=_kmax, default=4)
     _add_out(b)
     b.set_defaults(func=_cmd_tdpt_build)
     w = tsub.add_parser("verify", help="per-spec checks")
@@ -832,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--M", dest="big_m", type=int, required=True)
     w.add_argument("--lambda1", type=_rational, required=True)
     w.add_argument("--suite", choices=TDPT_SUITES + ("all",), default="all")
-    w.add_argument("--kmax", type=int, default=4)
-    w.add_argument("--grid-n", type=int, default=3000)
+    w.add_argument("--kmax", type=_kmax, default=4)
+    w.add_argument("--grid-n", type=_grid_n, default=3000)
     _add_out(w)
     w.set_defaults(func=_cmd_tdpt_verify)
     t = tsub.add_parser("table", help="sampled CSV table")
@@ -841,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--N", dest="big_n", type=int, required=True)
     t.add_argument("--M", dest="big_m", type=int, required=True)
     t.add_argument("--lambda1", type=_rational, required=True)
-    t.add_argument("--kmax", type=int, default=3)
+    t.add_argument("--kmax", type=_kmax, default=3)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
     t.set_defaults(func=_cmd_tdpt_table)
@@ -851,23 +910,23 @@ def build_parser() -> argparse.ArgumentParser:
     b = isub.add_parser("build", help="exact extension data as JSON")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--N", dest="big_n", type=int, required=True)
-    b.add_argument("--kmax", type=int, default=5)
+    b.add_argument("--kmax", type=_kmax, default=5)
     _add_out(b)
     b.set_defaults(func=_cmd_isotonic_build)
     w = isub.add_parser("verify", help="per-spec checks")
     w.add_argument("--n", type=int, required=True)
     w.add_argument("--N", dest="big_n", type=int, required=True)
     w.add_argument("--suite", choices=ISO_SUITES + ("all",), default="all")
-    w.add_argument("--omega", type=_rational, default=Fraction(2))
-    w.add_argument("--kmax", type=int, default=4)
-    w.add_argument("--grid-n", type=int, default=3000)
+    w.add_argument("--omega", type=_positive_rational, default=Fraction(2))
+    w.add_argument("--kmax", type=_kmax, default=4)
+    w.add_argument("--grid-n", type=_grid_n, default=3000)
     _add_out(w)
     w.set_defaults(func=_cmd_isotonic_verify)
     t = isub.add_parser("table", help="sampled CSV table")
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--N", dest="big_n", type=int, required=True)
-    t.add_argument("--omega", type=_rational, default=Fraction(1))
-    t.add_argument("--kmax", type=int, default=4)
+    t.add_argument("--omega", type=_positive_rational, default=Fraction(1))
+    t.add_argument("--kmax", type=_kmax, default=4)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
     t.set_defaults(func=_cmd_isotonic_table)
@@ -921,12 +980,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="big_n", type=int, default=None)
     p.add_argument("--M", dest="big_m", type=int, default=None)
     p.add_argument("--lambda1", type=_rational, default=None)
-    p.add_argument("--omega", type=_rational, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--grid-n", type=int, default=3000)
+    p.add_argument("--omega", type=_positive_rational, default=None)
+    p.add_argument("--kmax", type=_kmax, default=None)
+    p.add_argument("--grid-n", type=_grid_n, default=3000)
     p.add_argument("--params-file", default=None, help="JSON object of spec flags")
     p.add_argument("--potential-json", default=None, help="build output (spectrum)")
-    p.add_argument("--levels", type=int, default=None, help="level count (spectrum)")
+    p.add_argument("--levels", type=_int_from(1), default=None, help="level count (spectrum)")
     p.add_argument("--family-json", default=None, help="build output (gram)")
     _add_out(p)
     p.set_defaults(func=_cmd_verify)
@@ -942,8 +1001,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", dest="big_n", type=int, required=True)
     p.add_argument("--M", dest="big_m", type=int, default=None)
     p.add_argument("--lambda1", type=_rational, default=None)
-    p.add_argument("--omega", type=_rational, default=None)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--omega", type=_positive_rational, default=None)
+    p.add_argument("--kmax", type=_kmax, default=3)
     p.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(p)
     p.set_defaults(func=_cmd_table)

@@ -1,8 +1,11 @@
 """Exact big-rational algebra: polynomials, rational functions, Sturm chains,
 and gauged functions closed under the physical derivative.
 
-Everything in this module is exact.  Coefficients are `fractions.Fraction`
-and no floating point enters until an explicit float evaluation is requested.
+Everything in this module is exact.  A polynomial is stored as integer
+numerators over one positive common denominator, so its kernels (products,
+division, gcd, Sturm chains, evaluation at a rational) run on Python ints;
+coefficients are presented as `fractions.Fraction` and no floating point
+enters until an explicit float evaluation is requested.
 
 The two gauged families are
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence, Union
 
 Rat = Fraction
@@ -27,6 +31,11 @@ Scalar = Union[Fraction, int]
 
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
 POS_INF = object()
+
+# Primes for the modular coprimality test in `ExactPoly.gcd`, below 2**30
+# so residues stay single-digit ints; the first one dividing neither
+# leading coefficient is used.
+_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719)
 
 
 def as_rat(value) -> Fraction:
@@ -40,16 +49,165 @@ def as_rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class ExactPoly:
-    """Dense univariate polynomial over Fraction, ascending coefficients."""
+# -- integer kernels (ascending coefficient lists of ints) ---------------------
 
-    __slots__ = ("coeffs",)
+
+def _convolve(a, b) -> list:
+    """Product of two nonempty integer coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _pdiv(a, b) -> tuple:
+    """Integer pseudo-division: (q, r, s) with s*a == q*b + r, s > 0 and
+    len(r) == len(b) - 1 (r may carry trailing zeros).
+
+    The scale s grows only when a leading coefficient is not divisible by
+    lc(b), and then by the least positive factor that makes it so; r is
+    therefore a positive multiple of the remainder over Q.
+    """
+    rem = list(a)
+    nb = len(b) - 1
+    lb = b[-1]
+    dq = len(rem) - nb
+    quo = [0] * dq
+    s = 1
+    for i in reversed(range(dq)):
+        t = rem.pop()
+        if not t:
+            continue
+        if t % lb:
+            m = abs(lb) // gcd(t, lb)
+            rem = [c * m for c in rem]
+            quo = [c * m for c in quo]
+            s *= m
+            t *= m
+        c = t // lb
+        quo[i] = c
+        for j in range(nb):
+            rem[i + j] -= c * b[j]
+    return quo, rem, s
+
+
+def _strip(a) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _primitive(a) -> list:
+    """Nonzero integer list divided by its (positive) content."""
+    g = gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _coprime_mod_p(a, b) -> bool:
+    """True when the gcd of a and b reduced modulo a prime dividing neither
+    leading coefficient is constant.  Reduction then keeps both degrees, so
+    a common factor over Q would survive it: True proves a, b coprime over
+    Q.  False decides nothing."""
+    for p in _PRIMES:
+        if a[-1] % p and b[-1] % p:
+            break
+    else:
+        return False
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        nb = len(b) - 1
+        for i in range(len(a) - 1, nb - 1, -1):
+            c = a[i]
+            if c:
+                off = i - nb
+                for j in range(nb):
+                    a[off + j] = (a[off + j] - c * b[j]) % p
+        a = _strip(a[:nb])
+        if not a:
+            return nb == 0
+        if len(a) == 1:
+            return True
+        a, b = b, a
+
+
+def _horner_at(num, z: Fraction) -> tuple:
+    """(h, q^n) with sum num[i] z^i == h / q^n for z = p/q, n = len(num)-1:
+    homogeneous Horner in ints."""
+    p, q = z.numerator, z.denominator
+    acc = num[-1]
+    qk = 1
+    for c in reversed(num[:-1]):
+        qk *= q
+        acc = acc * p + c * qk
+    return acc, qk
+
+
+class ExactPoly:
+    """Dense univariate polynomial over Q, ascending coefficients.
+
+    Stored as integer numerators over one positive common denominator,
+    reduced so that no integer > 1 divides the denominator and every
+    numerator; the stored form of a polynomial is therefore unique.
+    `coeffs` is the read-only tuple of Fraction coefficients.
+    """
+
+    __slots__ = ("_num", "_den", "_fracs", "_floats")
 
     def __init__(self, coeffs=()):
         cs = [as_rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        den = 1
+        for c in cs:
+            d = c.denominator
+            if d != 1 and den % d:
+                den = den // gcd(den, d) * d
+        # den is the lcm of reduced denominators: already in lowest terms
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
+        self._fracs = None
+        self._floats = None
+
+    @classmethod
+    def _from_ints(cls, num, den: int = 1) -> "ExactPoly":
+        """num/den from a list of ints (trailing zeros allowed), den > 0."""
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+        return cls._reduced(tuple(num), den)
+
+    @classmethod
+    def _reduced(cls, num: tuple, den: int) -> "ExactPoly":
+        """Wrap a stored form that is already stripped and reduced."""
+        out = cls.__new__(cls)
+        out._num = num
+        out._den = den
+        out._fracs = None
+        out._floats = None
+        return out
+
+    @classmethod
+    def _monic_of(cls, num) -> "ExactPoly":
+        """The monic multiple of a nonzero integer list."""
+        lead = num[-1]
+        if lead < 0:
+            return cls._from_ints([-c for c in num], -lead)
+        return cls._from_ints(list(num), lead)
 
     # -- constructors ------------------------------------------------------
 
@@ -75,31 +233,42 @@ class ExactPoly:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """Coefficients as Fractions, lowest degree first."""
+        fracs = self._fracs
+        if fracs is None:
+            den = self._den
+            fracs = self._fracs = tuple(Fraction(c, den) for c in self._num)
+        return fracs
+
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def lc(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if 0 <= k < len(self._num):
+            return Fraction(self._num[k], self._den)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ExactPoly.constant(other)
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self):
         return not self.is_zero
@@ -114,15 +283,25 @@ class ExactPoly:
             other = ExactPoly.constant(other)
         if not isinstance(other, ExactPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly(
-            [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        a, b = self._num, other._num
+        da, db = self._den, other._den
+        if da == db:
+            ma = mb = 1
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+        den = da * ma
+        if len(a) < len(b):
+            a, b, ma, mb = b, a, mb, ma
+        out = [c * ma for c in a] if ma != 1 else list(a)
+        for i, c in enumerate(b):
+            out[i] += c * mb
+        return ExactPoly._from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactPoly([-c for c in self.coeffs])
+        return ExactPoly._reduced(tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -136,17 +315,17 @@ class ExactPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ExactPoly([c * other for c in self.coeffs])
+            return ExactPoly._from_ints(
+                [c * other.numerator for c in self._num],
+                self._den * other.denominator,
+            )
         if not isinstance(other, ExactPoly):
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ExactPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return ExactPoly(out)
+        return ExactPoly._from_ints(
+            _convolve(self._num, other._num), self._den * other._den
+        )
 
     __rmul__ = __mul__
 
@@ -165,20 +344,15 @@ class ExactPoly:
     def __divmod__(self, other: "ExactPoly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        dq = len(rem) - len(den) + 1
-        if dq <= 0:
+        if len(self._num) < len(other._num):
             return ExactPoly(), self
-        quo = [Fraction(0)] * dq
-        inv_lc = 1 / den[-1]
-        for i in reversed(range(dq)):
-            c = rem[i + len(den) - 1] * inv_lc
-            quo[i] = c
-            if c:
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
-        return ExactPoly(quo), ExactPoly(rem[: len(den) - 1])
+        quo, rem, s = _pdiv(self._num, other._num)
+        # s*num(self) = quo*num(other) + rem, with self = num/den each
+        den = s * self._den
+        return (
+            ExactPoly._from_ints([c * other._den for c in quo], den),
+            ExactPoly._from_ints(rem, den),
+        )
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -189,16 +363,29 @@ class ExactPoly:
     def monic(self) -> "ExactPoly":
         if self.is_zero:
             return self
-        return self * (1 / self.lc())
+        return ExactPoly._monic_of(self._num)
 
     def gcd(self, other: "ExactPoly") -> "ExactPoly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, (a % b)
-            if not b.is_zero:
-                b = b.monic()
-        return a.monic() if not a.is_zero else a
+        """Monic greatest common divisor.
+
+        Coprimality is settled modulo a prime when it can be; otherwise a
+        primitive polynomial remainder sequence over Z finds the gcd."""
+        if other.is_zero:
+            return self.monic()
+        if self.is_zero:
+            return other.monic()
+        a, b = _primitive(list(self._num)), _primitive(list(other._num))
+        if len(a) == 1 or len(b) == 1 or _coprime_mod_p(a, b):
+            return ExactPoly.one()
+        if len(a) < len(b):
+            a, b = b, a
+        while True:
+            r = _strip(_pdiv(a, b)[1])
+            if not r:
+                return ExactPoly._monic_of(b)
+            if len(r) == 1:
+                return ExactPoly.one()
+            a, b = b, _primitive(r)
 
     def squarefree_part(self) -> "ExactPoly":
         if self.degree() <= 0:
@@ -208,11 +395,18 @@ class ExactPoly:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self) -> "ExactPoly":
-        return ExactPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return ExactPoly._from_ints(
+            [i * c for i, c in enumerate(self._num)][1:], self._den
+        )
 
     def antiderivative(self, lower=None) -> "ExactPoly":
         """Antiderivative; with `lower` given, the one vanishing there."""
-        out = ExactPoly([0] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        num = self._num
+        scale = math.lcm(*range(1, len(num) + 1))
+        out = ExactPoly._from_ints(
+            [0] + [c * (scale // (i + 1)) for i, c in enumerate(num)],
+            self._den * scale,
+        )
         if lower is not None:
             out = out - out(as_rat(lower))
         return out
@@ -222,12 +416,17 @@ class ExactPoly:
     def __call__(self, z):
         """Horner evaluation; exact for Fraction/int input, float otherwise."""
         if isinstance(z, (Fraction, int)):
-            acc = Fraction(0)
-        else:
-            acc = 0.0
-            z = float(z)
-        for c in reversed(self.coeffs):
-            acc = acc * z + (c if isinstance(acc, Fraction) else float(c))
+            if not self._num:
+                return Fraction(0)
+            h, qn = _horner_at(self._num, z)
+            return Fraction(h, qn * self._den)
+        floats = self._floats
+        if floats is None:
+            floats = self._floats = tuple(float(c) for c in reversed(self.coeffs))
+        acc = 0.0
+        z = float(z)
+        for c in floats:
+            acc = acc * z + c
         return acc
 
     # -- serialization -----------------------------------------------------
@@ -377,24 +576,31 @@ def _coerce_rational(v):
 
 
 def sturm_chain(p: ExactPoly) -> list:
-    """Signed-remainder Sturm chain of p (expects p squarefree)."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero:
-        r = chain[-2] % chain[-1]
-        chain.append(-r)
-    chain.pop()
-    return chain
+    """Signed-remainder Sturm chain of p (expects p squarefree).
+
+    Entries are primitive integer polynomials, each a positive multiple of
+    the classical entry (p, p', -rem, ...), so sign counts are unchanged."""
+    a = _primitive(list(p._num))
+    chain = [a]
+    b = [i * c for i, c in enumerate(a)][1:]
+    while b:
+        b = _primitive(b)
+        chain.append(b)
+        r = _strip(_pdiv(a, b)[1])
+        a, b = b, [-c for c in r]
+    return [ExactPoly._from_ints(c) for c in chain]
 
 
 def _sign_at(p: ExactPoly, x) -> int:
     if p.is_zero:
         return 0
+    lead = p._num[-1]
     if x is POS_INF:
-        return 1 if p.lc() > 0 else -1
+        return 1 if lead > 0 else -1
     if x is NEG_INF:
-        s = 1 if p.lc() > 0 else -1
+        s = 1 if lead > 0 else -1
         return s if p.degree() % 2 == 0 else -s
-    v = p(x)
+    v = _horner_at(p._num, x)[0]
     return (v > 0) - (v < 0)
 
 

@@ -207,7 +207,7 @@ def _check_classical_orthogonality():
     ]
     vals, _ = verify.gram_matrix(fns, 0.0, math.inf)
     worst2 = verify.max_offdiagonal_relative(vals)
-    if worst2 >= 1e-12:
+    if not worst2 < 1e-12:
         return False, spec, f"radial off-diagonal mass {_fmt(worst2)}"
     return True, spec, f"off-diagonal mass {_fmt(max(worst, worst2))}"
 
@@ -246,11 +246,12 @@ def _check_tdpt_endpoints():
 
 
 def _check_tdpt_orthogonality():
-    worst = 0.0
+    per_spec = []
     for spec in (tdpt.TdptSpec(0, 1, 1, 1), tdpt.TdptSpec(1, 2, 1, -2)):
         fns = [tdpt.eigenfunction(spec, k).eval_x for k in range(7)]
         vals, _ = verify.gram_matrix(fns, 1e-8, math.pi / 2 - 1e-8)
-        worst = max(worst, verify.max_offdiagonal_relative(vals))
+        per_spec.append(verify.max_offdiagonal_relative(vals))
+    worst = verify.worst(per_spec)
     ok = worst < 1e-10
     spec_d = {"specs": [[0, 1, 1, "1"], [1, 2, 1, "-2"]], "k_max": 6}
     return ok, spec_d, f"max relative off-diagonal {_fmt(worst)}"
@@ -305,7 +306,7 @@ def _check_tdpt_window():
 def _check_tdpt_spectrum():
     spec = tdpt.TdptSpec(0, 1, 1, 1)
     result, expected = tdpt.isospectrality_witness(spec, 3, grid_n=2000)
-    worst = max(
+    worst = verify.worst(
         abs(g - w) / max(1.0, abs(w)) for g, w in zip(result.energies, expected)
     )
     ok = worst < 1e-4 and result.node_counts == (0, 1, 2)
@@ -401,7 +402,7 @@ def _check_isotonic_spectrum():
     result, expected = isotonic.quasi_isospectrality_witness(
         spec, 2.0, 4, grid_n=2000
     )
-    worst = max(abs(g - w) for g, w in zip(result.energies, expected))
+    worst = verify.worst(abs(g - w) for g, w in zip(result.energies, expected))
     ok = worst < 5e-4 and result.node_counts == (0, 1, 2, 3)
     return (
         ok,
@@ -424,7 +425,7 @@ def _check_chains_inverse():
         x0=seed.x0,
     )
     v0, _ = chains.dbt_apply(inverse, v1)
-    worst = max(abs(v0(x) - v(x)) for x in np.linspace(0.1, 1.4, 12))
+    worst = verify.worst(abs(v0(x) - v(x)) for x in np.linspace(0.1, 1.4, 12))
     return (
         worst < 1e-9,
         {"tolerance": 1e-9},
@@ -439,7 +440,7 @@ def _check_chains_energy():
     g = base.eigenstate(1)
     e1 = float(base.energy(1))
     gt = transform(g.eval_x, g.d_dx().eval_x, e1)
-    worst = 0.0
+    residuals = []
     for x in (0.5, 0.9):
         h = 1e-2
         dd = (
@@ -450,7 +451,8 @@ def _check_chains_energy():
             - gt(x + 2 * h)
         ) / (12 * h * h)
         lhs = -dd + vt(x) * gt(x)
-        worst = max(worst, abs(lhs - e1 * gt(x)) / max(abs(e1 * gt(x)), 1.0))
+        residuals.append(abs(lhs - e1 * gt(x)) / max(abs(e1 * gt(x)), 1.0))
+    worst = verify.worst(residuals)
     return (
         worst < 1e-6,
         {"tolerance": 1e-6},
@@ -462,7 +464,7 @@ def _check_chains_scaling():
     seed, v = chains.tdpt_seed(0, 1, 1)
     vt, _ = chains.confluent_two_step(seed, v, 1.0)
     vt2, _ = chains.confluent_two_step(chains.scaled_seed(seed, 3.0), v, 9.0)
-    worst = max(abs(vt(x) - vt2(x)) for x in (0.2, 0.6, 1.0, 1.4))
+    worst = verify.worst(abs(vt(x) - vt2(x)) for x in (0.2, 0.6, 1.0, 1.4))
     return (
         worst < 1e-10,
         {"scale": 3.0, "tolerance": 1e-10},

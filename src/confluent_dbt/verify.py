@@ -99,15 +99,25 @@ def gram_matrix(fns, lo: float, hi: float) -> tuple:
     return vals, results
 
 
+def worst(values) -> float:
+    """The largest of `values`; NaN when there are none or one is NaN or
+    infinite, so that a tolerance test `worst(...) < tol` fails instead of
+    passing on no evidence (`max` silently drops a NaN)."""
+    vals = [float(v) for v in values]
+    if not vals or not all(map(math.isfinite, vals)):
+        return math.nan
+    return max(vals)
+
+
 def max_offdiagonal_relative(vals: np.ndarray) -> float:
-    """max |G_jk| / sqrt(G_jj G_kk) over j != k."""
+    """max |G_jk| / sqrt(G_jj G_kk) over j != k (`worst` semantics)."""
     m = len(vals)
-    worst = 0.0
-    for j in range(m):
-        for k in range(m):
-            if j != k:
-                worst = max(worst, abs(vals[j][k]) / math.sqrt(vals[j][j] * vals[k][k]))
-    return worst
+    return worst(
+        abs(vals[j][k]) / math.sqrt(vals[j][j] * vals[k][k])
+        for j in range(m)
+        for k in range(m)
+        if j != k
+    )
 
 
 # -- Dirichlet spectra ----------------------------------------------------------
@@ -167,6 +177,8 @@ def dirichlet_spectrum(
     Raises on a node-count anomaly (a missed or spurious level)."""
     if n_levels < 1:
         raise ValueError("need at least one level")
+    if grid_n <= n_levels:
+        raise ValueError(f"grid_n = {grid_n} must exceed the level count {n_levels}")
     coarse, _ = _fd_eigs(v, a, b, n_levels, grid_n, vectors=False)
     fine, vecs = _fd_eigs(v, a, b, n_levels, 2 * grid_n, vectors=True)
     energies = (4.0 * fine - coarse) / 3.0

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -49,6 +50,78 @@ def test_rational_accepts_fractions_and_negatives():
     assert cli._rational_list("1, -1/2,3") == [
         Fraction(1), Fraction(-1, 2), Fraction(3)
     ]
+
+
+def test_negative_rational_option_value(capsys):
+    spaced = run_cli(capsys, "tdpt", "build", "--n", "0", "--N", "1", "--M", "1",
+                     "--lambda1", "-3/2", "--kmax", "1")
+    joined = run_cli(capsys, "tdpt", "build", "--n", "0", "--N", "1", "--M", "1",
+                     "--lambda1=-3/2", "--kmax", "1")
+    assert spaced[0] == 0
+    assert spaced == joined
+    assert json.loads(spaced[1])["spec"]["lambda1"] == "-3/2"
+
+
+@pytest.mark.parametrize("argv", [
+    # a zero frequency makes every state vanish: the Gram matrix is 0/0
+    ["isotonic", "verify", "--n", "1", "--N", "1", "--omega", "0",
+     "--suite", "ortho"],
+    ["verify", "isotonic.ortho", "--n", "1", "--N", "1", "--omega", "-1"],
+    ["table", "--kind", "potential", "--family", "isotonic", "--n", "1",
+     "--N", "1", "--omega", "0"],
+    ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
+     "--kmax", "-1", "--suite", "ode"],
+    ["isotonic", "build", "--n", "1", "--N", "1", "--kmax", "-1"],
+    ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
+     "--grid-n", "0", "--suite", "spectrum"],
+])
+def test_degenerate_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_params_file_omega_validated(capsys, tmp_path):
+    pf = tmp_path / "params.json"
+    pf.write_text(json.dumps({"n": 1, "N": 1, "omega": "0"}))
+    code, out, err = run_cli(capsys, "verify", "isotonic.ortho",
+                             "--params-file", str(pf))
+    assert code == 2
+    assert "omega" in err
+
+
+@pytest.mark.parametrize("suite", ["ode", "ortho", "spectrum", "all"])
+def test_tdpt_verify_irregular_lambda_exit_2(capsys, suite):
+    code, out, err = run_cli(capsys, "tdpt", "verify", "--n", "0", "--N", "1",
+                             "--M", "1", "--lambda1", "1/3", "--suite", suite)
+    assert code == 2
+    assert "irregular" in err and out == ""
+
+
+def test_tdpt_verify_regularity_reports_irregular_lambda(capsys):
+    code, data = run_json(capsys, "tdpt", "verify", "--n", "0", "--N", "1",
+                          "--M", "1", "--lambda1", "1/3", "--suite", "regularity")
+    assert code == 0
+    assert data["checks"][0]["status"] == "pass"
+    assert "irregular" in data["checks"][0]["witness"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["tdpt", "table", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
+     "--x-points", "0:1:5"],
+    ["tdpt", "table", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
+     f"--x-points=0.5:{math.pi / 2!r}:5"],
+    ["isotonic", "table", "--n", "1", "--N", "1", "--x-points", "0:2:5"],
+    ["table", "--kind", "eigenfunction", "--family", "tdpt", "--n", "0",
+     "--N", "1", "--M", "1", "--lambda1", "1", "--x-points", "0:1:5"],
+    ["table", "--kind", "potential", "--family", "isotonic", "--n", "1",
+     "--N", "1", "--x-points", "0:2:5"],
+])
+def test_table_endpoint_singularity_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "must lie inside" in err and out == ""
 
 
 def test_grid_parser():
@@ -239,6 +312,14 @@ def test_chain_run_m_mismatch_exit_2(capsys):
                              "--params", "0,1,1", "--m", "4", "--lambdas", "1")
     assert code == 2
     assert "disagrees" in err
+
+
+def test_chain_run_integration_failure_exit_2(capsys):
+    code, out, err = run_cli(capsys, "chain", "run", "--base", "tdpt",
+                             "--params", "0,1,2", "--lambdas", "1,1,1,1",
+                             "--grid", "0.05:1.45:2000")
+    assert code == 2
+    assert "chain integration failed" in err and out == ""
 
 
 def test_chain_run_bad_params_exit_2(capsys):
@@ -481,7 +562,7 @@ def test_thread_env_does_not_change_results():
     capped = subprocess.run(
         [sys.executable, "-m", "confluent_dbt", "verify", "exactalg"],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin", "CONFLUENT_DBT_THREADS": "1"},
+        env={**os.environ, "CONFLUENT_DBT_THREADS": "1"},
     )
     assert base.returncode == 0 and capped.returncode == 0
 

@@ -1,0 +1,269 @@
+"""Differential tests of the integer exact core against sympy's `Poly`.
+
+sympy is an independent oracle here and a test-only dependency: the module
+is skipped where sympy is not installed.  The gcd tests cover both routes
+of `ExactPoly.gcd`: coprimality settled modulo a prime, and the primitive
+remainder sequence over Z that runs when a common factor (or an unlucky
+prime) leaves a nonconstant gcd modulo that prime.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from confluent_dbt import cli, exactalg, tdpt  # noqa: E402
+from confluent_dbt.classical import jacobi  # noqa: E402
+from confluent_dbt.exactalg import (  # noqa: E402
+    NEG_INF,
+    POS_INF,
+    ExactPoly,
+    RationalFn,
+    count_roots,
+    isolate_roots,
+)
+
+X = sympy.Symbol("x")
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+def polys(max_deg=7, coeffs=rationals):
+    return st.lists(coeffs, max_size=max_deg + 1).map(ExactPoly)
+
+
+def nonconstant(max_deg=3):
+    return st.lists(small_rationals, min_size=2, max_size=max_deg + 1).map(
+        ExactPoly
+    ).filter(lambda p: p.degree() >= 1)
+
+
+def to_sympy(p: ExactPoly):
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(cs or [0], X, domain=sympy.QQ)
+
+
+def from_sympy(poly) -> ExactPoly:
+    return ExactPoly(
+        [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+    )
+
+
+def route_is_modular(p: ExactPoly, q: ExactPoly) -> bool:
+    """Whether `p.gcd(q)` settles coprimality modulo a prime."""
+    a = exactalg._primitive(list(p._num))
+    b = exactalg._primitive(list(q._num))
+    return exactalg._coprime_mod_p(a, b)
+
+
+# -- arithmetic ------------------------------------------------------------------
+
+
+@given(polys(), polys())
+@settings(deadline=None)
+def test_mul_and_divmod_match_sympy(p, q):
+    assert p * q == from_sympy(to_sympy(p) * to_sympy(q))
+    assert p + q == from_sympy(to_sympy(p) + to_sympy(q))
+    if q.is_zero:
+        return
+    quo, rem = divmod(p, q)
+    s_quo, s_rem = sympy.div(to_sympy(p), to_sympy(q))
+    assert quo == from_sympy(s_quo)
+    assert rem == from_sympy(s_rem)
+
+
+@given(polys(), st.fractions(max_denominator=50))
+@settings(deadline=None)
+def test_exact_evaluation_and_calculus_match_sympy(p, z):
+    sp = to_sympy(p)
+    assert p(z) == Fraction(str(sp.eval(sympy.Rational(z.numerator, z.denominator))))
+    assert p.derivative() == from_sympy(sp.diff(X))
+    assert p.antiderivative() == from_sympy(sp.integrate(X))
+
+
+# -- gcd: both routes --------------------------------------------------------------
+
+
+@given(polys(), polys())
+@settings(deadline=None)
+def test_gcd_matches_sympy(p, q):
+    if p.is_zero and q.is_zero:
+        return
+    assert p.gcd(q) == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)).monic())
+
+
+@given(polys(4, small_rationals), polys(4, small_rationals), nonconstant(),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=60, deadline=None)
+def test_gcd_common_factor_takes_prs_route(p, q, f, k):
+    if p.is_zero or q.is_zero:
+        return
+    a, b = p * f**k, q * f**k
+    assert not route_is_modular(a, b)
+    want = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+    assert a.gcd(b) == from_sympy(want)
+    assert (a // a.gcd(b)) * a.gcd(b) == a
+
+
+def test_gcd_routes_on_coprime_pairs():
+    z = ExactPoly.x()
+    prime = exactalg._PRIMES[0]
+    # modular route: coprime mod the first prime
+    a, b = z * z + 1, z + Fraction(1, 3)
+    assert route_is_modular(a, b)
+    assert a.gcd(b) == ExactPoly.one()
+    # the first prime divides a leading coefficient: the next prime decides
+    a, b = z * prime + 1, z + 1
+    assert route_is_modular(a, b)
+    assert a.gcd(b) == ExactPoly.one()
+    # unlucky prime: z + prime and z share the root 0 mod prime only, so
+    # the modular test decides nothing and the Z remainder sequence must
+    # still find the trivial gcd
+    a, b = z + prime, z * (z - 2)
+    assert not route_is_modular(a, b)
+    assert a.gcd(b) == ExactPoly.one()
+
+
+@pytest.mark.parametrize("n,N,M,lam", [
+    (1, 1, 1, Fraction(-1)),
+    (2, 1, 2, Fraction(5, 3)),
+    (3, 2, 1, Fraction(-3, 2)),
+])
+def test_gcd_of_denominator_powers(n, N, M, lam):
+    # the shapes RationalFn canonicalisation meets in the ode residuals:
+    # powers of D = lambda1 + Q against Jacobi factors
+    d = tdpt.denominator_poly(tdpt.TdptSpec(n, N, M, lam))
+    p = jacobi(n, N, M)
+    a = d**3 * p * ExactPoly([1, -1]) ** N
+    b = d**2 * (p.derivative() + d) * ExactPoly([1, 1]) ** M
+    assert not route_is_modular(a, b)
+    want = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
+    g = a.gcd(b)
+    assert g == from_sympy(want)
+    assert g.degree() >= 2 * d.degree()
+    r = RationalFn(a, b)
+    num, den = sympy.cancel(to_sympy(a).as_expr() / to_sympy(b).as_expr()).as_numer_denom()
+    den_poly = sympy.Poly(den, X, domain=sympy.QQ)
+    lead = den_poly.LC()
+    assert r.den == from_sympy(den_poly.monic())
+    assert r.num == from_sympy(sympy.Poly(num, X, domain=sympy.QQ) * (1 / lead))
+
+
+# -- squarefree part, Sturm counting and isolation ----------------------------------
+
+
+root_values = st.integers(min_value=-12, max_value=12).map(lambda k: Fraction(k, 4))
+
+
+@st.composite
+def rooted_polys(draw):
+    """Products of linear factors at rational roots (with multiplicity),
+    an optional rootless quadratic, and a rational scale."""
+    roots = draw(st.lists(root_values, min_size=1, max_size=6))
+    p = ExactPoly([draw(st.fractions(min_value=1, max_value=20,
+                                     max_denominator=7))
+                   * draw(st.sampled_from([-1, 1]))])
+    for r in roots:
+        p = p * ExactPoly([-r, 1])
+    if draw(st.booleans()):
+        p = p * ExactPoly([draw(st.integers(1, 9)), 0, 1])
+    return p, sorted(set(roots))
+
+
+@given(rooted_polys())
+@settings(deadline=None)
+def test_squarefree_part_matches_sympy(case):
+    p, _ = case
+    assert p.squarefree_part() == from_sympy(to_sympy(p).sqf_part().monic())
+
+
+def sympy_open_count(sp, lo, hi):
+    """Distinct roots in the open interval (lo, hi) from sympy's closed
+    interval count."""
+    lo_s = sympy.Rational(lo.numerator, lo.denominator)
+    hi_s = sympy.Rational(hi.numerator, hi.denominator)
+    n = sp.count_roots(lo_s, hi_s)
+    n -= sum(1 for e in {lo_s, hi_s} if sp.eval(e) == 0)
+    return n
+
+
+@given(rooted_polys(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_roots_matches_sympy(case, data):
+    p, roots = case
+    sp = to_sympy(p)
+    # endpoints drawn from the exact roots too, to hit closed ends
+    ends = st.one_of(st.sampled_from(roots), root_values,
+                     st.fractions(min_value=-4, max_value=4, max_denominator=9))
+    lo, hi = sorted([data.draw(ends), data.draw(ends)])
+    assert count_roots(p) == sp.count_roots()
+    if lo == hi:
+        return
+    want_open = sympy_open_count(sp, lo, hi)
+    at_lo, at_hi = int(p(lo) == 0), int(p(hi) == 0)
+    assert count_roots(p, lo, hi) == want_open
+    assert count_roots(p, lo, hi, lo_closed=True) == want_open + at_lo
+    assert count_roots(p, lo, hi, hi_closed=True) == want_open + at_hi
+    assert count_roots(p, lo, hi, lo_closed=True, hi_closed=True) == (
+        sp.count_roots(sympy.Rational(lo.numerator, lo.denominator),
+                       sympy.Rational(hi.numerator, hi.denominator))
+    )
+    assert count_roots(p, NEG_INF, lo, hi_closed=True) + count_roots(
+        p, lo, POS_INF
+    ) == sp.count_roots()
+
+
+@given(rooted_polys(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_isolate_roots_matches_sympy(case, data):
+    p, roots = case
+    sp = to_sympy(p)
+    ends = st.one_of(st.sampled_from(roots), root_values)
+    lo, hi = sorted([data.draw(ends), data.draw(ends)])
+    if lo == hi:
+        lo, hi = NEG_INF, POS_INF
+    iso = isolate_roots(p, lo, hi)
+    inside = [r for r in roots
+              if (lo is NEG_INF or r > lo) and (hi is POS_INF or r < hi)]
+    assert iso.count == len(inside)
+    assert iso.multiplicity_free == (to_sympy(p).sqf_part().degree() == p.degree())
+    for (a, b), r in zip(iso.intervals, inside):
+        if a == b:
+            assert a == r and sp.eval(sympy.Rational(a.numerator, a.denominator)) == 0
+        else:
+            assert a < r < b
+            assert sympy_open_count(sp, a, b) == 1
+
+
+# -- pinned CLI output -------------------------------------------------------------
+
+# sha256 of the full stdout, recorded with the Fraction-coefficient core;
+# any change to a coefficient string changes the digest
+PINNED_BUILDS = [
+    (["tdpt", "build", "--n", "3", "--N", "1", "--M", "2", "--lambda1", "-3/2",
+      "--kmax", "4"],
+     "ac20d5f860468da86b6175c98b18ad14597358292cc0cf93882676a1422ac420"),
+    (["isotonic", "build", "--n", "3", "--N", "2", "--kmax", "5"],
+     "2b81e42fa0a545ea090e13fba946125631fd1eacbdc51a6e212ac339efb9cca6"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_BUILDS)
+def test_build_coefficient_strings_pinned(capsys, argv, digest):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    if data["family"] == "tdpt":
+        assert data["threshold"] == "8/15"
+        assert data["denominator"]["coeffs"][:2] == [["-427", "240"], ["-1", "8"]]
+    else:
+        assert data["q_at_zero"] == "-20"
+        assert data["q"]["coeffs"][:2] == [["-20", "1"], ["-20", "1"]]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

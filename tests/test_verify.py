@@ -91,6 +91,24 @@ def test_max_offdiagonal_relative_hand_value():
     assert verify.max_offdiagonal_relative(vals) == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_worst_fails_tolerance_on_non_finite(bad):
+    assert verify.worst([0.0, 1e-3]) == 1e-3
+    # `max` would return 1e-3 here and pass a 1e-2 tolerance
+    assert not verify.worst([1e-3, bad]) < 1e-2
+    assert not verify.worst([bad, 1e-3]) < 1e-2
+    assert not verify.worst([]) < 1e-2
+
+
+def test_max_offdiagonal_relative_fails_on_degenerate_gram():
+    # an all-zero Gram matrix (every state vanishes) gives 0/0 ratios
+    with np.errstate(invalid="ignore"):
+        worst = verify.max_offdiagonal_relative(np.zeros((3, 3)))
+    assert not worst < 1e-10
+    # a single state has no off-diagonal entry: no evidence, no pass
+    assert not verify.max_offdiagonal_relative(np.ones((1, 1))) < 1e-10
+
+
 # -- Dirichlet spectra ---------------------------------------------------------------
 
 
@@ -126,6 +144,8 @@ def test_harmonic_well_spectrum():
 def test_spectrum_requires_levels():
     with pytest.raises(ValueError):
         verify.dirichlet_spectrum(lambda x: 0.0, 0.0, 1.0, 0)
+    with pytest.raises(ValueError):
+        verify.dirichlet_spectrum(lambda x: 0.0, 0.0, 1.0, 4, grid_n=4)
 
 
 def test_node_anomaly_detected():
