@@ -18,6 +18,7 @@ pass, 1 a check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -29,7 +30,6 @@ import numpy as np
 from . import chains, classical, isotonic, reports, tdpt, verify
 
 SCHEMA = 1
-SPECTRUM_LEVELS = 4  # levels checked by the per-spec spectrum suites
 
 
 # -- input parsing ----------------------------------------------------------------
@@ -69,7 +69,7 @@ def _int_from(minimum: int):
 
 _kmax = _int_from(0)
 # the coarse spectrum grid must hold more unknowns than the levels solved for
-_grid_n = _int_from(SPECTRUM_LEVELS + 1)
+_grid_n = _int_from(reports.SPECTRUM_LEVELS + 1)
 
 
 def _rational_list(text: str) -> list:
@@ -116,30 +116,10 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _envelope(report_list, **extra) -> dict:
-    failed = [r.check_id for r in report_list if r.status == "fail"]
-    payload = {
-        "schema": SCHEMA,
-        "checks": [r.to_json() for r in report_list],
-        "counts": {
-            "pass": sum(1 for r in report_list if r.status == "pass"),
-            "fail": len(failed),
-            "skip": sum(1 for r in report_list if r.status == "skip"),
-        },
-        "failed": failed,
-    }
-    payload.update(extra)
-    return payload
-
-
-def _emit_reports(report_list, out_path, **extra) -> int:
-    payload = _envelope(report_list, **extra)
+def _emit_reports(payload: dict, out_path) -> int:
+    """Write a report envelope; exit code 1 when a check failed."""
     _emit(_json_text(payload), out_path)
     return 1 if payload["failed"] else 0
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 # -- classical ----------------------------------------------------------------------
@@ -171,226 +151,7 @@ def _cmd_classical_dump(args) -> int:
     return 0
 
 
-# -- parametrized checks (shared by `tdpt verify`, `isotonic verify`, `verify`) ----
-
-TDPT_SUITES = ("regularity", "ode", "ortho", "shape", "spectrum")
-ISO_SUITES = (
-    "q-crosscheck",
-    "ode",
-    "ortho",
-    "shape",
-    "n0-type2",
-    "n0-negative",
-    "spectrum",
-)
-
-
-def _tdpt_check(name: str, spec: tdpt.TdptSpec, kmax: int, grid_n: int):
-    """One named per-spec check as a VerifyReport."""
-    params = dict(spec.as_dict(), kmax=kmax)
-
-    def regularity():
-        predicted = tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1)
-        certified, witness = tdpt.certify_regularity(spec)
-        if predicted != certified:
-            return False, params, (
-                f"predicate says regular={predicted}, "
-                f"certificate says regular={certified}"
-            )
-        word = "regular" if certified else "irregular"
-        detail = f"predicate and certificate agree: {word}"
-        if witness.intervals:
-            ivs = [(str(a), str(b)) for a, b in witness.intervals]
-            detail += f", denominator roots isolated in {ivs}"
-        return True, params, detail
-
-    def ode():
-        pot = tdpt.extended_potential(spec)
-        base = spec.base
-        for k in range(kmax + 1):
-            res = verify.exact_ode_residual(
-                tdpt.eigenfunction(spec, k), pot.z_form, base.energy(k)
-            )
-            if not res.is_zero:
-                return False, params, f"nonzero exact residual at level {k}"
-        return True, params, f"residuals identically zero for k <= {kmax}"
-
-    def ortho():
-        tdpt.extended_potential(spec)  # reject irregular specs up front
-        lo, hi = verify.tdpt_domain(1e-8)
-        fns = [
-            tdpt.eigenfunction(spec, k).eval_x for k in range(kmax + 1)
-        ]
-        vals, _ = verify.gram_matrix(fns, lo, hi)
-        worst = verify.max_offdiagonal_relative(vals)
-        return worst < 1e-10, params, f"max relative off-diagonal {_fmt(worst)}"
-
-    def shape():
-        if spec.n < 1:
-            return "skip", params, "no partner constant at n = 0"
-        ok = tdpt.shape_invariance_holds(spec.n, spec.N, spec.M, spec.lambda1)
-        return ok, params, (
-            "identity residual identically zero" if ok else "identity broken"
-        )
-
-    def spectrum():
-        levels = SPECTRUM_LEVELS
-        result, expected = tdpt.isospectrality_witness(spec, levels, grid_n)
-        worst = verify.worst(
-            abs(g - w) / max(1.0, abs(w))
-            for g, w in zip(result.energies, expected)
-        )
-        ok = worst < 1e-5 and result.node_counts == tuple(range(levels))
-        p = dict(params, grid_n=grid_n, levels=levels, tolerance=1e-5)
-        return ok, p, (
-            f"expected {[str(w) for w in expected]}, max relative "
-            f"deviation {_fmt(worst)}, nodes {list(result.node_counts)}"
-        )
-
-    bodies = {
-        "regularity": regularity,
-        "ode": ode,
-        "ortho": ortho,
-        "shape": shape,
-        "spectrum": spectrum,
-    }
-    return reports.make_report(f"tdpt.{name}", bodies[name])
-
-
-def _iso_check(
-    name: str, spec: isotonic.IsotonicSpec, omega: Fraction, kmax: int, grid_n: int
-):
-    params = dict(spec.as_dict(), kmax=kmax)
-
-    def q_crosscheck():
-        same = isotonic.q_poly(spec.n, spec.N) == isotonic.q_poly_via_ode(
-            spec.n, spec.N
-        )
-        if not same:
-            return False, params, "derivative-sum and ODE routes disagree"
-        rootless, witness = isotonic.rootless_certificate(spec.n, spec.N)
-        if not rootless:
-            ivs = [(str(a), str(b)) for a, b in witness.intervals]
-            return False, params, f"denominator roots isolated in {ivs}"
-        return True, params, "routes agree and denominator is rootless"
-
-    def ode():
-        pot = isotonic.extended_potential(spec)
-        for k in range(kmax + 1):
-            if k == spec.n:
-                continue
-            res = verify.exact_ode_residual(
-                isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
-            )
-            if not res.is_zero:
-                return False, params, f"nonzero exact residual at level {k}"
-        res = verify.exact_ode_residual(
-            isotonic.deleted_state(spec), pot.zform_units, 2 * spec.n
-        )
-        if not res.is_zero:
-            return False, params, "nonzero residual for the deleted state"
-        return True, params, (
-            f"residuals identically zero for k <= {kmax}, deleted state included"
-        )
-
-    def ortho():
-        w = float(omega)
-        family = isotonic.exceptional_family(spec, max(kmax, spec.n + 1))
-        fns = [
-            (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, w))
-            for k in family.levels
-        ]
-        vals, _ = verify.gram_matrix(fns, 0.0, math.inf)
-        worst = verify.max_offdiagonal_relative(vals)
-        p = dict(params, omega=str(omega), levels=list(family.levels))
-        return worst < 1e-10, p, f"max relative off-diagonal {_fmt(worst)}"
-
-    def shape():
-        if spec.n < 1:
-            return "skip", params, (
-                "no partner constant at n = 0; run n0-negative instead"
-            )
-        ok = isotonic.shape_invariance_holds(spec.n, spec.N)
-        return ok, params, (
-            "identity residual identically zero" if ok else "identity broken"
-        )
-
-    def n0_type2():
-        if spec.n != 0:
-            return "skip", params, "only defined for n = 0"
-        if not isotonic.n0_type2_proportional(spec.N):
-            return False, params, "denominator is not a scaled Laguerre polynomial"
-        partner = isotonic.n0_type2_partner_units(spec.N)
-        if isotonic.extended_potential(spec).zform_units != partner:
-            return False, params, (
-                "extension does not equal the one-step partner of the "
-                "enlarged-parameter base"
-            )
-        ratio = isotonic.n0_type2_ratio(spec.N)
-        return True, params, (
-            f"denominator is {ratio} times the negative-parameter Laguerre "
-            "polynomial; extension equals the one-step partner exactly"
-        )
-
-    def n0_negative():
-        if spec.n != 0:
-            return "skip", params, "only defined for n = 0"
-        ratios = isotonic.n0_shape_obstruction(spec.N)
-        if len(set(ratios)) < 2:
-            return False, params, f"single ratio {ratios}: a constant would exist"
-        if not isotonic.n0_shape_positive_control(spec.N):
-            return False, params, "positive control failed"
-        return True, params, (
-            f"coefficient ratios {list(ratios)} are not all equal: "
-            "no constant closes the identity"
-        )
-
-    def spectrum():
-        levels = SPECTRUM_LEVELS
-        w = float(omega)
-        result, expected = isotonic.quasi_isospectrality_witness(
-            spec, w, levels, grid_n
-        )
-        worst = verify.worst(
-            abs(g - e) / max(1.0, abs(e))
-            for g, e in zip(result.energies, expected)
-        )
-        ok = worst < 1e-5 and result.node_counts == tuple(range(levels))
-        p = dict(params, omega=str(omega), grid_n=grid_n, levels=levels)
-        return ok, p, (
-            f"expected {[_fmt(e) for e in expected]}, max relative "
-            f"deviation {_fmt(worst)}, nodes {list(result.node_counts)}"
-        )
-
-    bodies = {
-        "q-crosscheck": q_crosscheck,
-        "ode": ode,
-        "ortho": ortho,
-        "shape": shape,
-        "n0-type2": n0_type2,
-        "n0-negative": n0_negative,
-        "spectrum": spectrum,
-    }
-    return reports.make_report(f"isotonic.{name}", bodies[name])
-
-
 # -- tdpt ---------------------------------------------------------------------------
-
-
-def _tdpt_points(args) -> np.ndarray:
-    """Table grid, inside 0 < x < pi/2 where the potentials are finite."""
-    xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
-    if not (xs[0] > 0.0 and xs[-1] < math.pi / 2):
-        raise ValueError("tdpt table points must lie inside 0 < x < pi/2")
-    return xs
-
-
-def _isotonic_points(args) -> np.ndarray:
-    """Table grid, inside x > 0 where the potentials are finite."""
-    xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
-    if not xs[0] > 0.0:
-        raise ValueError("isotonic table points must lie inside x > 0")
-    return xs
 
 
 def _tdpt_spec(args) -> tdpt.TdptSpec:
@@ -420,40 +181,6 @@ def _cmd_tdpt_build(args) -> int:
         ],
     }
     _emit(_json_text(payload), args.out)
-    return 0
-
-
-def _cmd_tdpt_verify(args) -> int:
-    spec = _tdpt_spec(args)
-    names = TDPT_SUITES if args.suite == "all" else (args.suite,)
-    needs_regular = [s for s in names if s in ("ode", "ortho", "spectrum")]
-    if needs_regular and not tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1):
-        threshold = tdpt.regularity_threshold(spec.n, spec.N, spec.M)
-        raise ValueError(
-            f"irregular spec: lambda1 = {spec.lambda1} lies inside the "
-            f"forbidden window (0, {threshold}]; suite(s) "
-            f"{', '.join(needs_regular)} need a regular one "
-            "(--suite regularity reports it)"
-        )
-    report_list = [
-        _tdpt_check(name, spec, args.kmax, args.grid_n) for name in names
-    ]
-    return _emit_reports(report_list, args.out, family="tdpt", spec=spec.as_dict())
-
-
-def _cmd_tdpt_table(args) -> int:
-    spec = _tdpt_spec(args)
-    pot = tdpt.extended_potential(spec)
-    base = spec.base
-    xs = _tdpt_points(args)
-    states = [tdpt.eigenfunction(spec, k) for k in range(args.kmax + 1)]
-    header = ["x", "v_base", "v_ext"] + [
-        f"psi_{k}" for k in range(args.kmax + 1)
-    ]
-    rows = [
-        [x, base.v(x), pot.v(x)] + [s.eval_x(x) for s in states] for x in xs
-    ]
-    _emit(_csv_text(header, rows), args.out)
     return 0
 
 
@@ -489,33 +216,7 @@ def _cmd_isotonic_build(args) -> int:
     return 0
 
 
-def _cmd_isotonic_verify(args) -> int:
-    spec = _iso_spec(args)
-    names = ISO_SUITES if args.suite == "all" else (args.suite,)
-    report_list = [
-        _iso_check(name, spec, args.omega, args.kmax, args.grid_n)
-        for name in names
-    ]
-    return _emit_reports(
-        report_list, args.out, family="isotonic", spec=spec.as_dict()
-    )
-
-
-def _cmd_isotonic_table(args) -> int:
-    spec = _iso_spec(args)
-    pot = isotonic.extended_potential(spec)
-    omega = float(args.omega)
-    xs = _isotonic_points(args)
-    family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
-    states = [isotonic.eigenfunction(spec, k) for k in family.levels]
-    header = ["x", "v_base", "v_ext"] + [f"psi_{k}" for k in family.levels]
-    rows = [
-        [x, spec.base.v(x, omega), pot.v(x, omega)]
-        + [s.eval_x(x, omega) for s in states]
-        for x in xs
-    ]
-    _emit(_csv_text(header, rows), args.out)
-    return 0
+_SPECS = {"tdpt": _tdpt_spec, "isotonic": _iso_spec}
 
 
 # -- chain ----------------------------------------------------------------------------
@@ -616,7 +317,7 @@ def _cmd_chain_crosscheck(args) -> int:
             worst = verify.worst(abs(vt(x) - exact(x)) for x in pts) / scale
             p = dict(params, tolerance=1e-9)
             return worst < 1e-9, p, (
-                f"max relative deviation from the exact form {_fmt(worst)}"
+                f"max relative deviation from the exact form {reports._fmt(worst)}"
             )
 
         report = reports.make_report("chain.two-step", body)
@@ -629,19 +330,23 @@ def _cmd_chain_crosscheck(args) -> int:
             p = dict(label, points=args.points, tolerance=1e-6)
             ok = pot_rel < 1e-6 and w_rel < 1e-5
             return ok, p, (
-                f"potential route deviation {_fmt(pot_rel)}, "
-                f"Wronskian identity deviation {_fmt(w_rel)}"
+                f"potential route deviation {reports._fmt(pot_rel)}, "
+                f"Wronskian identity deviation {reports._fmt(w_rel)}"
             )
 
         report = reports.make_report("chain.matveev", body)
 
-    return _emit_reports([report], args.out, which=args.which, base=args.base)
+    return _emit_reports(
+        reports.envelope([report], which=args.which, base=args.base), args.out
+    )
 
 
 # -- verify ---------------------------------------------------------------------------
 
-_PARAMETRIZED = {f"tdpt.{s}" for s in TDPT_SUITES} | {
-    f"isotonic.{s}" for s in ISO_SUITES
+_PARAMETRIZED = {
+    f"{family}.{name}"
+    for family, checks in reports.SPEC_CHECKS.items()
+    for name in checks
 }
 
 
@@ -742,6 +447,19 @@ def _cmd_verify_gram(args) -> int:
     return 0
 
 
+def _cmd_spec_verify(args) -> int:
+    """`tdpt verify` and `isotonic verify`."""
+    family = args.command
+    spec = _SPECS[family](args)
+    names = list(reports.SPEC_CHECKS[family]) if args.suite == "all" else [args.suite]
+    report_list = reports.run_spec_checks(
+        family, names, spec, args.kmax, args.grid_n, args.omega
+    )
+    return _emit_reports(
+        reports.envelope(report_list, family=family, spec=spec.as_dict()), args.out
+    )
+
+
 def _cmd_verify(args) -> int:
     selector = args.selector
     if selector == "spectrum":
@@ -755,20 +473,20 @@ def _cmd_verify(args) -> int:
         for a in ("n", "big_n", "big_m", "lambda1", "omega")
     )
     if selector in _PARAMETRIZED and spec_flags:
-        module, name = selector.split(".", 1)
-        kmax = args.kmax if args.kmax is not None else 4
+        family, name = selector.split(".", 1)
         if args.n is None or args.big_n is None:
             raise ValueError("parametrized checks need --n and --N")
-        if module == "tdpt":
-            if args.big_m is None:
-                raise ValueError("tdpt checks need --M")
-            spec = _tdpt_spec(args)
-            report = _tdpt_check(name, spec, kmax, args.grid_n)
-        else:
-            spec = _iso_spec(args)
-            omega = args.omega if args.omega is not None else Fraction(2)
-            report = _iso_check(name, spec, omega, kmax, args.grid_n)
-        return _emit_reports([report], args.out, selector=selector)
+        if family == "tdpt" and args.big_m is None:
+            raise ValueError("tdpt checks need --M")
+        report_list = reports.run_spec_checks(
+            family,
+            [name],
+            _SPECS[family](args),
+            args.kmax if args.kmax is not None else reports.KMAX,
+            args.grid_n,
+            args.omega if args.omega is not None else Fraction(2),
+        )
+        return _emit_reports(reports.envelope(report_list, selector=selector), args.out)
 
     try:
         payload = reports.run_suite(selector)
@@ -777,67 +495,74 @@ def _cmd_verify(args) -> int:
             f"error: unknown check or module: {selector}", file=sys.stderr
         )
         return 2
-    _emit(_json_text(payload), args.out)
-    return 0 if payload["counts"]["fail"] == 0 else 1
+    return _emit_reports(payload, args.out)
 
 
 # -- table ----------------------------------------------------------------------------
 
 
-def _cmd_table(args) -> int:
-    if args.family == "tdpt":
-        if args.big_m is None or args.lambda1 is None:
-            raise ValueError("tdpt tables need --M and --lambda1")
-        spec = _tdpt_spec(args)
-        if args.kind == "polynomial":
-            payload = {
-                "schema": SCHEMA,
-                "family": "tdpt",
-                "spec": spec.as_dict(),
-                "polynomials": {
-                    str(k): tdpt.p_tilde(spec, k).to_json()
-                    for k in range(args.kmax + 1)
-                },
-            }
-            _emit(_json_text(payload), args.out)
-            return 0
+def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
+    """CSV of the base and extended potentials and/or the eigenfunctions on
+    the table grid, which must lie inside the open domain where both
+    potentials are finite."""
+    spec = _SPECS[family](args)
+    if family == "tdpt":
         pot = tdpt.extended_potential(spec)
-        xs = _tdpt_points(args)
-        if args.kind == "potential":
-            header = ["x", "v_base", "v_ext"]
-            rows = [[x, spec.base.v(x), pot.v(x)] for x in xs]
-        else:
-            states = [tdpt.eigenfunction(spec, k) for k in range(args.kmax + 1)]
-            header = ["x"] + [f"psi_{k}" for k in range(args.kmax + 1)]
-            rows = [[x] + [s.eval_x(x) for s in states] for x in xs]
-        _emit(_csv_text(header, rows), args.out)
-        return 0
-
-    spec = isotonic.IsotonicSpec(args.n, args.big_n)
-    family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
-    if args.kind == "polynomial":
-        payload = {
-            "schema": SCHEMA,
-            "family": "isotonic",
-            "spec": spec.as_dict(),
-            "polynomials": {
-                str(k): isotonic.l_tilde(spec, k).to_json()
-                for k in family.levels
-            },
-        }
-        _emit(_json_text(payload), args.out)
-        return 0
-    omega = float(args.omega if args.omega is not None else Fraction(1))
-    pot = isotonic.extended_potential(spec)
-    xs = _isotonic_points(args)
-    if args.kind == "potential":
-        header = ["x", "v_base", "v_ext"]
-        rows = [[x, spec.base.v(x, omega), pot.v(x, omega)] for x in xs]
+        xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
+        if not (xs[0] > 0.0 and xs[-1] < math.pi / 2):
+            raise ValueError("tdpt table points must lie inside 0 < x < pi/2")
+        levels = range(args.kmax + 1)
+        eigenfunction, tails = tdpt.eigenfunction, ()
     else:
-        states = [isotonic.eigenfunction(spec, k) for k in family.levels]
-        header = ["x"] + [f"psi_{k}" for k in family.levels]
-        rows = [[x] + [s.eval_x(x, omega) for s in states] for x in xs]
+        omega = float(args.omega if args.omega is not None else Fraction(1))
+        pot = isotonic.extended_potential(spec)
+        xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
+        if not xs[0] > 0.0:
+            raise ValueError("isotonic table points must lie inside x > 0")
+        levels = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1)).levels
+        eigenfunction, tails = isotonic.eigenfunction, (itertools.repeat(omega),)
+    header, columns = ["x"], []
+    if potential:
+        header += ["v_base", "v_ext"]
+        columns += [spec.base.v, pot.v]
+    if states:
+        header += [f"psi_{k}" for k in levels]
+        columns += [eigenfunction(spec, k).eval_x for k in levels]
+    # every column maps over one list of points, so each point is boxed once
+    xs = list(xs)
+    rows = zip(xs, *(map(f, xs, *tails) for f in columns))
     _emit(_csv_text(header, rows), args.out)
+    return 0
+
+
+def _cmd_family_table(args) -> int:
+    """`tdpt table` and `isotonic table`: potentials and eigenfunctions."""
+    return _sampled_table(args.command, args, potential=True, states=True)
+
+
+def _cmd_table(args) -> int:
+    if args.family == "tdpt" and (args.big_m is None or args.lambda1 is None):
+        raise ValueError("tdpt tables need --M and --lambda1")
+    if args.kind != "polynomial":
+        return _sampled_table(
+            args.family,
+            args,
+            potential=args.kind == "potential",
+            states=args.kind == "eigenfunction",
+        )
+    spec = _SPECS[args.family](args)
+    if args.family == "tdpt":
+        polys = {k: tdpt.p_tilde(spec, k) for k in range(args.kmax + 1)}
+    else:
+        family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
+        polys = dict(zip(family.levels, family.polys))
+    payload = {
+        "schema": SCHEMA,
+        "family": args.family,
+        "spec": spec.as_dict(),
+        "polynomials": {str(k): p.to_json() for k, p in polys.items()},
+    }
+    _emit(_json_text(payload), args.out)
     return 0
 
 
@@ -846,6 +571,25 @@ def _cmd_table(args) -> int:
 
 def _add_out(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
+
+
+def _add_isotonic_spec(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--N", dest="big_n", type=int, required=True)
+
+
+def _add_tdpt_spec(p):
+    _add_isotonic_spec(p)
+    p.add_argument("--M", dest="big_m", type=int, required=True)
+    p.add_argument("--lambda1", type=_rational, required=True)
+
+
+def _add_verify_args(p, family):
+    names = tuple(reports.SPEC_CHECKS[family])
+    p.add_argument("--suite", choices=names + ("all",), default="all")
+    p.add_argument("--kmax", type=_kmax, default=reports.KMAX)
+    p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
+    _add_out(p)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -878,58 +622,40 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tdpt", help="trigonometric extension")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     b = tsub.add_parser("build", help="exact extension data as JSON")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--N", dest="big_n", type=int, required=True)
-    b.add_argument("--M", dest="big_m", type=int, required=True)
-    b.add_argument("--lambda1", type=_rational, required=True)
+    _add_tdpt_spec(b)
     b.add_argument("--kmax", type=_kmax, default=4)
     _add_out(b)
     b.set_defaults(func=_cmd_tdpt_build)
     w = tsub.add_parser("verify", help="per-spec checks")
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--N", dest="big_n", type=int, required=True)
-    w.add_argument("--M", dest="big_m", type=int, required=True)
-    w.add_argument("--lambda1", type=_rational, required=True)
-    w.add_argument("--suite", choices=TDPT_SUITES + ("all",), default="all")
-    w.add_argument("--kmax", type=_kmax, default=4)
-    w.add_argument("--grid-n", type=_grid_n, default=3000)
-    _add_out(w)
-    w.set_defaults(func=_cmd_tdpt_verify)
+    _add_tdpt_spec(w)
+    _add_verify_args(w, "tdpt")
+    w.set_defaults(func=_cmd_spec_verify, omega=None)
     t = tsub.add_parser("table", help="sampled CSV table")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--N", dest="big_n", type=int, required=True)
-    t.add_argument("--M", dest="big_m", type=int, required=True)
-    t.add_argument("--lambda1", type=_rational, required=True)
+    _add_tdpt_spec(t)
     t.add_argument("--kmax", type=_kmax, default=3)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
-    t.set_defaults(func=_cmd_tdpt_table)
+    t.set_defaults(func=_cmd_family_table)
 
     p = sub.add_parser("isotonic", help="radial oscillator extension")
     isub = p.add_subparsers(dest="subcommand", required=True)
     b = isub.add_parser("build", help="exact extension data as JSON")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--N", dest="big_n", type=int, required=True)
+    _add_isotonic_spec(b)
     b.add_argument("--kmax", type=_kmax, default=5)
     _add_out(b)
     b.set_defaults(func=_cmd_isotonic_build)
     w = isub.add_parser("verify", help="per-spec checks")
-    w.add_argument("--n", type=int, required=True)
-    w.add_argument("--N", dest="big_n", type=int, required=True)
-    w.add_argument("--suite", choices=ISO_SUITES + ("all",), default="all")
+    _add_isotonic_spec(w)
     w.add_argument("--omega", type=_positive_rational, default=Fraction(2))
-    w.add_argument("--kmax", type=_kmax, default=4)
-    w.add_argument("--grid-n", type=_grid_n, default=3000)
-    _add_out(w)
-    w.set_defaults(func=_cmd_isotonic_verify)
+    _add_verify_args(w, "isotonic")
+    w.set_defaults(func=_cmd_spec_verify)
     t = isub.add_parser("table", help="sampled CSV table")
-    t.add_argument("--n", type=int, required=True)
-    t.add_argument("--N", dest="big_n", type=int, required=True)
+    _add_isotonic_spec(t)
     t.add_argument("--omega", type=_positive_rational, default=Fraction(1))
     t.add_argument("--kmax", type=_kmax, default=4)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
-    t.set_defaults(func=_cmd_isotonic_table)
+    t.set_defaults(func=_cmd_family_table)
 
     p = sub.add_parser("chain", help="numeric transform chains")
     hsub = p.add_subparsers(dest="subcommand", required=True)
@@ -982,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda1", type=_rational, default=None)
     p.add_argument("--omega", type=_positive_rational, default=None)
     p.add_argument("--kmax", type=_kmax, default=None)
-    p.add_argument("--grid-n", type=_grid_n, default=3000)
+    p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
     p.add_argument("--params-file", default=None, help="JSON object of spec flags")
     p.add_argument("--potential-json", default=None, help="build output (spectrum)")
     p.add_argument("--levels", type=_int_from(1), default=None, help="level count (spectrum)")

@@ -954,11 +954,3 @@ def _det(mat):
             term = -term
         acc = term if acc is None else acc + term
     return acc
-
-
-def grid(a: float, b: float, n: int):
-    """n evenly spaced points from a to b inclusive (n >= 2), as floats."""
-    if n < 2:
-        raise ValueError("grid needs at least two points")
-    step = (b - a) / (n - 1)
-    return [a + i * step for i in range(n)]

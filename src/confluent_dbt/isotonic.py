@@ -256,6 +256,20 @@ def shape_invariance_holds(n: int, N: int) -> bool:
     return residual.is_zero
 
 
+def _coefficient_ratios(lhs: ExactPoly, rhs: ExactPoly) -> set:
+    """Distinct ratios lhs_i / rhs_i over all coefficients, as strings;
+    'inf' marks a coefficient of lhs where rhs has none."""
+    ratios = set()
+    for i in range(max(lhs.degree(), rhs.degree()) + 1):
+        a, b = lhs.coeff(i), rhs.coeff(i)
+        if b == 0:
+            if a != 0:
+                ratios.add("inf")
+        else:
+            ratios.add(str(a / b))
+    return ratios
+
+
 def n0_shape_obstruction(N: int) -> tuple:
     """Certificate that no constant C satisfies
     L_1^N Q_0^N - z^{N+1} = C Q_0^(N+1).
@@ -265,32 +279,14 @@ def n0_shape_obstruction(N: int) -> tuple:
     ratios prove no constant works.
     """
     lhs = laguerre(1, N) * q_poly(0, N) - _Z ** (N + 1)
-    rhs = q_poly(0, N + 1)
-    ratios = set()
-    for i in range(max(lhs.degree(), rhs.degree()) + 1):
-        a, b = lhs.coeff(i), rhs.coeff(i)
-        if b == 0:
-            if a != 0:
-                ratios.add("inf")
-        else:
-            ratios.add(str(a / b))
-    return tuple(sorted(ratios))
+    return tuple(sorted(_coefficient_ratios(lhs, q_poly(0, N + 1))))
 
 
 def n0_shape_positive_control(N: int) -> bool:
     """The same ratio test run on an actual multiple (3 Q_0^(N+1)) must
     report a single ratio: guards against a vacuous obstruction test."""
-    lhs = q_poly(0, N + 1) * 3
     rhs = q_poly(0, N + 1)
-    ratios = set()
-    for i in range(max(lhs.degree(), rhs.degree()) + 1):
-        a, b = lhs.coeff(i), rhs.coeff(i)
-        if b == 0:
-            if a != 0:
-                ratios.add("inf")
-        else:
-            ratios.add(str(a / b))
-    return len(ratios) == 1
+    return len(_coefficient_ratios(rhs * 3, rhs)) == 1
 
 
 def quasi_isospectrality_witness(

@@ -6,18 +6,22 @@ so two runs of the same selector produce byte-identical JSON apart from
 the elapsed_ms fields.  The manifest is the single source of ordering;
 a build-time assertion keeps it complete against the required invariant
 list, and the `cli.manifest` check re-verifies that at run time.
+
+The per-spec checks (`SPEC_CHECKS`) are functions of
+(spec, kmax, grid_n, omega).  `run_spec_checks` runs them on any spec for
+the CLI, and the manifest checks that cover the same invariant call them
+on fixed specs, so each invariant has one implementation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +29,9 @@ from . import chains, classical, exactalg, isotonic, tdpt, verify
 from .exactalg import ExactPoly, RationalFn, TrigGauged
 
 SCHEMA = 1
+SPECTRUM_LEVELS = 4  # levels solved for by the per-spec spectrum checks
+KMAX = 4  # default highest level of the per-spec checks
+GRID_N = 3000  # default finite-difference grid of the spectrum checks
 
 
 @dataclass(frozen=True)
@@ -214,6 +221,77 @@ def _check_classical_orthogonality():
 
 # -- tdpt -------------------------------------------------------------------------
 
+# per-spec checks: (spec, kmax, grid_n, omega) -> (status, spec dict, witness)
+
+
+def _tdpt_regularity(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    predicted = tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1)
+    certified, witness = tdpt.certify_regularity(spec)
+    if predicted != certified:
+        return False, params, (
+            f"predicate says regular={predicted}, "
+            f"certificate says regular={certified}"
+        )
+    word = "regular" if certified else "irregular"
+    detail = f"predicate and certificate agree: {word}"
+    if witness.intervals:
+        ivs = [(str(a), str(b)) for a, b in witness.intervals]
+        detail += f", denominator roots isolated in {ivs}"
+    return True, params, detail
+
+
+def _tdpt_ode(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    pot = tdpt.extended_potential(spec)
+    for k in range(kmax + 1):
+        res = verify.exact_ode_residual(
+            tdpt.eigenfunction(spec, k), pot.z_form, spec.base.energy(k)
+        )
+        if not res.is_zero:
+            return False, params, f"nonzero exact residual at level {k}"
+    return True, params, f"residuals identically zero for k <= {kmax}"
+
+
+def _tdpt_ortho(spec, kmax, grid_n, omega):
+    fns = [tdpt.eigenfunction(spec, k).eval_x for k in range(kmax + 1)]
+    vals, _ = verify.gram_matrix(fns, *verify.tdpt_domain(1e-8))
+    worst = verify.max_offdiagonal_relative(vals)
+    return (
+        worst < 1e-10,
+        dict(spec.as_dict(), kmax=kmax),
+        f"max relative off-diagonal {_fmt(worst)}",
+    )
+
+
+def _tdpt_shape(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    if spec.n < 1:
+        return "skip", params, "no partner constant at n = 0"
+    ok = tdpt.shape_invariance_holds(spec.n, spec.N, spec.M, spec.lambda1)
+    return ok, params, (
+        "identity residual identically zero" if ok else "identity broken"
+    )
+
+
+def _tdpt_spectrum(spec, kmax, grid_n, omega):
+    levels = SPECTRUM_LEVELS
+    result, expected = tdpt.isospectrality_witness(spec, levels, grid_n)
+    worst = verify.worst(
+        abs(g - w) / max(1.0, abs(w)) for g, w in zip(result.energies, expected)
+    )
+    ok = worst < 1e-5 and result.node_counts == tuple(range(levels))
+    params = dict(
+        spec.as_dict(), kmax=kmax, grid_n=grid_n, levels=levels, tolerance=1e-5
+    )
+    return ok, params, (
+        f"expected {[str(w) for w in expected]}, max relative "
+        f"deviation {_fmt(worst)}, nodes {list(result.node_counts)}"
+    )
+
+
+# manifest checks
+
 
 def _check_tdpt_monotone():
     for n in range(4):
@@ -246,15 +324,15 @@ def _check_tdpt_endpoints():
 
 
 def _check_tdpt_orthogonality():
-    per_spec = []
-    for spec in (tdpt.TdptSpec(0, 1, 1, 1), tdpt.TdptSpec(1, 2, 1, -2)):
-        fns = [tdpt.eigenfunction(spec, k).eval_x for k in range(7)]
-        vals, _ = verify.gram_matrix(fns, 1e-8, math.pi / 2 - 1e-8)
-        per_spec.append(verify.max_offdiagonal_relative(vals))
-    worst = verify.worst(per_spec)
-    ok = worst < 1e-10
-    spec_d = {"specs": [[0, 1, 1, "1"], [1, 2, 1, "-2"]], "k_max": 6}
-    return ok, spec_d, f"max relative off-diagonal {_fmt(worst)}"
+    results = [
+        _tdpt_ortho(spec, 6, GRID_N, None)
+        for spec in (tdpt.TdptSpec(0, 1, 1, 1), tdpt.TdptSpec(1, 2, 1, -2))
+    ]
+    return (
+        all(ok for ok, _, _ in results),
+        {"specs": [params for _, params, _ in results]},
+        "; ".join(witness for _, _, witness in results),
+    )
 
 
 def _check_tdpt_shape():
@@ -304,20 +382,126 @@ def _check_tdpt_window():
 
 
 def _check_tdpt_spectrum():
-    spec = tdpt.TdptSpec(0, 1, 1, 1)
-    result, expected = tdpt.isospectrality_witness(spec, 3, grid_n=2000)
-    worst = verify.worst(
-        abs(g - w) / max(1.0, abs(w)) for g, w in zip(result.energies, expected)
-    )
-    ok = worst < 1e-4 and result.node_counts == (0, 1, 2)
-    return (
-        ok,
-        {"spec": spec.as_dict(), "levels": 3, "tolerance": 1e-4},
-        f"max relative deviation {_fmt(worst)}, nodes {list(result.node_counts)}",
-    )
+    return _tdpt_spectrum(tdpt.TdptSpec(0, 1, 1, 1), KMAX, GRID_N, None)
 
 
 # -- isotonic ---------------------------------------------------------------------
+
+# per-spec checks: (spec, kmax, grid_n, omega) -> (status, spec dict, witness)
+
+
+def _iso_q_crosscheck(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    if isotonic.q_poly(spec.n, spec.N) != isotonic.q_poly_via_ode(spec.n, spec.N):
+        return False, params, "derivative-sum and ODE routes disagree"
+    rootless, witness = isotonic.rootless_certificate(spec.n, spec.N)
+    if not rootless:
+        ivs = [(str(a), str(b)) for a, b in witness.intervals]
+        return False, params, f"denominator roots isolated in {ivs}"
+    return True, params, "routes agree and denominator is rootless"
+
+
+def _iso_ode(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    pot = isotonic.extended_potential(spec)
+    for k in range(kmax + 1):
+        if k == spec.n:
+            continue
+        res = verify.exact_ode_residual(
+            isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
+        )
+        if not res.is_zero:
+            return False, params, f"nonzero exact residual at level {k}"
+    res = verify.exact_ode_residual(
+        isotonic.deleted_state(spec), pot.zform_units, 2 * spec.n
+    )
+    if not res.is_zero:
+        return False, params, "nonzero residual for the deleted state"
+    return True, params, (
+        f"residuals identically zero for k <= {kmax}, deleted state included"
+    )
+
+
+def _iso_ortho(spec, kmax, grid_n, omega):
+    w = float(omega)
+    family = isotonic.exceptional_family(spec, max(kmax, spec.n + 1))
+    fns = [
+        (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, w))
+        for k in family.levels
+    ]
+    vals, _ = verify.gram_matrix(fns, 0.0, math.inf)
+    worst = verify.max_offdiagonal_relative(vals)
+    params = dict(
+        spec.as_dict(), kmax=kmax, omega=str(omega), levels=list(family.levels)
+    )
+    return worst < 1e-10, params, f"max relative off-diagonal {_fmt(worst)}"
+
+
+def _iso_shape(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    if spec.n < 1:
+        return "skip", params, (
+            "no partner constant at n = 0; run n0-negative instead"
+        )
+    ok = isotonic.shape_invariance_holds(spec.n, spec.N)
+    return ok, params, (
+        "identity residual identically zero" if ok else "identity broken"
+    )
+
+
+def _iso_n0_type2(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    if spec.n != 0:
+        return "skip", params, "only defined for n = 0"
+    if not isotonic.n0_type2_proportional(spec.N):
+        return False, params, "denominator is not a scaled Laguerre polynomial"
+    partner = isotonic.n0_type2_partner_units(spec.N)
+    if isotonic.extended_potential(spec).zform_units != partner:
+        return False, params, (
+            "extension does not equal the one-step partner of the "
+            "enlarged-parameter base"
+        )
+    ratio = isotonic.n0_type2_ratio(spec.N)
+    return True, params, (
+        f"denominator is {ratio} times the negative-parameter Laguerre "
+        "polynomial; extension equals the one-step partner exactly"
+    )
+
+
+def _iso_n0_negative(spec, kmax, grid_n, omega):
+    params = dict(spec.as_dict(), kmax=kmax)
+    if spec.n != 0:
+        return "skip", params, "only defined for n = 0"
+    ratios = isotonic.n0_shape_obstruction(spec.N)
+    if len(set(ratios)) < 2:
+        return False, params, f"single ratio {ratios}: a constant would exist"
+    if not isotonic.n0_shape_positive_control(spec.N):
+        return False, params, "positive control failed"
+    return True, params, (
+        f"coefficient ratios {list(ratios)} are not all equal: "
+        "no constant closes the identity"
+    )
+
+
+def _iso_spectrum(spec, kmax, grid_n, omega):
+    levels = SPECTRUM_LEVELS
+    result, expected = isotonic.quasi_isospectrality_witness(
+        spec, float(omega), levels, grid_n
+    )
+    worst = verify.worst(
+        abs(g - e) / max(1.0, abs(e)) for g, e in zip(result.energies, expected)
+    )
+    ok = worst < 1e-5 and result.node_counts == tuple(range(levels))
+    params = dict(
+        spec.as_dict(), kmax=kmax, omega=str(omega), grid_n=grid_n, levels=levels
+    )
+    return ok, params, (
+        f"expected {[_fmt(e) for e in expected]}, max relative "
+        f"deviation {_fmt(worst)}, nodes {list(result.node_counts)}"
+    )
+
+
+# manifest checks
 
 
 def _check_isotonic_ode_identity():
@@ -354,36 +538,11 @@ def _check_isotonic_rootless():
 
 
 def _check_isotonic_orthogonality():
-    spec = isotonic.IsotonicSpec(1, 1)
-    omega = 2.0
-    fns = [
-        (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, omega))
-        for k in (0, 2, 3, 4, 5)
-    ]
-    vals, _ = verify.gram_matrix(fns, 0.0, math.inf)
-    worst = verify.max_offdiagonal_relative(vals)
-    return (
-        worst < 1e-10,
-        {"spec": spec.as_dict(), "levels": [0, 2, 3, 4, 5]},
-        f"max relative off-diagonal {_fmt(worst)}",
-    )
+    return _iso_ortho(isotonic.IsotonicSpec(1, 1), 5, GRID_N, Fraction(2))
 
 
 def _check_isotonic_residuals():
-    spec = isotonic.IsotonicSpec(1, 1)
-    pot = isotonic.extended_potential(spec)
-    for k in (0, 2, 3):
-        res = verify.exact_ode_residual(
-            isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
-        )
-        if not res.is_zero:
-            return False, {}, f"residual nonzero at level {k}"
-    res = verify.exact_ode_residual(
-        isotonic.deleted_state(spec), pot.zform_units, 2 * spec.n
-    )
-    if not res.is_zero:
-        return False, {}, "deleted-state residual nonzero"
-    return True, {"spec": spec.as_dict()}, "all residuals identically zero"
+    return _iso_ode(isotonic.IsotonicSpec(1, 1), 3, GRID_N, None)
 
 
 def _check_isotonic_boundary():
@@ -398,17 +557,7 @@ def _check_isotonic_boundary():
 
 
 def _check_isotonic_spectrum():
-    spec = isotonic.IsotonicSpec(1, 1)
-    result, expected = isotonic.quasi_isospectrality_witness(
-        spec, 2.0, 4, grid_n=2000
-    )
-    worst = verify.worst(abs(g - w) for g, w in zip(result.energies, expected))
-    ok = worst < 5e-4 and result.node_counts == (0, 1, 2, 3)
-    return (
-        ok,
-        {"spec": spec.as_dict(), "omega": 2.0, "levels": 4, "tolerance": 5e-4},
-        f"max absolute deviation {_fmt(worst)}, nodes {list(result.node_counts)}",
-    )
+    return _iso_spectrum(isotonic.IsotonicSpec(1, 1), KMAX, GRID_N, Fraction(2))
 
 
 # -- chains -----------------------------------------------------------------------
@@ -820,29 +969,11 @@ def select_checks(selector: str):
     return chosen
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("CONFLUENT_DBT_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"CONFLUENT_DBT_THREADS must be an integer: {raw!r}")
-        if n < 1:
-            raise ValueError("CONFLUENT_DBT_THREADS must be >= 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
-def run_suite(selector: str = "all") -> dict:
-    """Run the selected checks (manifest order) and report as JSON data."""
-    checks = select_checks(selector)
-    workers = thread_cap()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda c: run_check(c.check_id), checks))
+def envelope(reports, **extra) -> dict:
+    """The JSON report of a list of VerifyReports, plus `extra` fields."""
     failed = [r.check_id for r in reports if r.status == "fail"]
     return {
         "schema": SCHEMA,
-        "selector": selector,
         "checks": [r.to_json() for r in reports],
         "counts": {
             "pass": sum(1 for r in reports if r.status == "pass"),
@@ -850,4 +981,67 @@ def run_suite(selector: str = "all") -> dict:
             "skip": sum(1 for r in reports if r.status == "skip"),
         },
         "failed": failed,
+        **extra,
     }
+
+
+def run_suite(selector: str = "all") -> dict:
+    """Run the selected checks (manifest order) and report as JSON data.
+
+    The checks run one after another: they are pure Python, so threads
+    would only contend for the interpreter lock."""
+    reports = [run_check(c.check_id) for c in select_checks(selector)]
+    return envelope(reports, selector=selector)
+
+
+# -- per-spec runner --------------------------------------------------------------
+
+SPEC_CHECKS = {
+    "tdpt": {
+        "regularity": _tdpt_regularity,
+        "ode": _tdpt_ode,
+        "ortho": _tdpt_ortho,
+        "shape": _tdpt_shape,
+        "spectrum": _tdpt_spectrum,
+    },
+    "isotonic": {
+        "q-crosscheck": _iso_q_crosscheck,
+        "ode": _iso_ode,
+        "ortho": _iso_ortho,
+        "shape": _iso_shape,
+        "n0-type2": _iso_n0_type2,
+        "n0-negative": _iso_n0_negative,
+        "spectrum": _iso_spectrum,
+    },
+}
+
+# tdpt checks that evaluate the extension and so need a regular lambda1
+_NEEDS_REGULAR = ("ode", "ortho", "spectrum")
+
+
+def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
+    """Run the named per-spec checks of `family` on `spec`, in order.
+
+    An irregular tdpt spec is refused with ValueError before any check
+    that needs a regular one runs: that is a usage error, not a failed
+    check."""
+    needs_regular = [s for s in names if s in _NEEDS_REGULAR]
+    if (
+        family == "tdpt"
+        and needs_regular
+        and not tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1)
+    ):
+        threshold = tdpt.regularity_threshold(spec.n, spec.N, spec.M)
+        raise ValueError(
+            f"irregular spec: lambda1 = {spec.lambda1} lies inside the "
+            f"forbidden window (0, {threshold}]; suite(s) "
+            f"{', '.join(needs_regular)} need a regular one "
+            "(--suite regularity reports it)"
+        )
+    checks = SPEC_CHECKS[family]
+    return [
+        make_report(
+            f"{family}.{name}", partial(checks[name], spec, kmax, grid_n, omega)
+        )
+        for name in names
+    ]

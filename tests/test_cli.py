@@ -1,13 +1,18 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from confluent_dbt import cli
+from confluent_dbt import cli, reports
 from confluent_dbt.exactalg import ExactPoly
 
 
@@ -415,13 +420,32 @@ def test_verify_params_file_malformed(capsys, tmp_path):
     assert "malformed" in err
 
 
-def test_verify_failing_check_exit_1(capsys):
-    # an irregular lambda1 makes the ode check fail (build raises inside it)
-    code, data = run_json(capsys, "verify", "tdpt.ode", "--n", "0", "--N", "1",
-                          "--M", "1", "--lambda1", "1/3")
+def test_verify_irregular_lambda_exit_2(capsys):
+    # the same refusal, and the same message, as `tdpt verify`
+    spec = ["--n", "0", "--N", "1", "--M", "1", "--lambda1", "1/3"]
+    code, out, err = run_cli(capsys, "verify", "tdpt.ode", *spec)
+    assert code == 2
+    assert "irregular" in err and out == ""
+    assert run_cli(capsys, "tdpt", "verify", "--suite", "ode", *spec) == (2, "", err)
+
+
+def test_verify_failing_check_exit_1(capsys, monkeypatch):
+    check = reports._BY_ID["tdpt.window"]
+    monkeypatch.setitem(reports._BY_ID, check.check_id, dataclasses.replace(
+        check, run=lambda: (False, {}, "")))
+    code, data = run_json(capsys, "verify", "tdpt.window")
     assert code == 1
-    assert data["checks"][0]["status"] == "fail"
+    assert data["failed"] == ["tdpt.window"]
     assert data["checks"][0]["witness"] != ""
+
+
+def test_bare_check_id_runs_the_per_spec_check(capsys):
+    _, bare = run_json(capsys, "verify", "tdpt.spectrum")
+    _, per_spec = run_json(capsys, "tdpt", "verify", "--suite", "spectrum",
+                           "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1")
+    (a,), (b,) = bare["checks"], per_spec["checks"]
+    assert a["status"] == b["status"] == "pass"
+    assert a["witness"] == b["witness"]
 
 
 def test_verify_spectrum_roundtrip(capsys, tmp_path):
@@ -538,6 +562,67 @@ def test_out_file_writing(capsys, tmp_path):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["schema"] == 1
+
+
+# -- pinned outputs --------------------------------------------------------------
+
+# sha256 of stdout with every elapsed_ms set to 0, recorded before the
+# per-spec checks moved into `reports` and the table commands were merged
+PINNED_OUTPUTS = [
+    ("tdpt verify --n 1 --N 2 --M 1 --lambda1 -2 --suite all",
+     "22a6cc7a975354940260df7ba8b746ad93e2f14e1def67e8336e8f7ffe5588a5"),
+    ("isotonic verify --n 1 --N 1 --suite all",
+     "5ddd2263fbe03ef82e9194fde0e8164a6f1ce9df4e4acf8fad1720f4a1412cdb"),
+    ("verify isotonic.n0-type2 --n 0 --N 3",
+     "48ea887d5b0c83bd497e911e2c376903abf44c1e94433189710451c6e84e20dc"),
+    ("tdpt table --n 1 --N 2 --M 1 --lambda1 -2 --x-points 0.1:1.5:7",
+     "64a85ed7958aa2ac5505875d9aafe7697f84e5fcd7144e77c583117645827144"),
+    ("isotonic table --n 1 --N 1 --omega 2 --x-points 0.2:4:7",
+     "ceacc77ff43ff81d1d2621ebb6b2060a7c00144d5f326ea86f5e416bcb97860e"),
+    ("table --kind potential --family tdpt --n 1 --N 2 --M 1 --lambda1 -2 "
+     "--x-points 0.1:1.5:7",
+     "a2ef196ff02df0846ea2681ec0e4e6084a1e3425ae3b8605738b01cc8b86aa0b"),
+    ("table --kind eigenfunction --family tdpt --n 1 --N 2 --M 1 --lambda1 -2 "
+     "--x-points 0.1:1.5:7",
+     "89b3d415388c555d825b60958ca462f6ac74e81b0c9c25c37ed325e643a4416b"),
+    ("table --kind potential --family isotonic --n 1 --N 1 --x-points 0.2:4:7",
+     "02c5a7414250bf59d24390fbb23083c4c9458087b3bd875ea2d1e5c05eb2974c"),
+    ("table --kind eigenfunction --family isotonic --n 1 --N 1 --omega 2 "
+     "--x-points 0.2:4:7",
+     "b50f9ad48016c82517fde2997f3409e1ed11b61a408bd7d3e9d762c4a7dc450e"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
+def test_output_pinned(capsys, command, digest):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- README examples -----------------------------------------------------------------
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("confluent-dbt "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    # the README runs `verify isotonic.ode --params-file params.json`
+    (tmp_path / "params.json").write_text(json.dumps({"n": 1, "N": 1}))
+    commands = readme_commands()
+    assert len(commands) >= 20
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # -- module execution ------------------------------------------------------------------

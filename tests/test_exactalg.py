@@ -14,7 +14,6 @@ from confluent_dbt.exactalg import (
     RationalFn,
     TrigGauged,
     count_roots,
-    grid,
     isolate_roots,
     refine_root,
     wronskian,
@@ -312,11 +311,3 @@ def test_wronskian_pair_is_fg_minus_gf():
 def test_wronskian_of_dependent_functions_vanishes():
     f = TrigGauged(Fraction(3, 4), Fraction(3, 4), RationalFn(ExactPoly([1, 2])))
     assert wronskian([f, 3 * f]).is_zero
-
-
-def test_grid():
-    xs = grid(0.0, 1.0, 5)
-    assert xs == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert len(grid(0.1, 1.5, 200)) == 200
-    with pytest.raises(ValueError):
-        grid(0.0, 1.0, 1)

@@ -1,7 +1,9 @@
 """Differential tests of the integer exact core against sympy's `Poly`.
 
 sympy is an independent oracle here and a test-only dependency: the module
-is skipped where sympy is not installed.  The gcd tests cover both routes
+is skipped where sympy is not installed.  Besides the polynomial kernels it
+checks the Jacobi and Laguerre bases against sympy's own, and both
+cumulative-norm polynomials Q against sympy's integral and ODE solution.  The gcd tests cover both routes
 of `ExactPoly.gcd`: coprimality settled modulo a prime, and the primitive
 remainder sequence over Z that runs when a common factor (or an unlucky
 prime) leaves a nonconstant gcd modulo that prime.
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from confluent_dbt import cli, exactalg, tdpt  # noqa: E402
+from confluent_dbt import cli, classical, exactalg, isotonic, tdpt  # noqa: E402
 from confluent_dbt.classical import jacobi  # noqa: E402
 from confluent_dbt.exactalg import (  # noqa: E402
     NEG_INF,
@@ -240,6 +242,52 @@ def test_isolate_roots_matches_sympy(case, data):
         else:
             assert a < r < b
             assert sympy_open_count(sp, a, b) == 1
+
+
+# -- classical bases and the cumulative-norm polynomials ---------------------------
+
+
+def expr_poly(expr, var=X) -> ExactPoly:
+    return from_sympy(sympy.Poly(sympy.expand(expr), var, domain=sympy.QQ))
+
+
+@given(st.integers(0, 8), st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_jacobi_matches_sympy(n, a, b):
+    assert classical.jacobi(n, a, b) == expr_poly(sympy.jacobi(n, a, b, X))
+
+
+@given(st.integers(0, 8), st.integers(-8, 6))
+@settings(max_examples=40, deadline=None)
+def test_laguerre_matches_sympy(n, alpha):
+    # negative alpha included: the type-II states use L_N^(-N-1)
+    assert classical.laguerre(n, alpha) == expr_poly(
+        sympy.assoc_laguerre(n, alpha, X)
+    )
+
+
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_tdpt_q_poly_matches_sympy_integral(n, N, M):
+    t = sympy.Symbol("t")
+    integrand = (1 - t) ** N * (1 + t) ** M * sympy.jacobi(n, N, M, t) ** 2
+    want = -sympy.Rational(1, 2) * sympy.integrate(sympy.expand(integrand), (t, -1, X))
+    assert tdpt.q_poly(n, N, M) == expr_poly(want)
+
+
+@given(st.integers(0, 4), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_isotonic_q_poly_matches_sympy_ode_solution(n, N):
+    # the polynomial solution of Q' - Q = z^N (L_n^N)^2, by undetermined
+    # coefficients: it is unique, since the homogeneous solutions are e^z
+    rhs = sympy.expand(X**N * sympy.assoc_laguerre(n, N, X) ** 2)
+    degree = sympy.degree(rhs, X)
+    cs = sympy.symbols(f"c0:{degree + 1}")
+    q = sum(c * X**i for i, c in enumerate(cs))
+    eqs = sympy.Poly(sympy.diff(q, X) - q - rhs, X).all_coeffs()
+    (solution,) = sympy.linsolve(eqs, cs)
+    want = q.subs(dict(zip(cs, solution)))
+    assert isotonic.q_poly(n, N) == expr_poly(want)
 
 
 # -- pinned CLI output -------------------------------------------------------------

@@ -73,16 +73,6 @@ def test_make_report_accepts_skip_literal():
     assert report.status == "skip"
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("CONFLUENT_DBT_THREADS", "3")
-    assert reports.thread_cap() == 3
-    monkeypatch.setenv("CONFLUENT_DBT_THREADS", "0")
-    with pytest.raises(ValueError):
-        reports.thread_cap()
-    monkeypatch.delenv("CONFLUENT_DBT_THREADS")
-    assert reports.thread_cap() >= 1
-
-
 def strip_elapsed(payload):
     clean = json.loads(json.dumps(payload))
     for c in clean["checks"]:
