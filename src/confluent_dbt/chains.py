@@ -156,11 +156,12 @@ def scaled_seed(seed: SeedFunction, c: float) -> SeedFunction:
 # -- independent route: the energy-derivative Wronskian -------------------------
 
 
-def _solve_cauchy(v, energy, x_start, y0, xs):
-    """Integrate -y'' + v y = E y from x_start, returning (y, y') at xs."""
-    xs = np.asarray(xs, dtype=float)
+def _integrate(rhs, x_start, y0, xs):
+    """Integrate y' = rhs(t, y) from x_start towards both ends of xs and
+    return y sampled at xs, one row per component.  A stalled solver
+    raises ValueError."""
     lo, hi = min(xs.min(), x_start), max(xs.max(), x_start)
-    out = np.zeros((2, len(xs)))
+    out = np.zeros((len(y0), len(xs)))
     for sign, stop in ((-1, lo), (+1, hi)):
         sel = (xs < x_start) if sign < 0 else (xs >= x_start)
         if not np.any(sel) or stop == x_start:
@@ -168,7 +169,7 @@ def _solve_cauchy(v, energy, x_start, y0, xs):
                 out[:, sel] = np.asarray(y0, dtype=float)[:, None]
             continue
         sol = scipy.integrate.solve_ivp(
-            lambda t, y: [y[1], (v(t) - energy) * y[0]],
+            rhs,
             (x_start, stop),
             y0,
             method="DOP853",
@@ -177,9 +178,9 @@ def _solve_cauchy(v, energy, x_start, y0, xs):
             dense_output=True,
         )
         if not sol.success:
-            raise RuntimeError(f"Cauchy integration failed: {sol.message}")
+            raise ValueError(f"integration failed: {sol.message}")
         out[:, sel] = sol.sol(xs[sel])
-    return out[0], out[1]
+    return out
 
 
 def matveev_potential(seed: SeedFunction, v, xs, x_ref: float, de=None):
@@ -201,9 +202,16 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float, de=None):
     # near 1e-3 at unit energy scale
     h = de if de is not None else 1e-3 * (1.0 + abs(e))
     y0 = [seed.f(x_ref), seed.df(x_ref)]
-    psi, dpsi = _solve_cauchy(v, e, x_ref, y0, xs)
-    psi_p, dpsi_p = _solve_cauchy(v, e + h, x_ref, y0, xs)
-    psi_m, dpsi_m = _solve_cauchy(v, e - h, x_ref, y0, xs)
+
+    def solve(energy):
+        # -y'' + v y = energy y as a first-order system
+        return _integrate(
+            lambda t, y: [y[1], (v(t) - energy) * y[0]], x_ref, y0, xs
+        )
+
+    psi, dpsi = solve(e)
+    psi_p, dpsi_p = solve(e + h)
+    psi_m, dpsi_m = solve(e - h)
     de_psi = (psi_p - psi_m) / (2.0 * h)
     de_dpsi = (dpsi_p - dpsi_m) / (2.0 * h)
     w = psi * de_dpsi - dpsi * de_psi
@@ -282,31 +290,13 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
         return [y[1], (v(t) - e) * y[0]] + [psis[j] ** 2 for j in range(levels)]
 
     y0 = [seed.f(x_start), seed.df(x_start)] + [0.0] * levels
-    lo, hi = min(xs.min(), x_start), max(xs.max(), x_start)
-    samples = np.zeros((2 + levels, len(xs)))
-    for sign, stop in ((-1, lo), (+1, hi)):
-        sel = (xs < x_start) if sign < 0 else (xs >= x_start)
-        if not np.any(sel) or stop == x_start:
-            if np.any(sel):
-                samples[:, sel] = np.asarray(y0)[:, None]
-            continue
-        sol = scipy.integrate.solve_ivp(
-            rhs,
-            (x_start, stop),
-            y0,
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
-            dense_output=True,
-        )
-        if not sol.success:
-            # the integrator stalls where the chain turns singular
-            raise ValueError(
-                f"chain integration failed: {sol.message}; the constants "
-                "are likely outside the regular window"
-            )
-        samples[:, sel] = sol.sol(xs[sel])
-
+    try:
+        samples = _integrate(rhs, x_start, y0, xs)
+    except ValueError as exc:
+        # the integrator stalls where the chain turns singular
+        raise ValueError(
+            f"chain {exc}; the constants are likely outside the regular window"
+        ) from None
     psi, dpsi = samples[0], samples[1]
     integrals = tuple(samples[2 + j] for j in range(levels))
 
@@ -328,9 +318,7 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
             )
 
     # Psi ladder and its log-derivatives on the grid
-    psis = [psi]
-    for j in range(levels):
-        psis.append((lambdas[j] + integrals[j]) / psis[-1])
+    psis = ladder(samples)
     us = [dpsi / psi]
     for j in range(levels):
         us.append(psis[j] ** 2 / (lambdas[j] + integrals[j]) - us[-1])

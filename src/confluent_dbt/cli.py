@@ -195,7 +195,7 @@ def _cmd_isotonic_build(args) -> int:
     spec = _iso_spec(args)
     pot = isotonic.extended_potential(spec)
     rootless, _ = isotonic.rootless_certificate(spec.n, spec.N)
-    family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
+    family = isotonic.exceptional_family(spec, args.kmax)
     payload = {
         "schema": SCHEMA,
         "family": "isotonic",
@@ -204,7 +204,7 @@ def _cmd_isotonic_build(args) -> int:
         "q_at_zero": str(isotonic.q_at_zero(spec.n, spec.N)),
         "rootless": rootless,
         "l_tilde": {
-            str(k): isotonic.l_tilde(spec, k).to_json() for k in family.levels
+            str(k): p.to_json() for k, p in zip(family.levels, family.polys)
         },
         "correction_units": pot.correction_units.to_json(),
         "zform_units": pot.zform_units.to_json(),
@@ -223,43 +223,40 @@ _SPECS = {"tdpt": _tdpt_spec, "isotonic": _iso_spec}
 
 
 def _chain_setup(args):
-    """Seed, base potential, and default grid from --base and --params."""
+    """Seed, base potential and parameter label from --base and --params."""
     params = args.params
     if args.base == "tdpt":
         if len(params) != 3:
             raise ValueError("tdpt --params must be n,N,M")
         n, big_n, big_m = (int(p) for p in params)
         seed, v = chains.tdpt_seed(n, big_n, big_m)
-        xs = (
-            args.grid if args.grid is not None else _grid("0.05:1.52:120")
-        )
-        x_start = (
-            args.x_start if args.x_start is not None else math.pi / 2 - 1e-3
-        )
-        label = {"n": n, "N": big_n, "M": big_m}
-    else:
-        if len(params) != 3:
-            raise ValueError("isotonic --params must be n,N,omega")
-        n, big_n = int(params[0]), int(params[1])
-        omega = float(params[2])
-        if omega <= 0:
-            raise ValueError("omega must be positive")
-        seed, v = chains.isotonic_seed(n, big_n, omega)
-        hi = 4.0 / math.sqrt(omega)
-        xs = (
-            args.grid
-            if args.grid is not None
-            else np.linspace(0.1 / math.sqrt(omega), hi, 120)
-        )
-        # anchoring at the left edge keeps every accumulated integral
-        # nonnegative, so positive chain constants stay regular
-        x_start = args.x_start if args.x_start is not None else float(xs[0])
-        label = {"n": n, "N": big_n, "omega": str(params[2])}
-    return seed, v, xs, x_start, label
+        return seed, v, {"n": n, "N": big_n, "M": big_m}
+    if len(params) != 3:
+        raise ValueError("isotonic --params must be n,N,omega")
+    n, big_n = int(params[0]), int(params[1])
+    omega = float(params[2])
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    seed, v = chains.isotonic_seed(n, big_n, omega)
+    return seed, v, {"n": n, "N": big_n, "omega": str(params[2])}
 
 
 def _cmd_chain_run(args) -> int:
-    seed, v, xs, x_start, _ = _chain_setup(args)
+    seed, v, _ = _chain_setup(args)
+    xs, x_start = args.grid, args.x_start
+    if args.base == "tdpt":
+        if xs is None:
+            xs = _grid("0.05:1.52:120")
+        if x_start is None:
+            x_start = math.pi / 2 - 1e-3
+    else:
+        if xs is None:
+            sqrt_omega = math.sqrt(float(args.params[2]))
+            xs = np.linspace(0.1 / sqrt_omega, 4.0 / sqrt_omega, 120)
+        # anchoring at the left edge keeps every accumulated integral
+        # nonnegative, so positive chain constants stay regular
+        if x_start is None:
+            x_start = float(xs[0])
     lambdas = [float(c) for c in args.lambdas]
     if args.m is not None and args.m != len(lambdas) + 1:
         raise ValueError(
@@ -286,7 +283,7 @@ def _cmd_chain_crosscheck(args) -> int:
             "the energy-derivative route is anchored at the right endpoint "
             "and only supports the tdpt base"
         )
-    seed, v, xs, _, label = _chain_setup(args)
+    seed, v, label = _chain_setup(args)
 
     if args.which == "two-step":
         lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
@@ -519,7 +516,7 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
         xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
         if not xs[0] > 0.0:
             raise ValueError("isotonic table points must lie inside x > 0")
-        levels = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1)).levels
+        levels = isotonic.surviving_levels(spec, args.kmax)
         eigenfunction, tails = isotonic.eigenfunction, (itertools.repeat(omega),)
     header, columns = ["x"], []
     if potential:
@@ -554,7 +551,7 @@ def _cmd_table(args) -> int:
     if args.family == "tdpt":
         polys = {k: tdpt.p_tilde(spec, k) for k in range(args.kmax + 1)}
     else:
-        family = isotonic.exceptional_family(spec, max(args.kmax, spec.n + 1))
+        family = isotonic.exceptional_family(spec, args.kmax)
         polys = dict(zip(family.levels, family.polys))
     payload = {
         "schema": SCHEMA,
@@ -689,8 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tdpt: n,N,M; isotonic: n,N,omega",
     )
     c.add_argument("--lambda1", type=_rational, default=None)
-    c.add_argument("--grid", type=_grid, default=None, metavar="A:B:N")
-    c.add_argument("--x-start", type=float, default=None)
     c.add_argument("--points", type=int, default=20)
     _add_out(c)
     c.set_defaults(func=_cmd_chain_crosscheck)

@@ -24,10 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Sequence, Union
-
-Rat = Fraction
-Scalar = Union[Fraction, int]
+from typing import Sequence, Union
 
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
 POS_INF = object()
@@ -609,6 +606,27 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _sturm_data(p: ExactPoly) -> tuple:
+    """(squarefree part q, Sturm chain of q, multiplicity-free flag of p),
+    all from one gcd(p, p').  The chain is empty when p has no root."""
+    if p.is_zero:
+        raise ValueError("root counting on the zero polynomial")
+    if p.degree() == 0:
+        return p.monic(), [], True
+    g = p.gcd(p.derivative())
+    q = (p // g).monic()
+    return q, sturm_chain(q), g.degree() == 0
+
+
+def _open_count(q: ExactPoly, chain, x, y) -> int:
+    """Distinct roots of the squarefree q in the open interval (x, y): the
+    Sturm count covers (x, y], so a root sitting at y is subtracted."""
+    n = _variations(chain, x) - _variations(chain, y)
+    if y is not POS_INF and q(y) == 0:
+        n -= 1
+    return n
+
+
 def count_roots(
     p: ExactPoly,
     lo=NEG_INF,
@@ -622,16 +640,13 @@ def count_roots(
     endpoints by default.  Multiplicities are ignored (the count is over
     distinct roots).
     """
-    if p.is_zero:
-        raise ValueError("root counting on the zero polynomial")
-    q = p.squarefree_part()
-    if q.degree() <= 0:
+    q, chain, _ = _sturm_data(p)
+    if not chain:
         return 0
-    chain = sturm_chain(q)
-    n = _variations(chain, lo) - _variations(chain, hi)
-    if hi is not POS_INF and not hi_closed and q(as_rat(hi)) == 0:
-        n -= 1
-    if lo is not NEG_INF and lo_closed and q(as_rat(lo)) == 0:
+    n = _open_count(q, chain, lo, hi)
+    if hi is not POS_INF and hi_closed and q(hi) == 0:
+        n += 1
+    if lo is not NEG_INF and lo_closed and q(lo) == 0:
         n += 1
     return n
 
@@ -659,34 +674,15 @@ def _cauchy_bound(p: ExactPoly) -> Fraction:
 
 def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
     """Isolate the distinct real roots of p inside the open interval."""
-    if p.is_zero:
-        raise ValueError("root isolation on the zero polynomial")
-    g = p.gcd(p.derivative())
-    multiplicity_free = p.degree() <= 0 or g.degree() == 0
-    q = p.squarefree_part()
-    if q.degree() <= 0:
+    q, chain, multiplicity_free = _sturm_data(p)
+    if not chain:
         return RootIsolation((), multiplicity_free)
-    bound = _cauchy_bound(q)
-    a = -bound if lo is NEG_INF else as_rat(lo)
-    b = bound if hi is POS_INF else as_rat(hi)
-    chain = sturm_chain(q)
-
-    def var(x):
-        return _variations(chain, x)
-
-    def open_count(x, y, vx=None, vy=None):
-        # roots in (x, y): Sturm gives (x, y], subtract a root sitting at y
-        vx = var(x) if vx is None else vx
-        vy = var(y) if vy is None else vy
-        n = vx - vy
-        if q(y) == 0:
-            n -= 1
-        return n
-
+    a = -_cauchy_bound(q) if lo is NEG_INF else as_rat(lo)
+    b = _cauchy_bound(q) if hi is POS_INF else as_rat(hi)
     out = []
 
     def rec(x, y):
-        c = open_count(x, y)
+        c = _open_count(q, chain, x, y)
         if c == 0:
             return
         if c == 1:
@@ -706,26 +702,18 @@ def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
 def refine_root(p: ExactPoly, interval, width) -> tuple:
     """Shrink an isolating interval by bisection until it is narrower
     than `width`.  The interval must contain exactly one distinct root."""
-    q = p.squarefree_part()
     lo, hi = as_rat(interval[0]), as_rat(interval[1])
     if lo == hi:
         return (lo, hi)
     width = as_rat(width)
-    chain = sturm_chain(q)
-
-    def open_count(x, y):
-        n = _variations(chain, x) - _variations(chain, y)
-        if q(y) == 0:
-            n -= 1
-        return n
-
-    if open_count(lo, hi) != 1 and not (q(lo) == 0 or q(hi) == 0):
+    q, chain, _ = _sturm_data(p)
+    if _open_count(q, chain, lo, hi) != 1 and not (q(lo) == 0 or q(hi) == 0):
         raise ValueError("interval does not isolate a single root")
     while hi - lo > width:
         mid = (lo + hi) / 2
         if q(mid) == 0:
             return (mid, mid)
-        if open_count(lo, mid) == 1:
+        if _open_count(q, chain, lo, mid) == 1:
             hi = mid
         else:
             lo = mid

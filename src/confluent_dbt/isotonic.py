@@ -26,8 +26,6 @@ from .exactalg import (
     POS_INF,
     RadialGauged,
     RationalFn,
-    RootIsolation,
-    count_roots,
     isolate_roots,
 )
 
@@ -93,11 +91,8 @@ def rootless_certificate(n: int, N: int) -> tuple:
     Returns (rootless, RootIsolation witness); the extension is regular on
     the whole half-line precisely because of this.
     """
-    q = q_poly(n, N)
-    roots = count_roots(q, Fraction(0), POS_INF)
-    if roots == 0:
-        return True, RootIsolation((), q.gcd(q.derivative()).degree() == 0)
-    return False, isolate_roots(q, Fraction(0), POS_INF)
+    witness = isolate_roots(q_poly(n, N), Fraction(0), POS_INF)
+    return witness.count == 0, witness
 
 
 def l_nk(n: int, N: int, k: int) -> ExactPoly:
@@ -178,9 +173,17 @@ def extended_potential(spec: IsotonicSpec) -> IsotonicExtendedPotential:
     )
 
 
+def surviving_levels(spec: IsotonicSpec, kmax: int) -> tuple:
+    """Levels 0..kmax that keep a bound state (the deleted n is skipped),
+    extended to n+1 when kmax is lower so a level above n is included."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return tuple(k for k in range(max(kmax, spec.n + 1) + 1) if k != spec.n)
+
+
 @dataclass(frozen=True)
 class ExceptionalLaguerreFamily:
-    """Exceptional polynomials for levels 0..kmax, skipping the deleted n."""
+    """Exceptional polynomials on the `surviving_levels`."""
 
     spec: IsotonicSpec
     levels: tuple
@@ -192,9 +195,7 @@ class ExceptionalLaguerreFamily:
 
 
 def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalLaguerreFamily:
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    levels = tuple(k for k in range(kmax + 1) if k != spec.n)
+    levels = surviving_levels(spec, kmax)
     return ExceptionalLaguerreFamily(
         spec,
         levels,

@@ -424,15 +424,15 @@ def _iso_ode(spec, kmax, grid_n, omega):
 
 def _iso_ortho(spec, kmax, grid_n, omega):
     w = float(omega)
-    family = isotonic.exceptional_family(spec, max(kmax, spec.n + 1))
+    levels = isotonic.surviving_levels(spec, kmax)
     fns = [
         (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, w))
-        for k in family.levels
+        for k in levels
     ]
     vals, _ = verify.gram_matrix(fns, 0.0, math.inf)
     worst = verify.max_offdiagonal_relative(vals)
     params = dict(
-        spec.as_dict(), kmax=kmax, omega=str(omega), levels=list(family.levels)
+        spec.as_dict(), kmax=kmax, omega=str(omega), levels=list(levels)
     )
     return worst < 1e-10, params, f"max relative off-diagonal {_fmt(worst)}"
 

@@ -24,7 +24,6 @@ from .exactalg import (
     RootIsolation,
     TrigGauged,
     as_rat,
-    count_roots,
     isolate_roots,
 )
 
@@ -114,16 +113,13 @@ def certify_regularity(spec: TdptSpec) -> tuple:
     window; a zero at z = -1 itself (lambda1 = 0) only shifts the boundary
     exponent and is allowed."""
     d = denominator_poly(spec)
-    roots = count_roots(d, Fraction(-1), Fraction(1), hi_closed=True)
-    if roots == 0:
-        return True, RootIsolation((), d.gcd(d.derivative()).degree() == 0)
     witness = isolate_roots(d, Fraction(-1), Fraction(1))
     if d(Fraction(1)) == 0:
         one = Fraction(1)
         witness = RootIsolation(
             witness.intervals + ((one, one),), witness.multiplicity_free
         )
-    return False, witness
+    return witness.count == 0, witness
 
 
 def wronskian_pair_poly(n: int, N: int, M: int, k: int) -> ExactPoly:

@@ -79,6 +79,11 @@ def test_negative_rational_option_value(capsys):
     ["isotonic", "build", "--n", "1", "--N", "1", "--kmax", "-1"],
     ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
      "--grid-n", "0", "--suite", "spectrum"],
+    # crosscheck samples its own points: it takes no grid and no anchor
+    ["chain", "crosscheck", "--base", "tdpt", "--which", "two-step",
+     "--params", "0,1,1", "--lambda1", "1", "--grid", "0:1:3"],
+    ["chain", "crosscheck", "--base", "tdpt", "--which", "two-step",
+     "--params", "0,1,1", "--lambda1", "1", "--x-start", "7"],
 ])
 def test_degenerate_arguments_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -567,7 +572,8 @@ def test_out_file_writing(capsys, tmp_path):
 # -- pinned outputs --------------------------------------------------------------
 
 # sha256 of stdout with every elapsed_ms set to 0, recorded before the
-# per-spec checks moved into `reports` and the table commands were merged
+# per-spec checks moved into `reports` and the table commands were merged;
+# the last four before the certificates and the chain integrator were merged
 PINNED_OUTPUTS = [
     ("tdpt verify --n 1 --N 2 --M 1 --lambda1 -2 --suite all",
      "22a6cc7a975354940260df7ba8b746ad93e2f14e1def67e8336e8f7ffe5588a5"),
@@ -590,6 +596,17 @@ PINNED_OUTPUTS = [
     ("table --kind eigenfunction --family isotonic --n 1 --N 1 --omega 2 "
      "--x-points 0.2:4:7",
      "b50f9ad48016c82517fde2997f3409e1ed11b61a408bd7d3e9d762c4a7dc450e"),
+    # irregular: the only denominator root sits at z = 1
+    ("tdpt verify --suite regularity --n 1 --N 1 --M 1 --lambda1 8/15",
+     "c148c522573d88527a7feebe10c41a10576aa64e4517b829c5e0a9debae90dbb"),
+    # irregular: one interior denominator root
+    ("tdpt verify --suite regularity --n 1 --N 1 --M 1 --lambda1 4/15",
+     "f637bf59d67839256f710e4ce38549dac6b1a7f1f03c7704ebf8166d14cd3de8"),
+    ("chain run --base tdpt --params 0,1,1 --lambdas 1,1 --grid 0.05:1.45:50 "
+     "--full",
+     "43f277553e8c5463875c8e860361f3696fac5a778c2c4cdf89a5b6ddc17968b5"),
+    ("chain crosscheck --base tdpt --which matveev --params 0,1,1",
+     "f4462653e070fc5ffb17df623d7d2a44b5b7d9618e4b01fb23c3848e5b7a9c3e"),
 ]
 
 

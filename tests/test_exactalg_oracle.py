@@ -3,7 +3,9 @@
 sympy is an independent oracle here and a test-only dependency: the module
 is skipped where sympy is not installed.  Besides the polynomial kernels it
 checks the Jacobi and Laguerre bases against sympy's own, and both
-cumulative-norm polynomials Q against sympy's integral and ODE solution.  The gcd tests cover both routes
+cumulative-norm polynomials Q against sympy's integral and ODE solution,
+and the eigenfunctions against their Schroedinger equations at 40 digits
+with mpmath (a sympy dependency).  The gcd tests cover both routes
 of `ExactPoly.gcd`: coprimality settled modulo a prime, and the primitive
 remainder sequence over Z that runs when a common factor (or an unlucky
 prime) leaves a nonconstant gcd modulo that prime.
@@ -13,12 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
+mpmath = pytest.importorskip("mpmath")
 
 from confluent_dbt import cli, classical, exactalg, isotonic, tdpt  # noqa: E402
 from confluent_dbt.classical import jacobi  # noqa: E402
@@ -288,6 +292,92 @@ def test_isotonic_q_poly_matches_sympy_ode_solution(n, N):
     (solution,) = sympy.linsolve(eqs, cs)
     want = q.subs(dict(zip(cs, solution)))
     assert isotonic.q_poly(n, N) == expr_poly(want)
+
+
+# -- eigenfunction residuals at 40 digits -------------------------------------------
+
+
+def mp_rat(c: Fraction):
+    return mpmath.mpf(c.numerator) / c.denominator
+
+
+def mp_ratfn(r: RationalFn):
+    # coefficients straight from the Fractions, never through a float
+    num = [mp_rat(c) for c in reversed(r.num.coeffs)]
+    den = [mp_rat(c) for c in reversed(r.den.coeffs)]
+    return lambda z: mpmath.polyval(num, z) / mpmath.polyval(den, z)
+
+
+def relative_residuals(psi, v, energy, xs):
+    """|-psi'' + V psi - E psi| over the sum of the terms' sizes, with psi''
+    from mpmath's numerical differentiation."""
+    out = []
+    for x in xs:
+        x = mp_rat(x)
+        d2, p, vx = mpmath.diff(psi, x, 2), psi(x), v(x)
+        size = abs(d2) + abs(vx * p) + abs(energy * p)
+        out.append(abs(-d2 + (vx - energy) * p) / size)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tdpt_eigenfunctions_solve_the_extension_at_40_digits(seed):
+    rng = random.Random(seed)
+    n, N, M = rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3)
+    thr = tdpt.regularity_threshold(n, N, M)
+    lam = rng.choice([-Fraction(rng.randint(1, 9), rng.randint(1, 4)),
+                      thr + Fraction(rng.randint(1, 9), rng.randint(1, 4))])
+    spec = tdpt.TdptSpec(n, N, M, lam)
+    with mpmath.workdps(40):
+        vz = mp_ratfn(tdpt.extended_potential(spec).z_form)
+
+        def v(x):
+            return vz(mpmath.cos(2 * x))
+
+        for k in rng.sample(range(6), 2):
+            f = tdpt.eigenfunction(spec, k)
+            a, b, rat = mp_rat(f.a), mp_rat(f.b), mp_ratfn(f.rat)
+
+            def psi(x):
+                z = mpmath.cos(2 * x)
+                return (1 - z) ** a * (1 + z) ** b * rat(z)
+
+            energy = mp_rat(spec.base.energy(k))
+            xs = [Fraction(rng.randint(1, 15), 10) for _ in range(3)]
+            assert max(relative_residuals(psi, v, energy, xs)) < 1e-35
+            # negative control: the wrong energy leaves a visible residual
+            assert min(relative_residuals(psi, v, energy + 1, xs)) > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_isotonic_eigenfunctions_solve_the_extension_at_40_digits(seed):
+    rng = random.Random(seed)
+    spec = isotonic.IsotonicSpec(rng.randint(0, 3), rng.randint(1, 3))
+    omega = Fraction(rng.randint(1, 6), rng.randint(1, 3))
+    with mpmath.workdps(40):
+        w = mp_rat(omega)
+        zu = mp_ratfn(isotonic.extended_potential(spec).zform_units)
+
+        def v(x):
+            return w * zu(w * x * x / 2)
+
+        for k in rng.sample([k for k in range(6) if k != spec.n], 2):
+            f = isotonic.eigenfunction(spec, k)
+            c, rat = mp_rat(f.c), mp_ratfn(f.rat)
+
+            def psi(x):
+                z = w * x * x / 2
+                return (
+                    (2 * w) ** (mpmath.mpf(f.p) / 2)
+                    * z**c
+                    * mpmath.exp(f.s * z / 2)
+                    * rat(z)
+                )
+
+            energy = 2 * k * w
+            xs = [Fraction(rng.randint(1, 30), 10) for _ in range(3)]
+            assert max(relative_residuals(psi, v, energy, xs)) < 1e-35
+            assert min(relative_residuals(psi, v, energy + 1, xs)) > 1e-6
 
 
 # -- pinned CLI output -------------------------------------------------------------

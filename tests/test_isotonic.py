@@ -6,9 +6,11 @@ import pytest
 from confluent_dbt import isotonic, verify
 from confluent_dbt.classical import IsotonicOscillator, laguerre
 from confluent_dbt.exactalg import (
+    POS_INF,
     ExactPoly,
     RadialGauged,
     RationalFn,
+    count_roots,
     refine_root,
     wronskian,
 )
@@ -62,6 +64,21 @@ def test_q_rootless_on_half_line(n, N):
     ok, witness = isotonic.rootless_certificate(n, N)
     assert ok
     assert witness.intervals == ()
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("N", range(1, 4))
+def test_certificate_agrees_with_root_count(n, N):
+    # count_roots is the independent count: the certificate itself builds
+    # its witness from isolate_roots alone
+    q = isotonic.q_poly(n, N)
+    roots = count_roots(q, Fraction(0), POS_INF)
+    rootless, witness = isotonic.rootless_certificate(n, N)
+    assert rootless == (roots == 0)
+    assert witness.count == roots
+    for lo, hi in witness.intervals:
+        assert count_roots(q, lo, hi, lo_closed=True, hi_closed=True) == 1
+    assert witness.multiplicity_free == (q.gcd(q.derivative()).degree() == 0)
 
 
 # -- exceptional Laguerre family -----------------------------------------------

@@ -6,7 +6,13 @@ import pytest
 
 from confluent_dbt import tdpt, verify
 from confluent_dbt.classical import jacobi
-from confluent_dbt.exactalg import ExactPoly, RationalFn, TrigGauged, wronskian
+from confluent_dbt.exactalg import (
+    ExactPoly,
+    RationalFn,
+    TrigGauged,
+    count_roots,
+    wronskian,
+)
 
 ONE_MINUS = ExactPoly([1, -1])
 ONE_PLUS = ExactPoly([1, 1])
@@ -64,6 +70,25 @@ def test_regularity_predicate_matches_sturm_certificate():
             assert predicted == certified, (n, N, M, lam)
             if not certified:
                 assert witness.count >= 1
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("N", range(1, 4))
+@pytest.mark.parametrize("M", range(1, 4))
+def test_certificate_agrees_with_closed_root_count(n, N, M):
+    # count_roots is the independent count: the certificate itself builds
+    # its witness from isolate_roots alone
+    thr = tdpt.regularity_threshold(n, N, M)
+    for lam in (thr, thr / 2, thr / 3, Fraction(0), Fraction(-1), 2 * thr):
+        spec = tdpt.TdptSpec(n, N, M, lam)
+        d = tdpt.denominator_poly(spec)
+        roots = count_roots(d, Fraction(-1), Fraction(1), hi_closed=True)
+        certified, witness = tdpt.certify_regularity(spec)
+        assert certified == (roots == 0), lam
+        assert witness.count == roots, lam
+        for lo, hi in witness.intervals:
+            assert count_roots(d, lo, hi, lo_closed=True, hi_closed=True) == 1
+        assert witness.multiplicity_free == (d.gcd(d.derivative()).degree() == 0)
 
 
 def test_forbidden_window_boundary_cases():
