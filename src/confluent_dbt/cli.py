@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="tdpt: n,N,M; isotonic: n,N,omega",
     )
     c.add_argument("--lambda1", type=_rational, default=None)
-    c.add_argument("--points", type=int, default=20)
+    c.add_argument("--points", type=_int_from(1), default=20)
     _add_out(c)
     c.set_defaults(func=_cmd_chain_crosscheck)
 

@@ -477,11 +477,6 @@ class RationalFn:
     def is_polynomial(self) -> bool:
         return self.den.degree() == 0
 
-    def as_poly(self) -> ExactPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a polynomial")
-        return self.num
-
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)
         if other is None:

@@ -18,17 +18,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .exactalg import (
-    ExactPoly,
-    RadialGauged,
-    RationalFn,
-    TrigGauged,
-    as_rat,
-)
-
-_Z = ExactPoly([0, 1])
-_ONE_MINUS = ExactPoly([1, -1])
-_ONE_PLUS = ExactPoly([1, 1])
+from .exactalg import RadialGauged, RationalFn, TrigGauged, as_rat
 
 
 def exact_ode_residual(f, v_zform: RationalFn, energy):

@@ -1,9 +1,10 @@
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from confluent_dbt import reports
+from confluent_dbt import isotonic, reports, tdpt
 
 
 REQUIRED = set(reports.REQUIRED_INVARIANTS)
@@ -28,6 +29,93 @@ def test_manifest_modules_cover_all_layers():
     assert modules == {
         "exactalg", "classical", "tdpt", "isotonic", "chains", "verify", "cli",
     }
+
+
+# (check_id, module, description) in suite order, recorded before each
+# check was registered where it is defined
+PINNED_ROWS = [
+    ("exactalg.antiderivative", "exactalg",
+     "antiderivative anchored at a point differentiates back exactly"),
+    ("exactalg.sturm", "exactalg",
+     "Sturm root counts match constructed root sets up to degree 12"),
+    ("exactalg.coprime", "exactalg",
+     "rational-function arithmetic keeps numerator and denominator coprime"),
+    ("exactalg.wronskian", "exactalg",
+     "Wronskian is antisymmetric and vanishes on repeats"),
+    ("classical.jacobi-ode", "classical",
+     "Jacobi polynomials solve their differential equation exactly"),
+    ("classical.laguerre-ode", "classical",
+     "Laguerre polynomials solve their differential equation exactly"),
+    ("classical.derivatives", "classical",
+     "derivative identities shift the polynomial parameters exactly"),
+    ("classical.orthogonality", "classical",
+     "bound states of both base potentials are numerically orthogonal"),
+    ("tdpt.monotone", "tdpt",
+     "cumulative-norm polynomial is exactly monotone on the interval"),
+    ("tdpt.endpoints", "tdpt",
+     "cumulative-norm endpoint values match the closed forms"),
+    ("tdpt.orthogonality", "tdpt",
+     "extension bound states are orthogonal under quadrature"),
+    ("tdpt.shape", "tdpt",
+     "enlarged shape-invariance identity holds exactly on 27 cases"),
+    ("tdpt.regularity", "tdpt",
+     "regularity predicate agrees with the Sturm certificate"),
+    ("tdpt.window", "tdpt",
+     "shifted integration constant keeps its regularity regime"),
+    ("tdpt.spectrum", "tdpt",
+     "extension spectrum is numerically unchanged"),
+    ("isotonic.ode-identity", "isotonic",
+     "both construction routes solve the first-order identity"),
+    ("isotonic.endpoints", "isotonic",
+     "cumulative-norm value at the origin matches the closed form"),
+    ("isotonic.rootless", "isotonic",
+     "denominator polynomial has no roots on the half line"),
+    ("isotonic.orthogonality", "isotonic",
+     "surviving bound states are orthogonal under quadrature"),
+    ("isotonic.residuals", "isotonic",
+     "extension states satisfy the exact equation, deleted state included"),
+    ("isotonic.boundary", "isotonic",
+     "extension states vanish at the origin with the right exponent"),
+    ("isotonic.spectrum", "isotonic",
+     "extension spectrum equals the punctured ladder numerically"),
+    ("chains.inverse", "chains",
+     "reciprocal-seed step undoes a one-step transform"),
+    ("chains.energy", "chains",
+     "two-step state map preserves the mapped energy"),
+    ("chains.scaling", "chains",
+     "seed rescaling with matched constant is a gauge move"),
+    ("verify.linearity", "verify",
+     "exact residual operator is additive"),
+    ("verify.order", "verify",
+     "finite-difference eigenvalues converge at second order"),
+    ("verify.gram", "verify",
+     "Gram diagonals positive, off-diagonals at the quadrature floor"),
+    ("cli.determinism", "cli",
+     "repeated check runs serialize byte-identically"),
+    ("cli.manifest", "cli",
+     "manifest covers every required invariant exactly once"),
+]
+
+
+def test_manifest_rows_pinned():
+    assert reports.manifest_rows() == PINNED_ROWS
+    assert {family: list(checks) for family, checks in reports.SPEC_CHECKS.items()} == {
+        "tdpt": ["regularity", "ode", "ortho", "shape", "spectrum"],
+        "isotonic": ["q-crosscheck", "ode", "ortho", "shape", "n0-type2",
+                     "n0-negative", "spectrum"],
+    }
+
+
+@pytest.mark.parametrize("family,spec,omega", [
+    ("tdpt", tdpt.TdptSpec(0, 1, 1, 1), None),
+    ("isotonic", isotonic.IsotonicSpec(1, 1), Fraction(2)),
+])
+def test_spectrum_reports_carry_their_tolerance(family, spec, omega):
+    (report,) = reports.run_spec_checks(
+        family, ["spectrum"], spec, reports.KMAX, reports.GRID_N, omega
+    )
+    assert report.status == "pass"
+    assert report.spec["tolerance"] == 1e-5
 
 
 def test_run_single_check():
