@@ -443,9 +443,18 @@ class ExactPoly:
 
 
 class RationalFn:
-    """Quotient of two ExactPoly, kept coprime with monic denominator."""
+    """Quotient of two ExactPoly, kept coprime with monic denominator.
 
-    __slots__ = ("num", "den")
+    A value can also be *unreduced* (`_unreduced`): num/den as they come,
+    with no gcd and no monic scaling.  That is the fraction field in which
+    `verify.exact_ode_residual` decides its identities.  Arithmetic gives a
+    canonical result only when every operand is canonical, and equality,
+    hashing, evaluation and serialisation canonicalise or cross-multiply
+    first, so an unreduced value never changes what is printed or
+    evaluated.
+    """
+
+    __slots__ = ("num", "den", "_canon")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -467,6 +476,32 @@ class RationalFn:
                 num, den = num * c, den * c
         self.num = num
         self.den = den
+        self._canon = True
+
+    @classmethod
+    def _wrap(cls, num: ExactPoly, den: ExactPoly, canon: bool) -> "RationalFn":
+        """num/den stored as given; `canon` says they are already coprime
+        with den monic.  A zero stays 0/1 in either mode."""
+        out = cls.__new__(cls)
+        out.num = num
+        out.den = den if num else ExactPoly.one()
+        out._canon = canon
+        return out
+
+    def _unreduced(self) -> "RationalFn":
+        """The same value in the unreduced mode."""
+        return RationalFn._wrap(self.num, self.den, False)
+
+    def _canonical(self) -> "RationalFn":
+        """The same value reduced: coprime, monic denominator."""
+        return self if self._canon else RationalFn(self.num, self.den)
+
+    def _result(self, other, num, den) -> "RationalFn":
+        """num/den computed from self and other: canonical only when both
+        operands are."""
+        if self._canon and other._canon:
+            return RationalFn(num, den)
+        return RationalFn._wrap(num, den, False)
 
     # -- queries -----------------------------------------------------------
 
@@ -475,16 +510,19 @@ class RationalFn:
         return self.num.is_zero
 
     def is_polynomial(self) -> bool:
-        return self.den.degree() == 0
+        return self._canonical().den.degree() == 0
 
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if self._canon and other._canon:
+            return self.num == other.num and self.den == other.den
+        return self.num * other.den == other.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        r = self._canonical()
+        return hash((r.num, r.den))
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
@@ -495,14 +533,18 @@ class RationalFn:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
+        if self.den == other.den:
+            return self._result(other, self.num + other.num, self.den)
+        return self._result(
+            other,
+            self.num * other.den + other.num * self.den,
+            self.den * other.den,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn(-self.num, self.den)
+        return RationalFn._wrap(-self.num, self.den, self._canon)
 
     def __sub__(self, other):
         other = _coerce_rational(other)
@@ -517,7 +559,7 @@ class RationalFn:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        return self._result(other, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -527,7 +569,7 @@ class RationalFn:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return self._result(other, self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = _coerce_rational(other)
@@ -536,16 +578,20 @@ class RationalFn:
         return other / self
 
     def derivative(self) -> "RationalFn":
-        return RationalFn(
+        return self._result(
+            self,
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
 
     def __call__(self, z):
+        if not self._canon:
+            return self._canonical()(z)
         return self.num(z) / self.den(z)
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        r = self._canonical()
+        return {"num": r.num.to_json(), "den": r.den.to_json()}
 
     @staticmethod
     def from_json(obj: dict) -> "RationalFn":

@@ -926,8 +926,9 @@ def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
     """Run the named per-spec checks of `family` on `spec`, in order.
 
     An irregular tdpt spec is refused with ValueError before any check
-    that needs a regular one runs: that is a usage error, not a failed
-    check."""
+    that needs a regular one runs, and so is an ortho check over a single
+    level, which has no pair to compare: those are usage errors, not
+    failed checks."""
     needs_regular = [s for s in names if s in _NEEDS_REGULAR]
     if (
         family == "tdpt"
@@ -941,6 +942,16 @@ def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
             f"{', '.join(needs_regular)} need a regular one "
             "(--suite regularity reports it)"
         )
+    if "ortho" in names:
+        if family == "tdpt":
+            levels = kmax + 1
+        else:
+            levels = len(isotonic.surviving_levels(spec, kmax))
+        if levels < 2:
+            raise ValueError(
+                f"suite ortho needs at least two levels; kmax = {kmax} "
+                f"leaves {levels}"
+            )
     checks = SPEC_CHECKS[family]
     return [
         make_report(

@@ -11,7 +11,7 @@ tridiagonal eigensolver) are deliberately independent of the exact layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,19 +29,27 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     one, both potential and energy are in units of the frequency w
     (V(x) = w * v_zform(z), E = w * energy), which cancels from the
     statement.  The identity holds iff the returned object `.is_zero`.
+
+    The residual is decided in the fraction field: the eigenfunction's
+    rational part and the potential are lifted to unreduced `RationalFn`
+    values, so no intermediate pays a gcd.  The returned object is
+    canonical all the same: a zero numerator is the canonical zero, and a
+    nonzero result is reduced once, to what canonical arithmetic gives.
     """
+    if not isinstance(f, (TrigGauged, RadialGauged)):
+        raise TypeError("eigenfunction must be a gauged function")
+    psi = replace(f, rat=f.rat._unreduced())
     e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
-    if isinstance(f, TrigGauged):
-        kinetic = f.d_dx().d_dx()
-        potential_term = f * ((RationalFn(e) - v_zform))
-        return kinetic + potential_term
-    if isinstance(f, RadialGauged):
-        kinetic = f.d_dx().d_dx()
+    gap = e - v_zform._unreduced()  # E - V
+    if isinstance(psi, TrigGauged):
+        res = psi.d_dx().d_dx() + psi * gap
+    else:
         # (E - V) psi = w g psi = (sqrt(2w))^2 (g/2) psi
-        g = (RationalFn(e) - v_zform) * Fraction(1, 2)
-        potential_term = RadialGauged(f.c, f.s, f.p + 2, f.rat * g)
-        return kinetic + potential_term
-    raise TypeError("eigenfunction must be a gauged function")
+        g = gap * Fraction(1, 2)
+        res = psi.d_dx().d_dx() + RadialGauged(
+            psi.c, psi.s, psi.p + 2, psi.rat * g
+        )
+    return replace(res, rat=res.rat._canonical())
 
 
 # -- quadrature ---------------------------------------------------------------

@@ -24,13 +24,22 @@ from hypothesis import given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
 
-from confluent_dbt import cli, classical, exactalg, isotonic, tdpt  # noqa: E402
+from confluent_dbt import (  # noqa: E402
+    cli,
+    classical,
+    exactalg,
+    isotonic,
+    tdpt,
+    verify,
+)
 from confluent_dbt.classical import jacobi  # noqa: E402
 from confluent_dbt.exactalg import (  # noqa: E402
     NEG_INF,
     POS_INF,
     ExactPoly,
+    RadialGauged,
     RationalFn,
+    TrigGauged,
     count_roots,
     isolate_roots,
 )
@@ -378,6 +387,128 @@ def test_isotonic_eigenfunctions_solve_the_extension_at_40_digits(seed):
             xs = [Fraction(rng.randint(1, 30), 10) for _ in range(3)]
             assert max(relative_residuals(psi, v, energy, xs)) < 1e-35
             assert min(relative_residuals(psi, v, energy + 1, xs)) > 1e-6
+
+
+# -- the residual in the fraction field against canonical arithmetic --------------
+
+
+def canonical_residual(f, v, energy):
+    """psi'' + (E - V) psi with every intermediate reduced: the route
+    `verify.exact_ode_residual` takes without gcds."""
+    gap = RationalFn(energy) - v
+    if isinstance(f, TrigGauged):
+        return f.d_dx().d_dx() + f * gap
+    g = gap * Fraction(1, 2)
+    return f.d_dx().d_dx() + RadialGauged(f.c, f.s, f.p + 2, f.rat * g)
+
+
+def stored(r: RationalFn) -> tuple:
+    return r._canon, r.num, r.den
+
+
+VARIANTS = ("true", "energy+1", "gauge+1", "potential")
+PERTURBATION = RationalFn(ExactPoly([1]), ExactPoly([3, 1]))  # 1/(z+3)
+
+
+def vary(variant, f, v, energy):
+    if variant == "energy+1":
+        energy += 1
+    elif variant == "gauge+1":
+        if isinstance(f, TrigGauged):
+            f = TrigGauged(f.a + 1, f.b, f.rat)
+        else:
+            f = RadialGauged(f.c + 1, f.s, f.p, f.rat)
+    elif variant == "potential":
+        v = v + PERTURBATION
+    return f, v, energy
+
+
+@st.composite
+def tdpt_cases(draw):
+    n, N, M = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    step = draw(st.fractions(min_value=Fraction(1, 7), max_value=9,
+                             max_denominator=7))
+    lam = draw(st.sampled_from([-step, tdpt.regularity_threshold(n, N, M) + step]))
+    spec = tdpt.TdptSpec(n, N, M, lam)
+    k = draw(st.integers(0, 4))
+    return (tdpt.eigenfunction(spec, k), tdpt.extended_potential(spec).z_form,
+            spec.base.energy(k))
+
+
+@st.composite
+def isotonic_cases(draw):
+    spec = isotonic.IsotonicSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+    k = draw(st.integers(0, 5))
+    f = (isotonic.deleted_state(spec) if k == spec.n
+         else isotonic.eigenfunction(spec, k))
+    return f, isotonic.extended_potential(spec).zform_units, 2 * k
+
+
+@given(st.one_of(tdpt_cases(), isotonic_cases()), st.sampled_from(VARIANTS))
+@settings(max_examples=60, deadline=None)
+def test_fraction_field_residual_matches_canonical_route(case, variant):
+    f, v, energy = vary(variant, *case)
+    fast = verify.exact_ode_residual(f, v, energy)
+    slow = canonical_residual(f, v, energy)
+    assert fast.is_zero == slow.is_zero == (variant == "true")
+    assert fast == slow
+    # the same object, not only the same value: gauge and stored form
+    assert type(fast) is type(slow)
+    if isinstance(fast, TrigGauged):
+        assert (fast.a, fast.b) == (slow.a, slow.b)
+    else:
+        assert (fast.c, fast.s, fast.p) == (slow.c, slow.s, slow.p)
+    assert stored(fast.rat) == stored(slow.rat)
+
+
+def sympy_value(r: RationalFn):
+    return to_sympy(r.num).as_expr() / to_sympy(r.den).as_expr()
+
+
+def assert_canonical(r: RationalFn, value):
+    assert r._canon
+    assert r.den.lc() == 1
+    assert sympy.gcd(to_sympy(r.num), to_sympy(r.den)).degree() == 0
+    assert sympy.cancel(sympy_value(r) - value) == 0
+
+
+@given(polys(3, small_rationals), nonconstant(), polys(3, small_rationals),
+       polys(2, small_rationals))
+@settings(max_examples=25, deadline=None)
+def test_canonical_arithmetic_stays_reduced(p, d, q, s):
+    a = RationalFn(p, d)
+    # b shares a's denominator, and a + b is the polynomial q: the
+    # equal-denominator sum of two reduced values that itself reduces
+    b = RationalFn(q) - a
+    assert b.den == a.den
+    c = RationalFn(s, d * d)
+    va, vb, vc = sympy_value(a), sympy_value(b), sympy_value(c)
+    results = [
+        (a + b, va + vb), (a + a, 2 * va), (b - a, vb - va), (a + c, va + vc),
+        (a * c, va * vc), (-a, -va), (a.derivative(), sympy.diff(va, X)),
+        (a + 1, va + 1), (2 * c, 2 * vc),
+    ]
+    if not c.is_zero:
+        results.append((a / c, va / vc))
+    for r, value in results:
+        assert_canonical(r, value)
+    assert stored(a + b) == stored(RationalFn(q))
+    # the same arithmetic in the unreduced mode reduces to the same objects
+    ua, ub, uc = a._unreduced(), b._unreduced(), c._unreduced()
+    for r, u in [(a + b, ua + b), (a + c, a + uc), (a * c, ua * uc),
+                 (-a, -ua), (a.derivative(), ua.derivative()), (b - a, ub - a)]:
+        assert not u._canon
+        assert u == r and r == u and hash(u) == hash(r)
+        assert stored(u._canonical()) == stored(r)
+
+
+def test_equal_denominator_sum_reduces():
+    d = ExactPoly([0, 1, 1])  # z (z + 1)
+    a = RationalFn(ExactPoly([1]), d)
+    b = RationalFn(ExactPoly([-1, 1]), d)
+    assert a.den == b.den == d
+    assert stored(a + b) == stored(RationalFn(ExactPoly([1]), ExactPoly([1, 1])))
+    assert stored(a._unreduced() + b) == (False, ExactPoly([0, 1]), d)
 
 
 # -- pinned CLI output -------------------------------------------------------------
