@@ -14,9 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
+from .exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged, pointwise
 
 _ONE_PLUS = ExactPoly([1, 1])
+
+
+def _sin_squared(x: float) -> float:
+    return math.sin(x) ** 2
+
+
+def _cos_squared(x: float) -> float:
+    return math.cos(x) ** 2
 
 
 def jacobi(n: int, alpha: int, beta: int) -> ExactPoly:
@@ -79,11 +87,12 @@ class TrigPoschlTeller:
             - Fraction((N + M + 1) ** 2)
         )
 
-    def v(self, x: float) -> float:
+    def v(self, x):
+        """V at x: a float, or a numpy array of points."""
         N, M = self.N, self.M
         return (
-            (N * N - 0.25) / math.sin(x) ** 2
-            + (M * M - 0.25) / math.cos(x) ** 2
+            (N * N - 0.25) / pointwise(_sin_squared, x)
+            + (M * M - 0.25) / pointwise(_cos_squared, x)
             - (N + M + 1) ** 2
         )
 
@@ -123,7 +132,8 @@ class IsotonicOscillator:
             - Fraction(N + 1)
         )
 
-    def v(self, x: float, omega: float) -> float:
+    def v(self, x, omega: float):
+        """V at x: a float, or a numpy array of points."""
         N = self.N
         return (
             omega * omega * x * x / 4.0

@@ -18,7 +18,6 @@ pass, 1 a check failed, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -378,11 +377,11 @@ def _cmd_verify_spectrum(args) -> int:
         raise ValueError("verify spectrum needs --potential-json and --levels")
     with open(args.potential_json) as fh:
         data = json.load(fh)
-    from .exactalg import RationalFn
+    from .exactalg import RationalFn, pointwise
 
     if "z_form" in data:
         rat = RationalFn.from_json(data["z_form"])
-        v = lambda x: rat(math.cos(2.0 * x))
+        v = lambda x: rat(pointwise(math.cos, 2.0 * x))
         lo, hi = verify.tdpt_domain()
     elif "zform_units" in data:
         rat = RationalFn.from_json(data["zform_units"])
@@ -517,7 +516,7 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
         if not xs[0] > 0.0:
             raise ValueError("isotonic table points must lie inside x > 0")
         levels = isotonic.surviving_levels(spec, args.kmax)
-        eigenfunction, tails = isotonic.eigenfunction, (itertools.repeat(omega),)
+        eigenfunction, tails = isotonic.eigenfunction, (omega,)
     header, columns = ["x"], []
     if potential:
         header += ["v_base", "v_ext"]
@@ -525,9 +524,8 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
     if states:
         header += [f"psi_{k}" for k in levels]
         columns += [eigenfunction(spec, k).eval_x for k in levels]
-    # every column maps over one list of points, so each point is boxed once
-    xs = list(xs)
-    rows = zip(xs, *(map(f, xs, *tails) for f in columns))
+    # each column is one array evaluation over all the points
+    rows = zip(xs.tolist(), *(f(xs, *tails).tolist() for f in columns))
     _emit(_csv_text(header, rows), args.out)
     return 0
 

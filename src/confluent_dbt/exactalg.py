@@ -5,7 +5,10 @@ Everything in this module is exact.  A polynomial is stored as integer
 numerators over one positive common denominator, so its kernels (products,
 division, gcd, Sturm chains, evaluation at a rational) run on Python ints;
 coefficients are presented as `fractions.Fraction` and no floating point
-enters until an explicit float evaluation is requested.
+enters until an explicit float evaluation is requested.  Float evaluation
+takes a float or a numpy array of points and gives the same bits either
+way: Horner runs in one operation order on cached float coefficients, and
+transcendental factors stay on libm (`pointwise`).
 
 The two gauged families are
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import Sequence, Union
 
@@ -44,6 +48,24 @@ def as_rat(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def pointwise(fn, x, *args):
+    """fn(x, *args) for a float x; for a 1-D numpy array x, fn applied
+    point by point.  Keeps transcendental factors on libm: numpy's own
+    power and exponential round differently on a few percent of inputs."""
+    if not getattr(x, "ndim", 0):
+        return fn(x, *args)
+    import numpy as np  # an array argument means numpy is loaded
+
+    return np.fromiter(
+        map(fn, x.tolist(), *map(repeat, args)), float, count=len(x)
+    )
+
+
+def _as_points(z):
+    """A float, or a numpy array of points unchanged."""
+    return z if getattr(z, "ndim", 0) else float(z)
 
 
 # -- integer kernels (ascending coefficient lists of ints) ---------------------
@@ -411,7 +433,8 @@ class ExactPoly:
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z):
-        """Horner evaluation; exact for Fraction/int input, float otherwise."""
+        """Horner evaluation: exact for Fraction/int input; otherwise on
+        floats, at a float or at every point of a numpy array."""
         if isinstance(z, (Fraction, int)):
             if not self._num:
                 return Fraction(0)
@@ -419,9 +442,13 @@ class ExactPoly:
             return Fraction(h, qn * self._den)
         floats = self._floats
         if floats is None:
-            floats = self._floats = tuple(float(c) for c in reversed(self.coeffs))
+            # the zero polynomial still runs one step, so that an array
+            # argument gives an array
+            floats = self._floats = (
+                tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+            )
         acc = 0.0
-        z = float(z)
+        z = _as_points(z)
         for c in floats:
             acc = acc * z + c
         return acc
@@ -468,9 +495,11 @@ class RationalFn:
         if num.is_zero:
             num, den = ExactPoly(), ExactPoly.one()
         else:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num, den = num // g, den // g
+            # a constant numerator or denominator has no factor to cancel
+            if num.degree() > 0 and den.degree() > 0:
+                g = num.gcd(den)
+                if g.degree() > 0:
+                    num, den = num // g, den // g
             c = 1 / den.lc()
             if c != 1:
                 num, den = num * c, den * c
@@ -847,15 +876,17 @@ class TrigGauged:
             self.a - Fraction(1, 2), self.b - Fraction(1, 2), -2 * bracket
         )
 
-    def eval_z(self, z: float) -> float:
+    def eval_z(self, z):
+        """Value at z: a float, or a numpy array of points."""
+        z = _as_points(z)
         return (
-            (1.0 - z) ** float(self.a)
-            * (1.0 + z) ** float(self.b)
-            * self.rat(float(z))
+            pointwise(math.pow, 1.0 - z, float(self.a))
+            * pointwise(math.pow, 1.0 + z, float(self.b))
+            * self.rat(z)
         )
 
-    def eval_x(self, x: float) -> float:
-        return self.eval_z(math.cos(2.0 * x))
+    def eval_x(self, x):
+        return self.eval_z(pointwise(math.cos, 2.0 * x))
 
 
 @dataclass(frozen=True)
@@ -937,15 +968,17 @@ class RadialGauged:
         )
         return RadialGauged(self.c - Fraction(1, 2), self.s, self.p + 1, bracket)
 
-    def eval_z(self, z: float, omega: float = 1.0) -> float:
+    def eval_z(self, z, omega: float = 1.0):
+        """Value at z: a float, or a numpy array of points."""
+        z = _as_points(z)
         return (
             (2.0 * omega) ** (self.p / 2.0)
-            * z ** float(self.c)
-            * math.exp(self.s * z / 2.0)
-            * self.rat(float(z))
+            * pointwise(math.pow, z, float(self.c))
+            * pointwise(math.exp, self.s * z / 2.0)
+            * self.rat(z)
         )
 
-    def eval_x(self, x: float, omega: float = 1.0) -> float:
+    def eval_x(self, x, omega: float = 1.0):
         return self.eval_z(omega * x * x / 2.0, omega)
 
 

@@ -156,7 +156,8 @@ class IsotonicExtendedPotential:
     correction_units: RationalFn  # (V-ext - V-base)/w, rational in z
     zform_units: RationalFn  # V-ext(x) = w * zform_units(w x^2/2)
 
-    def v(self, x: float, omega: float) -> float:
+    def v(self, x, omega: float):
+        """V-ext at x: a float, or a numpy array of points."""
         return omega * self.zform_units(omega * x * x / 2.0)
 
 

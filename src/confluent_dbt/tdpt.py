@@ -13,6 +13,7 @@ returned gauged/rational callables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -25,6 +26,7 @@ from .exactalg import (
     TrigGauged,
     as_rat,
     isolate_roots,
+    pointwise,
 )
 
 _ONE_MINUS = ExactPoly([1, -1])
@@ -183,10 +185,9 @@ class TdptExtendedPotential:
     correction: RationalFn  # V-ext - V-base, rational in z
     z_form: RationalFn
 
-    def v(self, x: float) -> float:
-        import math
-
-        return self.z_form(math.cos(2.0 * x))
+    def v(self, x):
+        """V-ext at x: a float, or a numpy array of points."""
+        return self.z_form(pointwise(math.cos, 2.0 * x))
 
 
 def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:

@@ -6,6 +6,14 @@ statement: both gauge families are closed under d/dx, so the residual of a
 gauged eigenfunction collapses to a single rational function in z that
 either is or is not the zero element.  The numeric oracles (quadrature,
 tridiagonal eigensolver) are deliberately independent of the exact layer.
+
+Two Gram routes exist.  `gram_matrix` integrates products of arbitrary
+callables by adaptive quadrature.  `gauss_gram` takes gauged states of one
+family and takes the Gauss rule's weight from their gauge exponents:
+Gauss-Jacobi in z = cos 2x for trigonometric states, Gauss-Laguerre in
+z = w x^2/2 for radial ones, so only the rational parts are sampled, at
+every node in one array evaluation; it doubles the nodes until two
+successive Gram matrices agree.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import scipy.integrate
@@ -97,6 +106,125 @@ def gram_matrix(fns, lo: float, hi: float) -> tuple:
     return vals, results
 
 
+@lru_cache(maxsize=64)
+def _jacobi_rule(alpha: float, beta: float, n: int) -> tuple:
+    """n-node Gauss rule for the weight (1-z)^alpha (1+z)^beta on (-1, 1),
+    alpha, beta > -1."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha + beta
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
+    k, s = k[1:], s[1:]
+    off = (2.0 / s) * np.sqrt(
+        k * (k + alpha) * (k + beta) * (k + alpha + beta) / ((s - 1.0) * (s + 1.0))
+    )
+    mass = (
+        2.0 ** (alpha + beta + 1.0)
+        * math.gamma(alpha + 1.0)
+        * math.gamma(beta + 1.0)
+        / math.gamma(alpha + beta + 2.0)
+    )
+    return _golub_welsch(diag, off, mass)
+
+
+@lru_cache(maxsize=64)
+def _laguerre_rule(alpha: float, n: int) -> tuple:
+    """n-node Gauss rule for the weight z^alpha e^{-z} on (0, inf),
+    alpha > -1."""
+    k = np.arange(n, dtype=float)
+    return _golub_welsch(
+        2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha)), math.gamma(alpha + 1.0)
+    )
+
+
+def _golub_welsch(diag, off, mass) -> tuple:
+    """Nodes and weights of the Gauss rule whose Jacobi matrix has diagonal
+    `diag` and off-diagonal `off`, for a weight of total `mass` (Golub &
+    Welsch 1969).  The nodes are the eigenvalues.  A weight is mass over
+    sum_k q_k(z)^2 of the orthonormal polynomials, run up the three-term
+    recurrence: unlike squared eigenvector entries, this keeps the far
+    Laguerre weights (down to 1e-300) to full relative precision.  The sum
+    is rescaled before it overflows, and the scale is applied at the end."""
+    z = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    q_prev, q = np.zeros_like(z), np.ones_like(z)
+    total, scaled = np.ones_like(z), np.zeros_like(z)
+    for k in range(len(off)):
+        back = off[k - 1] * q_prev if k else 0.0
+        q_prev, q = q, ((z - diag[k]) * q - back) / off[k]
+        total += q * q
+        big = total > 1e200
+        if big.any():
+            shrink = np.where(big, 1e-100, 1.0)
+            q, q_prev = q * shrink, q_prev * shrink
+            total *= shrink * shrink
+            scaled += big
+    w = mass / total * np.exp(-200.0 * math.log(10.0) * scaled)
+    z.flags.writeable = w.flags.writeable = False  # cached and shared
+    return z, w
+
+
+@dataclass(frozen=True)
+class GaussGram:
+    """Gram matrix of gauged states on the last Gauss rule of a node
+    doubling.  `quadrature_error` is the largest change of an entry from
+    the rule with half the nodes, relative to sqrt(G_jj G_kk); `converged`
+    says it fell to 1e-12 before the node cap."""
+
+    values: np.ndarray
+    nodes: int
+    quadrature_error: float
+    converged: bool
+
+
+def gauss_gram(states, omega: float = 1.0, max_nodes: int = 2560) -> GaussGram:
+    """x-space Gram matrix of gauged states sharing one gauge, constant
+    factors included, so its entries compare with `gram_matrix` on the
+    states' `eval_x`.
+
+    Trigonometric states (1-z)^a (1+z)^b R(z): dx = -dz / (2 sqrt(1-z^2)),
+    so G = 1/2 int R_j R_k (1-z)^(2a-1/2) (1+z)^(2b-1/2) dz, Gauss-Jacobi.
+    Radial states (2w)^(p/2) z^c e^(-z/2) R(z): dx = dz / sqrt(2wz), so
+    G = (2w)^(p-1/2) int R_j R_k z^(2c-1/2) e^(-z) dz, Gauss-Laguerre.  The
+    node count doubles from 40 until two successive matrices agree to
+    1e-12, or until doubling again would pass `max_nodes`."""
+    first = states[0]
+    if isinstance(first, TrigGauged):
+        gauge = lambda f: (type(f), f.a, f.b)
+        alpha, beta = 2.0 * float(first.a) - 0.5, 2.0 * float(first.b) - 0.5
+        rule = lambda n: _jacobi_rule(alpha, beta, n)
+        scale = 0.5
+    elif isinstance(first, RadialGauged):
+        if first.s != -1:
+            raise ValueError("a radial Gauss Gram needs the gauge e^(-z/2)")
+        gauge = lambda f: (type(f), f.c, f.s, f.p)
+        alpha = 2.0 * float(first.c) - 0.5
+        rule = lambda n: _laguerre_rule(alpha, n)
+        scale = (2.0 * omega) ** (first.p - 0.5)
+    else:
+        raise TypeError("a Gauss Gram needs gauged states")
+    if any(gauge(f) != gauge(first) for f in states):
+        raise ValueError("a Gauss Gram needs states with one gauge")
+    m = len(states)
+    nodes, previous = 40, None
+    while True:
+        z, w = rule(nodes)
+        phi = [f.rat(z) for f in states]
+        vals = np.zeros((m, m))
+        for j in range(m):
+            wj = w * phi[j]
+            for k in range(j, m):
+                # fsum: the entry does not depend on the summation order
+                vals[j][k] = vals[k][j] = scale * math.fsum((wj * phi[k]).tolist())
+        if previous is not None:
+            norm = np.sqrt(np.outer(np.diag(vals), np.diag(vals)))
+            error = worst((np.abs(vals - previous) / norm).ravel())
+            if error <= 1e-12 or 2 * nodes > max_nodes:
+                return GaussGram(vals, nodes, error, error <= 1e-12)
+        previous = vals
+        nodes *= 2
+
+
 def worst(values) -> float:
     """The largest of `values`; NaN when there are none or one is NaN or
     infinite, so that a tolerance test `worst(...) < tol` fails instead of
@@ -144,10 +272,23 @@ class SpectrumResult:
         }
 
 
+def _on_grid(v, x: np.ndarray) -> np.ndarray:
+    """v at the grid points: one call on the whole array when v takes
+    arrays, else one call per point (v fails on the array or returns one
+    value for it)."""
+    try:
+        vals = v(x)
+    except (TypeError, ValueError):
+        vals = None
+    if np.shape(vals) != x.shape:
+        vals = np.array([v(t) for t in x])
+    return vals
+
+
 def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
     h = (b - a) / grid_n
     x = a + h * np.arange(1, grid_n)
-    diag = 2.0 / h**2 + np.array([v(t) for t in x])
+    diag = 2.0 / h**2 + _on_grid(v, x)
     off = np.full(grid_n - 2, -1.0 / h**2)
     if vectors:
         w, vecs = scipy.linalg.eigh_tridiagonal(

@@ -596,12 +596,14 @@ def test_out_file_writing(capsys, tmp_path):
 # per-spec checks moved into `reports` and the table commands were merged;
 # the last four before the certificates and the chain integrator were merged
 PINNED_OUTPUTS = [
+    # both `--suite all` pins re-recorded when the ortho check moved onto
+    # Gauss rules: its spec gained "nodes" and "quadrature_error" and its
+    # witness number changed, nothing else did (the isotonic one was
+    # re-recorded before when its spectrum report gained "tolerance": 1e-05)
     ("tdpt verify --n 1 --N 2 --M 1 --lambda1 -2 --suite all",
-     "22a6cc7a975354940260df7ba8b746ad93e2f14e1def67e8336e8f7ffe5588a5"),
-    # re-recorded when the shared spectrum body gave the isotonic spectrum
-    # report its "tolerance": 1e-05, the only change to this output
+     "55c5675fc927eed1c3966499c454270418cdefe02e74841729f0d248bbed922c"),
     ("isotonic verify --n 1 --N 1 --suite all",
-     "134a44a3a6cd9a0ee7548be543d9dee873668f8578cb90902780087a40fcbb90"),
+     "dada86e620860be8a4fdbcc9674cb3181286242d10c6e36dd248abb9fb4895ac"),
     ("verify isotonic.n0-type2 --n 0 --N 3",
      "48ea887d5b0c83bd497e911e2c376903abf44c1e94433189710451c6e84e20dc"),
     ("tdpt table --n 1 --N 2 --M 1 --lambda1 -2 --x-points 0.1:1.5:7",
@@ -635,6 +637,17 @@ PINNED_OUTPUTS = [
      "51c015bff20d937fc7b9dc811615c7e499b1e557156d8c121d269be6e10a86e0"),
     ("isotonic verify --suite ode --n 6 --N 2 --kmax 4",
      "8af36eb80eed052e6703364f342ec159919e19f726fd043c332fb1771a229a57"),
+    # 10k-point tables, recorded while every column was evaluated point by
+    # point: the array evaluation must give the same bits
+    ("tdpt table --n 0 --N 1 --M 3 --lambda1=-1/2 --kmax 3 "
+     "--x-points=0.02:1.53:10200",
+     "c99e29fc8d4e82bc6d000d5fa1f1321c35ed35217b0840a627eaade7e37f0047"),
+    ("isotonic table --n 1 --N 1 --omega=3/2 --kmax 3 "
+     "--x-points=0.05715:3.919:10200",
+     "f84be34ad20a5cbb184d4c58bc2d365eabda9f1f5dd38d8d9b82ca293eb3d5a0"),
+    ("table --kind eigenfunction --family tdpt --n 0 --N 2 --M 2 --lambda1=-1/2 "
+     "--kmax 3 --x-points=0.02:1.56:10400",
+     "30219ed85cb016deb9e02e2fc5aa22589aa78797aefad46fb6a1ef100107ad00"),
 ]
 
 

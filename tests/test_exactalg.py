@@ -3,9 +3,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confluent_dbt import isotonic, tdpt
 from confluent_dbt.exactalg import (
     NEG_INF,
     POS_INF,
@@ -311,3 +313,132 @@ def test_wronskian_pair_is_fg_minus_gf():
 def test_wronskian_of_dependent_functions_vanishes():
     f = TrigGauged(Fraction(3, 4), Fraction(3, 4), RationalFn(ExactPoly([1, 2])))
     assert wronskian([f, 3 * f]).is_zero
+
+
+# -- array evaluation ----------------------------------------------------------
+
+# The references are written out point by point on Python floats and libm:
+# array and scalar results must both equal them bit for bit.
+
+
+def horner_reference(p, z):
+    acc = 0.0
+    for c in reversed(p.coeffs):
+        acc = acc * z + float(c)
+    return acc
+
+
+def rat_reference(r, z):
+    return horner_reference(r.num, z) / horner_reference(r.den, z)
+
+
+def trig_reference(f, x):
+    z = math.cos(2.0 * x)
+    return (1.0 - z) ** float(f.a) * (1.0 + z) ** float(f.b) * rat_reference(f.rat, z)
+
+
+def radial_reference(f, x, omega):
+    z = omega * x * x / 2.0
+    return (
+        (2.0 * omega) ** (f.p / 2.0)
+        * z ** float(f.c)
+        * math.exp(f.s * z / 2.0)
+        * rat_reference(f.rat, z)
+    )
+
+
+def assert_bit_identical(f, reference, xs, *args):
+    """f on the array, and f at each point, equal the reference."""
+    want = np.array([reference(t, *args) for t in xs.tolist()])
+    assert np.array_equal(f(xs, *args), want)
+    assert np.array_equal(np.array([f(t, *args) for t in xs.tolist()]), want)
+
+
+quarters = st.integers(0, 12).map(lambda k: Fraction(k, 4))
+unit_points = st.lists(
+    st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=40
+).map(np.array)
+trig_points = st.lists(
+    st.floats(min_value=1e-6, max_value=1.5707), min_size=1, max_size=40
+).map(np.array)
+radial_points = st.lists(
+    st.floats(min_value=1e-6, max_value=8.0), min_size=1, max_size=40
+).map(np.array)
+omegas = st.sampled_from([0.5, 1.0, 1.5, 2.0])
+
+
+@given(poly_strategy(8), poly_strategy(4), unit_points)
+@settings(max_examples=150)
+def test_array_evaluation_bit_identical_to_scalar(p, q, zs):
+    assert_bit_identical(p, lambda z: horner_reference(p, z), zs)
+    # a point where q vanishes raises on the scalar path: drop it
+    zs = zs[np.array([q(t) != 0.0 for t in zs.tolist()], dtype=bool)]
+    if len(zs):
+        r = RationalFn(p, q)
+        assert_bit_identical(r, lambda z: rat_reference(r, z), zs)
+
+
+@given(quarters, quarters, poly_strategy(6), trig_points)
+@settings(max_examples=100)
+def test_trig_gauged_array_bit_identical(a, b, p, xs):
+    f = TrigGauged(a, b, RationalFn(p, ExactPoly([3, 1])))
+    assert_bit_identical(f.eval_x, lambda x: trig_reference(f, x), xs)
+
+
+@given(quarters, st.integers(-2, 1), st.integers(0, 3), poly_strategy(6), omegas,
+       radial_points)
+@settings(max_examples=100)
+def test_radial_gauged_array_bit_identical(c, s, p, poly, omega, xs):
+    f = RadialGauged(c, s, p, RationalFn(poly, ExactPoly([1, 0, 1])))
+    assert_bit_identical(
+        f.eval_x, lambda x, w: radial_reference(f, x, w), xs, omega
+    )
+
+
+@given(
+    st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+    st.fractions(min_value=-5, max_value=0, max_denominator=9), trig_points,
+)
+@settings(max_examples=40, deadline=None)
+def test_tdpt_potentials_array_bit_identical(n, N, M, lam, xs):
+    spec = tdpt.TdptSpec(n, N, M, lam)
+    z_form = tdpt.extended_potential(spec).z_form
+    assert_bit_identical(
+        tdpt.extended_potential(spec).v,
+        lambda x: rat_reference(z_form, math.cos(2.0 * x)),
+        xs,
+    )
+    assert_bit_identical(
+        spec.base.v,
+        lambda x: (
+            (N * N - 0.25) / math.sin(x) ** 2
+            + (M * M - 0.25) / math.cos(x) ** 2
+            - (N + M + 1) ** 2
+        ),
+        xs,
+    )
+
+
+@given(st.integers(0, 3), st.integers(1, 4), omegas, radial_points)
+@settings(max_examples=40, deadline=None)
+def test_isotonic_potentials_array_bit_identical(n, N, omega, xs):
+    spec = isotonic.IsotonicSpec(n, N)
+    units = isotonic.extended_potential(spec).zform_units
+    assert_bit_identical(
+        isotonic.extended_potential(spec).v,
+        lambda x, w: w * rat_reference(units, w * x * x / 2.0),
+        xs,
+        omega,
+    )
+    assert_bit_identical(
+        spec.base.v,
+        lambda x, w: w * w * x * x / 4.0 + (N * N - 0.25) / (x * x) - w * (N + 1),
+        xs,
+        omega,
+    )
+
+
+def test_zero_polynomial_evaluates_to_an_array():
+    zs = np.array([-1.0, 0.0, 2.0])
+    assert np.array_equal(ExactPoly()(zs), np.zeros(3))
+    assert ExactPoly()(-2.0) == 0.0 and math.copysign(1.0, ExactPoly()(-2.0)) == 1.0

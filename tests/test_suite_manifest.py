@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from confluent_dbt import isotonic, reports, tdpt
+from confluent_dbt import isotonic, reports, tdpt, verify
 
 
 REQUIRED = set(reports.REQUIRED_INVARIANTS)
@@ -193,3 +196,70 @@ def test_suite_module_subset():
     ]
     assert payload["schema"] == 1
     assert payload["selector"] == "verify"
+
+
+# -- negative controls of the orthogonality body ---------------------------------
+
+SPEC = tdpt.TdptSpec(1, 2, 1, Fraction(-2))
+
+
+def assert_fails_with_witness(result):
+    ok, params, witness = result
+    assert not ok
+    assert witness
+
+
+def test_ortho_passes_on_the_eigenstates():
+    states = [tdpt.eigenfunction(SPEC, k) for k in range(4)]
+    ok, params, witness = reports._ortho(states, {})
+    assert ok and params["nodes"] == 80 and params["quadrature_error"] < 1e-12
+
+
+def test_ortho_fails_on_a_non_orthogonal_pair():
+    psi0, psi1 = (tdpt.eigenfunction(SPEC, k) for k in (0, 1))
+    assert_fails_with_witness(reports._ortho([psi0, psi0 + psi1], {}))
+    iso = isotonic.IsotonicSpec(1, 1)
+    phi0, phi2 = (isotonic.eigenfunction(iso, k) for k in (0, 2))
+    assert_fails_with_witness(reports._ortho([phi0, phi0 + phi2], {}, 2.0))
+
+
+def test_ortho_fails_on_a_state_at_a_shifted_lambda1():
+    shifted = tdpt.TdptSpec(SPEC.n, SPEC.N, SPEC.M, SPEC.lambda1 - 1)
+    states = [tdpt.eigenfunction(SPEC, 0), tdpt.eigenfunction(shifted, 1)]
+    assert_fails_with_witness(reports._ortho(states, {}))
+
+
+def test_ortho_fails_on_a_nan_gram_entry(monkeypatch):
+    real = verify.gauss_gram
+
+    def with_nan(states, omega=1.0):
+        gram = real(states, omega)
+        values = gram.values.copy()
+        values[0][1] = values[1][0] = math.nan
+        return dataclasses.replace(gram, values=values)
+
+    monkeypatch.setattr(verify, "gauss_gram", with_nan)
+    states = [tdpt.eigenfunction(SPEC, k) for k in range(3)]
+    assert_fails_with_witness(reports._ortho(states, {}))
+
+
+def test_ortho_fails_when_the_rule_stops_at_its_node_cap(monkeypatch):
+    monkeypatch.setattr(
+        verify, "gauss_gram", partial(verify.gauss_gram, max_nodes=80)
+    )
+    spec = isotonic.IsotonicSpec(1, 1)
+    ok, params, witness = reports._iso_ortho(spec, 3, reports.GRID_N, Fraction(2))
+    assert not ok
+    assert "node cap" in witness
+    assert params["nodes"] == 80
+
+
+def test_classical_orthogonality_fails_on_an_unconverged_rule(monkeypatch):
+    real = verify.gauss_gram
+    monkeypatch.setattr(
+        verify, "gauss_gram",
+        lambda states, omega=1.0: dataclasses.replace(real(states, omega), converged=False),
+    )
+    report = reports.run_check("classical.orthogonality")
+    assert report.status == "fail"
+    assert report.witness == "off-diagonal mass nan"

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import verify
+from confluent_dbt import isotonic, tdpt, verify
 from confluent_dbt.classical import IsotonicOscillator, TrigPoschlTeller
-from confluent_dbt.exactalg import ExactPoly, RationalFn, TrigGauged
+from confluent_dbt.exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
 
 
 # -- exact residual operator -----------------------------------------------------
@@ -107,6 +108,118 @@ def test_max_offdiagonal_relative_fails_on_degenerate_gram():
     assert not worst < 1e-10
     # a single state has no off-diagonal entry: no evidence, no pass
     assert not verify.max_offdiagonal_relative(np.ones((1, 1))) < 1e-10
+
+
+# -- Gauss Gram matrices ------------------------------------------------------------
+
+
+def assert_gauss_matches_adaptive(states, fns, lo, hi, omega=1.0):
+    """Entry by entry to 1e-9 relative to sqrt(G_jj G_kk)."""
+    gram = verify.gauss_gram(states, omega)
+    assert gram.converged and gram.quadrature_error <= 1e-12
+    adaptive, _ = verify.gram_matrix(fns, lo, hi)
+    scale = np.sqrt(np.outer(np.diag(adaptive), np.diag(adaptive)))
+    assert np.max(np.abs(gram.values - adaptive) / scale) < 1e-9
+
+
+@st.composite
+def regular_tdpt_specs(draw):
+    n, N, M = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    threshold = tdpt.regularity_threshold(n, N, M)
+    # lambda1 = 0 is regular, but then the level-n state is not square
+    # integrable (both Gram routes fail on it)
+    lam = draw(st.one_of(
+        st.fractions(min_value=-10, max_value=Fraction(-1, 20), max_denominator=20),
+        st.fractions(min_value=Fraction(11, 10), max_value=10, max_denominator=20).map(
+            lambda f: f * threshold
+        ),
+    ))
+    return tdpt.TdptSpec(n, N, M, lam)
+
+
+@given(regular_tdpt_specs(), st.integers(1, 6))
+@settings(max_examples=12, deadline=None)
+def test_gauss_gram_matches_adaptive_tdpt(spec, kmax):
+    states = [tdpt.eigenfunction(spec, k) for k in range(kmax + 1)]
+    assert_gauss_matches_adaptive(
+        states, [f.eval_x for f in states], *verify.tdpt_domain(1e-8)
+    )
+
+
+@given(
+    st.integers(0, 3), st.integers(1, 4), st.integers(1, 5),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+@settings(max_examples=12, deadline=None)
+def test_gauss_gram_matches_adaptive_isotonic(n, N, kmax, omega):
+    spec = isotonic.IsotonicSpec(n, N)
+    states = [isotonic.eigenfunction(spec, k) for k in isotonic.surviving_levels(spec, kmax)]
+    fns = [(lambda x, f=f: f.eval_x(x, omega)) for f in states]
+    assert_gauss_matches_adaptive(states, fns, 0.0, math.inf, omega)
+
+
+@pytest.mark.parametrize("N,M", [(1, 1), (2, 1), (3, 2)])
+def test_gauss_gram_matches_adaptive_classical(N, M):
+    trig = TrigPoschlTeller(N, M)
+    states = [trig.eigenstate(k) for k in range(5)]
+    assert_gauss_matches_adaptive(
+        states, [f.eval_x for f in states], 1e-9, math.pi / 2 - 1e-9
+    )
+    radial = IsotonicOscillator(N)
+    states = [radial.eigenstate(k) for k in range(5)]
+    fns = [(lambda x, f=f: f.eval_x(x, 2.0)) for f in states]
+    assert_gauss_matches_adaptive(states, fns, 0.0, math.inf, 2.0)
+
+
+def test_gauss_gram_of_polynomial_states_is_exact_at_once():
+    # the rule integrates products of degree <= 8 exactly: two rules agree
+    gram = verify.gauss_gram([TrigPoschlTeller(2, 1).eigenstate(k) for k in range(5)])
+    assert gram.nodes == 80
+    assert gram.quadrature_error < 1e-14
+
+
+def test_gauss_gram_refuses_mixed_gauges():
+    f = TrigPoschlTeller(1, 1).eigenstate(0)
+    g = TrigPoschlTeller(2, 1).eigenstate(0)
+    with pytest.raises(ValueError, match="one gauge"):
+        verify.gauss_gram([f, g])
+    radial = IsotonicOscillator(1).eigenstate(0)
+    with pytest.raises(ValueError, match="one gauge"):
+        verify.gauss_gram([radial, RadialGauged(radial.c, radial.s, 1, radial.rat)])
+    with pytest.raises(ValueError, match="e\\^\\(-z/2\\)"):
+        verify.gauss_gram([isotonic.deleted_state(isotonic.IsotonicSpec(1, 1))])
+    with pytest.raises(TypeError):
+        verify.gauss_gram([math.sin])
+
+
+def test_gauss_gram_stops_at_its_node_cap():
+    spec = isotonic.IsotonicSpec(1, 1)
+    states = [isotonic.eigenfunction(spec, k) for k in (0, 2, 3)]
+    gram = verify.gauss_gram(states, max_nodes=80)
+    assert gram.nodes == 80 and not gram.converged
+    assert gram.quadrature_error > 1e-12
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (3.0, 2.0), (0.5, 4.0)])
+def test_jacobi_rule_moments(alpha, beta):
+    z, w = verify._jacobi_rule(alpha, beta, 40)
+    for k in (0, 5, 30):
+        exact = 2.0 ** (alpha + beta + k + 1) * math.exp(
+            math.lgamma(alpha + 1) + math.lgamma(beta + k + 1)
+            - math.lgamma(alpha + beta + k + 2)
+        )
+        assert math.fsum((w * (1 + z) ** k).tolist()) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [40, 640, 2560])
+def test_laguerre_rule_keeps_far_weights(n):
+    # scipy's roots_genlaguerre overflows past a few hundred nodes; the
+    # Christoffel weights stay finite and integrate the moments exactly
+    z, w = verify._laguerre_rule(2.0, n)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    for k in (0, 6, 20):
+        moment = math.fsum((w * z**k).tolist())
+        assert moment == pytest.approx(math.gamma(k + 3.0), rel=1e-12)
 
 
 # -- Dirichlet spectra ---------------------------------------------------------------
