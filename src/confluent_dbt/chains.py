@@ -40,7 +40,6 @@ class SeedFunction:
     f: object
     df: object
     energy: float
-    domain: tuple
     x0: float
 
 
@@ -55,7 +54,6 @@ def tdpt_seed(n: int, N: int, M: int):
         f=state.eval_x,
         df=dstate.eval_x,
         energy=float(base.energy(n)),
-        domain=(0.0, math.pi / 2),
         x0=math.pi / 2,
     )
     return seed, base.v
@@ -72,7 +70,6 @@ def isotonic_seed(n: int, N: int, omega: float):
         f=lambda x: state.eval_x(x, omega),
         df=lambda x: dstate.eval_x(x, omega),
         energy=float(2 * n * omega),
-        domain=(0.0, math.inf),
         x0=math.inf,
     )
     return seed, lambda x: base.v(x, omega)
@@ -117,7 +114,7 @@ def confluent_seed(seed: SeedFunction, lambda1: float) -> SeedFunction:
         fx = seed.f(x)
         return fx - (lambda1 + integral_from_anchor(seed, x)) * seed.df(x) / (fx * fx)
 
-    return SeedFunction(big, dbig, seed.energy, seed.domain, seed.x0)
+    return SeedFunction(big, dbig, seed.energy, seed.x0)
 
 
 def confluent_two_step(seed: SeedFunction, v, lambda1: float):
@@ -183,11 +180,11 @@ def _integrate(rhs, x_start, y0, xs):
     return out
 
 
-def matveev_potential(seed: SeedFunction, v, xs, x_ref: float, de=None):
+def matveev_potential(seed: SeedFunction, v, xs, x_ref: float):
     """Two-step potential via the limit Wronskian W(psi, d_E psi).
 
     psi is re-solved from the seed's Cauchy data at x_ref for energies
-    E and E +- de, so d_E psi (central difference) vanishes at x_ref along
+    E and E +- h, so d_E psi (central difference) vanishes at x_ref along
     with its derivative; then W' = -psi^2, and
 
         V_M = V - 2 ((-2 psi psi') W - psi^4) / W^2.
@@ -198,9 +195,9 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float, de=None):
     values) on xs."""
     xs = np.asarray(xs, dtype=float)
     e = seed.energy
-    # truncation grows as de^2, solver noise as 1/de; the crossover sits
+    # truncation grows as h^2, solver noise as 1/h; the crossover sits
     # near 1e-3 at unit energy scale
-    h = de if de is not None else 1e-3 * (1.0 + abs(e))
+    h = 1e-3 * (1.0 + abs(e))
     y0 = [seed.f(x_ref), seed.df(x_ref)]
 
     def solve(energy):
@@ -221,7 +218,7 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float, de=None):
     return vm, w
 
 
-def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float, de=None):
+def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float):
     """Energy-derivative route against the lambda1 = 0 confluent route.
 
     Returns (potential_rel, wronskian_rel).  The first is the largest
@@ -233,7 +230,7 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float, de=None):
     xs = np.asarray(xs, dtype=float)
     anchored = replace(seed, x0=x_ref)
     vt, _ = confluent_two_step(anchored, v, 0.0)
-    vm, w = matveev_potential(seed, v, xs, x_ref, de)
+    vm, w = matveev_potential(seed, v, xs, x_ref)
     scale = max(1.0, float(np.max(np.abs(vm))))
     pot_rel = worst(abs(a - vt(x)) for a, x in zip(vm, xs)) / scale
     w_rels = []

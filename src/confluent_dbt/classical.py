@@ -14,9 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged, pointwise
-
-_ONE_PLUS = ExactPoly([1, 1])
+from .exactalg import (
+    ONE_MINUS,
+    ONE_PLUS,
+    Z,
+    ExactPoly,
+    RadialGauged,
+    RationalFn,
+    TrigGauged,
+    pointwise,
+)
 
 
 def _sin_squared(x: float) -> float:
@@ -39,7 +46,7 @@ def jacobi(n: int, alpha: int, beta: int) -> ExactPoly:
             (-1) ** k * comb(n, k) * factorial(n + alpha + beta + k),
             2**k * factorial(beta + k),
         )
-        acc = acc + _ONE_PLUS**k * c
+        acc = acc + ONE_PLUS**k * c
     pref = Fraction(
         (-1) ** n * factorial(n + beta), factorial(n) * factorial(n + alpha + beta)
     )
@@ -82,8 +89,8 @@ class TrigPoschlTeller:
     def v_zform(self) -> RationalFn:
         N, M = self.N, self.M
         return (
-            RationalFn(2 * (Fraction(N) ** 2 - Fraction(1, 4)), ExactPoly([1, -1]))
-            + RationalFn(2 * (Fraction(M) ** 2 - Fraction(1, 4)), ExactPoly([1, 1]))
+            RationalFn(2 * (Fraction(N) ** 2 - Fraction(1, 4)), ONE_MINUS)
+            + RationalFn(2 * (Fraction(M) ** 2 - Fraction(1, 4)), ONE_PLUS)
             - Fraction((N + M + 1) ** 2)
         )
 
@@ -96,12 +103,12 @@ class TrigPoschlTeller:
             - (N + M + 1) ** 2
         )
 
+    def in_ground_gauge(self, rat: RationalFn) -> TrigGauged:
+        """rat in the gauge of every bound state: (1-z)^{(2N+1)/4} (1+z)^{(2M+1)/4}."""
+        return TrigGauged(Fraction(2 * self.N + 1, 4), Fraction(2 * self.M + 1, 4), rat)
+
     def eigenstate(self, n: int) -> TrigGauged:
-        return TrigGauged(
-            Fraction(2 * self.N + 1, 4),
-            Fraction(2 * self.M + 1, 4),
-            RationalFn(jacobi(n, self.N, self.M)),
-        )
+        return self.in_ground_gauge(RationalFn(jacobi(n, self.N, self.M)))
 
 
 @dataclass(frozen=True)
@@ -127,8 +134,8 @@ class IsotonicOscillator:
     def v_zform_units(self) -> RationalFn:
         N = self.N
         return (
-            RationalFn(ExactPoly([0, 1]), 2)
-            + RationalFn(Fraction(N * N, 1) - Fraction(1, 4), ExactPoly([0, 2]))
+            RationalFn(Z, 2)
+            + RationalFn(Fraction(N * N, 1) - Fraction(1, 4), Z * 2)
             - Fraction(N + 1)
         )
 
@@ -141,13 +148,13 @@ class IsotonicOscillator:
             - omega * (N + 1)
         )
 
+    def in_ground_gauge(self, rat: RationalFn, s: int = -1) -> RadialGauged:
+        """rat in the gauge z^{(2N+1)/4} e^{s z/2}: that of every bound state
+        at s = -1, of the extension's deleted state at s = +1."""
+        return RadialGauged(Fraction(2 * self.N + 1, 4), s, 0, rat)
+
     def eigenstate(self, n: int) -> RadialGauged:
-        return RadialGauged(
-            Fraction(2 * self.N + 1, 4),
-            -1,
-            0,
-            RationalFn(laguerre(n, self.N)),
-        )
+        return self.in_ground_gauge(RationalFn(laguerre(n, self.N)))
 
     def norm_sq_units(self, n: int) -> Fraction:
         """Squared L2 norm of eigenstate(n) in units of (2w)^{-1/2}."""

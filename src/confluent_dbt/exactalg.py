@@ -16,19 +16,19 @@ The two gauged families are
 * `RadialGauged`: (2w)^{p/2} z^c e^{s z/2} R(z)   with z = w x^2 / 2, x > 0,
 
 where R is a `RationalFn` and the exponents a, b, c are exact Fractions
-(quarter-integers in practice).  Both families are closed under d/dx, which
-is what turns Schroedinger identities into decidable rational-function
-identities.
+(quarter-integers in practice), with arithmetic written once (`_Gauged`).
+Both families are closed under d/dx, which `d_dx` alone implements: that
+turns Schroedinger identities into decidable rational-function identities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from typing import Sequence, Union
+from typing import Sequence
 
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
 POS_INF = object()
@@ -794,87 +794,106 @@ def refine_root(p: ExactPoly, interval, width) -> tuple:
 # Gauged functions
 # ---------------------------------------------------------------------------
 
-_ONE_MINUS = ExactPoly([1, -1])
-_ONE_PLUS = ExactPoly([1, 1])
-_Z = ExactPoly([0, 1])
+# the polynomials the gauge exponents power
+ONE_MINUS = ExactPoly([1, -1])
+ONE_PLUS = ExactPoly([1, 1])
+Z = ExactPoly([0, 1])
 
 
-def _coerce_ratfn(v) -> RationalFn:
-    r = _coerce_rational(v)
-    if r is None:
-        raise TypeError(f"cannot use {v!r} as a rational function")
-    return r
+class _Gauged:
+    """A gauge times the rational function `rat`.
+
+    A family is a frozen dataclass (``eq=False``) with its gauge fields,
+    then `rat`.  It declares `_GAUGE`, the gauge fields, each adding under
+    `*`; `_POWERS`, each exponent field with the polynomial it powers (a
+    sum moves integer exponent gaps into `rat`); and `_MATCH`, the fields a
+    sum needs equal, with the message for a mismatch."""
+
+    _MATCH = {}
+
+    @property
+    def is_zero(self) -> bool:
+        return self.rat.is_zero
+
+    def __hash__(self):
+        return hash((*(getattr(self, n) for n in self._GAUGE), self.rat))
+
+    def _lifted(self, low: dict) -> RationalFn:
+        """`rat` over the gauge whose exponents are `low`."""
+        lift = None
+        for name, poly in self._POWERS.items():
+            gap = getattr(self, name) - low[name]
+            if gap.denominator != 1:
+                raise ValueError("gauge exponents differ by a non-integer")
+            if gap:
+                factor = poly ** int(gap)
+                lift = factor if lift is None else lift * factor
+        return self.rat if lift is None else self.rat * lift
+
+    def _aligned(self, other):
+        """(lowered exponents, self.rat, other.rat) over one common gauge."""
+        if not isinstance(other, type(self)):
+            raise TypeError("mixed gauge families")
+        for name, message in self._MATCH.items():
+            if getattr(self, name) != getattr(other, name):
+                raise ValueError(message)
+        low = {n: min(getattr(self, n), getattr(other, n)) for n in self._POWERS}
+        return low, self._lifted(low), other._lifted(low)
+
+    def __add__(self, other):
+        if self.is_zero:
+            return other
+        if isinstance(other, type(self)) and other.is_zero:
+            return self
+        low, r1, r2 = self._aligned(other)
+        return replace(self, rat=r1 + r2, **low)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return replace(self, rat=-self.rat)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            sums = {n: getattr(self, n) + getattr(other, n) for n in self._GAUGE}
+            return replace(self, rat=self.rat * other.rat, **sums)
+        r = _coerce_rational(other)
+        if r is None:
+            raise TypeError(f"cannot use {other!r} as a rational function")
+        return replace(self, rat=self.rat * r)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return self.is_zero and other.is_zero
+        if any(getattr(self, n) != getattr(other, n) for n in self._MATCH):
+            return False
+        _, r1, r2 = self._aligned(other)
+        return r1 == r2
 
 
-@dataclass(frozen=True)
-class TrigGauged:
+@dataclass(frozen=True, eq=False)
+class TrigGauged(_Gauged):
     """(1-z)^a (1+z)^b * rat(z), z = cos 2x on the interval 0 < x < pi/2."""
 
     a: Fraction
     b: Fraction
     rat: RationalFn
 
-    @property
-    def is_zero(self) -> bool:
-        return self.rat.is_zero
-
-    def _aligned(self, other: "TrigGauged"):
-        if not isinstance(other, TrigGauged):
-            raise TypeError("mixed gauge families")
-        a = min(self.a, other.a)
-        b = min(self.b, other.b)
-        da, db = self.a - a, other.a - a
-        ea, eb = self.b - b, other.b - b
-        if da.denominator != 1 or db.denominator != 1:
-            raise ValueError("gauge exponents differ by a non-integer")
-        if ea.denominator != 1 or eb.denominator != 1:
-            raise ValueError("gauge exponents differ by a non-integer")
-        r1 = self.rat * (_ONE_MINUS ** int(da) * _ONE_PLUS ** int(ea))
-        r2 = other.rat * (_ONE_MINUS ** int(db) * _ONE_PLUS ** int(eb))
-        return a, b, r1, r2
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if isinstance(other, TrigGauged) and other.is_zero:
-            return self
-        a, b, r1, r2 = self._aligned(other)
-        return TrigGauged(a, b, r1 + r2)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TrigGauged(self.a, self.b, -self.rat)
-
-    def __mul__(self, other):
-        if isinstance(other, TrigGauged):
-            return TrigGauged(
-                self.a + other.a, self.b + other.b, self.rat * other.rat
-            )
-        return TrigGauged(self.a, self.b, self.rat * _coerce_ratfn(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrigGauged):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        a, b, r1, r2 = self._aligned(other)
-        return r1 == r2
+    _GAUGE = ("a", "b")
+    _POWERS = {"a": ONE_MINUS, "b": ONE_PLUS}
 
     def d_dx(self) -> "TrigGauged":
         """Exact x-derivative; dz/dx = -2 sqrt(1-z^2) on 0 < x < pi/2."""
-        r = self.rat
-        bracket = (
-            -self.a * RationalFn(_ONE_PLUS) * r
-            + self.b * RationalFn(_ONE_MINUS) * r
-            + RationalFn(_ONE_MINUS * _ONE_PLUS) * r.derivative()
-        )
-        return TrigGauged(
-            self.a - Fraction(1, 2), self.b - Fraction(1, 2), -2 * bracket
-        )
+        a, b, r = self.a, self.b, self.rat
+        # -2 [(b(1-z) - a(1+z)) r + (1-z^2) r'], one half power lower
+        slope = RationalFn(ExactPoly([2 * (a - b), 2 * (a + b)])) * r
+        slope = slope + RationalFn(ExactPoly([-2, 0, 2])) * r.derivative()
+        return TrigGauged(a - Fraction(1, 2), b - Fraction(1, 2), slope)
 
     def eval_z(self, z):
         """Value at z: a float, or a numpy array of points."""
@@ -889,8 +908,8 @@ class TrigGauged:
         return self.eval_z(pointwise(math.cos, 2.0 * x))
 
 
-@dataclass(frozen=True)
-class RadialGauged:
+@dataclass(frozen=True, eq=False)
+class RadialGauged(_Gauged):
     """(2w)^{p/2} z^c e^{s z/2} * rat(z), z = w x^2/2 on the half line x > 0.
 
     `p` counts powers of sqrt(2w) (w is the oscillator frequency, left
@@ -903,70 +922,20 @@ class RadialGauged:
     p: int
     rat: RationalFn
 
-    @property
-    def is_zero(self) -> bool:
-        return self.rat.is_zero
-
-    def _aligned(self, other: "RadialGauged"):
-        if not isinstance(other, RadialGauged):
-            raise TypeError("mixed gauge families")
-        if self.s != other.s:
-            raise ValueError("incompatible exponential gauges")
-        if self.p != other.p:
-            raise ValueError("incompatible frequency powers")
-        c = min(self.c, other.c)
-        d1, d2 = self.c - c, other.c - c
-        if d1.denominator != 1 or d2.denominator != 1:
-            raise ValueError("gauge exponents differ by a non-integer")
-        r1 = self.rat * _Z ** int(d1)
-        r2 = other.rat * _Z ** int(d2)
-        return c, r1, r2
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if isinstance(other, RadialGauged) and other.is_zero:
-            return self
-        c, r1, r2 = self._aligned(other)
-        return RadialGauged(c, self.s, self.p, r1 + r2)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return RadialGauged(self.c, self.s, self.p, -self.rat)
-
-    def __mul__(self, other):
-        if isinstance(other, RadialGauged):
-            return RadialGauged(
-                self.c + other.c,
-                self.s + other.s,
-                self.p + other.p,
-                self.rat * other.rat,
-            )
-        return RadialGauged(self.c, self.s, self.p, self.rat * _coerce_ratfn(other))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RadialGauged):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.s != other.s or self.p != other.p:
-            return False
-        c, r1, r2 = self._aligned(other)
-        return r1 == r2
+    _GAUGE = ("c", "s", "p")
+    _POWERS = {"c": Z}
+    _MATCH = {
+        "s": "incompatible exponential gauges",
+        "p": "incompatible frequency powers",
+    }
 
     def d_dx(self) -> "RadialGauged":
         """Exact x-derivative; d/dx = sqrt(2w) sqrt(z) d/dz on x > 0."""
         r = self.rat
-        bracket = (
-            self.c * r
-            + Fraction(self.s, 2) * RationalFn(_Z) * r
-            + RationalFn(_Z) * r.derivative()
-        )
-        return RadialGauged(self.c - Fraction(1, 2), self.s, self.p + 1, bracket)
+        # (c + (s/2) z) r + z r', one half power of z lower
+        slope = RationalFn(ExactPoly([self.c, Fraction(self.s, 2)])) * r
+        slope = slope + RationalFn(Z) * r.derivative()
+        return RadialGauged(self.c - Fraction(1, 2), self.s, self.p + 1, slope)
 
     def eval_z(self, z, omega: float = 1.0):
         """Value at z: a float, or a numpy array of points."""
@@ -982,10 +951,7 @@ class RadialGauged:
         return self.eval_z(omega * x * x / 2.0, omega)
 
 
-GaugedFn = Union[TrigGauged, RadialGauged]
-
-
-def wronskian(fs: Sequence[GaugedFn]) -> GaugedFn:
+def wronskian(fs: Sequence[_Gauged]) -> _Gauged:
     """Exact Wronskian (in the x variable) of gauged functions.
 
     All entries must belong to the same gauge family; the result is again a

@@ -22,14 +22,13 @@ from math import factorial
 
 from .classical import IsotonicOscillator, laguerre
 from .exactalg import (
-    ExactPoly,
     POS_INF,
+    Z,
+    ExactPoly,
     RadialGauged,
     RationalFn,
     isolate_roots,
 )
-
-_Z = ExactPoly([0, 1])
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ class IsotonicSpec:
 
 def q_poly(n: int, N: int) -> ExactPoly:
     """Q_n^N(z) = -sum_j d^j/dz^j [ z^N (L_n^N)^2 ] (derivative-sum route)."""
-    g = _Z**N * laguerre(n, N) * laguerre(n, N)
+    g = Z**N * laguerre(n, N) * laguerre(n, N)
     total = ExactPoly.zero()
     cur = g
     while not cur.is_zero:
@@ -71,7 +70,7 @@ def q_poly(n: int, N: int) -> ExactPoly:
 def q_poly_via_ode(n: int, N: int) -> ExactPoly:
     """Independent route: the unique polynomial solution of
     Q' - Q = z^N (L_n^N)^2, solved degree-by-degree downward."""
-    g = _Z**N * laguerre(n, N) * laguerre(n, N)
+    g = Z**N * laguerre(n, N) * laguerre(n, N)
     d = g.degree()
     coeffs = [Fraction(0)] * (d + 1)
     coeffs[d] = -g.coeff(d)
@@ -113,17 +112,14 @@ def l_tilde(spec: IsotonicSpec, k: int) -> ExactPoly:
             f"level {k} is deleted from the extension; it has no bound state"
         )
     return Fraction(n - k) * laguerre(k, N) * q_poly(n, N) - (
-        _Z ** (N + 1) * l_nk(n, N, k) * laguerre(n, N)
+        Z ** (N + 1) * l_nk(n, N, k) * laguerre(n, N)
     )
 
 
 def eigenfunction(spec: IsotonicSpec, k: int) -> RadialGauged:
     """Bound state of the extension at E_k = 2kw, k != n (unnormalized)."""
-    return RadialGauged(
-        Fraction(2 * spec.N + 1, 4),
-        -1,
-        0,
-        RationalFn(l_tilde(spec, k), q_poly(spec.n, spec.N)),
+    return spec.base.in_ground_gauge(
+        RationalFn(l_tilde(spec, k), q_poly(spec.n, spec.N))
     )
 
 
@@ -133,11 +129,8 @@ def deleted_state(spec: IsotonicSpec) -> RadialGauged:
     It carries the growing gauge e^{+z/2}, so it is not normalizable: the
     witness that the extension is only quasi-isospectral.
     """
-    return RadialGauged(
-        Fraction(2 * spec.N + 1, 4),
-        +1,
-        0,
-        RationalFn(laguerre(spec.n, spec.N), q_poly(spec.n, spec.N)),
+    return spec.base.in_ground_gauge(
+        RationalFn(laguerre(spec.n, spec.N), q_poly(spec.n, spec.N)), s=+1
     )
 
 
@@ -145,7 +138,7 @@ def measure_weight_rational(spec: IsotonicSpec) -> RationalFn:
     """Rational part of the orthogonality weight z^N e^{-z} / (Q_n^N)^2
     on (0, inf); the e^{-z} factor is applied at quadrature time."""
     q = q_poly(spec.n, spec.N)
-    return RationalFn(_Z**spec.N, q * q)
+    return RationalFn(Z**spec.N, q * q)
 
 
 @dataclass(frozen=True)
@@ -166,9 +159,9 @@ def extended_potential(spec: IsotonicSpec) -> IsotonicExtendedPotential:
     n, N = spec.n, spec.N
     ln = laguerre(n, N)
     h = RationalFn(ln * ln, q_poly(n, N))
-    correction = -4 * RationalFn(_Z**N) * (
-        (Fraction(N) + Fraction(1, 2)) * h + RationalFn(_Z) * h.derivative()
-    )
+    slope = RadialGauged(N + Fraction(1, 2), 0, 0, h).d_dx()
+    # sqrt(z) d/dz = d/dx / sqrt(2w), and d/dx leaves the gauge z^N
+    correction = RationalFn(Z**N * -4) * slope.rat
     return IsotonicExtendedPotential(
         spec, correction, spec.base.v_zform_units() + correction
     )
@@ -234,7 +227,7 @@ def n0_type2_partner_units(N: int) -> RationalFn:
     r2 = d2.rat / phi.rat
     # phi''/phi = 2w r2/z and (phi'/phi)^2 = 2w r1^2/z, so
     # -2 (log phi)'' = -4w (r2 - r1^2)/z
-    log_term = Fraction(-4) * (r2 - r1 * r1) * RationalFn(ExactPoly.one(), _Z)
+    log_term = Fraction(-4) * (r2 - r1 * r1) * RationalFn(ExactPoly.one(), Z)
     return IsotonicOscillator(N + 1).v_zform_units() + log_term + 2
 
 
@@ -249,7 +242,7 @@ def shape_invariance_residual(n: int, N: int, c_factor=None) -> tuple:
     if n < 1:
         raise ValueError("shape invariance needs n >= 1")
     c = Fraction(1, n) if c_factor is None else Fraction(c_factor)
-    cross = _Z ** (N + 1) * laguerre(n, N) * laguerre(n - 1, N + 1) * Fraction(1, n)
+    cross = Z ** (N + 1) * laguerre(n, N) * laguerre(n - 1, N + 1) * Fraction(1, n)
     return q_poly(n, N) - c * q_poly(n - 1, N + 1) - cross, c
 
 
@@ -280,7 +273,7 @@ def n0_shape_obstruction(N: int) -> tuple:
     a coefficient the right side cannot produce).  Two or more distinct
     ratios prove no constant works.
     """
-    lhs = laguerre(1, N) * q_poly(0, N) - _Z ** (N + 1)
+    lhs = laguerre(1, N) * q_poly(0, N) - Z ** (N + 1)
     return tuple(sorted(_coefficient_ratios(lhs, q_poly(0, N + 1))))
 
 

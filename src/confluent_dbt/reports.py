@@ -672,7 +672,6 @@ def _check_chains_inverse():
         f=lambda x: 1.0 / seed.f(x),
         df=lambda x: -seed.df(x) / seed.f(x) ** 2,
         energy=seed.energy,
-        domain=seed.domain,
         x0=seed.x0,
     )
     v0, _ = chains.dbt_apply(inverse, v1)
@@ -929,10 +928,10 @@ _NEEDS_REGULAR = ("ode", "ortho", "spectrum")
 def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
     """Run the named per-spec checks of `family` on `spec`, in order.
 
-    An irregular tdpt spec is refused with ValueError before any check
-    that needs a regular one runs, and so is an ortho check over a single
-    level, which has no pair to compare: those are usage errors, not
-    failed checks."""
+    Usage errors, not failed checks, are refused with ValueError first: a
+    tdpt spec that is irregular (for ode, ortho, spectrum) or at lambda1 = 0
+    (for ortho, spectrum: the level-n state is not square integrable), and
+    an ortho check over a single level, which has no pair to compare."""
     needs_regular = [s for s in names if s in _NEEDS_REGULAR]
     if (
         family == "tdpt"
@@ -945,6 +944,12 @@ def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
             f"forbidden window (0, {threshold}]; suite(s) "
             f"{', '.join(needs_regular)} need a regular one "
             "(--suite regularity reports it)"
+        )
+    needs_bound = [s for s in names if s in ("ortho", "spectrum")]
+    if family == "tdpt" and needs_bound and spec.lambda1 == 0:
+        raise ValueError(
+            f"lambda1 = 0 leaves the level-{spec.n} state not square integrable; "
+            f"suite(s) {', '.join(needs_bound)} need lambda1 != 0"
         )
     if "ortho" in names:
         if family == "tdpt":

@@ -20,6 +20,8 @@ from math import factorial
 
 from .classical import TrigPoschlTeller, jacobi
 from .exactalg import (
+    ONE_MINUS,
+    ONE_PLUS,
     ExactPoly,
     RationalFn,
     RootIsolation,
@@ -28,9 +30,6 @@ from .exactalg import (
     isolate_roots,
     pointwise,
 )
-
-_ONE_MINUS = ExactPoly([1, -1])
-_ONE_PLUS = ExactPoly([1, 1])
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class TdptSpec:
 def q_poly(n: int, N: int, M: int) -> ExactPoly:
     """Q_n^(N,M)(z) = -1/2 * int_{-1}^{z} (1-t)^N (1+t)^M P_n(t)^2 dt."""
     p = jacobi(n, N, M)
-    integrand = _ONE_MINUS**N * _ONE_PLUS**M * p * p * Fraction(-1, 2)
+    integrand = ONE_MINUS**N * ONE_PLUS**M * p * p * Fraction(-1, 2)
     return integrand.antiderivative(lower=Fraction(-1))
 
 
@@ -112,8 +111,8 @@ def certify_regularity(spec: TdptSpec) -> tuple:
 
     Q is anchored at Q(-1) = 0 and strictly decreasing, so a zero of the
     denominator lands in (-1, 1] exactly when lambda1 sits in the forbidden
-    window; a zero at z = -1 itself (lambda1 = 0) only shifts the boundary
-    exponent and is allowed."""
+    window.  A zero at z = -1 itself (lambda1 = 0) is allowed, but there the
+    level-n state is not square integrable (`ortho`/`spectrum` refuse it)."""
     d = denominator_poly(spec)
     witness = isolate_roots(d, Fraction(-1), Fraction(1))
     if d(Fraction(1)) == 0:
@@ -153,8 +152,8 @@ def p_tilde(spec: TdptSpec, k: int) -> ExactPoly:
         return jacobi(n, N, M)
     gap = Fraction(4 * (n - k) * (n + k + N + M + 1))
     return gap * jacobi(k, N, M) * denominator_poly(spec) + (
-        _ONE_MINUS ** (N + 1)
-        * _ONE_PLUS ** (M + 1)
+        ONE_MINUS ** (N + 1)
+        * ONE_PLUS ** (M + 1)
         * wronskian_pair_poly(n, N, M, k)
         * jacobi(n, N, M)
     )
@@ -164,16 +163,14 @@ def measure_weight(spec: TdptSpec) -> RationalFn:
     """Orthogonality weight of the exceptional family on (-1, 1)."""
     d = denominator_poly(spec)
     return RationalFn(
-        _ONE_MINUS**spec.N * _ONE_PLUS**spec.M * Fraction(1, 2), d * d
+        ONE_MINUS**spec.N * ONE_PLUS**spec.M * Fraction(1, 2), d * d
     )
 
 
 def eigenfunction(spec: TdptSpec, k: int) -> TrigGauged:
     """Bound state of the extended potential at energy E_k (unnormalized)."""
-    return TrigGauged(
-        Fraction(2 * spec.N + 1, 4),
-        Fraction(2 * spec.M + 1, 4),
-        RationalFn(p_tilde(spec, k), denominator_poly(spec)),
+    return spec.base.in_ground_gauge(
+        RationalFn(p_tilde(spec, k), denominator_poly(spec))
     )
 
 
@@ -201,12 +198,9 @@ def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:
         )
     p = jacobi(n, N, M)
     g = RationalFn(p * p, denominator_poly(spec))
-    bracket = (
-        -(Fraction(N) + Fraction(1, 2)) * RationalFn(_ONE_PLUS) * g
-        + (Fraction(M) + Fraction(1, 2)) * RationalFn(_ONE_MINUS) * g
-        + RationalFn(_ONE_MINUS * _ONE_PLUS) * g.derivative()
-    )
-    correction = 4 * RationalFn(_ONE_MINUS**N * _ONE_PLUS**M) * bracket
+    slope = TrigGauged(N + Fraction(1, 2), M + Fraction(1, 2), g).d_dx()
+    # 4 sqrt(1-z^2) d/dz = -2 d/dx, and d/dx leaves the gauge (1-z)^N (1+z)^M
+    correction = RationalFn(ONE_MINUS**N * ONE_PLUS**M * -2) * slope.rat
     z_form = spec.base.v_zform() + correction
     return TdptExtendedPotential(spec, correction, z_form)
 
@@ -251,8 +245,8 @@ def shape_invariance_residual(
     c = Fraction(N + M + n + 1, 4 * n) if c_factor is None else as_rat(c_factor)
     lam_shift = lambda1_shifted(n, N, M, lam)
     cross = (
-        _ONE_MINUS ** (N + 1)
-        * _ONE_PLUS ** (M + 1)
+        ONE_MINUS ** (N + 1)
+        * ONE_PLUS ** (M + 1)
         * jacobi(n, N, M)
         * jacobi(n - 1, N + 1, M + 1)
         * Fraction(1, 4 * n)

@@ -50,14 +50,10 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     psi = replace(f, rat=f.rat._unreduced())
     e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
     gap = e - v_zform._unreduced()  # E - V
-    if isinstance(psi, TrigGauged):
-        res = psi.d_dx().d_dx() + psi * gap
-    else:
+    if isinstance(psi, RadialGauged):
         # (E - V) psi = w g psi = (sqrt(2w))^2 (g/2) psi
-        g = gap * Fraction(1, 2)
-        res = psi.d_dx().d_dx() + RadialGauged(
-            psi.c, psi.s, psi.p + 2, psi.rat * g
-        )
+        gap = RadialGauged(Fraction(0), 0, 2, gap * Fraction(1, 2))
+    res = psi.d_dx().d_dx() + psi * gap
     return replace(res, rat=res.rat._canonical())
 
 

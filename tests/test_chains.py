@@ -86,7 +86,6 @@ def test_one_step_inverts_exactly():
         f=lambda x: 1.0 / seed.f(x),
         df=lambda x: -seed.df(x) / seed.f(x) ** 2,
         energy=seed.energy,
-        domain=seed.domain,
         x0=seed.x0,
     )
     v0, _ = chains.dbt_apply(inverse, v1)

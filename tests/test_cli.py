@@ -100,6 +100,15 @@ def test_negative_rational_option_value(capsys):
      "--kmax", "1"],
     ["verify", "tdpt.ortho", "--n", "0", "--N", "1", "--M", "1",
      "--lambda1", "1", "--kmax", "0"],
+    # at lambda1 = 0 the level-n state is not square integrable
+    ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "0",
+     "--kmax", "2", "--suite", "ortho"],
+    ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "0",
+     "--kmax", "2", "--suite", "spectrum"],
+    ["tdpt", "verify", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "0",
+     "--kmax", "2", "--suite", "all"],
+    ["verify", "tdpt.ortho", "--n", "0", "--N", "1", "--M", "1",
+     "--lambda1", "0", "--kmax", "2"],
 ])
 def test_degenerate_arguments_exit_2(capsys, argv):
     # argparse refuses by raising SystemExit; a refusal after parsing
@@ -128,6 +137,16 @@ def test_tdpt_verify_irregular_lambda_exit_2(capsys, suite):
                              "--M", "1", "--lambda1", "1/3", "--suite", suite)
     assert code == 2
     assert "irregular" in err and out == ""
+
+
+@pytest.mark.parametrize("suite", ["ode", "regularity"])
+def test_tdpt_verify_runs_at_lambda1_zero(capsys, suite):
+    # only ortho and spectrum need the level-n state to be square integrable
+    code, data = run_json(capsys, "tdpt", "verify", "--n", "0", "--N", "1",
+                          "--M", "1", "--lambda1", "0", "--kmax", "2",
+                          "--suite", suite)
+    assert code == 0
+    assert data["checks"][0]["status"] == "pass"
 
 
 def test_tdpt_verify_regularity_reports_irregular_lambda(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -313,6 +314,149 @@ def test_wronskian_pair_is_fg_minus_gf():
 def test_wronskian_of_dependent_functions_vanishes():
     f = TrigGauged(Fraction(3, 4), Fraction(3, 4), RationalFn(ExactPoly([1, 2])))
     assert wronskian([f, 3 * f]).is_zero
+
+
+# -- gauged algebra: properties shared by both families ------------------------
+
+# Each exponent is a small rational part shared by the operands plus an
+# integer gap per operand.  Numerators have nonnegative coefficients and
+# denominators no root on z >= 0, so the values sampled below (z in (0, 1)
+# for the trigonometric map, z > 0 for the radial one) are positive and
+# float evaluation keeps its relative accuracy.
+exp_parts = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+exp_gaps = st.integers(0, 3)
+positive_polys = st.lists(
+    st.fractions(min_value=0, max_value=20, max_denominator=12),
+    min_size=0, max_size=4,
+).map(ExactPoly)
+positive_ratfns = st.builds(
+    RationalFn,
+    positive_polys,
+    st.sampled_from([ExactPoly([1]), ExactPoly([3, 1]), ExactPoly([2, 0, 1])]),
+)
+
+
+@st.composite
+def trig_pairs(draw):
+    a, b = draw(exp_parts), draw(exp_parts)
+    return tuple(
+        TrigGauged(a + draw(exp_gaps), b + draw(exp_gaps), draw(positive_ratfns))
+        for _ in range(2)
+    )
+
+
+@st.composite
+def radial_pairs(draw, same_s_p=True):
+    c = draw(exp_parts)
+    s, p = draw(st.integers(-2, 1)), draw(st.integers(0, 3))
+    out = []
+    for _ in range(2):
+        if not same_s_p:
+            s, p = draw(st.integers(-2, 1)), draw(st.integers(0, 3))
+        out.append(RadialGauged(c + draw(exp_gaps), s, p, draw(positive_ratfns)))
+    return tuple(out)
+
+
+any_pairs = st.one_of(trig_pairs(), radial_pairs())
+gauged_products = st.one_of(trig_pairs(), radial_pairs(same_s_p=False))
+
+
+def _gauge_fields(f):
+    return [getattr(f, name) for name in f.__dataclass_fields__ if name != "rat"]
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@given(any_pairs)
+@settings(max_examples=80, deadline=None)
+def test_gauged_sum_commutes_and_cancels(pair):
+    f, g = pair
+    assert f + g == g + f
+    assert (f + g) - g == f
+    assert (f - f).is_zero
+
+
+@given(gauged_products)
+@settings(max_examples=80, deadline=None)
+def test_gauged_product_adds_every_gauge_field(pair):
+    f, g = pair
+    h = f * g
+    assert type(h) is type(f)
+    sums = [x + y for x, y in zip(_gauge_fields(f), _gauge_fields(g))]
+    assert _gauge_fields(h) == sums
+    assert h.rat == f.rat * g.rat
+
+
+@given(trig_pairs(), st.floats(min_value=0.4, max_value=0.75))
+@settings(max_examples=80, deadline=None)
+def test_trig_gauged_values_of_sum_and_product(pair, x):
+    f, g = pair
+    fx, gx = f.eval_x(x), g.eval_x(x)
+    assert _close((f + g).eval_x(x), fx + gx)
+    assert _close((f * g).eval_x(x), fx * gx)
+
+
+@given(radial_pairs(same_s_p=False), st.floats(min_value=0.3, max_value=3.0))
+@settings(max_examples=80, deadline=None)
+def test_radial_gauged_values_of_sum_and_product(pair, x):
+    f, g = pair
+    fx, gx = f.eval_x(x), g.eval_x(x)
+    if f.s == g.s and f.p == g.p:
+        assert _close((f + g).eval_x(x), fx + gx)
+    assert _close((f * g).eval_x(x), fx * gx)
+
+
+@given(exp_parts, exp_gaps, exp_parts, positive_ratfns)
+def test_trig_gauge_exponent_moves_into_rat(a, gap, b, r):
+    a += gap
+    assert TrigGauged(a, b, r) == TrigGauged(a - 1, b, r * (1 - ExactPoly.x()))
+
+
+def _nonzero(r):
+    return r if not r.is_zero else RationalFn(ExactPoly([1]))
+
+
+@given(trig_pairs(), radial_pairs())
+@settings(max_examples=40, deadline=None)
+def test_gauged_mixed_families_and_fractional_gaps_refused(tp, rp):
+    f, r = (replace(h, rat=_nonzero(h.rat)) for h in (tp[0], rp[0]))
+    for x, y in ((f, r), (r, f)):
+        with pytest.raises(TypeError):
+            x + y
+        with pytest.raises(TypeError):
+            x - y
+        with pytest.raises(TypeError):
+            x * y
+    half = Fraction(1, 2)
+    for g in (
+        TrigGauged(f.a + half, f.b, f.rat),
+        TrigGauged(f.a, f.b - half, f.rat),
+        RadialGauged(r.c + half, r.s, r.p, r.rat),
+    ):
+        other = f if isinstance(g, TrigGauged) else r
+        with pytest.raises(ValueError, match="non-integer"):
+            g + other
+        with pytest.raises(ValueError, match="non-integer"):
+            other - g
+
+
+@given(radial_pairs(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_radial_s_and_p_mismatch(pair, shift):
+    f, g = (replace(h, rat=_nonzero(h.rat)) for h in pair)
+    for other, message in (
+        (replace(g, s=g.s + shift), "incompatible exponential gauges"),
+        (replace(g, p=g.p + shift), "incompatible frequency powers"),
+        (replace(g, s=g.s + shift, p=g.p + 1), "incompatible exponential gauges"),
+    ):
+        assert not f == other
+        assert f != other
+        with pytest.raises(ValueError, match=message):
+            f + other
+        with pytest.raises(ValueError, match=message):
+            other - f
 
 
 # -- array evaluation ----------------------------------------------------------
