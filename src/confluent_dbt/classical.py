@@ -5,6 +5,11 @@ of (1+z); Laguerre polynomials from the falling-product sum, which stays
 valid for negative integer parameters (needed for the type-II states
 L_N^{(-N-1)}).  Both normalizations agree with the standard three-term
 recurrences; tests pin that down.
+
+`jacobi` and `laguerre` are memoized per process (a bounded
+`functools.lru_cache` keyed by the integer arguments): every caller of the
+same degree and parameters gets one shared, immutable `ExactPoly`.
+`jacobi.cache_clear()` and `laguerre.cache_clear()` empty the caches.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .exactalg import (
@@ -34,6 +40,12 @@ def _cos_squared(x: float) -> float:
     return math.cos(x) ** 2
 
 
+# distinct (degree, parameters) keys a constructor keeps; far more than one
+# `verify all` builds, and each entry is one small polynomial
+CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def jacobi(n: int, alpha: int, beta: int) -> ExactPoly:
     """Jacobi polynomial P_n^(alpha,beta), integer parameters >= 0."""
     if n < 0:
@@ -53,6 +65,7 @@ def jacobi(n: int, alpha: int, beta: int) -> ExactPoly:
     return acc * pref
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def laguerre(n: int, alpha: int) -> ExactPoly:
     """Laguerre polynomial L_n^(alpha); alpha may be any integer."""
     if n < 0:

@@ -23,6 +23,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -597,7 +598,11 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and reused by
+    `main`: argparse gives each call a fresh namespace, and no command
+    mutates a default (such as the shared `--lambdas` list)."""
     parser = _Parser(
         prog="confluent-dbt",
         description="rational potential extensions from confluent Darboux chains",

@@ -816,7 +816,15 @@ class _Gauged:
         return self.rat.is_zero
 
     def __hash__(self):
-        return hash((*(getattr(self, n) for n in self._GAUGE), self.rat))
+        # `==` ignores integer gaps between exponents (they move into
+        # `rat`) and the gauge of a zero, so neither may enter the hash
+        if self.is_zero:
+            return hash(type(self))
+        return hash((
+            type(self),
+            *(getattr(self, n) for n in self._MATCH),
+            *(getattr(self, n) % 1 for n in self._POWERS),
+        ))
 
     def _lifted(self, low: dict) -> RationalFn:
         """`rat` over the gauge whose exponents are `low`."""
@@ -841,9 +849,11 @@ class _Gauged:
         return low, self._lifted(low), other._lifted(low)
 
     def __add__(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError("mixed gauge families")
         if self.is_zero:
             return other
-        if isinstance(other, type(self)) and other.is_zero:
+        if other.is_zero:
             return self
         low, r1, r2 = self._aligned(other)
         return replace(self, rat=r1 + r2, **low)
@@ -871,6 +881,9 @@ class _Gauged:
         if self.is_zero or other.is_zero:
             return self.is_zero and other.is_zero
         if any(getattr(self, n) != getattr(other, n) for n in self._MATCH):
+            return False
+        # a non-integer exponent gap leaves an irrational factor: unequal
+        if any(getattr(self, n) % 1 != getattr(other, n) % 1 for n in self._POWERS):
             return False
         _, r1, r2 = self._aligned(other)
         return r1 == r2

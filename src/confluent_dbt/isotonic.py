@@ -10,7 +10,9 @@ polynomial in z = w x^2/2:
 * the non-normalizable state replacing level n (witness of the deletion).
 
 Identities are stored in units of w (the frequency), which scales out of
-every exact statement.
+every exact statement.  `q_poly` is memoized like the classical
+constructors it builds on (`q_poly.cache_clear()` empties it);
+`q_poly_via_ode`, the route it is checked against, is not.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .classical import IsotonicOscillator, laguerre
+from .classical import CACHE_SIZE, IsotonicOscillator, laguerre
 from .exactalg import (
     POS_INF,
     Z,
@@ -56,6 +59,7 @@ class IsotonicSpec:
         return {"n": self.n, "N": self.N}
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def q_poly(n: int, N: int) -> ExactPoly:
     """Q_n^N(z) = -sum_j d^j/dz^j [ z^N (L_n^N)^2 ] (derivative-sum route)."""
     g = Z**N * laguerre(n, N) * laguerre(n, N)

@@ -8,7 +8,8 @@ strictly isospectral extension whose data are polynomial in z = cos(2x):
 * the exceptional polynomial family P-tilde_k and its orthogonality weight.
 
 All objects here are exact; numeric evaluation happens only through the
-returned gauged/rational callables.
+returned gauged/rational callables.  `q_poly` is memoized like the
+classical constructors it builds on (`q_poly.cache_clear()` empties it).
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
-from .classical import TrigPoschlTeller, jacobi
+from .classical import CACHE_SIZE, TrigPoschlTeller, jacobi
 from .exactalg import (
     ONE_MINUS,
     ONE_PLUS,
@@ -62,6 +64,7 @@ class TdptSpec:
         }
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
 def q_poly(n: int, N: int, M: int) -> ExactPoly:
     """Q_n^(N,M)(z) = -1/2 * int_{-1}^{z} (1-t)^N (1+t)^M P_n(t)^2 dt."""
     p = jacobi(n, N, M)

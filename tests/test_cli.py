@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from confluent_dbt import cli, reports
+from confluent_dbt import classical, cli, reports
 from confluent_dbt.exactalg import ExactPoly
 
 
@@ -676,6 +676,63 @@ def test_output_pinned(capsys, command, digest):
     assert code == 0
     out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- reuse within one process ------------------------------------------------------
+
+REUSE_SEQUENCE = [
+    ("tdpt build --n 1 --N 1 --M 2 --lambda1 1 --kmax 2", 0),
+    ("isotonic verify --n 1 --N 2 --kmax 2", 0),
+    # --lambdas defaults to one list shared by every parse
+    ("chain run --base tdpt --params 0,1,1 --lambdas 1 --grid 0.05:1.45:20", 0),
+    ("chain run --base tdpt --params 0,1,1 --grid 0.05:1.45:20", 0),
+    # refused spec: lambda1 inside the forbidden window
+    ("tdpt build --n 1 --N 1 --M 1 --lambda1 4/15", 2),
+    # argparse error: a required flag is missing
+    ("tdpt build --n 1 --N 1", 2),
+]
+
+
+def _run_reused(capsys, command):
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', captured.out)
+    return code, out, captured.err
+
+
+def test_commands_reuse_parser_and_caches_in_either_order(capsys):
+    reports._clear_constructor_caches()
+    forward = [_run_reused(capsys, c) for c, _ in REUSE_SEQUENCE]
+    backward = [_run_reused(capsys, c) for c, _ in reversed(REUSE_SEQUENCE)]
+    assert [r[0] for r in forward] == [code for _, code in REUSE_SEQUENCE]
+    assert forward == backward[::-1]
+    # the two chain runs differ in their step count, not by leftover state
+    assert forward[2][1] != forward[3][1]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("n,a,b", [(0, 0, 0), (3, 1, 2), (5, 2, 3)])
+def test_memoized_constructors_match_sympy_after_clearing(n, a, b):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def from_expr(expr):
+        cs = sympy.Poly(sympy.expand(expr), x, domain=sympy.QQ).all_coeffs()
+        return ExactPoly([Fraction(int(c.p), int(c.q)) for c in reversed(cs)])
+
+    classical.jacobi.cache_clear()
+    classical.laguerre.cache_clear()
+    cold_jacobi, cold_laguerre = classical.jacobi(n, a, b), classical.laguerre(n, a)
+    assert cold_jacobi == from_expr(sympy.jacobi_poly(n, a, b, x))
+    assert cold_laguerre == from_expr(sympy.assoc_laguerre(n, a, x))
+    assert classical.jacobi(n, a, b) is cold_jacobi
+    assert classical.laguerre(n, a) is cold_laguerre
 
 
 # -- README examples -----------------------------------------------------------------

@@ -442,6 +442,60 @@ def test_gauged_mixed_families_and_fractional_gaps_refused(tp, rp):
             other - g
 
 
+@st.composite
+def equal_pairs(draw):
+    """Two equal gauged functions of one family: the second has an exponent
+    lowered by an integer and the factor moved into `rat`, or both are
+    zeros with unrelated gauges."""
+    f = draw(st.one_of(trig_pairs(), radial_pairs()))[0]
+    if draw(st.booleans()):
+        zero = RationalFn(ExactPoly())
+        g = draw(trig_pairs() if isinstance(f, TrigGauged) else radial_pairs())[0]
+        return replace(f, rat=zero), replace(g, rat=zero)
+    i, j = draw(exp_gaps), draw(exp_gaps)
+    if isinstance(f, TrigGauged):
+        lift = ExactPoly([1, -1]) ** i * ExactPoly([1, 1]) ** j
+        return f, TrigGauged(f.a - i, f.b - j, f.rat * lift)
+    return f, RadialGauged(f.c - i, f.s, f.p, f.rat * ExactPoly.x() ** i)
+
+
+@given(equal_pairs())
+@settings(max_examples=80, deadline=None)
+def test_equal_gauged_functions_hash_alike(pair):
+    f, g = pair
+    assert f == g and g == f
+    assert hash(f) == hash(g)
+
+
+@given(st.one_of(any_pairs, gauged_products))
+@settings(max_examples=80, deadline=None)
+def test_gauged_equality_implies_equal_hash(pair):
+    f, g = pair
+    if f == g:
+        assert hash(f) == hash(g)
+    # a non-integer exponent gap leaves an irrational factor
+    half = Fraction(1, 2)
+    shifted = (
+        replace(g, a=g.a + half) if isinstance(g, TrigGauged)
+        else replace(g, c=g.c + half)
+    )
+    assert (f == shifted) == (f.is_zero and shifted.is_zero)
+
+
+def test_gauged_zero_refuses_foreign_operands():
+    one = RationalFn(ExactPoly([1]))
+    trig = TrigGauged(Fraction(3, 4), Fraction(3, 4), RationalFn(0))
+    radial = RadialGauged(Fraction(3, 4), -1, 0, RationalFn(0))
+    for zero, other_family in ((trig, replace(radial, rat=one)),
+                               (radial, replace(trig, rat=one))):
+        for other in (5, Fraction(1, 2), one, other_family,
+                      replace(other_family, rat=RationalFn(0))):
+            with pytest.raises(TypeError, match="mixed gauge families"):
+                zero + other
+            with pytest.raises(TypeError, match="mixed gauge families"):
+                zero - other
+
+
 @given(radial_pairs(), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
 def test_radial_s_and_p_mismatch(pair, shift):

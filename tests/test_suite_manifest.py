@@ -94,7 +94,7 @@ PINNED_ROWS = [
     ("verify.gram", "verify",
      "Gram diagonals positive, off-diagonals at the quadrature floor"),
     ("cli.determinism", "cli",
-     "repeated check runs serialize byte-identically"),
+     "a cold and a warm run of the same checks serialize byte-identically"),
     ("cli.manifest", "cli",
      "manifest covers every required invariant exactly once"),
 ]
