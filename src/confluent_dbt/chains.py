@@ -235,7 +235,7 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float):
     pot_rel = worst(abs(a - vt(x)) for a, x in zip(vm, xs)) / scale
     w_rels = []
     for x, wv in zip(xs, w):
-        ref = -quadrature(lambda t: seed.f(t) ** 2, x_ref, x).value
+        ref = -integral_from_anchor(anchored, x)
         w_rels.append(abs(wv - ref) / max(abs(ref), 1e-30))
     return pot_rel, worst(w_rels)
 

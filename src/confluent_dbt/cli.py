@@ -10,9 +10,14 @@ potential, eigenfunction, or polynomial data for plotting.
 Model parameters (lambda1, omega, chain constants) are exact rationals
 written as `p/q` or an integer; decimal or exponent notation is
 rejected so a parameter is never silently rounded.  Grids are written
-`a:b:n`.  JSON outputs carry a top-level "schema" field and sorted
-keys; CSV cells use 17 significant digits.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage or validation error.
+`a:b:n` with finite endpoints.  JSON outputs carry a top-level "schema"
+field and sorted keys; CSV cells use 17 significant digits.
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or validation
+error.  File inputs (`--params-file`, `--potential-json`,
+`--family-json`) exit 2 too when the file is missing, is not a JSON
+object, or holds a field its flag would refuse; each spec field has one
+parser, whether it comes from a flag, a file or chain `--params`.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from functools import cache
 import numpy as np
 
 from . import chains, classical, isotonic, reports, tdpt, verify
+from .exactalg import RationalFn, pointwise
 
 SCHEMA = 1
 
@@ -71,14 +77,62 @@ _kmax = _int_from(0)
 # the coarse spectrum grid must hold more unknowns than the levels solved for
 _grid_n = _int_from(reports.SPECTRUM_LEVELS + 1)
 
+# The one parser of each spec field, wherever the value comes from: a flag,
+# a key of a params file or of a build JSON's spec, or a position of chain
+# --params.  The spec classes check the ranges of n, N and M.
+_FIELDS = {
+    "n": int,
+    "N": int,
+    "M": int,
+    "lambda1": _rational,
+    "omega": _positive_rational,
+    "kmax": _kmax,
+}
+
+
+def _add_field(p, key, **kwargs):
+    dest = {"N": "big_n", "M": "big_m"}.get(key, key)
+    p.add_argument(f"--{key}", dest=dest, type=_FIELDS[key], **kwargs)
+
+
+@cache
+def _field_parser() -> argparse.ArgumentParser:
+    """Every spec flag, unset by default: the flags of `verify`, and the
+    parser of spec fields read from files and chain --params."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    for key in _FIELDS:
+        _add_field(p, key)
+    return p
+
+
+def _parse_fields(what: str, fields: dict) -> argparse.Namespace:
+    """Parse the spec fields among `fields` as their flags would be; a value
+    a flag refuses makes the input a malformed <what>."""
+    tokens = [f"--{key}={value}" for key, value in fields.items() if key in _FIELDS]
+    try:
+        return _field_parser().parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise ValueError(
+            f"malformed {what}: {exc.argument_name.lstrip('-')}: {exc.message}"
+        ) from None
+
+
+def _items(text: str) -> list:
+    """The nonblank items of a comma separated list."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
 
 def _rational_list(text: str) -> list:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part:
-            out.append(_rational(part))
-    return out
+    return [_rational(part) for part in _items(text)]
+
+
+def _finite_float(text: str) -> float:
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
 def _grid(text: str) -> np.ndarray:
@@ -89,9 +143,41 @@ def _grid(text: str) -> np.ndarray:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid must be a:b:n, got {text!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError(f"grid endpoints must be finite: {text!r}")
     if n < 2 or not a < b:
         raise argparse.ArgumentTypeError(f"degenerate grid: {text!r}")
     return np.linspace(a, b, n)
+
+
+def _load_json(path: str, what: str) -> dict:
+    """The JSON object in a file; anything else is a malformed <what>."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed {what}: expected a JSON object")
+    return data
+
+
+def _load_build(path: str, what: str):
+    """A `tdpt|isotonic build` JSON: (data, family, z-form potential).  The
+    spec must be an object and a z-form a serialised rational function;
+    family and potential are None when the file names neither."""
+    data = _load_json(path, what)
+    if not isinstance(data.get("spec", {}), dict):
+        raise ValueError(f"malformed {what}: spec: expected a JSON object")
+    for key, family in (("z_form", "tdpt"), ("zform_units", "isotonic")):
+        if key in data:
+            try:
+                return data, family, RationalFn.from_json(data[key])
+            except (TypeError, ValueError, KeyError, ZeroDivisionError):
+                raise ValueError(
+                    f"malformed {what}: {key}: not a serialised rational function"
+                ) from None
+    return data, data.get("family"), None
 
 
 # -- output -----------------------------------------------------------------------
@@ -224,25 +310,19 @@ _SPECS = {"tdpt": _tdpt_spec, "isotonic": _iso_spec}
 
 def _chain_setup(args):
     """Seed, base potential and parameter label from --base and --params."""
-    params = args.params
+    keys = ("n", "N", "M") if args.base == "tdpt" else ("n", "N", "omega")
+    if len(args.params) != 3:
+        raise ValueError(f"{args.base} --params must be {','.join(keys)}")
+    p = _parse_fields("chain --params", dict(zip(keys, args.params)))
     if args.base == "tdpt":
-        if len(params) != 3:
-            raise ValueError("tdpt --params must be n,N,M")
-        n, big_n, big_m = (int(p) for p in params)
-        seed, v = chains.tdpt_seed(n, big_n, big_m)
-        return seed, v, {"n": n, "N": big_n, "M": big_m}
-    if len(params) != 3:
-        raise ValueError("isotonic --params must be n,N,omega")
-    n, big_n = int(params[0]), int(params[1])
-    omega = float(params[2])
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    seed, v = chains.isotonic_seed(n, big_n, omega)
-    return seed, v, {"n": n, "N": big_n, "omega": str(params[2])}
+        seed, v = chains.tdpt_seed(p.n, p.big_n, p.big_m)
+        return seed, v, {"n": p.n, "N": p.big_n, "M": p.big_m}
+    seed, v = chains.isotonic_seed(p.n, p.big_n, float(p.omega))
+    return seed, v, {"n": p.n, "N": p.big_n, "omega": str(p.omega)}
 
 
 def _cmd_chain_run(args) -> int:
-    seed, v, _ = _chain_setup(args)
+    seed, v, label = _chain_setup(args)
     xs, x_start = args.grid, args.x_start
     if args.base == "tdpt":
         if xs is None:
@@ -251,7 +331,7 @@ def _cmd_chain_run(args) -> int:
             x_start = math.pi / 2 - 1e-3
     else:
         if xs is None:
-            sqrt_omega = math.sqrt(float(args.params[2]))
+            sqrt_omega = math.sqrt(float(Fraction(label["omega"])))
             xs = np.linspace(0.1 / sqrt_omega, 4.0 / sqrt_omega, 120)
         # anchoring at the left edge keeps every accumulated integral
         # nonnegative, so positive chain constants stay regular
@@ -347,53 +427,22 @@ _PARAMETRIZED = {
 }
 
 
-def _load_params_file(args):
-    if not args.params_file:
-        return
-    try:
-        with open(args.params_file) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"malformed params file: {exc}")
-    if not isinstance(data, dict):
-        raise ValueError("malformed params file: expected a JSON object")
-    for key, attr, parse in (
-        ("n", "n", int),
-        ("N", "big_n", int),
-        ("M", "big_m", int),
-        ("lambda1", "lambda1", _rational),
-        ("omega", "omega", _positive_rational),
-        ("kmax", "kmax", _kmax),
-    ):
-        if key in data and getattr(args, attr, None) is None:
-            try:
-                value = parse(str(data[key]))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"malformed params file: {key}: {exc}")
-            setattr(args, attr, value)
-
-
 def _cmd_verify_spectrum(args) -> int:
     if not args.potential_json or args.levels is None:
         raise ValueError("verify spectrum needs --potential-json and --levels")
-    with open(args.potential_json) as fh:
-        data = json.load(fh)
-    from .exactalg import RationalFn, pointwise
-
-    if "z_form" in data:
-        rat = RationalFn.from_json(data["z_form"])
+    _, family, rat = _load_build(args.potential_json, "potential JSON")
+    if rat is None:
+        raise ValueError(
+            "potential JSON must carry a z_form or zform_units field"
+        )
+    if family == "tdpt":
         v = lambda x: rat(pointwise(math.cos, 2.0 * x))
         lo, hi = verify.tdpt_domain()
-    elif "zform_units" in data:
-        rat = RationalFn.from_json(data["zform_units"])
+    else:
         omega = float(args.omega if args.omega is not None else Fraction(1))
         v = lambda x: omega * rat(omega * x * x / 2.0)
         e_max = 2.0 * args.levels * omega
         lo, hi = verify.isotonic_domain(omega, e_max)
-    else:
-        raise ValueError(
-            "potential JSON must carry a z_form or zform_units field"
-        )
     result = verify.dirichlet_spectrum(v, lo, hi, args.levels, args.grid_n)
     payload = {"schema": SCHEMA, "spectrum": result.to_json()}
     _emit(_json_text(payload), args.out)
@@ -403,34 +452,34 @@ def _cmd_verify_spectrum(args) -> int:
 def _cmd_verify_gram(args) -> int:
     if not args.family_json:
         raise ValueError("verify gram needs --family-json")
-    with open(args.family_json) as fh:
-        data = json.load(fh)
+    what = "family JSON"
+    data, family, _ = _load_build(args.family_json, what)
+    if family not in ("tdpt", "isotonic"):
+        raise ValueError("family JSON must identify a tdpt or isotonic family")
+    # where the file keeps its level numbers, and the spec fields it needs
+    key, container, kind, needed = {
+        "tdpt": ("p_tilde", dict, "a JSON object", ("n", "N", "M", "lambda1")),
+        "isotonic": ("levels", list, "a JSON list", ("n", "N")),
+    }[family]
+    if not isinstance(data.get(key, container()), container):
+        raise ValueError(f"malformed {what}: {key}: expected {kind}")
     spec_data = data.get("spec", {})
-    if "z_form" in data or data.get("family") == "tdpt":
-        spec = tdpt.TdptSpec(
-            int(spec_data["n"]),
-            int(spec_data["N"]),
-            int(spec_data["M"]),
-            Fraction(str(spec_data["lambda1"])),
-        )
-        levels = sorted(int(k) for k in data.get("p_tilde", {})) or list(
-            range(7)
-        )
+    if not set(needed) <= spec_data.keys():
+        raise ValueError(f"malformed {what}: spec needs {', '.join(needed)}")
+    spec = _SPECS[family](_parse_fields(f"{what}: spec", spec_data))
+    levels = [_parse_fields(f"{what}: {key}", {"n": k}).n for k in data.get(key, ())]
+    if family == "tdpt":
+        levels = sorted(levels) or list(range(7))
         fns = [tdpt.eigenfunction(spec, k).eval_x for k in levels]
         lo, hi = verify.tdpt_domain(1e-8)
-    elif "zform_units" in data or data.get("family") == "isotonic":
-        spec = isotonic.IsotonicSpec(int(spec_data["n"]), int(spec_data["N"]))
-        levels = [int(k) for k in data.get("levels", [])] or [
-            k for k in range(6) if k != spec.n
-        ]
+    else:
+        levels = levels or [k for k in range(6) if k != spec.n]
         omega = float(args.omega if args.omega is not None else Fraction(1))
         fns = [
             (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, omega))
             for k in levels
         ]
         lo, hi = 0.0, math.inf
-    else:
-        raise ValueError("family JSON must identify a tdpt or isotonic family")
     vals, results = verify.gram_matrix(fns, lo, hi)
     payload = {
         "schema": SCHEMA,
@@ -464,7 +513,12 @@ def _cmd_verify(args) -> int:
     if selector == "gram":
         return _cmd_verify_gram(args)
 
-    _load_params_file(args)
+    if args.params_file:
+        # a flag given on the command line wins over the file
+        data = _load_json(args.params_file, "params file")
+        for dest, value in vars(_parse_fields("params file", data)).items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
     spec_flags = any(
         getattr(args, a) is not None
         for a in ("n", "big_n", "big_m", "lambda1", "omega")
@@ -570,22 +624,29 @@ def _add_out(p):
 
 
 def _add_isotonic_spec(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", dest="big_n", type=int, required=True)
+    _add_field(p, "n", required=True)
+    _add_field(p, "N", required=True)
 
 
 def _add_tdpt_spec(p):
     _add_isotonic_spec(p)
-    p.add_argument("--M", dest="big_m", type=int, required=True)
-    p.add_argument("--lambda1", type=_rational, required=True)
+    _add_field(p, "M", required=True)
+    _add_field(p, "lambda1", required=True)
 
 
 def _add_verify_args(p, family):
     names = tuple(reports.SPEC_CHECKS[family])
     p.add_argument("--suite", choices=names + ("all",), default="all")
-    p.add_argument("--kmax", type=_kmax, default=reports.KMAX)
+    _add_field(p, "kmax", default=reports.KMAX)
     p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
     _add_out(p)
+
+
+def _add_chain_base(p):
+    p.add_argument("--base", choices=["tdpt", "isotonic"], required=True)
+    p.add_argument(
+        "--params", type=_items, required=True, help="tdpt: n,N,M; isotonic: n,N,omega"
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -623,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsub = p.add_subparsers(dest="subcommand", required=True)
     b = tsub.add_parser("build", help="exact extension data as JSON")
     _add_tdpt_spec(b)
-    b.add_argument("--kmax", type=_kmax, default=4)
+    _add_field(b, "kmax", default=4)
     _add_out(b)
     b.set_defaults(func=_cmd_tdpt_build)
     w = tsub.add_parser("verify", help="per-spec checks")
@@ -632,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(func=_cmd_spec_verify, omega=None)
     t = tsub.add_parser("table", help="sampled CSV table")
     _add_tdpt_spec(t)
-    t.add_argument("--kmax", type=_kmax, default=3)
+    _add_field(t, "kmax", default=3)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
     t.set_defaults(func=_cmd_family_table)
@@ -641,18 +702,18 @@ def build_parser() -> argparse.ArgumentParser:
     isub = p.add_subparsers(dest="subcommand", required=True)
     b = isub.add_parser("build", help="exact extension data as JSON")
     _add_isotonic_spec(b)
-    b.add_argument("--kmax", type=_kmax, default=5)
+    _add_field(b, "kmax", default=5)
     _add_out(b)
     b.set_defaults(func=_cmd_isotonic_build)
     w = isub.add_parser("verify", help="per-spec checks")
     _add_isotonic_spec(w)
-    w.add_argument("--omega", type=_positive_rational, default=Fraction(2))
+    _add_field(w, "omega", default=Fraction(2))
     _add_verify_args(w, "isotonic")
     w.set_defaults(func=_cmd_spec_verify)
     t = isub.add_parser("table", help="sampled CSV table")
     _add_isotonic_spec(t)
-    t.add_argument("--omega", type=_positive_rational, default=Fraction(1))
-    t.add_argument("--kmax", type=_kmax, default=4)
+    _add_field(t, "omega", default=Fraction(1))
+    _add_field(t, "kmax", default=4)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
     t.set_defaults(func=_cmd_family_table)
@@ -660,13 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain", help="numeric transform chains")
     hsub = p.add_subparsers(dest="subcommand", required=True)
     r = hsub.add_parser("run", help="sample an m-step chain as CSV")
-    r.add_argument("--base", choices=["tdpt", "isotonic"], required=True)
-    r.add_argument(
-        "--params",
-        type=_rational_list,
-        required=True,
-        help="tdpt: n,N,M; isotonic: n,N,omega",
-    )
+    _add_chain_base(r)
     r.add_argument("--m", type=int, default=None, help="step count (= constants + 1)")
     r.add_argument(
         "--lambdas",
@@ -675,37 +730,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma separated chain constants",
     )
     r.add_argument("--grid", type=_grid, default=None, metavar="A:B:N")
-    r.add_argument("--x-start", type=float, default=None)
+    r.add_argument("--x-start", type=_finite_float, default=None)
     r.add_argument("--full", action="store_true", help="also emit psi and both routes")
     _add_out(r)
     r.set_defaults(func=_cmd_chain_run)
     c = hsub.add_parser("crosscheck", help="numeric routes against the exact forms")
-    c.add_argument("--base", choices=["tdpt", "isotonic"], required=True)
+    _add_chain_base(c)
     c.add_argument("--which", choices=["two-step", "matveev"], required=True)
-    c.add_argument(
-        "--params",
-        type=_rational_list,
-        required=True,
-        help="tdpt: n,N,M; isotonic: n,N,omega",
-    )
-    c.add_argument("--lambda1", type=_rational, default=None)
+    _add_field(c, "lambda1")
     c.add_argument("--points", type=_int_from(1), default=20)
     _add_out(c)
     c.set_defaults(func=_cmd_chain_crosscheck)
 
-    p = sub.add_parser("verify", help="named checks and numeric oracles")
+    p = sub.add_parser(
+        "verify", parents=[_field_parser()], help="named checks and numeric oracles"
+    )
     p.add_argument(
         "selector",
         nargs="?",
         default="all",
         help="'all', a module, a check id, 'spectrum', or 'gram'",
     )
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--N", dest="big_n", type=int, default=None)
-    p.add_argument("--M", dest="big_m", type=int, default=None)
-    p.add_argument("--lambda1", type=_rational, default=None)
-    p.add_argument("--omega", type=_positive_rational, default=None)
-    p.add_argument("--kmax", type=_kmax, default=None)
     p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
     p.add_argument("--params-file", default=None, help="JSON object of spec flags")
     p.add_argument("--potential-json", default=None, help="build output (spectrum)")
@@ -721,12 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="potential",
     )
     p.add_argument("--family", choices=["tdpt", "isotonic"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", dest="big_n", type=int, required=True)
-    p.add_argument("--M", dest="big_m", type=int, default=None)
-    p.add_argument("--lambda1", type=_rational, default=None)
-    p.add_argument("--omega", type=_positive_rational, default=None)
-    p.add_argument("--kmax", type=_kmax, default=3)
+    _add_isotonic_spec(p)
+    _add_field(p, "M")
+    _add_field(p, "lambda1")
+    _add_field(p, "omega")
+    _add_field(p, "kmax", default=3)
     p.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(p)
     p.set_defaults(func=_cmd_table)

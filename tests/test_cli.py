@@ -109,6 +109,10 @@ def test_negative_rational_option_value(capsys):
      "--kmax", "2", "--suite", "all"],
     ["verify", "tdpt.ortho", "--n", "0", "--N", "1", "--M", "1",
      "--lambda1", "0", "--kmax", "2"],
+    # sampling input must be finite
+    ["isotonic", "table", "--n", "1", "--N", "1", "--x-points", "0.05:inf:4"],
+    ["chain", "run", "--base", "tdpt", "--params", "0,1,1", "--lambdas", "1",
+     "--x-start", "inf"],
 ])
 def test_degenerate_arguments_exit_2(capsys, argv):
     # argparse refuses by raising SystemExit; a refusal after parsing
@@ -120,6 +124,96 @@ def test_degenerate_arguments_exit_2(capsys, argv):
     assert code == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+
+
+_BUILDS = {
+    "tdpt": ["tdpt", "build", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1"],
+    "isotonic": ["isotonic", "build", "--n", "1", "--N", "1"],
+}
+# a command reading each kind of input file; FILE stands for its path
+_READERS = {
+    "params": ["verify", "tdpt.ode", "--params-file", "FILE"],
+    "potential": ["verify", "spectrum", "--levels", "4", "--potential-json", "FILE"],
+    "family": ["verify", "gram", "--family-json", "FILE"],
+}
+
+
+def _edit(**fields):
+    return lambda data: dict(data, **fields)
+
+
+def _edit_spec(**fields):
+    return lambda data: dict(data, spec=dict(data["spec"], **fields))
+
+
+MALFORMED_INPUTS = [
+    # no file, no JSON, and JSON that is not an object
+    *[pytest.param(argv, None, text, id=f"{reader}-{name}")
+      for reader, argv in _READERS.items()
+      for name, text in [("missing", None), ("invalid", "{nope"),
+                         ("list", "[1]"), ("number", "42")]],
+    # each spec field goes through its flag's parser
+    pytest.param(_READERS["params"], None, '{"n": "5/2", "N": 1, "M": 1}',
+                 id="params-n-fraction"),
+    pytest.param(_READERS["params"], None, '{"n": 1.9, "N": 1, "M": 1}',
+                 id="params-n-float"),
+    pytest.param(_READERS["params"], None,
+                 '{"n": 1, "N": 1, "M": 1, "lambda1": "0.5e1"}',
+                 id="params-lambda1-exponent"),
+    pytest.param(_READERS["params"], None, '{"n": 1, "N": 1, "omega": 0}',
+                 id="params-omega-zero"),
+    # the rest of a build JSON is checked at the same boundary
+    pytest.param(_READERS["potential"], "tdpt", _edit(spec=5),
+                 id="potential-spec-number"),
+    pytest.param(_READERS["potential"], "tdpt", _edit(z_form=3),
+                 id="potential-z_form-number"),
+    pytest.param(_READERS["potential"], "isotonic", _edit(zform_units=3),
+                 id="potential-zform_units-number"),
+    pytest.param(_READERS["family"], "tdpt", _edit(spec=5),
+                 id="family-spec-number"),
+    pytest.param(_READERS["family"], "isotonic", _edit(spec=[1]),
+                 id="family-spec-list"),
+    pytest.param(_READERS["family"], "tdpt", _edit_spec(n="5/2"),
+                 id="family-n-fraction"),
+    pytest.param(_READERS["family"], "tdpt", _edit_spec(n=1.9),
+                 id="family-tdpt-n-float"),
+    pytest.param(_READERS["family"], "isotonic", _edit_spec(n=1.9),
+                 id="family-isotonic-n-float"),
+    pytest.param(_READERS["family"], "tdpt", _edit_spec(lambda1="0.5e1"),
+                 id="family-lambda1-exponent"),
+    pytest.param(_READERS["family"], "isotonic", _edit(levels=5),
+                 id="family-levels-number"),
+    pytest.param(_READERS["family"], "isotonic", _edit(levels=[0, 2.5]),
+                 id="family-levels-float"),
+    pytest.param(_READERS["family"], "tdpt", _edit(p_tilde=[1]),
+                 id="family-p_tilde-list"),
+    pytest.param(_READERS["family"], "tdpt", _edit(z_form=3),
+                 id="family-z_form-number"),
+    pytest.param(_READERS["family"], "isotonic", _edit(zform_units=3),
+                 id="family-zform_units-number"),
+    # chain --params positions go through the same parsers
+    pytest.param(["chain", "run", "--base", "tdpt", "--params", "5/2,1,1",
+                  "--lambdas", "1"], None, None, id="chain-run-n-fraction"),
+    pytest.param(["chain", "crosscheck", "--base", "tdpt", "--which",
+                  "two-step", "--params", "5/2,1,1", "--lambda1", "-1"],
+                 None, None, id="chain-crosscheck-n-fraction"),
+    pytest.param(["chain", "run", "--base", "isotonic", "--params", "1,1,0",
+                  "--lambdas", "1"], None, None, id="chain-run-omega-zero"),
+]
+
+
+@pytest.mark.parametrize("argv,build,content", MALFORMED_INPUTS)
+def test_malformed_input_exit_2(capsys, tmp_path, argv, build, content):
+    path = tmp_path / "input.json"
+    if build is not None:
+        assert cli.main(_BUILDS[build] + ["--out", str(path)]) == 0
+        content = json.dumps(content(json.loads(path.read_text())))
+    if content is not None:
+        path.write_text(content)
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err and out == ""
 
 
 def test_params_file_omega_validated(capsys, tmp_path):
@@ -410,6 +504,35 @@ def test_chain_crosscheck_matveev(capsys):
     assert code == 0
     check = data["checks"][0]
     assert check["status"] == "pass"
+
+
+def test_chain_crosscheck_two_step_fails_on_a_shifted_lambda1(capsys, monkeypatch):
+    # negative control: the exact potential at lambda1 - 1 is another extension
+    exact = cli.tdpt.extended_potential
+    monkeypatch.setattr(cli.tdpt, "extended_potential", lambda spec: exact(
+        dataclasses.replace(spec, lambda1=spec.lambda1 - 1)))
+    code, data = run_json(capsys, "chain", "crosscheck", "--base", "tdpt",
+                          "--which", "two-step", "--params", "0,1,1",
+                          "--lambda1", "1")
+    assert code == 1
+    check = data["checks"][0]
+    assert check["status"] == "fail" and check["witness"] != ""
+
+
+def test_chain_crosscheck_matveev_fails_on_a_wrong_energy(capsys, monkeypatch):
+    # negative control: a seed energy off by 1/2 breaks both routes' agreement
+    seed_of = cli.chains.tdpt_seed
+
+    def shifted(*params):
+        seed, v = seed_of(*params)
+        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
+
+    monkeypatch.setattr(cli.chains, "tdpt_seed", shifted)
+    code, data = run_json(capsys, "chain", "crosscheck", "--base", "tdpt",
+                          "--which", "matveev", "--params", "0,1,1")
+    assert code == 1
+    check = data["checks"][0]
+    assert check["status"] == "fail" and check["witness"] != ""
 
 
 def test_chain_crosscheck_matveev_rejects_radial(capsys):
