@@ -314,11 +314,14 @@ def _chain_setup(args):
     if len(args.params) != 3:
         raise ValueError(f"{args.base} --params must be {','.join(keys)}")
     p = _parse_fields("chain --params", dict(zip(keys, args.params)))
+    # the spec validates the fields (a chain takes no lambda1)
     if args.base == "tdpt":
-        seed, v = chains.tdpt_seed(p.n, p.big_n, p.big_m)
-        return seed, v, {"n": p.n, "N": p.big_n, "M": p.big_m}
-    seed, v = chains.isotonic_seed(p.n, p.big_n, float(p.omega))
-    return seed, v, {"n": p.n, "N": p.big_n, "omega": str(p.omega)}
+        spec = tdpt.TdptSpec(p.n, p.big_n, p.big_m, 0)
+        seed, v = chains.tdpt_seed(spec.n, spec.N, spec.M)
+        return seed, v, {"n": spec.n, "N": spec.N, "M": spec.M}
+    spec = isotonic.IsotonicSpec(p.n, p.big_n)
+    seed, v = chains.isotonic_seed(spec.n, spec.N, float(p.omega))
+    return seed, v, {"n": spec.n, "N": spec.N, "omega": str(p.omega)}
 
 
 def _cmd_chain_run(args) -> int:

@@ -10,6 +10,10 @@ takes a float or a numpy array of points and gives the same bits either
 way: Horner runs in one operation order on cached float coefficients, and
 transcendental factors stay on libm (`pointwise`).
 
+A gcd comes from one big-integer gcd of values (GCDHEU), accepted only
+when trial division certifies it, with a primitive remainder sequence as
+the fallback; every `RationalFn` is reduced by it after each operation.
+
 The two gauged families are
 
 * `TrigGauged`:   (1-z)^a (1+z)^b R(z)            with z = cos(2x), 0 < x < pi/2,
@@ -33,10 +37,8 @@ from typing import Sequence
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
 POS_INF = object()
 
-# Primes for the modular coprimality test in `ExactPoly.gcd`, below 2**30
-# so residues stay single-digit ints; the first one dividing neither
-# leading coefficient is used.
-_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723, 1073741719)
+# Evaluation points the heuristic gcd tries before the remainder sequence
+_HEU_TRIES = 6
 
 
 def as_rat(value) -> Fraction:
@@ -126,36 +128,35 @@ def _primitive(a) -> list:
     return a if g == 1 else [c // g for c in a]
 
 
-def _coprime_mod_p(a, b) -> bool:
-    """True when the gcd of a and b reduced modulo a prime dividing neither
-    leading coefficient is constant.  Reduction then keeps both degrees, so
-    a common factor over Q would survive it: True proves a, b coprime over
-    Q.  False decides nothing."""
-    for p in _PRIMES:
-        if a[-1] % p and b[-1] % p:
-            break
-    else:
-        return False
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        inv = pow(b[-1], -1, p)
-        b = [c * inv % p for c in b]
-        nb = len(b) - 1
-        for i in range(len(a) - 1, nb - 1, -1):
-            c = a[i]
-            if c:
-                off = i - nb
-                for j in range(nb):
-                    a[off + j] = (a[off + j] - c * b[j]) % p
-        a = _strip(a[:nb])
-        if not a:
-            return nb == 0
-        if len(a) == 1:
-            return True
-        a, b = b, a
+def _heu_gcd(a, b):
+    """Primitive gcd of the primitive integer lists a, b by GCDHEU (Char,
+    Geddes and Gonnet 1989), or None when every evaluation point fails.
+
+    With xi >= 2 min(|a|, |b|) + 2 (max norms), the primitive part of the
+    balanced base-xi expansion of gcd(a(xi), b(xi)) is the gcd of a and b
+    exactly when it divides both, so an accepted answer is certified."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        h = gcd(_horner_at(a, xi)[0], _horner_at(b, xi)[0])
+        cand = []
+        half = xi // 2
+        while h:
+            c = h % xi
+            if c > half:
+                c -= xi
+            cand.append(c)
+            h = (h - c) // xi
+        cand = _primitive(cand)
+        if len(cand) == 1:
+            return cand
+        if (
+            len(cand) <= min(len(a), len(b))
+            and not any(_pdiv(a, cand)[1])
+            and not any(_pdiv(b, cand)[1])
+        ):
+            return cand
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _horner_at(num, z: Fraction) -> tuple:
@@ -387,15 +388,19 @@ class ExactPoly:
     def gcd(self, other: "ExactPoly") -> "ExactPoly":
         """Monic greatest common divisor.
 
-        Coprimality is settled modulo a prime when it can be; otherwise a
-        primitive polynomial remainder sequence over Z finds the gcd."""
+        The heuristic gcd (`_heu_gcd`) settles it with big-integer gcds of
+        values; when it gives up, a primitive polynomial remainder sequence
+        over Z finds the gcd."""
         if other.is_zero:
             return self.monic()
         if self.is_zero:
             return other.monic()
         a, b = _primitive(list(self._num)), _primitive(list(other._num))
-        if len(a) == 1 or len(b) == 1 or _coprime_mod_p(a, b):
+        if len(a) == 1 or len(b) == 1:
             return ExactPoly.one()
+        g = _heu_gcd(a, b)
+        if g is not None:
+            return ExactPoly._monic_of(g)
         if len(a) < len(b):
             a, b = b, a
         while True:
@@ -405,11 +410,6 @@ class ExactPoly:
             if len(r) == 1:
                 return ExactPoly.one()
             a, b = b, _primitive(r)
-
-    def squarefree_part(self) -> "ExactPoly":
-        if self.degree() <= 0:
-            return self.monic() if not self.is_zero else self
-        return (self // self.gcd(self.derivative())).monic()
 
     # -- calculus ----------------------------------------------------------
 
@@ -470,18 +470,9 @@ class ExactPoly:
 
 
 class RationalFn:
-    """Quotient of two ExactPoly, kept coprime with monic denominator.
+    """Quotient of two ExactPoly, kept coprime with monic denominator."""
 
-    A value can also be *unreduced* (`_unreduced`): num/den as they come,
-    with no gcd and no monic scaling.  That is the fraction field in which
-    `verify.exact_ode_residual` decides its identities.  Arithmetic gives a
-    canonical result only when every operand is canonical, and equality,
-    hashing, evaluation and serialisation canonicalise or cross-multiply
-    first, so an unreduced value never changes what is printed or
-    evaluated.
-    """
-
-    __slots__ = ("num", "den", "_canon")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -505,32 +496,6 @@ class RationalFn:
                 num, den = num * c, den * c
         self.num = num
         self.den = den
-        self._canon = True
-
-    @classmethod
-    def _wrap(cls, num: ExactPoly, den: ExactPoly, canon: bool) -> "RationalFn":
-        """num/den stored as given; `canon` says they are already coprime
-        with den monic.  A zero stays 0/1 in either mode."""
-        out = cls.__new__(cls)
-        out.num = num
-        out.den = den if num else ExactPoly.one()
-        out._canon = canon
-        return out
-
-    def _unreduced(self) -> "RationalFn":
-        """The same value in the unreduced mode."""
-        return RationalFn._wrap(self.num, self.den, False)
-
-    def _canonical(self) -> "RationalFn":
-        """The same value reduced: coprime, monic denominator."""
-        return self if self._canon else RationalFn(self.num, self.den)
-
-    def _result(self, other, num, den) -> "RationalFn":
-        """num/den computed from self and other: canonical only when both
-        operands are."""
-        if self._canon and other._canon:
-            return RationalFn(num, den)
-        return RationalFn._wrap(num, den, False)
 
     # -- queries -----------------------------------------------------------
 
@@ -539,19 +504,16 @@ class RationalFn:
         return self.num.is_zero
 
     def is_polynomial(self) -> bool:
-        return self._canonical().den.degree() == 0
+        return self.den.degree() == 0
 
     def __eq__(self, other) -> bool:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        if self._canon and other._canon:
-            return self.num == other.num and self.den == other.den
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        r = self._canonical()
-        return hash((r.num, r.den))
+        return hash((self.num, self.den))
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
@@ -563,17 +525,18 @@ class RationalFn:
         if other is None:
             return NotImplemented
         if self.den == other.den:
-            return self._result(other, self.num + other.num, self.den)
-        return self._result(
-            other,
-            self.num * other.den + other.num * self.den,
-            self.den * other.den,
+            return RationalFn(self.num + other.num, self.den)
+        return RationalFn(
+            self.num * other.den + other.num * self.den, self.den * other.den
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFn._wrap(-self.num, self.den, self._canon)
+        # negation keeps num and den coprime and den monic: no gcd needed
+        out = RationalFn.__new__(RationalFn)
+        out.num, out.den = -self.num, self.den
+        return out
 
     def __sub__(self, other):
         other = _coerce_rational(other)
@@ -588,7 +551,7 @@ class RationalFn:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return self._result(other, self.num * other.num, self.den * other.den)
+        return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -598,7 +561,7 @@ class RationalFn:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return self._result(other, self.num * other.den, self.den * other.num)
+        return RationalFn(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
         other = _coerce_rational(other)
@@ -607,20 +570,16 @@ class RationalFn:
         return other / self
 
     def derivative(self) -> "RationalFn":
-        return self._result(
-            self,
+        return RationalFn(
             self.num.derivative() * self.den - self.num * self.den.derivative(),
             self.den * self.den,
         )
 
     def __call__(self, z):
-        if not self._canon:
-            return self._canonical()(z)
         return self.num(z) / self.den(z)
 
     def to_json(self) -> dict:
-        r = self._canonical()
-        return {"num": r.num.to_json(), "den": r.den.to_json()}
+        return {"num": self.num.to_json(), "den": self.den.to_json()}
 
     @staticmethod
     def from_json(obj: dict) -> "RationalFn":

@@ -156,6 +156,14 @@ def _check_exactalg_sturm():
     return True, {"cases": 20, "max_degree": 12}, "counts match constructions"
 
 
+def _coprime(a: ExactPoly, b: ExactPoly) -> bool:
+    """Coprimality by Euclid's algorithm over Q, a route independent of
+    `ExactPoly.gcd`."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.degree() == 0
+
+
 @_check(
     "exactalg.coprime",
     "rational-function arithmetic keeps numerator and denominator coprime",
@@ -165,10 +173,11 @@ def _check_exactalg_coprime():
     for i in range(20):
         f = RationalFn(_rand_poly(rng, 4), _rand_poly(rng, 3) + 1)
         g = RationalFn(_rand_poly(rng, 3), _rand_poly(rng, 4) + 1)
-        for h in (f + g, f * g, f - g):
+        # f * f.den must cancel f's whole denominator
+        for h in (f + g, f * g, f - g, f * f.den):
             if h.num.is_zero:
                 continue
-            if h.num.gcd(h.den).degree() != 0:
+            if not _coprime(h.num, h.den):
                 return False, {"cases": 20}, f"common factor survives at case {i}"
             if h.den.lc() != 1:
                 return False, {"cases": 20}, f"denominator not monic at case {i}"

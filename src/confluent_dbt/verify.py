@@ -19,7 +19,7 @@ successive Gram matrices agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,22 +39,17 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     (V(x) = w * v_zform(z), E = w * energy), which cancels from the
     statement.  The identity holds iff the returned object `.is_zero`.
 
-    The residual is decided in the fraction field: the eigenfunction's
-    rational part and the potential are lifted to unreduced `RationalFn`
-    values, so no intermediate pays a gcd.  The returned object is
-    canonical all the same: a zero numerator is the canonical zero, and a
-    nonzero result is reduced once, to what canonical arithmetic gives.
+    The arithmetic is the canonical `RationalFn` arithmetic, so the
+    residual comes back reduced, a zero one as the canonical zero.
     """
     if not isinstance(f, (TrigGauged, RadialGauged)):
         raise TypeError("eigenfunction must be a gauged function")
-    psi = replace(f, rat=f.rat._unreduced())
     e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
-    gap = e - v_zform._unreduced()  # E - V
-    if isinstance(psi, RadialGauged):
+    gap = e - v_zform  # E - V
+    if isinstance(f, RadialGauged):
         # (E - V) psi = w g psi = (sqrt(2w))^2 (g/2) psi
         gap = RadialGauged(Fraction(0), 0, 2, gap * Fraction(1, 2))
-    res = psi.d_dx().d_dx() + psi * gap
-    return replace(res, rat=res.rat._canonical())
+    return f.d_dx().d_dx() + f * gap
 
 
 # -- quadrature ---------------------------------------------------------------

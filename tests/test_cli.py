@@ -146,6 +146,18 @@ def _edit_spec(**fields):
     return lambda data: dict(data, spec=dict(data["spec"], **fields))
 
 
+# a negative level in chain --params, refused by the spec it belongs to
+NEGATIVE_LEVEL_CHAINS = {
+    "chain-run-tdpt-n-negative":
+        ["chain", "run", "--base", "tdpt", "--params", "-1,1,1", "--lambdas", "1"],
+    "chain-run-isotonic-n-negative":
+        ["chain", "run", "--base", "isotonic", "--params", "-1,1,1",
+         "--lambdas", "1"],
+    "chain-crosscheck-n-negative":
+        ["chain", "crosscheck", "--base", "tdpt", "--which", "matveev",
+         "--params", "-1,1,1"],
+}
+
 MALFORMED_INPUTS = [
     # no file, no JSON, and JSON that is not an object
     *[pytest.param(argv, None, text, id=f"{reader}-{name}")
@@ -199,6 +211,8 @@ MALFORMED_INPUTS = [
                  None, None, id="chain-crosscheck-n-fraction"),
     pytest.param(["chain", "run", "--base", "isotonic", "--params", "1,1,0",
                   "--lambdas", "1"], None, None, id="chain-run-omega-zero"),
+    *(pytest.param(argv, None, None, id=name)
+      for name, argv in NEGATIVE_LEVEL_CHAINS.items()),
 ]
 
 
@@ -214,6 +228,8 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, build, content):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err and out == ""
+    if argv in NEGATIVE_LEVEL_CHAINS.values():
+        assert err == "error: level n must be >= 0\n"
 
 
 def test_params_file_omega_validated(capsys, tmp_path):

@@ -6,9 +6,9 @@ checks the Jacobi and Laguerre bases against sympy's own, and both
 cumulative-norm polynomials Q against sympy's integral and ODE solution,
 and the eigenfunctions against their Schroedinger equations at 40 digits
 with mpmath (a sympy dependency).  The gcd tests cover both routes
-of `ExactPoly.gcd`: coprimality settled modulo a prime, and the primitive
-remainder sequence over Z that runs when a common factor (or an unlucky
-prime) leaves a nonconstant gcd modulo that prime.
+of `ExactPoly.gcd`: the heuristic gcd from integer values, and the primitive
+remainder sequence over Z it falls back to, run alone under a heuristic
+that always gives up.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,7 @@ X = sympy.Symbol("x")
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+root_values = st.integers(min_value=-12, max_value=12).map(lambda k: Fraction(k, 4))
 
 
 def polys(max_deg=7, coeffs=rationals):
@@ -71,11 +73,16 @@ def from_sympy(poly) -> ExactPoly:
     )
 
 
-def route_is_modular(p: ExactPoly, q: ExactPoly) -> bool:
-    """Whether `p.gcd(q)` settles coprimality modulo a prime."""
-    a = exactalg._primitive(list(p._num))
-    b = exactalg._primitive(list(q._num))
-    return exactalg._coprime_mod_p(a, b)
+def gcd_without_heuristic(p: ExactPoly, q: ExactPoly) -> ExactPoly:
+    """`p.gcd(q)` with a heuristic that always gives up: the remainder
+    sequence alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_heu_gcd", lambda a, b: None)
+        return p.gcd(q)
+
+
+def sympy_gcd(p: ExactPoly, q: ExactPoly) -> ExactPoly:
+    return from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)).monic())
 
 
 # -- arithmetic ------------------------------------------------------------------
@@ -103,7 +110,7 @@ def test_exact_evaluation_and_calculus_match_sympy(p, z):
     assert p.antiderivative() == from_sympy(sp.integrate(X))
 
 
-# -- gcd: both routes --------------------------------------------------------------
+# -- gcd: the heuristic and its fallback --------------------------------------------
 
 
 @given(polys(), polys())
@@ -114,36 +121,85 @@ def test_gcd_matches_sympy(p, q):
     assert p.gcd(q) == from_sympy(sympy.gcd(to_sympy(p), to_sympy(q)).monic())
 
 
-@given(polys(4, small_rationals), polys(4, small_rationals), nonconstant(),
-       st.integers(min_value=1, max_value=3))
+@given(polys(), polys())
 @settings(max_examples=60, deadline=None)
-def test_gcd_common_factor_takes_prs_route(p, q, f, k):
+def test_gcd_fallback_matches_sympy(p, q):
+    if p.is_zero and q.is_zero:
+        return
+    assert gcd_without_heuristic(p, q) == sympy_gcd(p, q)
+
+
+# integer contents and negative rational scalings
+scales = st.one_of(
+    st.integers(min_value=1, max_value=10**12),
+    st.fractions(max_value=-Fraction(1, 10**6), max_denominator=10**6),
+)
+
+
+@given(polys(4, small_rationals), polys(4, small_rationals), nonconstant(),
+       st.integers(min_value=1, max_value=3), scales, scales)
+@settings(max_examples=60, deadline=None)
+def test_gcd_of_planted_common_factor_matches_sympy(p, q, f, k, s, t):
     if p.is_zero or q.is_zero:
         return
-    a, b = p * f**k, q * f**k
-    assert not route_is_modular(a, b)
-    want = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
-    assert a.gcd(b) == from_sympy(want)
-    assert (a // a.gcd(b)) * a.gcd(b) == a
+    a, b = p * f**k * s, q * f**k * t
+    want = sympy_gcd(a, b)
+    assert want.degree() >= k * f.degree()
+    for g in (a.gcd(b), gcd_without_heuristic(a, b)):
+        assert g == want
+        assert (a // g) * g == a and (b // g) * g == b
+
+
+@given(polys(5, small_rationals), polys(5, small_rationals), nonconstant())
+@settings(max_examples=60, deadline=None)
+def test_heuristic_answer_is_the_gcd(p, q, f):
+    # an answer of the heuristic alone is certified: it is the gcd
+    a, b = p * f, q * f
+    if a.degree() < 1 or b.degree() < 1:
+        return
+    g = exactalg._heu_gcd(
+        exactalg._primitive(list(a._num)), exactalg._primitive(list(b._num))
+    )
+    if g is not None:
+        assert ExactPoly._monic_of(g) == sympy_gcd(a, b)
+
+
+@st.composite
+def coprime_pairs(draw):
+    """Scaled products of linear factors at disjoint sets of rational
+    roots, the first also times a rootless quadratic."""
+    roots = draw(st.lists(root_values, min_size=2, max_size=8, unique=True))
+    cut = draw(st.integers(1, len(roots) - 1))
+    a = ExactPoly([draw(scales)])
+    b = ExactPoly([draw(scales)])
+    for r in roots[:cut]:
+        a = a * ExactPoly([-r, 1])
+    for r in roots[cut:]:
+        b = b * ExactPoly([-r, 1])
+    return a * ExactPoly([draw(st.integers(1, 9)), 0, 1]), b
+
+
+@given(coprime_pairs())
+@settings(max_examples=60, deadline=None)
+def test_gcd_of_coprime_pairs_is_one(pair):
+    a, b = pair
+    assert sympy_gcd(a, b) == ExactPoly.one()
+    assert a.gcd(b) == gcd_without_heuristic(a, b) == ExactPoly.one()
 
 
 def test_gcd_routes_on_coprime_pairs():
     z = ExactPoly.x()
-    prime = exactalg._PRIMES[0]
-    # modular route: coprime mod the first prime
-    a, b = z * z + 1, z + Fraction(1, 3)
-    assert route_is_modular(a, b)
-    assert a.gcd(b) == ExactPoly.one()
-    # the first prime divides a leading coefficient: the next prime decides
-    a, b = z * prime + 1, z + 1
-    assert route_is_modular(a, b)
-    assert a.gcd(b) == ExactPoly.one()
-    # unlucky prime: z + prime and z share the root 0 mod prime only, so
-    # the modular test decides nothing and the Z remainder sequence must
-    # still find the trivial gcd
-    a, b = z + prime, z * (z - 2)
-    assert not route_is_modular(a, b)
-    assert a.gcd(b) == ExactPoly.one()
+    prime = 1073741789
+    pairs = [
+        (z * z + 1, z + Fraction(1, 3)),
+        (z * prime + 1, z + 1),
+        # z + prime and z (z - 2) share the root 0 modulo the prime only:
+        # a gcd taken modulo that prime would not be constant
+        (z + prime, z * (z - 2)),
+    ]
+    for a, b in pairs:
+        assert a.gcd(b) == ExactPoly.one()
+        assert gcd_without_heuristic(a, b) == ExactPoly.one()
 
 
 @pytest.mark.parametrize("n,N,M,lam", [
@@ -158,10 +214,8 @@ def test_gcd_of_denominator_powers(n, N, M, lam):
     p = jacobi(n, N, M)
     a = d**3 * p * ExactPoly([1, -1]) ** N
     b = d**2 * (p.derivative() + d) * ExactPoly([1, 1]) ** M
-    assert not route_is_modular(a, b)
-    want = sympy.gcd(to_sympy(a), to_sympy(b)).monic()
     g = a.gcd(b)
-    assert g == from_sympy(want)
+    assert g == sympy_gcd(a, b)
     assert g.degree() >= 2 * d.degree()
     r = RationalFn(a, b)
     num, den = sympy.cancel(to_sympy(a).as_expr() / to_sympy(b).as_expr()).as_numer_denom()
@@ -172,9 +226,6 @@ def test_gcd_of_denominator_powers(n, N, M, lam):
 
 
 # -- squarefree part, Sturm counting and isolation ----------------------------------
-
-
-root_values = st.integers(min_value=-12, max_value=12).map(lambda k: Fraction(k, 4))
 
 
 @st.composite
@@ -196,7 +247,8 @@ def rooted_polys(draw):
 @settings(deadline=None)
 def test_squarefree_part_matches_sympy(case):
     p, _ = case
-    assert p.squarefree_part() == from_sympy(to_sympy(p).sqf_part().monic())
+    sqf = from_sympy(to_sympy(p).sqf_part().monic())
+    assert exactalg._sturm_data(p)[0] == sqf
 
 
 def sympy_open_count(sp, lo, hi):
@@ -389,21 +441,47 @@ def test_isotonic_eigenfunctions_solve_the_extension_at_40_digits(seed):
             assert min(relative_residuals(psi, v, energy + 1, xs)) > 1e-6
 
 
-# -- the residual in the fraction field against canonical arithmetic --------------
+# -- the exact residual against sympy in the z variable -----------------------------
+
+FIELD, Z = sympy.field("z", sympy.QQ)  # sympy's own field Q(z)
 
 
-def canonical_residual(f, v, energy):
-    """psi'' + (E - V) psi with every intermediate reduced: the route
-    `verify.exact_ode_residual` takes without gcds."""
-    gap = RationalFn(energy) - v
+def field_value(r: RationalFn):
+    def poly(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * Z**i
+             for i, c in enumerate(p.coeffs)),
+            FIELD(0),
+        )
+
+    return poly(r.num) / poly(r.den)
+
+
+def sympy_residual(f, v, energy):
+    """psi'' + (E - V) psi over the gauge G of f, derived in Q(z) by sympy.
+
+    With psi = G r and L = G'/G: psi' = G (r' + L r) and
+    psi'' = G (r'' + 2 L r' + (L' + L^2) r) in z.  For z = cos 2x,
+    d^2/dx^2 = 4 (1 - z^2) d^2/dz^2 - 4 z d/dz.  For z = w x^2 / 2, with V
+    and E in units of w, d^2/dx^2 = 2w (z d^2/dz^2 + (1/2) d/dz), and the
+    result is taken over 2w G."""
+    r = field_value(f.rat)
+    gap = sympy.Rational(str(energy)) - field_value(v)
     if isinstance(f, TrigGauged):
-        return f.d_dx().d_dx() + f * gap
-    g = gap * Fraction(1, 2)
-    return f.d_dx().d_dx() + RadialGauged(f.c, f.s, f.p + 2, f.rat * g)
+        a, b = sympy.Rational(str(f.a)), sympy.Rational(str(f.b))
+        L = -a / (1 - Z) + b / (1 + Z)
+    else:
+        L = sympy.Rational(str(f.c)) / Z + sympy.Rational(f.s, 2)
+    r1 = r.diff(Z)
+    d1 = r1 + L * r
+    d2 = r1.diff(Z) + 2 * L * r1 + (L.diff(Z) + L**2) * r
+    if isinstance(f, TrigGauged):
+        return 4 * (1 - Z**2) * d2 - 4 * Z * d1 + gap * r
+    return Z * d2 + d1 / 2 + gap * r / 2
 
 
 def stored(r: RationalFn) -> tuple:
-    return r._canon, r.num, r.den
+    return r.num, r.den
 
 
 VARIANTS = ("true", "energy+1", "gauge+1", "potential")
@@ -446,19 +524,22 @@ def isotonic_cases(draw):
 
 @given(st.one_of(tdpt_cases(), isotonic_cases()), st.sampled_from(VARIANTS))
 @settings(max_examples=60, deadline=None)
-def test_fraction_field_residual_matches_canonical_route(case, variant):
+def test_ode_residual_matches_sympy(case, variant):
     f, v, energy = vary(variant, *case)
-    fast = verify.exact_ode_residual(f, v, energy)
-    slow = canonical_residual(f, v, energy)
-    assert fast.is_zero == slow.is_zero == (variant == "true")
-    assert fast == slow
-    # the same object, not only the same value: gauge and stored form
-    assert type(fast) is type(slow)
-    if isinstance(fast, TrigGauged):
-        assert (fast.a, fast.b) == (slow.a, slow.b)
+    res = verify.exact_ode_residual(f, v, energy)
+    assert type(res) is type(f)
+    assert res.is_zero == (variant == "true")
+    # the residual sits two half powers below f's gauge
+    if isinstance(f, TrigGauged):
+        assert (res.a, res.b) == (f.a - 1, f.b - 1)
+        lift = 1 / ((1 - Z) * (1 + Z))
     else:
-        assert (fast.c, fast.s, fast.p) == (slow.c, slow.s, slow.p)
-    assert stored(fast.rat) == stored(slow.rat)
+        assert (res.c, res.s, res.p) == (f.c - 1, f.s, f.p + 2)
+        lift = 1 / Z
+    assert field_value(res.rat) * lift == sympy_residual(f, v, energy)
+    # the stored form is reduced
+    assert res.rat.den.lc() == 1
+    assert sympy.gcd(to_sympy(res.rat.num), to_sympy(res.rat.den)).degree() <= 0
 
 
 def sympy_value(r: RationalFn):
@@ -466,7 +547,6 @@ def sympy_value(r: RationalFn):
 
 
 def assert_canonical(r: RationalFn, value):
-    assert r._canon
     assert r.den.lc() == 1
     assert sympy.gcd(to_sympy(r.num), to_sympy(r.den)).degree() == 0
     assert sympy.cancel(sympy_value(r) - value) == 0
@@ -493,13 +573,6 @@ def test_canonical_arithmetic_stays_reduced(p, d, q, s):
     for r, value in results:
         assert_canonical(r, value)
     assert stored(a + b) == stored(RationalFn(q))
-    # the same arithmetic in the unreduced mode reduces to the same objects
-    ua, ub, uc = a._unreduced(), b._unreduced(), c._unreduced()
-    for r, u in [(a + b, ua + b), (a + c, a + uc), (a * c, ua * uc),
-                 (-a, -ua), (a.derivative(), ua.derivative()), (b - a, ub - a)]:
-        assert not u._canon
-        assert u == r and r == u and hash(u) == hash(r)
-        assert stored(u._canonical()) == stored(r)
 
 
 def test_equal_denominator_sum_reduces():
@@ -508,31 +581,42 @@ def test_equal_denominator_sum_reduces():
     b = RationalFn(ExactPoly([-1, 1]), d)
     assert a.den == b.den == d
     assert stored(a + b) == stored(RationalFn(ExactPoly([1]), ExactPoly([1, 1])))
-    assert stored(a._unreduced() + b) == (False, ExactPoly([0, 1]), d)
 
 
 # -- pinned CLI output -------------------------------------------------------------
 
-# sha256 of the full stdout, recorded with the Fraction-coefficient core;
-# any change to a coefficient string changes the digest
+# sha256 of the full stdout with elapsed_ms zeroed: the first two recorded
+# with the Fraction-coefficient core, the rest, at degrees beyond the
+# benchmark pool's where the heuristic gcd meets large coefficients, with
+# the modular coprimality test and remainder sequence it replaced; any
+# change to a coefficient string changes the digest
 PINNED_BUILDS = [
     (["tdpt", "build", "--n", "3", "--N", "1", "--M", "2", "--lambda1", "-3/2",
       "--kmax", "4"],
      "ac20d5f860468da86b6175c98b18ad14597358292cc0cf93882676a1422ac420"),
     (["isotonic", "build", "--n", "3", "--N", "2", "--kmax", "5"],
      "2b81e42fa0a545ea090e13fba946125631fd1eacbdc51a6e212ac339efb9cca6"),
+    (["tdpt", "build", "--n", "12", "--N", "1", "--M", "3", "--lambda1=-7/3",
+      "--kmax", "4"],
+     "be083624b52bc1d73b539712d2cd4b4c97d107213e84ab729aaa5144379f2b46"),
+    (["isotonic", "build", "--n", "10", "--N", "3", "--kmax", "6"],
+     "c7abbba2894786c8afea03ff167955df1ea269832100209b3990c650f6651233"),
+    (["tdpt", "verify", "--suite", "ode", "--N", "3", "--M", "2", "--lambda1",
+      "1", "--kmax", "6", "--n", "10"],
+     "62e81d606b6427a1da553a1cbb7374454e7c81c27b69f7c5a16b842c6f2afbe8"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_BUILDS)
 def test_build_coefficient_strings_pinned(capsys, argv, digest):
     assert cli.main(argv) == 0
-    out = capsys.readouterr().out
+    out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', capsys.readouterr().out)
     data = json.loads(out)
-    if data["family"] == "tdpt":
-        assert data["threshold"] == "8/15"
-        assert data["denominator"]["coeffs"][:2] == [["-427", "240"], ["-1", "8"]]
-    else:
-        assert data["q_at_zero"] == "-20"
-        assert data["q"]["coeffs"][:2] == [["-20", "1"], ["-20", "1"]]
+    if data["spec"]["n"] == 3:  # the two builds at the pool's degrees
+        if data["family"] == "tdpt":
+            assert data["threshold"] == "8/15"
+            assert data["denominator"]["coeffs"][:2] == [["-427", "240"], ["-1", "8"]]
+        else:
+            assert data["q_at_zero"] == "-20"
+            assert data["q"]["coeffs"][:2] == [["-20", "1"], ["-20", "1"]]
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from confluent_dbt import isotonic, reports, tdpt, verify
+from confluent_dbt import exactalg, isotonic, reports, tdpt, verify
 
 
 REQUIRED = set(reports.REQUIRED_INVARIANTS)
@@ -263,3 +263,32 @@ def test_classical_orthogonality_fails_on_an_unconverged_rule(monkeypatch):
     report = reports.run_check("classical.orthogonality")
     assert report.status == "fail"
     assert report.witness == "off-diagonal mass nan"
+
+
+# -- negative controls of the exact checks that the gcd decides -------------------
+
+
+def test_coprime_check_fails_when_gcd_finds_no_common_factor(monkeypatch):
+    monkeypatch.setattr(
+        exactalg.ExactPoly, "gcd", lambda self, other: exactalg.ExactPoly.one()
+    )
+    assert_fails_with_witness(reports._check_exactalg_coprime())
+
+
+def test_tdpt_ode_fails_on_the_potential_at_lambda1_minus_one(monkeypatch):
+    real = tdpt.extended_potential
+    monkeypatch.setattr(
+        tdpt, "extended_potential",
+        lambda spec: real(dataclasses.replace(spec, lambda1=spec.lambda1 - 1)),
+    )
+    assert_fails_with_witness(reports._tdpt_ode(SPEC, 3, reports.GRID_N, None))
+
+
+def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
+    real = isotonic.extended_potential
+    monkeypatch.setattr(
+        isotonic, "extended_potential",
+        lambda spec: real(dataclasses.replace(spec, N=spec.N + 1)),
+    )
+    spec = isotonic.IsotonicSpec(1, 1)
+    assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
