@@ -1,9 +1,10 @@
 """Numeric two-step confluent transformations for arbitrary seeds.
 
-Everything here works on plain callables and floats: the seed state, its
-cumulative norm integral, the transformed potential and states.  The exact
-z-form layers (tdpt, isotonic) never call into this module; agreement
-between the two routes is checked in the test-suite, not assumed.
+Everything here is a plain callable of a float or a 1-D array of points,
+evaluated once per array of samples: the seed state, its cumulative norm
+integral, the transformed potential and states.  The exact z-form layers
+(tdpt, isotonic) never call into this module; agreement between the two
+routes is checked in the test-suite, not assumed.
 
 Conventions.  A one-step transform at the seed energy E sends
 V -> 2E - V + 2 (psi'/psi)^2 and g -> W(psi, g)/psi.  Running a second
@@ -15,7 +16,8 @@ from the anchor, composes to
 
 which is what `confluent_two_step` evaluates.  The same potential arises
 from the E-derivative Wronskian W(psi, d_E psi); `matveev_potential`
-rebuilds it that way, independently, from re-solved Cauchy problems.
+rebuilds it that way, independently, from one Cauchy solve at the three
+energies E and E +- h.
 """
 
 from __future__ import annotations
@@ -75,11 +77,23 @@ def isotonic_seed(n: int, N: int, omega: float):
     return seed, lambda x: base.v(x, omega)
 
 
-def integral_from_anchor(seed: SeedFunction, x: float) -> float:
-    """Cumulative norm int_{x0}^{x} f(t)^2 dt (adaptive quadrature)."""
-    if seed.x0 == math.inf:
-        return -quadrature(lambda t: seed.f(t) ** 2, x, math.inf).value
-    return quadrature(lambda t: seed.f(t) ** 2, seed.x0, x).value
+def integral_from_anchor(seed: SeedFunction, x):
+    """Cumulative norm int_{x0}^{x} f(t)^2 dt at a float or a 1-D array:
+    on each side of x0, one adaptive quadrature per gap between the sorted
+    distinct points walked outward, then a running sum.  The first gap
+    (possibly reversed or infinite) is the direct integral.  NaN gives NaN."""
+
+    def square(t):
+        return seed.f(t) ** 2
+
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.full_like(pts, math.nan)
+    for side, step in ((pts < seed.x0, -1), (pts >= seed.x0, 1)):
+        knots, back = np.unique(pts[side], return_inverse=True)
+        edges = np.concatenate(([seed.x0], knots[::step]))
+        gaps = [quadrature(square, a, b).value for a, b in zip(edges, edges[1:])]
+        out[side] = np.cumsum(gaps)[::step][back]
+    return out if np.ndim(x) else float(out[0])
 
 
 def dbt_apply(seed: SeedFunction, v):
@@ -157,21 +171,14 @@ def _integrate(rhs, x_start, y0, xs):
     """Integrate y' = rhs(t, y) from x_start towards both ends of xs and
     return y sampled at xs, one row per component.  A stalled solver
     raises ValueError."""
-    lo, hi = min(xs.min(), x_start), max(xs.max(), x_start)
     out = np.zeros((len(y0), len(xs)))
-    for sign, stop in ((-1, lo), (+1, hi)):
-        sel = (xs < x_start) if sign < 0 else (xs >= x_start)
-        if not np.any(sel) or stop == x_start:
-            if np.any(sel):
-                out[:, sel] = np.asarray(y0, dtype=float)[:, None]
+    for sel, stop in ((xs < x_start, xs.min()), (xs >= x_start, xs.max())):
+        if stop == x_start or not np.any(sel):
+            # nothing to reach on this side, or every point sits at x_start
+            out[:, sel] = np.asarray(y0, dtype=float)[:, None]
             continue
         sol = scipy.integrate.solve_ivp(
-            rhs,
-            (x_start, stop),
-            y0,
-            method="DOP853",
-            rtol=1e-11,
-            atol=1e-13,
+            rhs, (x_start, stop), y0, method="DOP853", rtol=1e-11, atol=1e-13,
             dense_output=True,
         )
         if not sol.success:
@@ -184,8 +191,10 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float):
     """Two-step potential via the limit Wronskian W(psi, d_E psi).
 
     psi is re-solved from the seed's Cauchy data at x_ref for energies
-    E and E +- h, so d_E psi (central difference) vanishes at x_ref along
-    with its derivative; then W' = -psi^2, and
+    E and E +- h, as one system so that the three solutions share their
+    steps and the truncation errors cancel in the central difference
+    (internal numerical differentiation, Bock 1981).  d_E psi then
+    vanishes at x_ref along with its derivative; so W' = -psi^2, and
 
         V_M = V - 2 ((-2 psi psi') W - psi^4) / W^2.
 
@@ -198,17 +207,14 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float):
     # truncation grows as h^2, solver noise as 1/h; the crossover sits
     # near 1e-3 at unit energy scale
     h = 1e-3 * (1.0 + abs(e))
-    y0 = [seed.f(x_ref), seed.df(x_ref)]
-
-    def solve(energy):
-        # -y'' + v y = energy y as a first-order system
-        return _integrate(
-            lambda t, y: [y[1], (v(t) - energy) * y[0]], x_ref, y0, xs
-        )
-
-    psi, dpsi = solve(e)
-    psi_p, dpsi_p = solve(e + h)
-    psi_m, dpsi_m = solve(e - h)
+    energies = np.array([e, e + h, e - h])
+    # y = [psi at the three energies, then their derivatives]:
+    # -y'' + v y = energy y as a first-order system
+    y0 = [seed.f(x_ref)] * 3 + [seed.df(x_ref)] * 3
+    psi, psi_p, psi_m, dpsi, dpsi_p, dpsi_m = _integrate(
+        lambda t, y: np.concatenate((y[3:], (v(t) - energies) * y[:3])),
+        x_ref, y0, xs,
+    )
     de_psi = (psi_p - psi_m) / (2.0 * h)
     de_dpsi = (dpsi_p - dpsi_m) / (2.0 * h)
     w = psi * de_dpsi - dpsi * de_psi
@@ -232,12 +238,9 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float):
     vt, _ = confluent_two_step(anchored, v, 0.0)
     vm, w = matveev_potential(seed, v, xs, x_ref)
     scale = max(1.0, float(np.max(np.abs(vm))))
-    pot_rel = worst(abs(a - vt(x)) for a, x in zip(vm, xs)) / scale
-    w_rels = []
-    for x, wv in zip(xs, w):
-        ref = -integral_from_anchor(anchored, x)
-        w_rels.append(abs(wv - ref) / max(abs(ref), 1e-30))
-    return pot_rel, worst(w_rels)
+    pot_rel = worst(np.abs(vm - vt(xs))) / scale
+    ref = -integral_from_anchor(anchored, xs)
+    return pot_rel, worst(np.abs(w - ref) / np.maximum(np.abs(ref), 1e-30))
 
 
 # -- iterated confluent chains ---------------------------------------------------
@@ -299,7 +302,9 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
 
     # regularity screen: the seed and every transform denominator must
     # keep one sign on the sampled grid (numeric stand-in for the exact
-    # certificates, which only exist in the closed-form layers)
+    # certificates, which only exist in the closed-form layers).  I_k is
+    # monotone (I_k' = Psi^2), so a zero of lambda_k + I_k anywhere in the
+    # sampled span shows as a sign change, even between two samples
     screened = [("seed", psi)] + [
         (f"constant {j + 1}", lambdas[j] + integrals[j]) for j in range(levels)
     ]

@@ -332,6 +332,7 @@ def _cmd_chain_run(args) -> int:
             xs = _grid("0.05:1.52:120")
         if x_start is None:
             x_start = math.pi / 2 - 1e-3
+        hi, domain = math.pi / 2, "0 < x < pi/2"
     else:
         if xs is None:
             sqrt_omega = math.sqrt(float(Fraction(label["omega"])))
@@ -340,6 +341,11 @@ def _cmd_chain_run(args) -> int:
         # nonnegative, so positive chain constants stay regular
         if x_start is None:
             x_start = float(xs[0])
+        hi, domain = math.inf, "x > 0"
+    if not (xs[0] > 0.0 and xs[-1] < hi):
+        raise ValueError(f"{args.base} chain points must lie inside {domain}")
+    if not 0.0 < x_start < hi:
+        raise ValueError(f"{args.base} chain --x-start must lie inside {domain}")
     lambdas = [float(c) for c in args.lambdas]
     if args.m is not None and args.m != len(lambdas) + 1:
         raise ValueError(
@@ -372,9 +378,7 @@ def _cmd_chain_crosscheck(args) -> int:
         lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
         if args.base == "tdpt":
             spec = tdpt.TdptSpec(label["n"], label["N"], label["M"], lam)
-            pot = tdpt.extended_potential(spec)
-            exact = pot.v
-            vt, _t = chains.confluent_two_step(seed, v, float(lam))
+            exact = tdpt.extended_potential(spec).v
             pts = np.linspace(0.15, math.pi / 2 - 0.15, args.points)
             params = dict(spec.as_dict(), points=args.points)
         else:
@@ -387,14 +391,15 @@ def _cmd_chain_crosscheck(args) -> int:
             omega = float(Fraction(label["omega"]))
             pot = isotonic.extended_potential(spec)
             exact = lambda x: pot.v(x, omega)
-            vt, _t = chains.confluent_two_step(seed, v, 0.0)
             lo, hi = 0.3 / math.sqrt(omega), 3.5 / math.sqrt(omega)
             pts = np.linspace(lo, hi, args.points)
             params = dict(spec.as_dict(), omega=label["omega"], points=args.points)
+        vt, _t = chains.confluent_two_step(seed, v, float(lam))
 
         def body():
-            scale = max(1.0, verify.worst(abs(exact(x)) for x in pts))
-            worst = verify.worst(abs(vt(x) - exact(x)) for x in pts) / scale
+            ex = exact(pts)
+            scale = max(1.0, verify.worst(np.abs(ex)))
+            worst = verify.worst(np.abs(vt(pts) - ex)) / scale
             p = dict(params, tolerance=1e-9)
             return worst < 1e-9, p, (
                 f"max relative deviation from the exact form {reports._fmt(worst)}"

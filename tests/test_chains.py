@@ -45,6 +45,29 @@ def test_cumulative_integral_matches_exact_polynomial():
     for x in (0.2, 0.7, 1.3):
         got = chains.integral_from_anchor(seed, x)
         assert got == pytest.approx(float(q(math.cos(2 * x))), abs=1e-11)
+    # the same points as one unsorted array with a repeat: one walk
+    xs = np.array([0.7, 1.3, 0.2, 0.7])
+    got = chains.integral_from_anchor(seed, xs)
+    want = [float(q(math.cos(2 * x))) for x in xs]
+    assert got == pytest.approx(want, abs=1e-11)
+
+
+def test_cumulative_integral_walks_both_sides_of_a_finite_anchor():
+    seed, _ = chains.tdpt_seed(1, 1, 1)
+    inside = dataclasses.replace(seed, x0=0.8)
+    xs = np.array([1.3, 0.2, 0.8, 0.5, 1.1, 0.65])
+    got = chains.integral_from_anchor(inside, xs)
+    for x, g in zip(xs, got):
+        want = verify.quadrature(lambda t: seed.f(t) ** 2, 0.8, x).value
+        assert g == pytest.approx(want, abs=1e-12)
+    assert got[2] == 0.0
+
+
+def test_cumulative_integral_of_nan_is_nan():
+    seed, _ = chains.tdpt_seed(1, 1, 1)
+    got = chains.integral_from_anchor(seed, np.array([0.4, math.nan, 1.2]))
+    assert math.isnan(got[1]) and np.all(np.isfinite(got[[0, 2]]))
+    assert math.isnan(chains.integral_from_anchor(seed, math.nan))
 
 
 def test_cumulative_integral_radial_anchor_at_infinity():
@@ -58,6 +81,13 @@ def test_cumulative_integral_radial_anchor_at_infinity():
         assert chains.integral_from_anchor(seed, x) == pytest.approx(
             want, abs=1e-11
         )
+    xs = np.array([1.0, 1.8, 0.4, 1.8])
+    want = [
+        math.exp(-omega * x * x / 2) * float(q(omega * x * x / 2))
+        / math.sqrt(2 * omega)
+        for x in xs
+    ]
+    assert chains.integral_from_anchor(seed, xs) == pytest.approx(want, abs=1e-11)
 
 
 # -- one-step transform ------------------------------------------------------------
@@ -240,12 +270,15 @@ def test_chain_four_steps_grouping():
 
 def test_chain_screen_rejects_forbidden_constant():
     # lambda in the forbidden window (0, 2/3] for the (0,1,1) base: the
-    # denominator changes sign inside the domain and the chain refuses
+    # denominator changes sign inside the domain and the chain refuses.
+    # On 8 samples the zero of 0.36658 + I falls strictly between the
+    # samples at 0.65 and 0.85: the sign change alone reveals it
     seed, v = chains.tdpt_seed(0, 1, 1)
     x_start = math.pi / 2 - 1e-3
-    xs = np.linspace(0.05, 1.45, 200)
-    with pytest.raises(ValueError, match="regular window"):
-        chains.hyperconfluent_chain(seed, v, [1.0 / 3.0], xs, x_start)
+    for lam, points in ((1.0 / 3.0, 200), (0.36658, 8)):
+        xs = np.linspace(0.05, 1.45, points)
+        with pytest.raises(ValueError, match="regular window"):
+            chains.hyperconfluent_chain(seed, v, [lam], xs, x_start)
 
 
 # -- closed-form spot checks ---------------------------------------------------------

@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 import scipy.integrate
+import scipy.special
 
 from confluent_dbt.classical import (
     IsotonicOscillator,
@@ -137,15 +138,18 @@ def test_jacobi_orthogonality_quadrature():
 
 
 def test_laguerre_orthogonality_quadrature():
+    # the 8-point Gauss rule for the weight z^N e^{-z} is exact up to
+    # degree 15, so it integrates every product of degree <= 10 exactly
     N = 2
     polys = [laguerre(n, N) for n in range(6)]
-    vals = [[0.0] * 6 for _ in range(6)]
-    for j in range(6):
-        for k in range(j, 6):
-            f = lambda z: z**N * math.exp(-z) * polys[j](z) * polys[k](z)
-            v, _ = scipy.integrate.quad(f, 0, math.inf, epsabs=1e-13, epsrel=1e-13)
-            vals[j][k] = vals[k][j] = v
+    nodes, weights = scipy.special.roots_genlaguerre(8, N)
+    vals = [
+        [float(weights @ (polys[j](nodes) * polys[k](nodes))) for k in range(6)]
+        for j in range(6)
+    ]
     assert _rel_gram_offdiag(vals) < 1e-12
+    for n in range(6):
+        assert vals[n][n] == pytest.approx(factorial(n + N) / factorial(n), rel=1e-12)
 
 
 # -- base potentials -----------------------------------------------------------

@@ -113,6 +113,15 @@ def test_negative_rational_option_value(capsys):
     ["isotonic", "table", "--n", "1", "--N", "1", "--x-points", "0.05:inf:4"],
     ["chain", "run", "--base", "tdpt", "--params", "0,1,1", "--lambdas", "1",
      "--x-start", "inf"],
+    # chain points and anchor must lie inside the base's open domain
+    ["chain", "run", "--base", "isotonic", "--params", "0,1,1",
+     "--grid=-2:-1:5", "--lambdas", "1"],
+    ["chain", "run", "--base", "isotonic", "--params", "0,1,1",
+     "--x-start=-1", "--lambdas", "1"],
+    ["chain", "run", "--base", "tdpt", "--params", "0,1,1",
+     "--grid=-1:-0.5:5", "--lambdas", "1"],
+    ["chain", "run", "--base", "tdpt", "--params", "0,1,1",
+     "--x-start", "5", "--lambdas", "1"],
 ])
 def test_degenerate_arguments_exit_2(capsys, argv):
     # argparse refuses by raising SystemExit; a refusal after parsing
@@ -788,8 +797,10 @@ PINNED_OUTPUTS = [
     ("chain run --base tdpt --params 0,1,1 --lambdas 1,1 --grid 0.05:1.45:50 "
      "--full",
      "43f277553e8c5463875c8e860361f3696fac5a778c2c4cdf89a5b6ddc17968b5"),
+    # re-recorded when the three energies became one Cauchy solve: only
+    # the two witness numbers changed
     ("chain crosscheck --base tdpt --which matveev --params 0,1,1",
-     "f4462653e070fc5ffb17df623d7d2a44b5b7d9618e4b01fb23c3848e5b7a9c3e"),
+     "6cb7f09af06890c9447770b42c532d37500097802d583305f9b9bf23dc6078cc"),
     # exact residuals, recorded before they were decided without gcds
     ("tdpt verify --suite ode --n 5 --N 1 --M 1 --lambda1 -1 --kmax 4",
      "51c015bff20d937fc7b9dc811615c7e499b1e557156d8c121d269be6e10a86e0"),

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from confluent_dbt import exactalg, isotonic, reports, tdpt, verify
+from confluent_dbt import chains, exactalg, isotonic, reports, tdpt, verify
 
 
 REQUIRED = set(reports.REQUIRED_INVARIANTS)
@@ -292,3 +292,25 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
     )
     spec = isotonic.IsotonicSpec(1, 1)
     assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
+
+
+# -- negative controls of the chain checks evaluated on arrays --------------------
+
+
+def test_chain_energy_fails_on_a_seed_at_a_shifted_energy(monkeypatch):
+    real = chains.tdpt_seed
+
+    def shifted(n, N, M):
+        seed, v = real(n, N, M)
+        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
+
+    monkeypatch.setattr(chains, "tdpt_seed", shifted)
+    assert_fails_with_witness(reports._check_chains_energy())
+
+
+def test_chain_scaling_fails_when_only_the_state_is_scaled(monkeypatch):
+    monkeypatch.setattr(
+        chains, "scaled_seed",
+        lambda seed, c: dataclasses.replace(seed, f=lambda x: c * seed.f(x)),
+    )
+    assert_fails_with_witness(reports._check_chains_scaling())
