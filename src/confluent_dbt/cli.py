@@ -196,9 +196,10 @@ def _json_text(payload: dict) -> str:
 
 
 def _csv_text(header, rows) -> str:
+    # rows are tuples, each written by one format string: %.17g per value
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("%.17g" % float(v) for v in row))
+    lines.extend(fmt % row for row in rows)
     return "\n".join(lines) + "\n"
 
 

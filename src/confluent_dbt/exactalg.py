@@ -10,9 +10,11 @@ takes a float or a numpy array of points and gives the same bits either
 way: Horner runs in one operation order on cached float coefficients, and
 transcendental factors stay on libm (`pointwise`).
 
-A gcd comes from one big-integer gcd of values (GCDHEU), accepted only
-when trial division certifies it, with a primitive remainder sequence as
-the fallback; every `RationalFn` is reduced by it after each operation.
+A gcd comes from one big-integer gcd of values at a power of two
+(GCDHEU), accepted only when trial division certifies it, with a primitive
+remainder sequence as the fallback.  Every `RationalFn` operation returns
+a reduced result by Henrici's formulas, which take gcds of the operands'
+factors rather than of their cross products.
 
 The two gauged families are
 
@@ -134,29 +136,47 @@ def _heu_gcd(a, b):
 
     With xi >= 2 min(|a|, |b|) + 2 (max norms), the primitive part of the
     balanced base-xi expansion of gcd(a(xi), b(xi)) is the gcd of a and b
-    exactly when it divides both, so an accepted answer is certified."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    exactly when it divides both, so an accepted answer is certified.
+    Every xi is a power of two, 2^k, so evaluation is shift-and-add and the
+    digits read back with a mask and a shift.  A value at 2^k is its
+    constant coefficient modulo 2^k, so the power of z common to a and b
+    is split off first: gcd(a, b) = z^m gcd(a / z^i, b / z^j), m = min(i, j).
+    """
+    i = next(i for i, c in enumerate(a) if c)
+    j = next(j for j, c in enumerate(b) if c)
+    low = [0] * min(i, j)
+    a, b = a[i:], b[j:]
+    if len(a) == 1 or len(b) == 1:
+        return low + [1]
+    k = (2 * min(max(map(abs, a)), max(map(abs, b))) + 1).bit_length()
     for _ in range(_HEU_TRIES):
-        h = gcd(_horner_at(a, xi)[0], _horner_at(b, xi)[0])
+        h = gcd(_shift_horner(a, k), _shift_horner(b, k))
         cand = []
-        half = xi // 2
+        xi = 1 << k
+        mask, half = xi - 1, xi >> 1
         while h:
-            c = h % xi
+            c = h & mask
             if c > half:
                 c -= xi
             cand.append(c)
-            h = (h - c) // xi
+            h = (h - c) >> k
         cand = _primitive(cand)
-        if len(cand) == 1:
-            return cand
-        if (
+        if len(cand) == 1 or (
             len(cand) <= min(len(a), len(b))
             and not any(_pdiv(a, cand)[1])
             and not any(_pdiv(b, cand)[1])
         ):
-            return cand
-        xi = xi * 73794 // 27011
+            return low + cand
+        k += 1
     return None
+
+
+def _shift_horner(num, k: int) -> int:
+    """The value of the integer list num at 2^k."""
+    acc = 0
+    for c in reversed(num):
+        acc = (acc << k) + c
+    return acc
 
 
 def _horner_at(num, z: Fraction) -> tuple:
@@ -469,8 +489,36 @@ class ExactPoly:
         )
 
 
+def _cancel(num: ExactPoly, den: ExactPoly) -> tuple:
+    """num and den divided by their gcd; a constant (or zero) one of them
+    has no factor to cancel."""
+    if num.degree() > 0 and den.degree() > 0:
+        g = num.gcd(den)
+        if g.degree() > 0:
+            return num // g, den // g
+    return num, den
+
+
+def _monic_pair(num: ExactPoly, den: ExactPoly) -> tuple:
+    """The coprime pair num, den scaled to a monic denominator (the zero
+    numerator over 1)."""
+    if num.is_zero:
+        return ExactPoly(), ExactPoly.one()
+    lead = den._num[-1]
+    if lead == den._den:
+        return num, den
+    c = Fraction(den._den, lead)
+    return num * c, den * c
+
+
 class RationalFn:
-    """Quotient of two ExactPoly, kept coprime with monic denominator."""
+    """Quotient of two ExactPoly, kept coprime with monic denominator.
+
+    The constructor reduces any num/den pair.  The operators keep their
+    operands' reduction instead (Henrici 1956; Knuth, TAOCP vol. 2,
+    4.5.1): a sum reduces only against g = gcd(d1, d2), a product cancels
+    gcd(n1, d2) and gcd(n2, d1) before it multiplies, and a derivative
+    needs only gcd(D, D'); each result is then coprime already."""
 
     __slots__ = ("num", "den")
 
@@ -483,19 +531,14 @@ class RationalFn:
             den = ExactPoly.constant(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            num, den = ExactPoly(), ExactPoly.one()
-        else:
-            # a constant numerator or denominator has no factor to cancel
-            if num.degree() > 0 and den.degree() > 0:
-                g = num.gcd(den)
-                if g.degree() > 0:
-                    num, den = num // g, den // g
-            c = 1 / den.lc()
-            if c != 1:
-                num, den = num * c, den * c
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic_pair(*_cancel(num, den))
+
+    @classmethod
+    def _canonical(cls, num: ExactPoly, den: ExactPoly) -> "RationalFn":
+        """num/den for a coprime pair: only makes the denominator monic."""
+        out = cls.__new__(cls)
+        out.num, out.den = _monic_pair(num, den)
+        return out
 
     # -- queries -----------------------------------------------------------
 
@@ -524,19 +567,21 @@ class RationalFn:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFn(self.num + other.num, self.den)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        # Henrici: with g = gcd(d1, d2), only g can share a factor with
+        # n1 (d2/g) + n2 (d1/g); a constant denominator is 1
+        if d1.degree() > 0 and d2.degree() > 0:
+            g = d1.gcd(d2)
+            if g.degree() > 0:
+                d1, d2 = d1 // g, d2 // g
+                t, g = _cancel(n1 * d2 + n2 * d1, g)
+                return RationalFn._canonical(t, d1 * d2 * g)
+        return RationalFn._canonical(n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        # negation keeps num and den coprime and den monic: no gcd needed
-        out = RationalFn.__new__(RationalFn)
-        out.num, out.den = -self.num, self.den
-        return out
+        return RationalFn._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce_rational(other)
@@ -551,7 +596,10 @@ class RationalFn:
         other = _coerce_rational(other)
         if other is None:
             return NotImplemented
-        return RationalFn(self.num * other.num, self.den * other.den)
+        # Henrici: cancel across the operands, then multiply
+        n1, d2 = _cancel(self.num, other.den)
+        n2, d1 = _cancel(other.num, self.den)
+        return RationalFn._canonical(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -561,7 +609,7 @@ class RationalFn:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * other.den, self.den * other.num)
+        return self * RationalFn._canonical(other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _coerce_rational(other)
@@ -570,10 +618,11 @@ class RationalFn:
         return other / self
 
     def derivative(self) -> "RationalFn":
-        return RationalFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        p, d = self.num, self.den
+        # (P/D)' = (P' (D/g) - P (D'/g)) / (D (D/g)) with g = gcd(D, D') is
+        # coprime already; g = 1 when D is squarefree
+        s, dg = _cancel(d, d.derivative())
+        return RationalFn._canonical(p.derivative() * s - p * dg, d * s)
 
     def __call__(self, z):
         return self.num(z) / self.den(z)

@@ -2,6 +2,7 @@
 tolerance and runtime cap.  Each test prints a single pass line with its
 measured wall time; a failed assertion is the corresponding fail line."""
 
+import json
 import math
 import random
 import time
@@ -11,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confluent_dbt import chains, classical, isotonic, tdpt, verify
+from confluent_dbt import chains, classical, cli, isotonic, tdpt, verify
 from confluent_dbt.exactalg import (
     POS_INF,
     ExactPoly,
@@ -226,3 +227,16 @@ def test_10_type2_equivalence():
                 got = pot.v(x, omega)
                 want = omega * float(partner(z))
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (N, x)
+
+
+@pytest.mark.parametrize("argv", [
+    "tdpt verify --suite ode --N 3 --M 2 --lambda1 1 --kmax 6 --n 13",
+    "isotonic verify --suite ode --N 3 --kmax 6 --n 16",
+])
+def test_11_degree_frontier(capsys, argv):
+    # the exact Schroedinger identities at degrees past the benchmark pool's
+    with criterion(11, "degree frontier", 10):
+        assert cli.main(argv.split()) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"fail": 0, "pass": 1, "skip": 0}
+    assert [c["status"] for c in report["checks"]] == ["pass"]

@@ -747,6 +747,13 @@ def test_csv_17_digit_formatting(capsys):
     assert row[0] == "%.17g" % 0.1
 
 
+def test_csv_row_bytes_pinned():
+    # an int, a negative zero, the smallest subnormal, a value that needs
+    # all 17 digits
+    text = cli._csv_text(["a", "b", "c", "d"], [(3, -0.0, 5e-324, 0.1 + 0.2)])
+    assert text == "a,b,c,d\n3,-0,4.9406564584124654e-324,0.30000000000000004\n"
+
+
 def test_out_file_writing(capsys, tmp_path):
     target = tmp_path / "dump.json"
     code, out, err = run_cli(capsys, "classical", "dump", "--family", "laguerre",

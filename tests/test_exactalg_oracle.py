@@ -6,9 +6,10 @@ checks the Jacobi and Laguerre bases against sympy's own, and both
 cumulative-norm polynomials Q against sympy's integral and ODE solution,
 and the eigenfunctions against their Schroedinger equations at 40 digits
 with mpmath (a sympy dependency).  The gcd tests cover both routes
-of `ExactPoly.gcd`: the heuristic gcd from integer values, and the primitive
-remainder sequence over Z it falls back to, run alone under a heuristic
-that always gives up.
+of `ExactPoly.gcd`: the heuristic gcd from integer values at powers of two,
+and the primitive remainder sequence over Z it falls back to, run alone
+under a heuristic that always gives up and reached by one pair on which
+every evaluation point fails.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -162,6 +163,33 @@ def test_heuristic_answer_is_the_gcd(p, q, f):
     )
     if g is not None:
         assert ExactPoly._monic_of(g) == sympy_gcd(a, b)
+
+
+@given(polys(3, small_rationals), polys(3, small_rationals), nonconstant(),
+       st.integers(0, 40), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_gcd_at_power_of_two_points_matches_sympy(p, q, f, t, i, j):
+    # values at xi = 2^k agree with the constant coefficient modulo 2^k, so
+    # common powers of z and constant terms sharing 2^t are the hard inputs
+    z = ExactPoly.x()
+    a = z**i * f * (p * 2**t + z)
+    b = z**j * f * (q * 2**t + z)
+    want = sympy_gcd(a, b)
+    assert a.gcd(b) == want
+    g = exactalg._heu_gcd(
+        exactalg._primitive(list(a._num)), exactalg._primitive(list(b._num))
+    )
+    if g is not None:
+        assert ExactPoly._monic_of(g) == want
+
+
+def test_gcd_heuristic_gives_up_to_the_remainder_sequence():
+    # (z + 3)(z^2 - 3^17 z + 2^17) and (z + 3)(z^2 - 3^5 z + 2^17): the
+    # cofactors' values share a large factor at each of the six points
+    a = ExactPoly([-393216, 387289417, 129140160, -1])
+    b = ExactPoly([-393216, -130343, 240, -1])
+    assert exactalg._heu_gcd(list(a._num), list(b._num)) is None
+    assert a.gcd(b) == sympy_gcd(a, b) == ExactPoly([3, 1])
 
 
 @st.composite
@@ -553,26 +581,43 @@ def assert_canonical(r: RationalFn, value):
 
 
 @given(polys(3, small_rationals), nonconstant(), polys(3, small_rationals),
-       polys(2, small_rationals))
+       polys(2, small_rationals), nonconstant(2))
+@example(ExactPoly([3, 0, 1]), ExactPoly([1, 1]), ExactPoly([1, 2]),
+         ExactPoly([5]), ExactPoly([-2, 1]))
 @settings(max_examples=25, deadline=None)
-def test_canonical_arithmetic_stays_reduced(p, d, q, s):
+def test_canonical_arithmetic_stays_reduced(p, d, q, s, g):
     a = RationalFn(p, d)
     # b shares a's denominator, and a + b is the polynomial q: the
     # equal-denominator sum of two reduced values that itself reduces
     b = RationalFn(q) - a
     assert b.den == a.den
     c = RationalFn(s, d * d)
-    va, vb, vc = sympy_value(a), sympy_value(b), sympy_value(c)
+    # a repeated factor in the denominator: gcd(den, den') is not 1
+    e = RationalFn(p, d * d * g)
+    # u's numerator shares g with w's denominator, which a product cancels
+    u, w = RationalFn(q * g, d), RationalFn(p, g)
+    # t's denominator shares the proper factor d with a's and c's
+    t = RationalFn(s, d * g)
+    poly = RationalFn(q)  # a constant denominator
+    va, vb, vc, ve, vu, vw, vt, vp = map(sympy_value, (a, b, c, e, u, w, t, poly))
     results = [
         (a + b, va + vb), (a + a, 2 * va), (b - a, vb - va), (a + c, va + vc),
         (a * c, va * vc), (-a, -va), (a.derivative(), sympy.diff(va, X)),
         (a + 1, va + 1), (2 * c, 2 * vc),
+        (e.derivative(), sympy.diff(ve, X)), (c.derivative(), sympy.diff(vc, X)),
+        (e + a, ve + va), (u * w, vu * vw), (w * u, vw * vu), (u * e, vu * ve),
+        (a + t, va + vt), (t - c, vt - vc), (e - t, ve - vt),
+        (poly + a, vp + va), (a - poly, va - vp), (poly * a, vp * va),
+        (poly * poly, vp * vp), (poly.derivative(), sympy.diff(vp, X)),
+        (a - a, 0), (e + (-e), 0), ((a + b) - poly, 0), (u * w - w * u, 0),
     ]
-    if not c.is_zero:
-        results.append((a / c, va / vc))
+    for num, den in ((a, c), (u, w), (a, t), (poly, a), (a, poly), (e, u)):
+        if not den.is_zero:
+            results.append((num / den, sympy_value(num) / sympy_value(den)))
     for r, value in results:
         assert_canonical(r, value)
     assert stored(a + b) == stored(RationalFn(q))
+    assert stored(a - a) == stored(e - e) == stored(RationalFn(0))
 
 
 def test_equal_denominator_sum_reduces():
