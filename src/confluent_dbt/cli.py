@@ -29,6 +29,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -192,7 +193,40 @@ def _emit(text: str, out_path):
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline.
+
+    Written here because `json` ignores its C encoder when given an
+    indent; the containers are walked as `json` walks them, and every
+    scalar but a string is left to `json.dumps`."""
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_value(value, nl: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        ends, items = "[]", [_json_value(v, inner) for v in value]
+    elif isinstance(value, dict):
+        ends, items = "{}", [
+            _json_key(k) + ": " + _json_value(v, inner)
+            for k, v in sorted(value.items())
+        ]
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + nl + ends[1]
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
 
 
 def _csv_text(header, rows) -> str:

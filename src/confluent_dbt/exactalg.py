@@ -14,7 +14,10 @@ A gcd comes from one big-integer gcd of values at a power of two
 (GCDHEU), accepted only when trial division certifies it, with a primitive
 remainder sequence as the fallback.  Every `RationalFn` operation returns
 a reduced result by Henrici's formulas, which take gcds of the operands'
-factors rather than of their cross products.
+factors rather than of their cross products.  A power of a linear
+polynomial comes from the binomial theorem, and the JSON form of a
+coefficient is its reduced numerator and denominator read off the stored
+integers.
 
 The two gauged families are
 
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
@@ -372,14 +375,23 @@ class ExactPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        out = ExactPoly.one()
-        base = self
-        while k:
+        if len(self._num) == 2:
+            # (a + b z)^k / den^k by the binomial theorem
+            a, b = self._num
+            return ExactPoly._from_ints(
+                [comb(k, i) * a ** (k - i) * b**i for i in range(k + 1)],
+                self._den**k,
+            )
+        if not k:
+            return ExactPoly.one()
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def __divmod__(self, other: "ExactPoly"):
         if other.is_zero:
@@ -476,9 +488,12 @@ class ExactPoly:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self._den
         return {
             "coeffs": [
-                [str(c.numerator), str(c.denominator)] for c in self.coeffs
+                [str(c // g), str(den // g)]
+                for c in self._num
+                for g in (gcd(c, den),)
             ]
         }
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confluent_dbt import classical, cli, reports
 from confluent_dbt.exactalg import ExactPoly
@@ -762,6 +763,64 @@ def test_out_file_writing(capsys, tmp_path):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["schema"] == 1
+
+
+# -- the JSON writer -----------------------------------------------------------------
+
+
+class ListSub(list):
+    pass
+
+
+class DictSub(dict):
+    pass
+
+
+def reference_json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+json_strings = st.text() | st.sampled_from(
+    ["", "café λ₁", "\x00\x1f\t\n\r\"\\/", " 😀\U0001f600"]
+)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**256), max_value=2**256),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    json_strings,
+)
+# numbers and bools compare with each other, so one object may mix them
+json_number_keys = st.integers() | st.booleans() | st.floats(allow_nan=True)
+
+
+def json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(ListSub),
+        st.dictionaries(json_strings, children, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4).map(DictSub),
+        st.dictionaries(json_number_keys, children, max_size=4),
+        st.dictionaries(st.none(), children, max_size=1),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(json_scalars, json_containers, max_leaves=24))
+def test_json_text_equals_sorted_indented_dumps(payload):
+    assert cli._json_text(payload) == reference_json_text(payload)
+
+
+def test_json_text_refuses_what_json_refuses():
+    for payload in ({"a": [1, Fraction(1, 3)]}, {"a": {(1, 2): 0}}):
+        with pytest.raises(TypeError) as want:
+            reference_json_text(payload)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(payload)
+        assert str(got.value) == str(want.value)
 
 
 # -- pinned outputs --------------------------------------------------------------

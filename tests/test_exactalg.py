@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confluent_dbt import isotonic, tdpt
 from confluent_dbt.exactalg import (
@@ -84,10 +84,52 @@ def test_power_and_monomial():
     assert ExactPoly.monomial(Fraction(5, 2), 3) == ExactPoly([0, 0, 0, Fraction(5, 2)])
 
 
+POWER_BASES = [
+    ExactPoly.x(),
+    ExactPoly([1, -1]),
+    ExactPoly([1, 1]),
+    ExactPoly([Fraction(1, 2), Fraction(1, 3)]),  # (3 + 2z)/6
+    ExactPoly([2, -5]),
+    ExactPoly([0, Fraction(-3, 4)]),
+    ExactPoly([Fraction(-7, 4)]),
+    ExactPoly.one(),
+    ExactPoly(),
+    ExactPoly([1, 0, -1]),
+    ExactPoly([Fraction(1, 2), -1, 0, Fraction(2, 3)]),
+]
+
+
+@pytest.mark.parametrize("base", POWER_BASES, ids=repr)
+def test_power_equals_repeated_product(base):
+    want = ExactPoly.one()
+    for k in range(13):
+        assert base**k == want
+        want = want * base
+    with pytest.raises(ValueError):
+        base ** -1
+
+
+@given(poly_strategy(3), st.integers(min_value=0, max_value=12))
+def test_power_of_any_base_equals_repeated_product(p, k):
+    want = ExactPoly.one()
+    for _ in range(k):
+        want = want * p
+    assert p**k == want
+
+
 def test_json_roundtrip():
     p = ExactPoly([Fraction(-1, 3), 0, Fraction(7, 2)])
     assert ExactPoly.from_json(p.to_json()) == p
     assert p.to_json() == {"coeffs": [["-1", "3"], ["0", "1"], ["7", "2"]]}
+
+
+@given(poly_strategy())
+@example(ExactPoly())
+@example(ExactPoly([Fraction(-5, 6), 0, Fraction(3, 4), -2]))
+def test_json_equals_the_fraction_route(p):
+    assert p.to_json() == {
+        "coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs]
+    }
 
 
 # -- Sturm counting / isolation ----------------------------------------------

@@ -294,6 +294,40 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
     assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
 
 
+# -- negative controls of the checks built on powers of linear factors ------------
+
+
+@pytest.fixture
+def wrong_binomial_top_term(monkeypatch):
+    """ExactPoly powers whose top term is doubled for linear bases and
+    k >= 2, with the constructor caches emptied on the way in and out."""
+    real = exactalg.ExactPoly.__pow__
+
+    def wrong(self, k):
+        out = real(self, k)
+        if k >= 2 and self.degree() == 1:
+            out = out + exactalg.ExactPoly.monomial(out.lc(), k)
+        return out
+
+    monkeypatch.setattr(exactalg.ExactPoly, "__pow__", wrong)
+    reports._clear_constructor_caches()
+    yield
+    monkeypatch.undo()
+    reports._clear_constructor_caches()
+
+
+@pytest.mark.parametrize(
+    "check_id", ["classical.jacobi-ode", "classical.derivatives", "tdpt.shape"]
+)
+def test_exact_check_fails_on_a_wrong_binomial_top_term(
+    wrong_binomial_top_term, check_id
+):
+    # the body is called directly, so an exception fails the test instead
+    # of becoming the witness
+    assert_fails_with_witness(reports._BY_ID[check_id].run())
+    assert reports.run_check(check_id).status == "fail"
+
+
 # -- negative controls of the chain checks evaluated on arrays --------------------
 
 
