@@ -29,7 +29,7 @@ import numpy as np
 import scipy.integrate
 
 from .classical import IsotonicOscillator, TrigPoschlTeller
-from .verify import _on_grid, quadrature, worst
+from .verify import quadrature, worst
 
 
 @dataclass(frozen=True)
@@ -218,7 +218,7 @@ def matveev_potential(seed: SeedFunction, v, xs, x_ref: float):
     de_psi = (psi_p - psi_m) / (2.0 * h)
     de_dpsi = (dpsi_p - dpsi_m) / (2.0 * h)
     w = psi * de_dpsi - dpsi * de_psi
-    vm = _on_grid(v, xs) - 2.0 * (
+    vm = v(xs) - 2.0 * (
         (-2.0 * psi * dpsi) * w - psi**4
     ) / (w * w)
     return vm, w
@@ -325,7 +325,7 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
     for j in range(levels):
         us.append(psis[j] ** 2 / (lambdas[j] + integrals[j]) - us[-1])
 
-    vbase = _on_grid(v, xs)
+    vbase = v(xs)
 
     # route 1: telescoped Riccati derivatives, one per step
     vcur = vbase.copy()

@@ -91,9 +91,11 @@ _FIELDS = {
 }
 
 
+_DEST = {"N": "big_n", "M": "big_m"}  # namespace names of the capital flags
+
+
 def _add_field(p, key, **kwargs):
-    dest = {"N": "big_n", "M": "big_m"}.get(key, key)
-    p.add_argument(f"--{key}", dest=dest, type=_FIELDS[key], **kwargs)
+    p.add_argument(f"--{key}", dest=_DEST.get(key, key), type=_FIELDS[key], **kwargs)
 
 
 @cache
@@ -551,22 +553,29 @@ def _cmd_spec_verify(args) -> int:
 
 def _cmd_verify(args) -> int:
     selector = args.selector
-    if selector == "spectrum":
-        return _cmd_verify_spectrum(args)
-    if selector == "gram":
+    given = [
+        f"--{key}" for key in _FIELDS if getattr(args, _DEST.get(key, key)) is not None
+    ]
+    if args.params_file:
+        given.append("--params-file")
+    if selector in ("spectrum", "gram"):
+        unread = [flag for flag in given if flag != "--omega"]
+        if unread:
+            raise ValueError(
+                f"verify {selector} takes no spec flags but --omega "
+                f"(got {', '.join(unread)})"
+            )
+        if selector == "spectrum":
+            return _cmd_verify_spectrum(args)
         return _cmd_verify_gram(args)
 
-    if args.params_file:
-        # a flag given on the command line wins over the file
-        data = _load_json(args.params_file, "params file")
-        for dest, value in vars(_parse_fields("params file", data)).items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
-    spec_flags = any(
-        getattr(args, a) is not None
-        for a in ("n", "big_n", "big_m", "lambda1", "omega")
-    )
-    if selector in _PARAMETRIZED and spec_flags:
+    if selector in _PARAMETRIZED and given:
+        if args.params_file:
+            # a flag given on the command line wins over the file
+            data = _load_json(args.params_file, "params file")
+            for dest, value in vars(_parse_fields("params file", data)).items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, value)
         family, name = selector.split(".", 1)
         if args.n is None or args.big_n is None:
             raise ValueError("parametrized checks need --n and --N")
@@ -583,13 +592,14 @@ def _cmd_verify(args) -> int:
         return _emit_reports(reports.envelope(report_list, selector=selector), args.out)
 
     try:
-        payload = reports.run_suite(selector)
+        reports.select_checks(selector)
     except KeyError:
-        print(
-            f"error: unknown check or module: {selector}", file=sys.stderr
+        raise ValueError(f"unknown check or module: {selector}") from None
+    if given:
+        raise ValueError(
+            f"verify {selector} takes no spec flags (got {', '.join(given)})"
         )
-        return 2
-    return _emit_reports(payload, args.out)
+    return _emit_reports(reports.run_suite(selector), args.out)
 
 
 # -- table ----------------------------------------------------------------------------

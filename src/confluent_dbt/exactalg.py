@@ -7,8 +7,9 @@ division, gcd, Sturm chains, evaluation at a rational) run on Python ints;
 coefficients are presented as `fractions.Fraction` and no floating point
 enters until an explicit float evaluation is requested.  Float evaluation
 takes a float or a numpy array of points and gives the same bits either
-way: Horner runs in one operation order on cached float coefficients, and
-transcendental factors stay on libm (`pointwise`).
+way: Horner runs in one operation order on float coefficients, each the
+correctly rounded quotient of a stored numerator by the denominator and
+cached, and transcendental factors stay on libm (`pointwise`).
 
 A gcd comes from one big-integer gcd of values at a power of two
 (GCDHEU), accepted only when trial division certifies it, with a primitive
@@ -203,7 +204,7 @@ class ExactPoly:
     `coeffs` is the read-only tuple of Fraction coefficients.
     """
 
-    __slots__ = ("_num", "_den", "_fracs", "_floats")
+    __slots__ = ("_num", "_den", "_floats")
 
     def __init__(self, coeffs=()):
         cs = [as_rat(c) for c in coeffs]
@@ -217,7 +218,6 @@ class ExactPoly:
         # den is the lcm of reduced denominators: already in lowest terms
         self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
         self._den = den
-        self._fracs = None
         self._floats = None
 
     @classmethod
@@ -240,7 +240,6 @@ class ExactPoly:
         out = cls.__new__(cls)
         out._num = num
         out._den = den
-        out._fracs = None
         out._floats = None
         return out
 
@@ -279,11 +278,8 @@ class ExactPoly:
     @property
     def coeffs(self) -> tuple:
         """Coefficients as Fractions, lowest degree first."""
-        fracs = self._fracs
-        if fracs is None:
-            den = self._den
-            fracs = self._fracs = tuple(Fraction(c, den) for c in self._num)
-        return fracs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -474,10 +470,12 @@ class ExactPoly:
             return Fraction(h, qn * self._den)
         floats = self._floats
         if floats is None:
+            # int / int rounds correctly, as float(Fraction(c, den)) does;
             # the zero polynomial still runs one step, so that an array
             # argument gives an array
+            den = self._den
             floats = self._floats = (
-                tuple(float(c) for c in reversed(self.coeffs)) or (0.0,)
+                tuple(c / den for c in reversed(self._num)) or (0.0,)
             )
         acc = 0.0
         z = _as_points(z)
@@ -761,8 +759,8 @@ class RootIsolation:
 
 
 def _cauchy_bound(p: ExactPoly) -> Fraction:
-    lead = abs(p.lc())
-    return 1 + max(abs(c) for c in p.coeffs) / lead
+    num = p._num
+    return 1 + Fraction(max(map(abs, num)), abs(num[-1]))
 
 
 def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:

@@ -17,7 +17,6 @@ constructors it builds on (`q_poly.cache_clear()` empties it);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +35,8 @@ from .exactalg import (
 
 @dataclass(frozen=True)
 class IsotonicSpec:
-    """Extension parameters: deleted level n and potential integer N >= 1.
+    """Extension parameters: deleted level n and potential integer N >= 1
+    (checked by the base).
 
     The frequency w stays symbolic in all exact objects; numeric
     evaluations take it as an argument.
@@ -48,8 +48,7 @@ class IsotonicSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("level n must be >= 0")
-        if self.N < 1:
-            raise ValueError("integer parameter N >= 1 required")
+        IsotonicOscillator(self.N)  # raises unless N >= 1
 
     @property
     def base(self) -> IsotonicOscillator:
@@ -186,10 +185,7 @@ class ExceptionalLaguerreFamily:
     spec: IsotonicSpec
     levels: tuple
     polys: tuple
-    weight_rational: RationalFn
-
-    def weight_value(self, z: float) -> float:
-        return self.weight_rational(z) * math.exp(-z)
+    weight_rational: RationalFn  # the weight is this times e^{-z}
 
 
 def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalLaguerreFamily:

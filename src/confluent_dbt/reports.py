@@ -10,11 +10,15 @@ written once.  `@_check(check_id, description)` adds a suite check to
 `MANIFEST`; definition order is suite order.  `@_spec_check(family, name)`
 adds a per-spec check, a function of (spec, kmax, grid_n, omega), to
 `SPEC_CHECKS`; definition order is `--suite all` order.  `run_spec_checks`
-runs the per-spec checks on any spec for the CLI, and the suite checks
-that cover the same invariant call them on fixed specs, so each invariant
-has one implementation.  An import-time assertion keeps the suite complete
-against `REQUIRED_INVARIANTS`, and the `cli.manifest` check re-verifies
-that at run time.
+runs the per-spec checks on any spec for the CLI.  A suite check of an
+invariant that a per-spec check states calls that check: `tdpt.regularity`
+and `tdpt.shape` on each sampled spec; the `orthogonality` and `spectrum`
+checks of both families and `isotonic.residuals` on fixed specs.
+`isotonic.rootless` and `isotonic.ode-identity` each state part of what
+`q-crosscheck` states, on a grid of (n, N), and keep their own bodies.  An
+import-time assertion keeps the suite complete against
+`REQUIRED_INVARIANTS`, and the `cli.manifest` check re-verifies that at
+run time.
 """
 
 from __future__ import annotations
@@ -437,7 +441,9 @@ def _check_tdpt_shape():
     for n in (1, 2, 3):
         for N in (1, 2, 3):
             for M in (1, 2, 3):
-                if not tdpt.shape_invariance_holds(n, N, M, Fraction(5, 3)):
+                spec = tdpt.TdptSpec(n, N, M, Fraction(5, 3))
+                ok, _, _ = _tdpt_shape(spec, KMAX, GRID_N, None)
+                if not ok:
                     return False, {}, f"residual nonzero at ({n},{N},{M})"
     broken, _, _ = tdpt.shape_invariance_residual(1, 1, 1, 1, c_factor=2)
     if broken.is_zero:
@@ -452,13 +458,13 @@ def _check_tdpt_regularity():
         thr = tdpt.regularity_threshold(n, N, M)
         for _ in range(50):
             lam = Fraction(rng.randint(-60, 60), rng.randint(1, 40)) * thr
-            predicted = tdpt.is_regular(n, N, M, lam)
-            certified, _ = tdpt.certify_regularity(tdpt.TdptSpec(n, N, M, lam))
-            if predicted != certified:
+            spec = tdpt.TdptSpec(n, N, M, lam)
+            ok, _, witness = _tdpt_regularity(spec, KMAX, GRID_N, None)
+            if not ok:
                 return (
                     False,
                     {"samples": 50},
-                    f"disagreement at ({n},{N},{M}), lambda1={lam}",
+                    f"disagreement at ({n},{N},{M}), lambda1={lam}: {witness}",
                 )
     return True, {"samples": 50}, "predicate and certificate agree"
 

@@ -37,7 +37,8 @@ from .exactalg import (
 @dataclass(frozen=True)
 class TdptSpec:
     """Extension parameters: deleted/restored level n, potential integers
-    N, M >= 1, and the integration constant lambda1 (exact rational)."""
+    N, M >= 1 (checked by the base), and the integration constant lambda1
+    (exact rational)."""
 
     n: int
     N: int
@@ -47,8 +48,7 @@ class TdptSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("level n must be >= 0")
-        if self.N < 1 or self.M < 1:
-            raise ValueError("integer parameters N, M >= 1 required")
+        TrigPoschlTeller(self.N, self.M)  # raises unless N, M >= 1
         object.__setattr__(self, "lambda1", as_rat(self.lambda1))
 
     @property
@@ -215,9 +215,6 @@ class ExceptionalFamily:
     spec: TdptSpec
     polys: tuple
     weight: RationalFn
-
-    def weight_value(self, z: float) -> float:
-        return self.weight(z)
 
 
 def exceptional_family(spec: TdptSpec, kmax: int) -> ExceptionalFamily:

@@ -61,13 +61,6 @@ class QuadratureResult:
     abs_error: float
     subdivisions: int
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "abs_error": self.abs_error,
-            "subdivisions": self.subdivisions,
-        }
-
 
 def quadrature(f, lo: float, hi: float) -> QuadratureResult:
     """Adaptive quadrature with tight absolute tolerance (infinite limits
@@ -263,23 +256,10 @@ class SpectrumResult:
         }
 
 
-def _on_grid(v, x: np.ndarray) -> np.ndarray:
-    """v at the grid points: one call on the whole array when v takes
-    arrays, else one call per point (v fails on the array or returns one
-    value for it)."""
-    try:
-        vals = v(x)
-    except (TypeError, ValueError):
-        vals = None
-    if np.shape(vals) != x.shape:
-        vals = np.array([v(t) for t in x])
-    return vals
-
-
 def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
     h = (b - a) / grid_n
     x = a + h * np.arange(1, grid_n)
-    diag = 2.0 / h**2 + _on_grid(v, x)
+    diag = 2.0 / h**2 + v(x)
     off = np.full(grid_n - 2, -1.0 / h**2)
     if vectors:
         w, vecs = scipy.linalg.eigh_tridiagonal(
@@ -303,6 +283,7 @@ def dirichlet_spectrum(
 ) -> SpectrumResult:
     """Lowest n_levels Dirichlet eigenvalues via 3-point finite differences
     on grids of grid_n and 2*grid_n subintervals, Richardson-extrapolated.
+    `v` is called once per grid, on the numpy array of its interior points.
 
     Raises on a node-count anomaly (a missed or spurious level)."""
     if n_levels < 1:

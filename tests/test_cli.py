@@ -623,6 +623,25 @@ def test_verify_irregular_lambda_exit_2(capsys):
     assert run_cli(capsys, "tdpt", "verify", "--suite", "ode", *spec) == (2, "", err)
 
 
+@pytest.mark.parametrize("argv,unread", [
+    (["tdpt.window", "--n", "1", "--N", "1", "--M", "1"], ["--n", "--N", "--M"]),
+    (["all", "--params-file", "p.json"], ["--params-file"]),
+    (["exactalg", "--kmax", "3"], ["--kmax"]),
+    (["cli", "--omega", "2", "--lambda1", "1"], ["--lambda1", "--omega"]),
+    (["spectrum", "--potential-json", "pot.json", "--levels", "4", "--n", "3"],
+     ["--n"]),
+    (["spectrum", "--potential-json", "pot.json", "--levels", "4", "--omega", "2",
+      "--kmax", "2", "--lambda1", "1"], ["--lambda1", "--kmax"]),
+    (["gram", "--family-json", "pot.json", "--N", "2", "--M", "1"], ["--N", "--M"]),
+])
+def test_verify_refuses_spec_flags_it_does_not_read(capsys, argv, unread):
+    # refused before any file is read: none of these files exists
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: verify {argv[0]} takes no spec flags")
+    assert f"(got {', '.join(unread)})" in err
+
+
 def test_verify_failing_check_exit_1(capsys, monkeypatch):
     check = reports._BY_ID["tdpt.window"]
     monkeypatch.setitem(reports._BY_ID, check.check_id, dataclasses.replace(

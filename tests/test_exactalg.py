@@ -682,3 +682,22 @@ def test_zero_polynomial_evaluates_to_an_array():
     zs = np.array([-1.0, 0.0, 2.0])
     assert np.array_equal(ExactPoly()(zs), np.zeros(3))
     assert ExactPoly()(-2.0) == 0.0 and math.copysign(1.0, ExactPoly()(-2.0)) == 1.0
+
+
+# numerators up to 2^1000 and denominators up to 2^1100: huge values and
+# quotients that round into the subnormal range
+wide_rationals = st.builds(
+    Fraction, st.integers(-(2**1000), 2**1000), st.integers(1, 2**1100)
+)
+
+
+@given(st.lists(st.one_of(rationals, wide_rationals), max_size=8))
+@example([Fraction(1, 3), Fraction(2**1000 + 1, 7), Fraction(-1, 2**1074)])
+@settings(max_examples=200, deadline=None)
+def test_float_coefficients_are_the_rounded_fractions(coeffs):
+    # the float coefficients come from the stored integers, c / den; both
+    # that and float(Fraction(c, den)) round correctly, so the bits agree
+    p = ExactPoly(coeffs)
+    p(0.5)
+    want = [float(c) for c in reversed(p.coeffs)] or [0.0]
+    assert [c.hex() for c in p._floats] == [c.hex() for c in want]

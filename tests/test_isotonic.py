@@ -132,7 +132,8 @@ def test_exceptional_family_skips_deleted_level():
     fam = isotonic.exceptional_family(spec, 4)
     assert fam.levels == (0, 2, 3, 4)
     assert len(fam.polys) == 4
-    assert fam.weight_value(1.0) > 0
+    assert fam.weight_rational == isotonic.measure_weight_rational(spec)
+    assert fam.weight_rational(1.0) > 0
     with pytest.raises(ValueError):
         isotonic.exceptional_family(spec, -1)
 

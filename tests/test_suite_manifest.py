@@ -4,6 +4,7 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -348,3 +349,92 @@ def test_chain_scaling_fails_when_only_the_state_is_scaled(monkeypatch):
         lambda seed, c: dataclasses.replace(seed, f=lambda x: c * seed.f(x)),
     )
     assert_fails_with_witness(reports._check_chains_scaling())
+
+
+# -- negative controls of every per-spec check ----------------------------------------
+
+ISO = isotonic.IsotonicSpec(1, 1)
+ISO_N0 = isotonic.IsotonicSpec(0, 2)
+
+
+def _potential_plus_one(real):
+    def shifted(spec):
+        pot = real(spec)
+        return SimpleNamespace(v=lambda *args: pot.v(*args) + 1.0)
+
+    return shifted
+
+
+# check id -> (spec, name, make): the control replaces name in the family's
+# module (tdpt or isotonic) with make(the real one), and the check must fail
+SPEC_CONTROLS = {
+    # the certificate taken at the threshold, inside the forbidden window
+    "tdpt.regularity": (SPEC, "certify_regularity", lambda real: (
+        lambda spec: real(dataclasses.replace(
+            spec, lambda1=tdpt.regularity_threshold(spec.n, spec.N, spec.M)
+        ))
+    )),
+    # the potential at lambda1 - 1
+    "tdpt.ode": (SPEC, "extended_potential", lambda real: (
+        lambda spec: real(dataclasses.replace(spec, lambda1=spec.lambda1 - 1))
+    )),
+    # level 1 taken at lambda1 - 1
+    "tdpt.ortho": (SPEC, "eigenfunction", lambda real: (
+        lambda spec, k: real(
+            dataclasses.replace(spec, lambda1=spec.lambda1 - 1) if k == 1 else spec, k
+        )
+    )),
+    # a partner constant off by one
+    "tdpt.shape": (SPEC, "lambda1_shifted", lambda real: (
+        lambda *args: real(*args) + 1
+    )),
+    # every energy shifted by one
+    "tdpt.spectrum": (SPEC, "extended_potential", _potential_plus_one),
+    # a perturbed second route
+    "isotonic.q-crosscheck": (ISO, "q_poly_via_ode", lambda real: (
+        lambda n, N: real(n, N) + 1
+    )),
+    # the potential for N + 1
+    "isotonic.ode": (ISO, "extended_potential", lambda real: (
+        lambda spec: real(dataclasses.replace(spec, N=spec.N + 1))
+    )),
+    # a non-orthogonal pair: level 2 plus level 0
+    "isotonic.ortho": (ISO, "eigenfunction", lambda real: (
+        lambda spec, k: real(spec, k) + real(spec, 0) if k == 2 else real(spec, k)
+    )),
+    # a constant C off by one
+    "isotonic.shape": (ISO, "shape_invariance_residual", lambda real: (
+        lambda n, N: real(n, N, Fraction(1, n) + 1)
+    )),
+    # a type-II ratio of the wrong sign
+    "isotonic.n0-type2": (ISO_N0, "n0_type2_ratio", lambda real: (
+        lambda N: -real(N)
+    )),
+    # a single obstruction ratio
+    "isotonic.n0-negative": (ISO_N0, "n0_shape_obstruction", lambda real: (
+        lambda N: real(N)[:1]
+    )),
+    # every energy shifted by one
+    "isotonic.spectrum": (ISO, "extended_potential", _potential_plus_one),
+}
+
+
+def test_every_per_spec_check_has_a_negative_control():
+    ids = {f"{family}.{name}" for family, checks in reports.SPEC_CHECKS.items()
+           for name in checks}
+    assert set(SPEC_CONTROLS) == ids
+
+
+@pytest.mark.parametrize("check_id", sorted(SPEC_CONTROLS))
+def test_per_spec_check_fails_under_its_control(monkeypatch, check_id):
+    spec, name, make = SPEC_CONTROLS[check_id]
+    family, suite = check_id.split(".", 1)
+    module, omega = {"tdpt": (tdpt, None), "isotonic": (isotonic, Fraction(2))}[family]
+    body = partial(reports.SPEC_CHECKS[family][suite], spec, 3, reports.GRID_N, omega)
+    assert reports.make_report(check_id, body).status == "pass"
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    # the body is called directly, so an exception fails the test instead
+    # of becoming the witness
+    status, _, witness = body()
+    assert not status
+    assert witness

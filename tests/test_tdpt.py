@@ -184,7 +184,8 @@ def test_exceptional_family_contents():
     fam = tdpt.exceptional_family(spec, 4)
     assert len(fam.polys) == 5
     assert fam.polys[1] == jacobi(1, 1, 1)
-    assert fam.weight_value(0.0) > 0
+    assert fam.weight == tdpt.measure_weight(spec)
+    assert fam.weight(0.0) > 0
     with pytest.raises(ValueError):
         tdpt.exceptional_family(spec, -1)
 

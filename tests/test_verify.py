@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import isotonic, tdpt, verify
+from confluent_dbt import chains, cli, isotonic, tdpt, verify
 from confluent_dbt.classical import IsotonicOscillator, TrigPoschlTeller
 from confluent_dbt.exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
 
@@ -71,9 +72,9 @@ def test_quadrature_golden_values():
 
 def test_quadrature_json_fields():
     r = verify.quadrature(lambda t: t, 0.0, 1.0)
-    j = r.to_json()
-    assert set(j) == {"value", "abs_error", "subdivisions"}
-    assert j["value"] == pytest.approx(0.5)
+    fields = {f.name for f in dataclasses.fields(r)}
+    assert fields == {"value", "abs_error", "subdivisions"}
+    assert r.value == pytest.approx(0.5)
 
 
 def test_gram_matrix_orthogonal_set():
@@ -227,7 +228,7 @@ def test_laguerre_rule_keeps_far_weights(n):
 
 def test_square_well_spectrum():
     result = verify.dirichlet_spectrum(
-        lambda x: 0.0, 0.0, math.pi, 4, grid_n=1000
+        lambda x: 0.0 * x, 0.0, math.pi, 4, grid_n=1000
     )
     exact = [1.0, 4.0, 9.0, 16.0]
     for got, want, est in zip(result.energies, exact, result.error_estimates):
@@ -266,7 +267,7 @@ def test_node_anomaly_detected():
     # the far-pocket sign change drops below the amplitude cutoff and the
     # count comes out wrong; the solver must refuse rather than mislabel
     def v(x):
-        return 1e6 if 1.0 < x < 1.2 else 0.0
+        return np.where((1.0 < x) & (x < 1.2), 1e6, 0.0)
 
     with pytest.raises(ValueError, match="node-count anomaly"):
         verify.dirichlet_spectrum(v, 0.0, 3.4, 3, grid_n=600)
@@ -284,6 +285,72 @@ def test_convergence_is_second_order():
         lambda x: iso.v(x, 2.0), lo, hi, grid_n=1000
     )
     assert 3.6 < ratio2 < 4.4
+
+
+def _recording(v, calls):
+    """v, recording the shapes of the points and of the values of each call."""
+
+    def recorded(x, *args):
+        out = v(x, *args)
+        calls.append((np.shape(x), np.shape(out)))
+        return out
+
+    return recorded
+
+
+def test_potentials_give_one_value_per_grid_point(monkeypatch, tmp_path, capsys):
+    # every potential handed to the finite-difference solver or to a chain
+    # integrator is called on the whole grid, so one that takes scalars
+    # only fails here and not in a command
+    calls = []
+    real_fd = verify._fd_eigs
+    monkeypatch.setattr(
+        verify, "_fd_eigs", lambda v, *a, **kw: real_fd(_recording(v, calls), *a, **kw)
+    )
+    for name in ("hyperconfluent_chain", "matveev_potential"):
+        real = getattr(chains, name)
+        monkeypatch.setattr(
+            chains, name,
+            lambda seed, v, *a, real=real: real(seed, _recording(v, calls), *a),
+        )
+
+    # the finite-difference solver: both bases and both extensions
+    tdpt.isospectrality_witness(tdpt.TdptSpec(0, 1, 1, 1), 2, grid_n=200)
+    isotonic.quasi_isospectrality_witness(
+        isotonic.IsotonicSpec(1, 1), 2.0, 2, grid_n=200
+    )
+    verify.convergence_order_ratio(
+        TrigPoschlTeller(1, 1).v, *verify.tdpt_domain(), grid_n=200
+    )
+    iso = IsotonicOscillator(1)
+    verify.convergence_order_ratio(
+        lambda x: iso.v(x, 2.0), *verify.isotonic_domain(2.0, 16.0), grid_n=200
+    )
+    assert len(calls) == 10
+    # and `verify spectrum` on both kinds of build output
+    pot = str(tmp_path / "pot.json")
+    for build in (
+        ["tdpt", "build", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1"],
+        ["isotonic", "build", "--n", "1", "--N", "1"],
+    ):
+        assert cli.main(build + ["--out", pot]) == 0
+        assert cli.main(["verify", "spectrum", "--potential-json", pot,
+                         "--levels", "2", "--grid-n", "200"]) == 0
+    assert len(calls) == 14
+    # the chain integrators, through the commands that run them
+    for argv in (
+        ["chain", "run", "--base", "tdpt", "--params", "0,1,1", "--lambdas", "1"],
+        ["chain", "run", "--base", "isotonic", "--params", "0,1,2", "--lambdas", "1"],
+        ["chain", "crosscheck", "--base", "tdpt", "--which", "matveev",
+         "--params", "0,1,1", "--points", "5"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+
+    grid_calls = [shape for shape, _ in calls if shape != ()]
+    assert len(grid_calls) == 17
+    assert all(len(shape) == 1 and shape[0] > 1 for shape in grid_calls)
+    assert all(points == values for points, values in calls)
 
 
 # -- domains --------------------------------------------------------------------------
