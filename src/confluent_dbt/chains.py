@@ -18,6 +18,10 @@ which is what `confluent_two_step` evaluates.  The same potential arises
 from the E-derivative Wronskian W(psi, d_E psi); `matveev_potential`
 rebuilds it that way, independently, from one Cauchy solve at the three
 energies E and E +- h.
+
+The numeric machinery is the package's own: the cumulative norm is
+`verify.quadrature` (adaptive Gauss-Kronrod), and every Cauchy solve is
+`dop853.solve` (the DOP853 Runge-Kutta method with its dense output).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.integrate
 
+from . import dop853
 from .classical import IsotonicOscillator, TrigPoschlTeller
 from .verify import quadrature, worst
 
@@ -81,7 +85,8 @@ def integral_from_anchor(seed: SeedFunction, x):
     """Cumulative norm int_{x0}^{x} f(t)^2 dt at a float or a 1-D array:
     on each side of x0, one adaptive quadrature per gap between the sorted
     distinct points walked outward, then a running sum.  The first gap
-    (possibly reversed or infinite) is the direct integral.  NaN gives NaN."""
+    (possibly reversed or infinite) is the direct integral.  NaN gives NaN;
+    a gap whose quadrature does not converge raises ValueError."""
 
     def square(t):
         return seed.f(t) ** 2
@@ -91,7 +96,16 @@ def integral_from_anchor(seed: SeedFunction, x):
     for side, step in ((pts < seed.x0, -1), (pts >= seed.x0, 1)):
         knots, back = np.unique(pts[side], return_inverse=True)
         edges = np.concatenate(([seed.x0], knots[::step]))
-        gaps = [quadrature(square, a, b).value for a, b in zip(edges, edges[1:])]
+        gaps = []
+        for a, b in zip(edges, edges[1:]):
+            r = quadrature(square, a, b)
+            if not r.converged:
+                raise ValueError(
+                    f"the seed norm integral did not converge between {a} and {b} "
+                    f"(error estimate {r.abs_error:.3g} after {r.subdivisions} "
+                    "subintervals)"
+                )
+            gaps.append(r.value)
         out[side] = np.cumsum(gaps)[::step][back]
     return out if np.ndim(x) else float(out[0])
 
@@ -168,22 +182,18 @@ def scaled_seed(seed: SeedFunction, c: float) -> SeedFunction:
 
 
 def _integrate(rhs, x_start, y0, xs):
-    """Integrate y' = rhs(t, y) from x_start towards both ends of xs and
-    return y sampled at xs, one row per component.  A stalled solver
-    raises ValueError."""
+    """Integrate y' = rhs(t, y) by DOP853 (rtol 1e-11, atol 1e-13) from
+    x_start towards both ends of xs and return y sampled at xs by the dense
+    output, one row per component.  A stalled solver raises ValueError."""
     out = np.zeros((len(y0), len(xs)))
     for sel, stop in ((xs < x_start, xs.min()), (xs >= x_start, xs.max())):
         if stop == x_start or not np.any(sel):
             # nothing to reach on this side, or every point sits at x_start
             out[:, sel] = np.asarray(y0, dtype=float)[:, None]
             continue
-        sol = scipy.integrate.solve_ivp(
-            rhs, (x_start, stop), y0, method="DOP853", rtol=1e-11, atol=1e-13,
-            dense_output=True,
+        out[:, sel] = dop853.solve(rhs, x_start, stop, y0, rtol=1e-11, atol=1e-13)(
+            xs[sel]
         )
-        if not sol.success:
-            raise ValueError(f"integration failed: {sol.message}")
-        out[:, sel] = sol.sol(xs[sel])
     return out
 
 

@@ -488,7 +488,8 @@ def _cmd_verify_spectrum(args) -> int:
         v = lambda x: omega * rat(omega * x * x / 2.0)
         e_max = 2.0 * args.levels * omega
         lo, hi = verify.isotonic_domain(omega, e_max)
-    result = verify.dirichlet_spectrum(v, lo, hi, args.levels, args.grid_n)
+    grid_n = args.grid_n if args.grid_n is not None else reports.GRID_N
+    result = verify.dirichlet_spectrum(v, lo, hi, args.levels, grid_n)
     payload = {"schema": SCHEMA, "spectrum": result.to_json()}
     _emit(_json_text(payload), args.out)
     return 0
@@ -532,6 +533,7 @@ def _cmd_verify_gram(args) -> int:
         "levels": levels,
         "gram": [[float(v) for v in row] for row in vals],
         "abs_error": [[float(r.abs_error) for r in row] for row in results],
+        "converged": all(r.converged for row in results for r in row),
         "max_offdiagonal_relative": float(verify.max_offdiagonal_relative(vals)),
     }
     _emit(_json_text(payload), args.out)
@@ -551,6 +553,20 @@ def _cmd_spec_verify(args) -> int:
     )
 
 
+# the inputs of `verify` besides the spec flags; each selector reads some
+_VERIFY_INPUTS = ("grid_n", "levels", "potential_json", "family_json")
+
+
+def _refuse_unread_inputs(args, reads=()):
+    unread = [
+        "--" + dest.replace("_", "-")
+        for dest in _VERIFY_INPUTS
+        if getattr(args, dest) is not None and dest not in reads
+    ]
+    if unread:
+        raise ValueError(f"verify {args.selector} does not read {', '.join(unread)}")
+
+
 def _cmd_verify(args) -> int:
     selector = args.selector
     given = [
@@ -566,39 +582,49 @@ def _cmd_verify(args) -> int:
                 f"(got {', '.join(unread)})"
             )
         if selector == "spectrum":
+            _refuse_unread_inputs(args, ("grid_n", "levels", "potential_json"))
             return _cmd_verify_spectrum(args)
+        _refuse_unread_inputs(args, ("family_json",))
         return _cmd_verify_gram(args)
 
-    if selector in _PARAMETRIZED and given:
+    try:
+        reports.select_checks(selector)
+        in_manifest = True
+    except KeyError:
+        in_manifest = False
+    if selector in _PARAMETRIZED and (given or not in_manifest):
+        family, name = selector.split(".", 1)
+        _refuse_unread_inputs(args, ("grid_n",) if name == "spectrum" else ())
         if args.params_file:
             # a flag given on the command line wins over the file
             data = _load_json(args.params_file, "params file")
             for dest, value in vars(_parse_fields("params file", data)).items():
                 if getattr(args, dest) is None:
                     setattr(args, dest, value)
-        family, name = selector.split(".", 1)
-        if args.n is None or args.big_n is None:
-            raise ValueError("parametrized checks need --n and --N")
-        if family == "tdpt" and args.big_m is None:
-            raise ValueError("tdpt checks need --M")
+        needed = ("n", "N", "M") if family == "tdpt" else ("n", "N")
+        if any(getattr(args, _DEST.get(key, key)) is None for key in needed):
+            flags = [f"--{key}" for key in needed]
+            raise ValueError(
+                f"verify {selector} is a per-spec check and needs "
+                f"{', '.join(flags[:-1])} and {flags[-1]}"
+            )
         report_list = reports.run_spec_checks(
             family,
             [name],
             _SPECS[family](args),
             args.kmax if args.kmax is not None else reports.KMAX,
-            args.grid_n,
+            args.grid_n if args.grid_n is not None else reports.GRID_N,
             args.omega if args.omega is not None else Fraction(2),
         )
         return _emit_reports(reports.envelope(report_list, selector=selector), args.out)
 
-    try:
-        reports.select_checks(selector)
-    except KeyError:
-        raise ValueError(f"unknown check or module: {selector}") from None
+    if not in_manifest:
+        raise ValueError(f"unknown check or module: {selector}")
     if given:
         raise ValueError(
             f"verify {selector} takes no spec flags (got {', '.join(given)})"
         )
+    _refuse_unread_inputs(args)
     return _emit_reports(reports.run_suite(selector), args.out)
 
 
@@ -804,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="'all', a module, a check id, 'spectrum', or 'gram'",
     )
-    p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
+    p.add_argument("--grid-n", type=_grid_n, default=None)
     p.add_argument("--params-file", default=None, help="JSON object of spec flags")
     p.add_argument("--potential-json", default=None, help="build output (spectrum)")
     p.add_argument("--levels", type=_int_from(1), default=None, help="level count (spectrum)")

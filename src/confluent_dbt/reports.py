@@ -772,8 +772,16 @@ def _check_verify_order():
 
 @_check("verify.gram", "Gram diagonals positive, off-diagonals at the quadrature floor")
 def _check_verify_gram():
-    fns = [lambda x, k=k: math.sin(k * x) for k in (1, 2, 3)]
-    vals, _ = verify.gram_matrix(fns, 0.0, math.pi)
+    fns = [lambda x, k=k: np.sin(k * x) for k in (1, 2, 3)]
+    vals, results = verify.gram_matrix(fns, 0.0, math.pi)
+    stalled = [
+        (j, k) for j in range(3) for k in range(j, 3) if not results[j][k].converged
+    ]
+    if stalled:
+        return False, {}, (
+            f"quadrature did not converge on entries {stalled} "
+            f"(subinterval cap {verify.QUAD_LIMIT})"
+        )
     if any(vals[j][j] <= 0 for j in range(3)):
         return False, {}, "non-positive diagonal"
     worst = verify.max_offdiagonal_relative(vals)

@@ -7,8 +7,13 @@ gauged eigenfunction collapses to a single rational function in z that
 either is or is not the zero element.  The numeric oracles (quadrature,
 tridiagonal eigensolver) are deliberately independent of the exact layer.
 
+`quadrature` is adaptive Gauss-Kronrod quadrature after QUADPACK (the
+21-point rule, bisection of the worst subinterval, the QAGI map for
+infinite limits); it calls the integrand on arrays of nodes and says
+whether it met its tolerance.  The tridiagonal eigensolvers are scipy's.
+
 Two Gram routes exist.  `gram_matrix` integrates products of arbitrary
-callables by adaptive quadrature.  `gauss_gram` takes gauged states of one
+array callables by adaptive quadrature.  `gauss_gram` takes gauged states of one
 family and takes the Gauss rule's weight from their gauge exponents:
 Gauss-Jacobi in z = cos 2x for trigonometric states, Gauss-Laguerre in
 z = w x^2/2 for radial ones, so only the rational parts are sampled, at
@@ -24,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .exactalg import RadialGauged, RationalFn, TrigGauged, as_rat
@@ -54,28 +58,111 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
 
 # -- quadrature ---------------------------------------------------------------
 
+# The 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21, Piessens et al.
+# 1983): the positive Kronrod nodes, outermost first, their weights (the
+# centre's last), and the 10-point Gauss weights on every other node
+_XK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208367567920, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the same rules over all 21 nodes in increasing order
+_NODES = np.array([-x for x in _XK] + [0.0] + list(_XK[::-1]))
+_RULES = np.zeros((21, 2))  # columns: Kronrod and Gauss weights
+_RULES[:, 0] = _WK + _WK[9::-1]
+_RULES[1:10:2, 1], _RULES[11:20:2, 1] = _WG, _WG[::-1]
+
+QUAD_TOL = 1e-12  # absolute and relative
+QUAD_LIMIT = 300  # subintervals
+EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """`converged` says the error estimate met the tolerance before the
+    subinterval cap (it is false on a NaN or infinite integrand)."""
+
     value: float
     abs_error: float
     subdivisions: int
+    converged: bool
+
+
+def _gauss_kronrod(f, intervals) -> list:
+    """(lo, hi, Kronrod integral, QUADPACK error estimate) of each (lo, hi)
+    in `intervals`, with one call of `f` on all their nodes."""
+    centre = np.array([0.5 * (lo + hi) for lo, hi in intervals])
+    half = np.array([0.5 * (hi - lo) for lo, hi in intervals])
+    fv = np.asarray(f(np.ravel(centre[:, None] + half[:, None] * _NODES)), dtype=float)
+    fv = fv.reshape(len(intervals), 21)
+    kronrod, gauss = (fv @ _RULES).T
+    mass = np.abs(fv) @ _RULES[:, 0]
+    spread = np.abs(fv - 0.5 * kronrod[:, None]) @ _RULES[:, 0]
+    out = []
+    for (lo, hi), k, g, m, s, h in zip(
+        intervals, kronrod.tolist(), gauss.tolist(), mass.tolist(),
+        spread.tolist(), half.tolist(),
+    ):
+        # the spread of f about its mean scales the difference of the two
+        # rules; the floor is the rounding error of the Kronrod sum
+        err, s = abs((k - g) * h), s * abs(h)
+        if s > 0:
+            err = s * min(1.0, 200.0 * err / s) ** 1.5
+        out.append((lo, hi, k * h, max(err, 50.0 * EPS * m * abs(h))))
+    return out
 
 
 def quadrature(f, lo: float, hi: float) -> QuadratureResult:
-    """Adaptive quadrature with tight absolute tolerance (infinite limits
-    allowed)."""
-    out = scipy.integrate.quad(
-        f, lo, hi, epsabs=1e-12, epsrel=1e-12, limit=300, full_output=True
-    )
-    # a 4th element (an explanation string) appears when quad struggled;
-    # the abs_error field already carries that information
-    value, err, info = out[0], out[1], out[2]
-    return QuadratureResult(value, err, int(info["last"]))
+    """Adaptive Gauss-Kronrod quadrature (QUADPACK QAG with the 21-point
+    rule): bisect the subinterval with the largest error estimate until the
+    summed estimate meets 1e-12 absolute or relative, or 300 subintervals.
+    `f` is called on a 1-D array of nodes, once per bisection.  A reversed
+    interval gives the negated integral.  An infinite limit is mapped onto
+    (0, 1] by x = a + (1 - t)/t, or both by its mirror image (QAGI)."""
+    sign = -1.0 if lo > hi else 1.0
+    lo, hi = min(lo, hi), max(lo, hi)
+    if lo == hi:
+        return QuadratureResult(0.0, 0.0, 1, True)
+    if math.isinf(lo) or math.isinf(hi):
+        g = f
+        anchor, side = (lo, 1.0) if math.isinf(hi) else (hi, -1.0)
+        if math.isinf(lo) and math.isinf(hi):
+            f = lambda t: (g((1.0 - t) / t) + g((t - 1.0) / t)) / (t * t)
+        else:
+            f = lambda t: g(anchor + side * ((1.0 - t) / t)) / (t * t)
+        lo, hi = 0.0, 1.0
+    parts = _gauss_kronrod(f, [(lo, hi)])
+    while True:
+        total = math.fsum(p[2] for p in parts)
+        error = math.fsum(p[3] for p in parts)
+        tol = QUAD_TOL * max(1.0, abs(total))
+        if not error > tol or len(parts) == QUAD_LIMIT:
+            break
+        i = max(range(len(parts)), key=lambda j: parts[j][3])
+        a, b = parts[i][:2]
+        mid = 0.5 * (a + b)
+        parts[i : i + 1] = _gauss_kronrod(f, [(a, mid), (mid, b)])
+    converged = error <= tol
+    return QuadratureResult(sign * total, error, len(parts), converged)
 
 
 def gram_matrix(fns, lo: float, hi: float) -> tuple:
-    """Gram matrix of callables under quadrature.
+    """Gram matrix of callables of a 1-D array of points under quadrature.
 
     Returns (values ndarray, QuadratureResult matrix as nested lists).
     """

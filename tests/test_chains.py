@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from confluent_dbt import chains, isotonic, tdpt, verify
+from confluent_dbt import chains, dop853, isotonic, tdpt, verify
 
 
 def second_derivative(f, x, h):
@@ -335,3 +335,97 @@ def test_matveev_cross_check_cases():
         )
         assert pot_rel < 1e-6
         assert w_rel < 1e-5
+
+
+# -- the DOP853 port against scipy's solve_ivp ------------------------------------
+
+
+def _scipy_samples(rhs, x_start, y0, xs):
+    """`chains._integrate` written with scipy's DOP853 at the same
+    tolerances: the reference the port is held to."""
+    import scipy.integrate
+
+    out = np.zeros((len(y0), len(xs)))
+    for sel, stop in ((xs < x_start, xs.min()), (xs >= x_start, xs.max())):
+        if stop == x_start or not np.any(sel):
+            out[:, sel] = np.asarray(y0, dtype=float)[:, None]
+            continue
+        sol = scipy.integrate.solve_ivp(
+            rhs, (x_start, stop), y0, method="DOP853", rtol=1e-11, atol=1e-13,
+            dense_output=True,
+        )
+        assert sol.success
+        out[:, sel] = sol.sol(xs[sel])
+    return out
+
+
+@pytest.fixture
+def against_scipy(monkeypatch):
+    """Run every `_integrate` call through the port and the reference and
+    collect the pairs of samples."""
+    pairs = []
+    port = chains._integrate
+
+    def both(rhs, x_start, y0, xs):
+        got = port(rhs, x_start, y0, xs)
+        pairs.append((got, _scipy_samples(rhs, x_start, y0, xs)))
+        return got
+
+    monkeypatch.setattr(chains, "_integrate", both)
+    return pairs
+
+
+def assert_same_samples(pairs):
+    assert pairs
+    for got, want in pairs:
+        # per component, relative to its largest sample
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("base,params,lambdas,x_start", [
+    ("tdpt", (0, 1, 1), [], math.pi / 2 - 1e-3),
+    ("tdpt", (0, 1, 1), [1.0, 7.0, 11.0], math.pi / 2 - 1e-3),
+    ("tdpt", (0, 2, 3), [2.0], 0.8),  # both sides of x_start
+    ("isotonic", (0, 1, 2.0), [1.0], None),
+    ("isotonic", (0, 2, 0.5), [2.0], 1.5),
+])
+def test_chain_integration_matches_scipy_dop853(against_scipy, base, params,
+                                               lambdas, x_start):
+    if base == "tdpt":
+        seed, v = chains.tdpt_seed(*params)
+        xs = np.linspace(0.05, 1.52, 120)
+    else:
+        seed, v = chains.isotonic_seed(*params)
+        xs = np.linspace(0.1, 4.0, 120) / math.sqrt(params[2])
+    x_start = float(xs[0]) if x_start is None else x_start
+    res = chains.hyperconfluent_chain(seed, v, lambdas, xs, x_start)
+    assert_same_samples(against_scipy)
+    # the integrated psi column is the seed itself
+    assert np.max(np.abs(res.psi - seed.f(xs))) <= 1e-10 * np.max(np.abs(res.psi))
+
+
+def test_matveev_integration_matches_scipy_dop853(against_scipy):
+    for n, N, M in ((0, 1, 1), (1, 2, 1)):
+        seed, v = chains.tdpt_seed(n, N, M)
+        chains.matveev_potential(seed, v, np.linspace(0.3, 1.2, 16), math.pi / 2 - 1e-3)
+    assert_same_samples(against_scipy)
+
+
+def test_integration_stalls_below_float_spacing():
+    # y' = y^2, y(0) = 1 blows up at t = 1: the step shrinks to nothing
+    with pytest.raises(ValueError, match="Required step size is less than spacing"):
+        dop853.solve(lambda t, y: y * y, 0.0, 2.0, [1.0], rtol=1e-11, atol=1e-13)
+    # a chain that runs into its singularity is refused the same way
+    seed, v = chains.tdpt_seed(1, 2, 1)
+    xs = np.linspace(0.05, 1.52, 120)
+    with pytest.raises(ValueError, match="chain integration failed"):
+        chains.hyperconfluent_chain(seed, v, [1.0, 1.0], xs, math.pi / 2 - 1e-3)
+
+
+def test_failed_norm_quadrature_is_refused(monkeypatch):
+    # a quadrature stopped at its subinterval cap gives no number
+    monkeypatch.setattr(verify, "QUAD_TOL", 0.0)
+    seed, _ = chains.tdpt_seed(0, 1, 1)
+    with pytest.raises(ValueError, match="did not converge"):
+        chains.integral_from_anchor(seed, np.array([0.4, 0.9]))

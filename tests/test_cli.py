@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import classical, cli, reports
+from confluent_dbt import classical, cli, reports, verify
 from confluent_dbt.exactalg import ExactPoly
 
 
@@ -642,6 +642,45 @@ def test_verify_refuses_spec_flags_it_does_not_read(capsys, argv, unread):
     assert f"(got {', '.join(unread)})" in err
 
 
+@pytest.mark.parametrize("selector", sorted(
+    sel for sel in cli._PARAMETRIZED if sel not in reports._BY_ID
+))
+def test_per_spec_id_without_spec_names_the_flags_it_needs(capsys, selector):
+    code, out, err = run_cli(capsys, "verify", selector)
+    needs = "--n, --N and --M" if selector.startswith("tdpt.") else "--n and --N"
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {selector} is a per-spec check and needs {needs}\n"
+
+
+@pytest.mark.parametrize("argv,unread", [
+    (["all", "--grid-n", "100"], "--grid-n"),
+    (["exactalg", "--levels", "3"], "--levels"),
+    (["exactalg", "--potential-json", "x.json"], "--potential-json"),
+    (["tdpt.window", "--family-json", "x.json", "--grid-n", "100"],
+     "--grid-n, --family-json"),
+    # the manifest form runs on its own grid
+    (["tdpt.spectrum", "--grid-n", "100"], "--grid-n"),
+    (["tdpt.ode", "--n", "1", "--N", "1", "--M", "1", "--grid-n", "100"], "--grid-n"),
+    (["isotonic.ortho", "--n", "1", "--N", "1", "--levels", "3"], "--levels"),
+    (["spectrum", "--potential-json", "x.json", "--levels", "4",
+      "--family-json", "x.json"], "--family-json"),
+    (["gram", "--family-json", "x.json", "--grid-n", "100"], "--grid-n"),
+])
+def test_verify_refuses_inputs_it_does_not_read(capsys, argv, unread):
+    # refused before any file is read: none of these files exists
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {argv[0]} does not read {unread}\n"
+
+
+def test_verify_grid_n_reaches_the_per_spec_spectrum(capsys):
+    spec = ["--n", "0", "--N", "1", "--M", "1", "--lambda1", "1"]
+    code, data = run_json(capsys, "verify", "tdpt.spectrum", *spec, "--grid-n", "1500")
+    assert code == 0 and data["checks"][0]["spec"]["grid_n"] == 1500
+    code, data = run_json(capsys, "verify", "tdpt.spectrum", *spec)
+    assert code == 0 and data["checks"][0]["spec"]["grid_n"] == reports.GRID_N
+
+
 def test_verify_failing_check_exit_1(capsys, monkeypatch):
     check = reports._BY_ID["tdpt.window"]
     monkeypatch.setitem(reports._BY_ID, check.check_id, dataclasses.replace(
@@ -707,6 +746,24 @@ def test_verify_gram_roundtrip(capsys, tmp_path):
     assert data["max_offdiagonal_relative"] < 1e-10
     m = len(data["levels"])
     assert len(data["gram"]) == m and len(data["gram"][0]) == m
+
+
+def test_quadrature_cap_is_reported(capsys, tmp_path, monkeypatch):
+    # negative control: no error estimate meets a zero tolerance, so every
+    # quadrature runs to its subinterval cap
+    out_file = tmp_path / "iso.json"
+    run_cli(capsys, "isotonic", "build", "--n", "1", "--N", "1", "--out", str(out_file))
+    code, data = run_json(capsys, "verify", "gram", "--family-json", str(out_file))
+    assert code == 0 and data["converged"] is True
+    monkeypatch.setattr(verify, "QUAD_TOL", 0.0)
+    code, data = run_json(capsys, "verify", "gram", "--family-json", str(out_file))
+    assert code == 0 and data["converged"] is False
+    code, data = run_json(capsys, "verify", "verify.gram")
+    assert code == 1
+    assert "did not converge" in data["checks"][0]["witness"]
+    code, out, err = run_cli(capsys, "chain", "crosscheck", "--base", "tdpt",
+                             "--which", "two-step", "--params", "0,1,1")
+    assert code == 1 and "did not converge" in out
 
 
 # -- table ----------------------------------------------------------------------------
@@ -882,10 +939,12 @@ PINNED_OUTPUTS = [
     ("chain run --base tdpt --params 0,1,1 --lambdas 1,1 --grid 0.05:1.45:50 "
      "--full",
      "43f277553e8c5463875c8e860361f3696fac5a778c2c4cdf89a5b6ddc17968b5"),
-    # re-recorded when the three energies became one Cauchy solve: only
-    # the two witness numbers changed
+    # re-recorded when the three energies became one Cauchy solve, and again
+    # for the package's own Gauss-Kronrod quadrature: only the two witness
+    # numbers changed, the second time 7.165100884589733e-10 ->
+    # 7.165101465619039e-10 and 6.4741844701376225e-09 -> 6.474184640338669e-09
     ("chain crosscheck --base tdpt --which matveev --params 0,1,1",
-     "6cb7f09af06890c9447770b42c532d37500097802d583305f9b9bf23dc6078cc"),
+     "4499b2481adcef65ce911e3a51bd85b97f787c7c336e06cc9934ecdd5aed822c"),
     # exact residuals, recorded before they were decided without gcds
     ("tdpt verify --suite ode --n 5 --N 1 --M 1 --lambda1 -1 --kmax 4",
      "51c015bff20d937fc7b9dc811615c7e499b1e557156d8c121d269be6e10a86e0"),
@@ -1006,6 +1065,19 @@ def test_module_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["family"] == "jacobi"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the quadrature and the ODE solver are the package's own; scipy serves
+    # only the tridiagonal eigensolvers
+    code = (
+        "import sys, confluent_dbt.cli as c; c.build_parser(); "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', "
+        "'scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_thread_env_does_not_change_results():

@@ -62,23 +62,101 @@ def test_residual_rejects_plain_callables():
 
 
 def test_quadrature_golden_values():
-    r = verify.quadrature(math.sin, 0.0, math.pi)
+    r = verify.quadrature(np.sin, 0.0, math.pi)
     assert r.value == pytest.approx(2.0, abs=1e-12)
     assert r.abs_error < 1e-9
     assert r.subdivisions >= 1
-    r2 = verify.quadrature(lambda t: math.exp(-t), 0.0, math.inf)
+    r2 = verify.quadrature(lambda t: np.exp(-t), 0.0, math.inf)
     assert r2.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_json_fields():
     r = verify.quadrature(lambda t: t, 0.0, 1.0)
     fields = {f.name for f in dataclasses.fields(r)}
-    assert fields == {"value", "abs_error", "subdivisions"}
-    assert r.value == pytest.approx(0.5)
+    assert fields == {"value", "abs_error", "subdivisions", "converged"}
+    assert r.value == pytest.approx(0.5) and r.converged
+
+
+def test_gauss_kronrod_rule():
+    # the Gauss nodes and weights are the 10-point Gauss-Legendre rule, and
+    # the Kronrod rule integrates x^k exactly on [-1, 1] up to k = 31
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    kronrod, gauss = verify._RULES.T
+    assert np.allclose(verify._NODES[gauss != 0], nodes, rtol=0, atol=1e-15)
+    assert np.allclose(gauss[gauss != 0], weights, rtol=0, atol=1e-15)
+    for k in range(32):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        assert abs(kronrod @ verify._NODES**k - exact) < 1e-15
+    assert abs(kronrod @ verify._NODES**32 - 2.0 / 33) > 1e-13
+
+
+def test_quadrature_edge_intervals():
+    fwd = verify.quadrature(np.exp, 0.0, 1.0)
+    back = verify.quadrature(np.exp, 1.0, 0.0)
+    assert back.value == -fwd.value and back.converged
+    assert verify.quadrature(np.exp, 0.5, 0.5) == verify.QuadratureResult(
+        0.0, 0.0, 1, True
+    )
+    gauss = lambda t: np.exp(-t * t)
+    for lo, hi, want in ((-math.inf, math.inf, math.sqrt(math.pi)),
+                         (-math.inf, 0.0, math.sqrt(math.pi) / 2),
+                         (1.0, math.inf, math.sqrt(math.pi) / 2 * math.erfc(1.0))):
+        r = verify.quadrature(gauss, lo, hi)
+        assert r.converged and r.value == pytest.approx(want, rel=1e-13)
+
+
+def test_quadrature_failure_is_reported(monkeypatch):
+    # no integrand gives evidence through NaN, and none meets a zero tolerance
+    r = verify.quadrature(lambda t: np.full_like(t, math.nan), 0.0, 1.0)
+    assert not r.converged and math.isnan(r.value)
+    monkeypatch.setattr(verify, "QUAD_TOL", 0.0)
+    r = verify.quadrature(np.sin, 0.0, math.pi)
+    assert not r.converged and r.subdivisions == verify.QUAD_LIMIT
+    assert r.value == pytest.approx(2.0, abs=1e-12)
+
+
+@st.composite
+def seed_intervals(draw):
+    """A seed of either family and an interval: a small gap, the whole
+    domain, or a half line [x, inf) for the radial seed."""
+    if draw(st.booleans()):
+        n, N, M = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        seed, _ = chains.tdpt_seed(n, N, M)
+        lo_end, hi_end = 0.0, math.pi / 2
+    else:
+        n, N = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        omega = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+        seed, _ = chains.isotonic_seed(n, N, omega)
+        lo_end, hi_end = 0.0, math.inf
+    kind = draw(st.sampled_from(["gap", "whole", "tail"]))
+    x = draw(st.floats(0.02, 1.5))
+    if kind == "gap":
+        lo, hi = x, x + draw(st.floats(1e-4, 0.05))
+    elif kind == "whole":
+        lo, hi = lo_end, hi_end
+    else:
+        lo, hi = x, hi_end
+    return seed, lo, hi
+
+
+@given(seed_intervals())
+@settings(max_examples=60, deadline=None)
+def test_quadrature_matches_scipy_on_seed_integrands(case):
+    import scipy.integrate
+
+    seed, lo, hi = case
+    square = lambda t: seed.f(t) ** 2
+    got = verify.quadrature(square, lo, hi)
+    want, _ = scipy.integrate.quad(
+        square, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=500
+    )
+    assert got.converged
+    # seeds are normalized, so every integral is at most 1
+    assert abs(got.value - want) <= 2e-12 * max(1.0, abs(want))
 
 
 def test_gram_matrix_orthogonal_set():
-    fns = [lambda x, k=k: math.sin(k * x) for k in (1, 2, 3)]
+    fns = [lambda x, k=k: np.sin(k * x) for k in (1, 2, 3)]
     vals, results = verify.gram_matrix(fns, 0.0, math.pi)
     for j in range(3):
         assert vals[j][j] == pytest.approx(math.pi / 2, rel=1e-12)
