@@ -543,10 +543,12 @@ def _cmd_verify_gram(args) -> int:
 def _cmd_spec_verify(args) -> int:
     """`tdpt verify` and `isotonic verify`."""
     family = args.command
+    reads = ("grid_n",) if args.suite in ("spectrum", "all") else ()
+    _refuse_unread_inputs(args, reads)
     spec = _SPECS[family](args)
     names = list(reports.SPEC_CHECKS[family]) if args.suite == "all" else [args.suite]
     report_list = reports.run_spec_checks(
-        family, names, spec, args.kmax, args.grid_n, args.omega
+        family, names, spec, args.kmax, args.grid_n or reports.GRID_N, args.omega
     )
     return _emit_reports(
         reports.envelope(report_list, family=family, spec=spec.as_dict()), args.out
@@ -561,10 +563,12 @@ def _refuse_unread_inputs(args, reads=()):
     unread = [
         "--" + dest.replace("_", "-")
         for dest in _VERIFY_INPUTS
-        if getattr(args, dest) is not None and dest not in reads
+        if getattr(args, dest, None) is not None and dest not in reads
     ]
     if unread:
-        raise ValueError(f"verify {args.selector} does not read {', '.join(unread)}")
+        command = (f"verify {args.selector}" if args.command == "verify"
+                   else f"{args.command} verify --suite {args.suite}")
+        raise ValueError(f"{command} does not read {', '.join(unread)}")
 
 
 def _cmd_verify(args) -> int:
@@ -717,7 +721,7 @@ def _add_verify_args(p, family):
     names = tuple(reports.SPEC_CHECKS[family])
     p.add_argument("--suite", choices=names + ("all",), default="all")
     _add_field(p, "kmax", default=reports.KMAX)
-    p.add_argument("--grid-n", type=_grid_n, default=reports.GRID_N)
+    p.add_argument("--grid-n", type=_grid_n, default=None)
     _add_out(p)
 
 

@@ -27,8 +27,10 @@ The two gauged families are
 
 where R is a `RationalFn` and the exponents a, b, c are exact Fractions
 (quarter-integers in practice), with arithmetic written once (`_Gauged`).
-Both families are closed under d/dx, which `d_dx` alone implements: that
-turns Schroedinger identities into decidable rational-function identities.
+Both families are closed under d/dx (`d_dx`, by the family's `_law`): R
+becomes u R + w R' and the exponents shift by a fixed step, (a, b) ->
+(a - 1/2, b - 1/2) or (c, p) -> (c - 1/2, p + 1).  That turns Schroedinger
+identities into decidable rational-function identities.
 """
 
 from __future__ import annotations
@@ -827,8 +829,9 @@ class _Gauged:
     A family is a frozen dataclass (``eq=False``) with its gauge fields,
     then `rat`.  It declares `_GAUGE`, the gauge fields, each adding under
     `*`; `_POWERS`, each exponent field with the polynomial it powers (a
-    sum moves integer exponent gaps into `rat`); and `_MATCH`, the fields a
-    sum needs equal, with the message for a mismatch."""
+    sum moves integer exponent gaps into `rat`); `_MATCH`, the fields a
+    sum needs equal, with the message for a mismatch; and `_law`, giving
+    d/dx as (u, w, lower): r -> u r + w r' over the gauge fields `lower`."""
 
     _MATCH = {}
 
@@ -858,6 +861,12 @@ class _Gauged:
                 factor = poly ** int(gap)
                 lift = factor if lift is None else lift * factor
         return self.rat if lift is None else self.rat * lift
+
+    def d_dx(self):
+        """Exact x-derivative by the family's law (`_law`)."""
+        u, w, lower = self._law()
+        rat = RationalFn(u) * self.rat + RationalFn(w) * self.rat.derivative()
+        return replace(self, rat=rat, **lower)
 
     def _aligned(self, other):
         """(lowered exponents, self.rat, other.rat) over one common gauge."""
@@ -921,13 +930,12 @@ class TrigGauged(_Gauged):
     _GAUGE = ("a", "b")
     _POWERS = {"a": ONE_MINUS, "b": ONE_PLUS}
 
-    def d_dx(self) -> "TrigGauged":
-        """Exact x-derivative; dz/dx = -2 sqrt(1-z^2) on 0 < x < pi/2."""
-        a, b, r = self.a, self.b, self.rat
-        # -2 [(b(1-z) - a(1+z)) r + (1-z^2) r'], one half power lower
-        slope = RationalFn(ExactPoly([2 * (a - b), 2 * (a + b)])) * r
-        slope = slope + RationalFn(ExactPoly([-2, 0, 2])) * r.derivative()
-        return TrigGauged(a - Fraction(1, 2), b - Fraction(1, 2), slope)
+    def _law(self) -> tuple:
+        """dz/dx = -2 sqrt(1-z^2) on 0 < x < pi/2: r becomes
+        -2 [(b(1-z) - a(1+z)) r + (1-z^2) r'], one half power lower."""
+        a, b, half = self.a, self.b, Fraction(1, 2)
+        u = ExactPoly([2 * (a - b), 2 * (a + b)])
+        return u, ExactPoly([-2, 0, 2]), {"a": a - half, "b": b - half}
 
     def eval_z(self, z):
         """Value at z: a float, or a numpy array of points."""
@@ -963,13 +971,11 @@ class RadialGauged(_Gauged):
         "p": "incompatible frequency powers",
     }
 
-    def d_dx(self) -> "RadialGauged":
-        """Exact x-derivative; d/dx = sqrt(2w) sqrt(z) d/dz on x > 0."""
-        r = self.rat
-        # (c + (s/2) z) r + z r', one half power of z lower
-        slope = RationalFn(ExactPoly([self.c, Fraction(self.s, 2)])) * r
-        slope = slope + RationalFn(Z) * r.derivative()
-        return RadialGauged(self.c - Fraction(1, 2), self.s, self.p + 1, slope)
+    def _law(self) -> tuple:
+        """d/dx = sqrt(2w) sqrt(z) d/dz on x > 0: r becomes
+        (c + (s/2) z) r + z r', z one half power lower, sqrt(2w) one higher."""
+        u = ExactPoly([self.c, Fraction(self.s, 2)])
+        return u, Z, {"c": self.c - Fraction(1, 2), "p": self.p + 1}
 
     def eval_z(self, z, omega: float = 1.0):
         """Value at z: a float, or a numpy array of points."""

@@ -3,9 +3,9 @@ and finite-difference Dirichlet spectra.
 
 The exact residual operator turns -psi'' + V psi = E psi into a decidable
 statement: both gauge families are closed under d/dx, so the residual of a
-gauged eigenfunction collapses to a single rational function in z that
-either is or is not the zero element.  The numeric oracles (quadrature,
-tridiagonal eigensolver) are deliberately independent of the exact layer.
+gauged eigenfunction is one rational function in z, over one common
+denominator and reduced once, that is or is not zero.  The numeric oracles
+(quadrature, tridiagonal eigensolver) are independent of the exact layer.
 
 `quadrature` is adaptive Gauss-Kronrod quadrature after QUADPACK (the
 21-point rule, bisection of the worst subinterval, the QAGI map for
@@ -24,14 +24,14 @@ successive Gram matrices agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
 
-from .exactalg import RadialGauged, RationalFn, TrigGauged, as_rat
+from .exactalg import RadialGauged, RationalFn, TrigGauged, _cancel, as_rat
 
 
 def exact_ode_residual(f, v_zform: RationalFn, energy):
@@ -43,17 +43,27 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     (V(x) = w * v_zform(z), E = w * energy), which cancels from the
     statement.  The identity holds iff the returned object `.is_zero`.
 
-    The arithmetic is the canonical `RationalFn` arithmetic, so the
-    residual comes back reduced, a zero one as the canonical zero.
+    The residual sits two derivatives below f's gauge: psi'' is N/D^3 by the
+    family's law applied twice to f's P/D, (E - V) psi = G/H psi joins it
+    over D lcm(D^2, H), and the sum is reduced once, by no gcd if it is zero.
     """
     if not isinstance(f, (TrigGauged, RadialGauged)):
         raise TypeError("eigenfunction must be a gauged function")
     e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
     gap = e - v_zform  # E - V
     if isinstance(f, RadialGauged):
-        # (E - V) psi = w g psi = (sqrt(2w))^2 (g/2) psi
-        gap = RadialGauged(Fraction(0), 0, 2, gap * Fraction(1, 2))
-    return f.d_dx().d_dx() + f * gap
+        gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
+    num, d, g = f.rat.num, f.rat.den, f
+    for j in (1, 2):
+        # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
+        u, w, lower = g._law()
+        num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
+        g = replace(g, **lower)
+    h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
+    # P G from f's gauge onto the residual's, over the same denominator
+    term = replace(f, rat=RationalFn(f.rat.num * gap.num * d2))._lifted(vars(g))
+    num = num * h + term.num
+    return replace(g, rat=RationalFn(num, d * d * d * h if num else None))
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -360,9 +370,9 @@ def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
 
 
 def _count_nodes(vec: np.ndarray) -> int:
-    cutoff = 1e-8 * np.max(np.abs(vec))
-    signs = [1 if t > 0 else -1 for t in vec if abs(t) > cutoff]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+    """Sign changes among entries above 1e-8 of the largest (none on a NaN)."""
+    positive = vec[np.abs(vec) > 1e-8 * np.max(np.abs(vec))] > 0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))
 
 
 def dirichlet_spectrum(

@@ -231,7 +231,9 @@ def test_10_type2_equivalence():
 
 @pytest.mark.parametrize("argv", [
     "tdpt verify --suite ode --N 3 --M 2 --lambda1 1 --kmax 6 --n 13",
+    "tdpt verify --suite ode --N 3 --M 2 --lambda1 1 --kmax 6 --n 24",
     "isotonic verify --suite ode --N 3 --kmax 6 --n 16",
+    "isotonic verify --suite ode --N 3 --kmax 6 --n 30",
 ])
 def test_11_degree_frontier(capsys, argv):
     # the exact Schroedinger identities at degrees past the benchmark pool's

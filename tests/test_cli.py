@@ -673,6 +673,36 @@ def test_verify_refuses_inputs_it_does_not_read(capsys, argv, unread):
     assert err == f"error: verify {argv[0]} does not read {unread}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["tdpt", "verify", "--n", "1", "--N", "1", "--M", "1", "--lambda1", "1",
+     "--suite", "ode"],
+    ["tdpt", "verify", "--n", "1", "--N", "1", "--M", "1", "--lambda1", "1",
+     "--suite", "regularity"],
+    ["isotonic", "verify", "--n", "1", "--N", "1", "--suite", "ortho"],
+    ["isotonic", "verify", "--n", "0", "--N", "2", "--suite", "n0-type2"],
+])
+def test_family_verify_refuses_grid_n_on_suites_without_a_grid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--grid-n", "100")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {argv[0]} verify --suite {argv[-1]} does not read --grid-n\n"
+    )
+    # the same command without the flag runs
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("family,spec", [
+    ("tdpt", ["--n", "0", "--N", "1", "--M", "1", "--lambda1", "1"]),
+    ("isotonic", ["--n", "1", "--N", "1"]),
+])
+def test_family_verify_grid_n_reaches_the_spectrum_suite(capsys, family, spec):
+    code, data = run_json(capsys, family, "verify", *spec, "--suite", "spectrum",
+                          "--grid-n", "1500")
+    assert code == 0 and data["checks"][0]["spec"]["grid_n"] == 1500
+    code, data = run_json(capsys, family, "verify", *spec, "--suite", "spectrum")
+    assert code == 0 and data["checks"][0]["spec"]["grid_n"] == reports.GRID_N
+
+
 def test_verify_grid_n_reaches_the_per_spec_spectrum(capsys):
     spec = ["--n", "0", "--N", "1", "--M", "1", "--lambda1", "1"]
     code, data = run_json(capsys, "verify", "tdpt.spectrum", *spec, "--grid-n", "1500")

@@ -351,6 +351,44 @@ def test_chain_scaling_fails_when_only_the_state_is_scaled(monkeypatch):
     assert_fails_with_witness(reports._check_chains_scaling())
 
 
+# -- negative controls of the manifest checks ------------------------------------------
+
+
+def _permanent(mat):
+    """The determinant's cofactor expansion with every sign +."""
+    if len(mat) == 1:
+        return mat[0][0]
+    terms = [
+        mat[0][j] * _permanent([row[:j] + row[j + 1:] for row in mat[1:]])
+        for j in range(len(mat))
+    ]
+    return sum(terms[1:], terms[0])
+
+
+# check id -> (owner, name, make): the control replaces the attribute name of
+# owner (a module or class) with make(the real one), and the check must fail
+MANIFEST_CONTROLS = {
+    # the residual of psi squared: a nonlinear operator
+    "verify.linearity": (verify, "exact_ode_residual", lambda real: (
+        lambda f, v, e: real(f * f, v, e)
+    )),
+    # Wronskian rows from the merged d_dx, expanded without the cofactor
+    # signs: antisymmetry and vanishing on repeats hold for any derivative,
+    # so only the expansion can break them
+    "exactalg.wronskian": (exactalg, "_det", lambda real: _permanent),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(MANIFEST_CONTROLS))
+def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
+    owner, name, make = MANIFEST_CONTROLS[check_id]
+    assert reports.run_check(check_id).status == "pass"
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    # the body is called directly, so an exception fails the test instead
+    # of becoming the witness
+    assert_fails_with_witness(reports._BY_ID[check_id].run())
+
+
 # -- negative controls of every per-spec check ----------------------------------------
 
 ISO = isotonic.IsotonicSpec(1, 1)

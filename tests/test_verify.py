@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from confluent_dbt import chains, cli, isotonic, tdpt, verify
 from confluent_dbt.classical import IsotonicOscillator, TrigPoschlTeller
@@ -49,6 +49,78 @@ def test_residual_radial_units_cancel():
             base.eigenstate(k), v, base.energy_units(k)
         )
         assert res.is_zero
+
+
+def gauged_route(f, v, energy):
+    """psi'' + (E - V) psi by gauged arithmetic: two `d_dx`, a product and
+    a sum, each reduced on its own."""
+    gap = energy - v
+    if isinstance(f, RadialGauged):
+        gap = RadialGauged(Fraction(0), 0, 2, gap * Fraction(1, 2))
+    return f.d_dx().d_dx() + f * gap
+
+
+POLE = RationalFn(ExactPoly([1]), ExactPoly([3, 1]))  # 1/(z+3)
+RESIDUAL_VARIANTS = ("true", "energy+1", "junk", "rational energy", "energy+pole")
+
+
+@st.composite
+def residual_cases(draw):
+    """(state, potential, energy, variant) over eigenstates of both
+    extensions (lambda1 = 0 included, where D vanishes at z = -1) and of
+    both bases (rational part a polynomial), then varied."""
+    family = draw(st.sampled_from(["tdpt", "isotonic", "trig base", "radial base"]))
+    k = draw(st.integers(0, 4))
+    if family == "tdpt":
+        n, N, M = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        step = draw(st.fractions(min_value=Fraction(1, 7), max_value=9,
+                                 max_denominator=7))
+        lam = draw(st.sampled_from(
+            [Fraction(0), -step, tdpt.regularity_threshold(n, N, M) + step]
+        ))
+        spec = tdpt.TdptSpec(n, N, M, lam)
+        f, v = tdpt.eigenfunction(spec, k), tdpt.extended_potential(spec).z_form
+        e = spec.base.energy(k)
+    elif family == "isotonic":
+        spec = isotonic.IsotonicSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+        f = (isotonic.deleted_state(spec) if k == spec.n
+             else isotonic.eigenfunction(spec, k))
+        v, e = isotonic.extended_potential(spec).zform_units, 2 * k
+    elif family == "trig base":
+        base = TrigPoschlTeller(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        f, v, e = base.eigenstate(k), base.v_zform(), base.energy(k)
+    else:
+        base = IsotonicOscillator(draw(st.integers(1, 3)))
+        f, v, e = base.eigenstate(k), base.v_zform_units(), base.energy_units(k)
+    variant = draw(st.sampled_from(RESIDUAL_VARIANTS))
+    if variant == "energy+1":
+        e += 1
+    elif variant == "junk":
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+                      .filter(any))
+        junk = RationalFn(ExactPoly(coeffs), ExactPoly([draw(st.integers(2, 5)), 1]))
+        f = dataclasses.replace(f, rat=f.rat + junk)
+    elif variant == "rational energy":
+        e = RationalFn(ExactPoly([e]))
+    elif variant == "energy+pole":
+        e = e + POLE
+    return f, v, e, variant
+
+
+@given(residual_cases())
+@settings(max_examples=80, deadline=None)
+def test_residual_matches_the_gauged_route(case):
+    f, v, energy, variant = case
+    res = verify.exact_ode_residual(f, v, energy)
+    assert res == gauged_route(f, v, energy)
+    assert res.is_zero == (variant in ("true", "rational energy"))
+    # two half powers below f's gauge, reduced, with a monic denominator
+    if isinstance(f, TrigGauged):
+        assert (res.a, res.b) == (f.a - 1, f.b - 1)
+    else:
+        assert (res.c, res.s, res.p) == (f.c - 1, f.s, f.p + 2)
+    assert res.rat.den.lc() == 1
+    assert res.is_zero or res.rat.num.gcd(res.rat.den).degree() == 0
 
 
 def test_residual_rejects_plain_callables():
@@ -349,6 +421,38 @@ def test_node_anomaly_detected():
 
     with pytest.raises(ValueError, match="node-count anomaly"):
         verify.dirichlet_spectrum(v, 0.0, 3.4, 3, grid_n=600)
+
+
+def count_nodes_by_loop(vec) -> int:
+    """Sign changes among the entries above the cutoff, one at a time."""
+    cutoff = 1e-8 * np.max(np.abs(vec))
+    signs = [1 if t > 0 else -1 for t in vec if abs(t) > cutoff]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+@st.composite
+def node_vectors(draw):
+    """Vectors with exact zeros, entries at the cutoff and just above it,
+    and sometimes a NaN."""
+    vals = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-7, -1e-7]))
+    vec = np.array(draw(st.lists(vals, min_size=1, max_size=40)))
+    cutoff = 1e-8 * np.max(np.abs(vec))
+    above = np.nextafter(cutoff, np.inf)
+    for t in draw(st.lists(st.sampled_from([cutoff, -cutoff, above, -above]),
+                           max_size=4)):
+        vec = np.insert(vec, draw(st.integers(0, len(vec))), t)
+    if draw(st.integers(0, 3)) == 0:
+        vec[draw(st.integers(0, len(vec) - 1))] = np.nan
+    return vec
+
+
+@given(node_vectors())
+@example(np.zeros(7))
+@example(np.array([1.0, 1e-8, -1e-8, -1.0, np.nextafter(1e-8, 1.0)]))
+@example(np.array([1.0, np.nan, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_count_nodes_matches_the_loop(vec):
+    assert verify._count_nodes(vec) == count_nodes_by_loop(vec)
 
 
 def test_convergence_is_second_order():
