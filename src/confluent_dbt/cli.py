@@ -25,11 +25,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
+
+# set before numpy loads OpenBLAS: the package's matrix products are tiny
+# (DOP853 stage sums, 21-node rules), and a worker thread would only spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -188,7 +188,10 @@ def _check_exactalg_coprime():
     return True, {"cases": 20}, "results stay coprime with monic denominators"
 
 
-@_check("exactalg.wronskian", "Wronskian is antisymmetric and vanishes on repeats")
+@_check(
+    "exactalg.wronskian",
+    "Wronskian is antisymmetric, vanishes on repeats and matches its closed form",
+)
 def _check_exactalg_wronskian():
     base = classical.TrigPoschlTeller(1, 2)
     f, g = base.eigenstate(0), base.eigenstate(2)
@@ -196,6 +199,15 @@ def _check_exactalg_wronskian():
         return False, {}, "pair Wronskian not antisymmetric"
     if not exactalg.wronskian([f, f]).is_zero:
         return False, {}, "Wronskian of a repeated function is nonzero"
+    # the two properties above hold for any x-derivative; the closed form
+    # W(psi_n, psi_k) = -(1-z)^(N+1) (1+z)^(M+1) P_nk(z) tests d_dx itself
+    N, M = base.N, base.M
+    for n, k in ((0, 1), (0, 2), (1, 3)):
+        want = TrigGauged(
+            N, M, RationalFn(ExactPoly([-1, 0, 1]) * tdpt.wronskian_pair_poly(n, N, M, k))
+        )
+        if exactalg.wronskian([base.eigenstate(n), base.eigenstate(k)]) != want:
+            return False, {}, f"W(psi_{n}, psi_{k}) differs from its closed form"
     return True, {}, "antisymmetry and degeneracy hold"
 
 

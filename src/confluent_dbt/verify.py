@@ -10,7 +10,9 @@ denominator and reduced once, that is or is not zero.  The numeric oracles
 `quadrature` is adaptive Gauss-Kronrod quadrature after QUADPACK (the
 21-point rule, bisection of the worst subinterval, the QAGI map for
 infinite limits); it calls the integrand on arrays of nodes and says
-whether it met its tolerance.  The tridiagonal eigensolvers are scipy's.
+whether it met its tolerance.  The tridiagonal eigensolvers are LAPACK's,
+called through scipy's compiled wrappers by `lapack`; `scipy.linalg` is
+never imported.
 
 Two Gram routes exist.  `gram_matrix` integrates products of arbitrary
 array callables by adaptive quadrature.  `gauss_gram` takes gauged states of one
@@ -29,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
+from . import lapack
 from .exactalg import RadialGauged, RationalFn, TrigGauged, _cancel, as_rat
 
 
@@ -227,7 +229,7 @@ def _golub_welsch(diag, off, mass) -> tuple:
     recurrence: unlike squared eigenvector entries, this keeps the far
     Laguerre weights (down to 1e-300) to full relative precision.  The sum
     is rescaled before it overflows, and the scale is applied at the end."""
-    z = scipy.linalg.eigvalsh_tridiagonal(diag, off)
+    z, _ = lapack.eigh_tridiagonal(diag, off)
     q_prev, q = np.zeros_like(z), np.ones_like(z)
     total, scaled = np.ones_like(z), np.zeros_like(z)
     for k in range(len(off)):
@@ -358,15 +360,7 @@ def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
     x = a + h * np.arange(1, grid_n)
     diag = 2.0 / h**2 + v(x)
     off = np.full(grid_n - 2, -1.0 / h**2)
-    if vectors:
-        w, vecs = scipy.linalg.eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_levels - 1)
-        )
-        return w, vecs
-    w = scipy.linalg.eigvalsh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_levels - 1)
-    )
-    return w, None
+    return lapack.eigh_tridiagonal(diag, off, n_levels, vectors)
 
 
 def _count_nodes(vec: np.ndarray) -> int:

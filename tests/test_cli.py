@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confluent_dbt import classical, cli, reports, verify
-from confluent_dbt.exactalg import ExactPoly
+from confluent_dbt.exactalg import ExactPoly, RationalFn
 
 
 def run_cli(capsys, *argv):
@@ -765,6 +765,29 @@ def test_verify_spectrum_needs_inputs(capsys):
     assert code == 2
 
 
+# 10^308 (1 + z): past the largest float near z = 1, so infinite on the grid;
+# over z^2 + 10^308 z + 10^308, inf/inf there, so NaN
+_HUGE = ExactPoly([10**308, 10**308])
+_NONFINITE = {
+    "inf": RationalFn(_HUGE),
+    "nan": RationalFn(_HUGE, ExactPoly([10**308, 10**308, 1])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_NONFINITE))
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_verify_spectrum_refuses_a_nonfinite_potential(capsys, tmp_path, kind):
+    # LAPACK's results on NaN or infinite input are undefined; the
+    # eigensolver refuses such input before the call
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps({"z_form": _NONFINITE[kind].to_json()}))
+    code, out, err = run_cli(capsys, "verify", "spectrum", "--potential-json",
+                             str(pot), "--levels", "2", "--grid-n", "50")
+    assert code == 2 and out == ""
+    assert err == "error: array must not contain infs or NaNs\n"
+
+
 def test_verify_gram_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "iso.json"
     run_cli(capsys, "isotonic", "build", "--n", "1", "--N", "1",
@@ -1097,17 +1120,57 @@ def test_module_entry_point():
     assert data["family"] == "jacobi"
 
 
-def test_cli_import_leaves_out_scipy_integrate():
-    # the quadrature and the ODE solver are the package's own; scipy serves
-    # only the tridiagonal eigensolvers
-    code = (
-        "import sys, confluent_dbt.cli as c; c.build_parser(); "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.special', "
-        "'scipy.optimize', 'scipy.sparse') if m in sys.modules))"
+_NO_SCIPY_RUN = """
+import contextlib, io, json, os, sys
+import confluent_dbt.cli as cli
+from confluent_dbt import lapack
+
+real, calls = lapack.eigh_tridiagonal, []
+
+def counted(d, e, k=None, vectors=False):
+    calls.append((k, vectors))
+    return real(d, e, k, vectors)
+
+lapack.eigh_tridiagonal = counted
+for argv in (
+    ["verify", "all"],
+    ["tdpt", "verify", "--suite", "spectrum", "--n", "0", "--N", "1", "--M", "1",
+     "--lambda1", "1"],
+    ["isotonic", "verify", "--suite", "ortho", "--n", "1", "--N", "1"],
+    ["chain", "run", "--base", "isotonic", "--params", "0,1,2", "--lambdas", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "gauss_rules": sum(k is None for k, _ in calls),
+    "fd_spectra": sum(vectors for _, vectors in calls),
+    "threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+}))
+"""
+
+
+def test_cli_runs_without_importing_scipy():
+    # the quadrature and the ODE solver are the package's own, and the
+    # tridiagonal eigensolvers load scipy's LAPACK wrappers from their file:
+    # no scipy module is imported, even when the Gauss-rule and the
+    # finite-difference eigensolves run
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN], capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2"},
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    seen = json.loads(proc.stdout)
+    assert seen["scipy"] == []
+    assert seen["gauss_rules"] > 0 and seen["fd_spectra"] > 0
+    assert seen["threads"] == "2"  # the caller's setting is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, confluent_dbt.cli; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.stdout == "1\n", proc.stderr
 
 
 def test_thread_env_does_not_change_results():

@@ -45,7 +45,7 @@ PINNED_ROWS = [
     ("exactalg.coprime", "exactalg",
      "rational-function arithmetic keeps numerator and denominator coprime"),
     ("exactalg.wronskian", "exactalg",
-     "Wronskian is antisymmetric and vanishes on repeats"),
+     "Wronskian is antisymmetric, vanishes on repeats and matches its closed form"),
     ("classical.jacobi-ode", "classical",
      "Jacobi polynomials solve their differential equation exactly"),
     ("classical.laguerre-ode", "classical",
@@ -365,8 +365,9 @@ def _permanent(mat):
     return sum(terms[1:], terms[0])
 
 
-# check id -> (owner, name, make): the control replaces the attribute name of
-# owner (a module or class) with make(the real one), and the check must fail
+# check id[:control] -> (owner, name, make): the control replaces the
+# attribute name of owner (a module or class) with make(the real one), and
+# the check must fail
 MANIFEST_CONTROLS = {
     # the residual of psi squared: a nonlinear operator
     "verify.linearity": (verify, "exact_ode_residual", lambda real: (
@@ -376,12 +377,18 @@ MANIFEST_CONTROLS = {
     # signs: antisymmetry and vanishing on repeats hold for any derivative,
     # so only the expansion can break them
     "exactalg.wronskian": (exactalg, "_det", lambda real: _permanent),
+    # a wrong x-derivative, u + 1 and 3 w in r -> u r + w r': only the
+    # closed form can catch it
+    "exactalg.wronskian:d_dx": (exactalg.TrigGauged, "_law", lambda real: (
+        lambda self: (lambda u, w, lower: (u + 1, 3 * w, lower))(*real(self))
+    )),
 }
 
 
 @pytest.mark.parametrize("check_id", sorted(MANIFEST_CONTROLS))
 def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
     owner, name, make = MANIFEST_CONTROLS[check_id]
+    check_id = check_id.partition(":")[0]
     assert reports.run_check(check_id).status == "pass"
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
     # the body is called directly, so an exception fails the test instead
