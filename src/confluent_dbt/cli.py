@@ -33,10 +33,9 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 # set before numpy loads OpenBLAS: the package's matrix products are tiny
-# (DOP853 stage sums, 21-node rules), and a worker thread would only spin
+# (DOP853 stage sums, 21-node rules), and a worker thread would only spin.
+# numpy loads in the commands that compute with floats, at first use.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np
 
 from . import chains, classical, isotonic, reports, tdpt, verify
 from .exactalg import RationalFn, pointwise
@@ -143,7 +142,8 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
 
 
-def _grid(text: str) -> np.ndarray:
+def _grid(text: str):
+    """The numpy array of the grid `a:b:n`."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be a:b:n, got {text!r}")
@@ -155,6 +155,8 @@ def _grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid endpoints must be finite: {text!r}")
     if n < 2 or not a < b:
         raise argparse.ArgumentTypeError(f"degenerate grid: {text!r}")
+    import numpy as np
+
     return np.linspace(a, b, n)
 
 
@@ -367,6 +369,8 @@ def _chain_setup(args):
 
 
 def _cmd_chain_run(args) -> int:
+    import numpy as np
+
     seed, v, label = _chain_setup(args)
     xs, x_start = args.grid, args.x_start
     if args.base == "tdpt":
@@ -409,6 +413,8 @@ def _cmd_chain_run(args) -> int:
 
 
 def _cmd_chain_crosscheck(args) -> int:
+    import numpy as np
+
     if args.which == "matveev" and args.base != "tdpt":
         raise ValueError(
             "the energy-derivative route is anchored at the right endpoint "

@@ -30,7 +30,9 @@ where R is a `RationalFn` and the exponents a, b, c are exact Fractions
 Both families are closed under d/dx (`d_dx`, by the family's `_law`): R
 becomes u R + w R' and the exponents shift by a fixed step, (a, b) ->
 (a - 1/2, b - 1/2) or (c, p) -> (c - 1/2, p + 1).  That turns Schroedinger
-identities into decidable rational-function identities.
+identities into decidable rational-function identities: `exact_ode_residual`
+gives psi'' + (E - V) psi of a gauged state over one common denominator,
+zero exactly when the state solves the equation.
 """
 
 from __future__ import annotations
@@ -1022,3 +1024,35 @@ def _det(mat):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def exact_ode_residual(f, v_zform: RationalFn, energy):
+    """Exact residual psi'' + (E - V) psi as a gauged function.
+
+    For a `TrigGauged` eigenfunction, `v_zform` is the potential in
+    z = cos 2x and `energy` the exact eigenvalue.  For a `RadialGauged`
+    one, both potential and energy are in units of the frequency w
+    (V(x) = w * v_zform(z), E = w * energy), which cancels from the
+    statement.  The identity holds iff the returned object `.is_zero`.
+
+    The residual sits two derivatives below f's gauge: psi'' is N/D^3 by the
+    family's law applied twice to f's P/D, (E - V) psi = G/H psi joins it
+    over D lcm(D^2, H), and the sum is reduced once, by no gcd if it is zero.
+    """
+    if not isinstance(f, (TrigGauged, RadialGauged)):
+        raise TypeError("eigenfunction must be a gauged function")
+    e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
+    gap = e - v_zform  # E - V
+    if isinstance(f, RadialGauged):
+        gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
+    num, d, g = f.rat.num, f.rat.den, f
+    for j in (1, 2):
+        # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
+        u, w, lower = g._law()
+        num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
+        g = replace(g, **lower)
+    h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
+    # P G from f's gauge onto the residual's, over the same denominator
+    term = replace(f, rat=RationalFn(f.rat.num * gap.num * d2))._lifted(vars(g))
+    num = num * h + term.num
+    return replace(g, rat=RationalFn(num, d * d * d * h if num else None))

@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import verify
 from .classical import CACHE_SIZE, IsotonicOscillator, laguerre
 from .exactalg import (
     POS_INF,
@@ -289,8 +290,6 @@ def quasi_isospectrality_witness(
 ):
     """Numeric Dirichlet spectrum of the extension against the punctured
     ladder {2kw : k != n}.  Returns (SpectrumResult, expected)."""
-    from . import verify
-
     pot = extended_potential(spec)
     expected = []
     k = 0

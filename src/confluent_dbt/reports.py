@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from . import chains, classical, exactalg, isotonic, tdpt, verify
 from .exactalg import ExactPoly, RationalFn, TrigGauged
 
@@ -367,7 +365,7 @@ def _tdpt_ode(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     pot = tdpt.extended_potential(spec)
     for k in range(kmax + 1):
-        res = verify.exact_ode_residual(
+        res = exactalg.exact_ode_residual(
             tdpt.eigenfunction(spec, k), pot.z_form, spec.base.energy(k)
         )
         if not res.is_zero:
@@ -528,12 +526,12 @@ def _iso_ode(spec, kmax, grid_n, omega):
     for k in range(kmax + 1):
         if k == spec.n:
             continue
-        res = verify.exact_ode_residual(
+        res = exactalg.exact_ode_residual(
             isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
         )
         if not res.is_zero:
             return False, params, f"nonzero exact residual at level {k}"
-    res = verify.exact_ode_residual(
+    res = exactalg.exact_ode_residual(
         isotonic.deleted_state(spec), pot.zform_units, 2 * spec.n
     )
     if not res.is_zero:
@@ -694,6 +692,8 @@ def _check_isotonic_spectrum():
 
 @_check("chains.inverse", "reciprocal-seed step undoes a one-step transform")
 def _check_chains_inverse():
+    import numpy as np
+
     seed, v = chains.tdpt_seed(0, 1, 1)
     v1, _ = chains.dbt_apply(seed, v)
     inverse = chains.SeedFunction(
@@ -713,6 +713,8 @@ def _check_chains_inverse():
 
 @_check("chains.energy", "two-step state map preserves the mapped energy")
 def _check_chains_energy():
+    import numpy as np
+
     seed, v = chains.tdpt_seed(0, 1, 1)
     vt, transform = chains.confluent_two_step(seed, v, 1.0)
     base = classical.TrigPoschlTeller(1, 1)
@@ -734,6 +736,8 @@ def _check_chains_energy():
 
 @_check("chains.scaling", "seed rescaling with matched constant is a gauge move")
 def _check_chains_scaling():
+    import numpy as np
+
     seed, v = chains.tdpt_seed(0, 1, 1)
     vt, _ = chains.confluent_two_step(seed, v, 1.0)
     vt2, _ = chains.confluent_two_step(chains.scaled_seed(seed, 3.0), v, 9.0)
@@ -756,8 +760,9 @@ def _check_verify_linearity():
     e = base.energy(1)
     f = base.eigenstate(1)
     g = TrigGauged(f.a, f.b, RationalFn(ExactPoly([1, -2, 3])))
-    lhs = verify.exact_ode_residual(f + g, vz, e)
-    rhs = verify.exact_ode_residual(f, vz, e) + verify.exact_ode_residual(g, vz, e)
+    residual = exactalg.exact_ode_residual
+    lhs = residual(f + g, vz, e)
+    rhs = residual(f, vz, e) + residual(g, vz, e)
     if lhs != rhs:
         return False, {}, "residual is not additive"
     return True, {}, "residual additive over gauged sums"
@@ -784,6 +789,8 @@ def _check_verify_order():
 
 @_check("verify.gram", "Gram diagonals positive, off-diagonals at the quadrature floor")
 def _check_verify_gram():
+    import numpy as np
+
     fns = [lambda x, k=k: np.sin(k * x) for k in (1, 2, 3)]
     vals, results = verify.gram_matrix(fns, 0.0, math.pi)
     stalled = [

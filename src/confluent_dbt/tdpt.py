@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import verify
 from .classical import CACHE_SIZE, TrigPoschlTeller, jacobi
 from .exactalg import (
     ONE_MINUS,
@@ -264,8 +265,6 @@ def shape_invariance_holds(n: int, N: int, M: int, lambda1) -> bool:
 def isospectrality_witness(spec: TdptSpec, levels: int, grid_n: int = 6000):
     """Numeric Dirichlet spectrum of the extension against the unchanged
     exact ladder E_k = 4k(N+M+1+k).  Returns (SpectrumResult, expected)."""
-    from . import verify
-
     pot = extended_potential(spec)
     result = verify.dirichlet_spectrum(
         pot.v, *verify.tdpt_domain(), levels, grid_n=grid_n

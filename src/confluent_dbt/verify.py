@@ -1,11 +1,10 @@
-"""Verification oracles: exact Schroedinger residuals, Gram matrices,
-and finite-difference Dirichlet spectra.
+"""Numeric verification oracles: quadrature, Gram matrices and
+finite-difference Dirichlet spectra.
 
-The exact residual operator turns -psi'' + V psi = E psi into a decidable
-statement: both gauge families are closed under d/dx, so the residual of a
-gauged eigenfunction is one rational function in z, over one common
-denominator and reduced once, that is or is not zero.  The numeric oracles
-(quadrature, tridiagonal eigensolver) are independent of the exact layer.
+They are independent of the exact layer, whose exact ODE residual is
+`exactalg.exact_ode_residual` (re-exported here).  This module, with
+numpy and LAPACK, loads at the first use of one of its names, so the
+commands that only compute exactly never import it.
 
 `quadrature` is adaptive Gauss-Kronrod quadrature after QUADPACK (the
 21-point rule, bisection of the worst subinterval, the QAGI map for
@@ -26,46 +25,13 @@ successive Gram matrices agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import lapack
-from .exactalg import RadialGauged, RationalFn, TrigGauged, _cancel, as_rat
-
-
-def exact_ode_residual(f, v_zform: RationalFn, energy):
-    """Exact residual psi'' + (E - V) psi as a gauged function.
-
-    For a `TrigGauged` eigenfunction, `v_zform` is the potential in
-    z = cos 2x and `energy` the exact eigenvalue.  For a `RadialGauged`
-    one, both potential and energy are in units of the frequency w
-    (V(x) = w * v_zform(z), E = w * energy), which cancels from the
-    statement.  The identity holds iff the returned object `.is_zero`.
-
-    The residual sits two derivatives below f's gauge: psi'' is N/D^3 by the
-    family's law applied twice to f's P/D, (E - V) psi = G/H psi joins it
-    over D lcm(D^2, H), and the sum is reduced once, by no gcd if it is zero.
-    """
-    if not isinstance(f, (TrigGauged, RadialGauged)):
-        raise TypeError("eigenfunction must be a gauged function")
-    e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
-    gap = e - v_zform  # E - V
-    if isinstance(f, RadialGauged):
-        gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
-    num, d, g = f.rat.num, f.rat.den, f
-    for j in (1, 2):
-        # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
-        u, w, lower = g._law()
-        num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
-        g = replace(g, **lower)
-    h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
-    # P G from f's gauge onto the residual's, over the same denominator
-    term = replace(f, rat=RationalFn(f.rat.num * gap.num * d2))._lifted(vars(g))
-    num = num * h + term.num
-    return replace(g, rat=RationalFn(num, d * d * d * h if num else None))
+from .exactalg import RadialGauged, TrigGauged, exact_ode_residual  # noqa: F401
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -358,7 +324,10 @@ class SpectrumResult:
 def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
     h = (b - a) / grid_n
     x = a + h * np.arange(1, grid_n)
-    diag = 2.0 / h**2 + v(x)
+    # a potential that overflows on the grid is left to the eigensolver's
+    # finite check, which refuses it with one error and no warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        diag = 2.0 / h**2 + v(x)
     off = np.full(grid_n - 2, -1.0 / h**2)
     return lapack.eigh_tridiagonal(diag, off, n_levels, vectors)
 

@@ -775,11 +775,11 @@ _NONFINITE = {
 
 
 @pytest.mark.parametrize("kind", sorted(_NONFINITE))
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_spectrum_refuses_a_nonfinite_potential(capsys, tmp_path, kind):
     # LAPACK's results on NaN or infinite input are undefined; the
-    # eigensolver refuses such input before the call
+    # eigensolver refuses such input before the call, and the overflow on
+    # the grid raises no warning on the way there
     pot = tmp_path / "pot.json"
     pot.write_text(json.dumps({"z_form": _NONFINITE[kind].to_json()}))
     code, out, err = run_cli(capsys, "verify", "spectrum", "--potential-json",
@@ -1171,6 +1171,72 @@ def test_cli_runs_without_importing_scipy():
         capture_output=True, text=True, env=env,
     )
     assert proc.stdout == "1\n", proc.stderr
+
+
+_EXACT_ONLY_RUN = """
+import contextlib, io, json, os, sys
+
+class NumpyWatch:
+    # records OPENBLAS_NUM_THREADS when numpy is first imported
+    threads = "not imported"
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            NumpyWatch.threads = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+sys.meta_path.insert(0, NumpyWatch())
+import confluent_dbt.cli as cli
+
+FLOAT = ("numpy", "confluent_dbt._flapack", "confluent_dbt.lapack",
+         "confluent_dbt.dop853")
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m in FLOAT or m.split(".")[0] in ("numpy", "scipy"))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+
+tdpt = ["--n", "1", "--N", "1", "--M", "2", "--lambda1", "1"]
+for argv in (
+    ["classical", "dump", "--family", "jacobi", "--n", "2", "--N", "1", "--M", "2"],
+    ["classical", "dump", "--family", "laguerre", "--n", "2", "--N", "1"],
+    ["tdpt", "build", *tdpt],
+    ["isotonic", "build", "--n", "1", "--N", "1"],
+    ["table", "--family", "tdpt", "--kind", "polynomial", *tdpt],
+    ["table", "--family", "isotonic", "--kind", "polynomial", "--n", "1", "--N", "1"],
+    *(["tdpt", "verify", "--suite", s, *tdpt] for s in ("regularity", "ode", "shape")),
+    *(["isotonic", "verify", "--suite", s, "--n", "1", "--N", "1"]
+      for s in ("ode", "shape", "q-crosscheck")),
+    *(["isotonic", "verify", "--suite", s, "--n", "0", "--N", "2"]
+      for s in ("n0-type2", "n0-negative")),
+):
+    run(argv)
+exact = loaded()
+run(["tdpt", "verify", "--suite", "spectrum", "--n", "0", "--N", "1", "--M", "1",
+     "--lambda1", "1"])
+print(json.dumps({"exact": exact, "spectrum": loaded(),
+                  "threads": NumpyWatch.threads}))
+"""
+
+
+def test_exact_commands_do_not_import_numpy():
+    # the exact layer proves its statements without floats: numpy, LAPACK,
+    # the ODE solver and scipy load only when a float command first needs
+    # them, and OpenBLAS is then capped at one thread
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_ONLY_RUN], capture_output=True, text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["exact"] == []
+    assert {"numpy", "confluent_dbt._flapack"} <= set(seen["spectrum"])
+    assert not any(m.split(".")[0] == "scipy" for m in seen["spectrum"])
+    assert seen["threads"] == "1"
 
 
 def test_thread_env_does_not_change_results():

@@ -365,14 +365,33 @@ def _permanent(mat):
     return sum(terms[1:], terms[0])
 
 
+def _gram_off_diagonal(real):
+    """gram_matrix with 1e-6 added to its (0, 1) entry."""
+
+    def perturbed(fns, lo, hi):
+        vals, results = real(fns, lo, hi)
+        vals = vals.copy()
+        vals[0][1] += 1e-6
+        return vals, results
+
+    return perturbed
+
+
 # check id[:control] -> (owner, name, make): the control replaces the
 # attribute name of owner (a module or class) with make(the real one), and
-# the check must fail
+# the check must fail.  `verify` loads at its first use, so its rows also
+# show that a patch on the lazily loaded module reaches the checks
 MANIFEST_CONTROLS = {
     # the residual of psi squared: a nonlinear operator
-    "verify.linearity": (verify, "exact_ode_residual", lambda real: (
+    "verify.linearity": (exactalg, "exact_ode_residual", lambda real: (
         lambda f, v, e: real(f * f, v, e)
     )),
+    # a first-order scheme: the error halves with the step
+    "verify.order": (verify, "convergence_order_ratio", lambda real: (
+        lambda *args, **kwargs: 2.0
+    )),
+    # one off-diagonal entry off by 1e-6
+    "verify.gram": (verify, "gram_matrix", _gram_off_diagonal),
     # Wronskian rows from the merged d_dx, expanded without the cofactor
     # signs: antisymmetry and vanishing on repeats hold for any derivative,
     # so only the expansion can break them
