@@ -14,10 +14,11 @@ rejected so a parameter is never silently rounded.  Grids are written
 field and sorted keys; CSV cells use 17 significant digits.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or validation
-error.  File inputs (`--params-file`, `--potential-json`,
-`--family-json`) exit 2 too when the file is missing, is not a JSON
-object, or holds a field its flag would refuse; each spec field has one
-parser, whether it comes from a flag, a file or chain `--params`.
+error, such as an input the command does not read.  File inputs
+(`--params-file`, `--potential-json`, `--family-json`) exit 2 too when the
+file is missing, is not a JSON object, or holds a field its flag would
+refuse; each spec field has one parser, whether it comes from a flag, a
+file or chain `--params`.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import chains, classical, isotonic, reports, tdpt, verify
 from .exactalg import RationalFn, pointwise
-
-SCHEMA = 1
 
 
 # -- input parsing ----------------------------------------------------------------
@@ -96,6 +95,22 @@ _FIELDS = {
 
 
 _DEST = {"N": "big_n", "M": "big_m"}  # namespace names of the capital flags
+
+# the spec fields of each family, in flag order
+_SPEC_FIELDS = {"tdpt": ("n", "N", "M", "lambda1"), "isotonic": ("n", "N")}
+
+# every input a command may leave unread, in the order a refusal names them;
+# each is None unless given
+_INPUTS = (*_FIELDS, "grid_n", "levels", "potential_json", "family_json",
+           "params_file", "x_points")
+
+
+def _spec(family: str, args):
+    """The spec of `family` from its flags; a tdpt lambda1 not given is 1."""
+    if family == "isotonic":
+        return isotonic.IsotonicSpec(args.n, args.big_n)
+    lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
+    return tdpt.TdptSpec(args.n, args.big_n, args.big_m, lam)
 
 
 def _add_field(p, key, **kwargs):
@@ -246,55 +261,56 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _emit_json(payload: dict, out_path) -> None:
+    """Write a JSON payload, with the report schema."""
+    _emit(_json_text({"schema": reports.SCHEMA, **payload}), out_path)
+
+
 def _emit_reports(payload: dict, out_path) -> int:
     """Write a report envelope; exit code 1 when a check failed."""
-    _emit(_json_text(payload), out_path)
+    _emit_json(payload, out_path)
     return 1 if payload["failed"] else 0
+
+
+def _given(args, key: str) -> bool:
+    return getattr(args, _DEST.get(key, key), None) is not None
+
+
+def _refuse_unread(args, command: str, reads) -> None:
+    """Refuse every input given to `command` that it does not read."""
+    unread = [
+        "--" + key.replace("_", "-")
+        for key in _INPUTS
+        if key not in reads and _given(args, key)
+    ]
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(unread)}")
 
 
 # -- classical ----------------------------------------------------------------------
 
 
 def _cmd_classical_dump(args) -> int:
+    fields = {"n": args.n, "N": args.big_n}
     if args.family == "jacobi":
         if args.big_m is None:
             raise ValueError("--M is required for the jacobi family")
-        poly = classical.jacobi(args.n, args.big_n, args.big_m)
-        payload = {
-            "schema": SCHEMA,
-            "family": "jacobi",
-            "n": args.n,
-            "N": args.big_n,
-            "M": args.big_m,
-            "polynomial": poly.to_json(),
-        }
-    else:
-        poly = classical.laguerre(args.n, args.big_n)
-        payload = {
-            "schema": SCHEMA,
-            "family": "laguerre",
-            "n": args.n,
-            "N": args.big_n,
-            "polynomial": poly.to_json(),
-        }
-    _emit(_json_text(payload), args.out)
+        fields["M"] = args.big_m
+    _refuse_unread(args, f"classical dump --family {args.family}", fields)
+    build = classical.jacobi if args.family == "jacobi" else classical.laguerre
+    poly = build(*fields.values())
+    _emit_json(dict(fields, family=args.family, polynomial=poly.to_json()), args.out)
     return 0
 
 
 # -- tdpt ---------------------------------------------------------------------------
 
 
-def _tdpt_spec(args) -> tdpt.TdptSpec:
-    lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
-    return tdpt.TdptSpec(args.n, args.big_n, args.big_m, lam)
-
-
 def _cmd_tdpt_build(args) -> int:
-    spec = _tdpt_spec(args)
+    spec = _spec("tdpt", args)
     pot = tdpt.extended_potential(spec)  # rejects the forbidden window
     base = spec.base
     payload = {
-        "schema": SCHEMA,
         "family": "tdpt",
         "spec": spec.as_dict(),
         "q": tdpt.q_poly(spec.n, spec.N, spec.M).to_json(),
@@ -310,24 +326,19 @@ def _cmd_tdpt_build(args) -> int:
             str(base.energy(k)) for k in range(max(6, spec.n + 3))
         ],
     }
-    _emit(_json_text(payload), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
 # -- isotonic -------------------------------------------------------------------------
 
 
-def _iso_spec(args) -> isotonic.IsotonicSpec:
-    return isotonic.IsotonicSpec(args.n, args.big_n)
-
-
 def _cmd_isotonic_build(args) -> int:
-    spec = _iso_spec(args)
+    spec = _spec("isotonic", args)
     pot = isotonic.extended_potential(spec)
     rootless, _ = isotonic.rootless_certificate(spec.n, spec.N)
     family = isotonic.exceptional_family(spec, args.kmax)
     payload = {
-        "schema": SCHEMA,
         "family": "isotonic",
         "spec": spec.as_dict(),
         "q": isotonic.q_poly(spec.n, spec.N).to_json(),
@@ -342,11 +353,8 @@ def _cmd_isotonic_build(args) -> int:
         "levels": list(family.levels),
         "energies_units": [str(2 * k) for k in family.levels],
     }
-    _emit(_json_text(payload), args.out)
+    _emit_json(payload, args.out)
     return 0
-
-
-_SPECS = {"tdpt": _tdpt_spec, "isotonic": _iso_spec}
 
 
 # -- chain ----------------------------------------------------------------------------
@@ -415,6 +423,8 @@ def _cmd_chain_run(args) -> int:
 def _cmd_chain_crosscheck(args) -> int:
     import numpy as np
 
+    reads = ("lambda1",) if args.which == "two-step" else ()
+    _refuse_unread(args, f"chain crosscheck --which {args.which}", reads)
     if args.which == "matveev" and args.base != "tdpt":
         raise ValueError(
             "the energy-derivative route is anchored at the right endpoint "
@@ -476,12 +486,6 @@ def _cmd_chain_crosscheck(args) -> int:
 
 # -- verify ---------------------------------------------------------------------------
 
-_PARAMETRIZED = {
-    f"{family}.{name}"
-    for family, checks in reports.SPEC_CHECKS.items()
-    for name in checks
-}
-
 
 def _cmd_verify_spectrum(args) -> int:
     if not args.potential_json or args.levels is None:
@@ -501,8 +505,7 @@ def _cmd_verify_spectrum(args) -> int:
         lo, hi = verify.isotonic_domain(omega, e_max)
     grid_n = args.grid_n if args.grid_n is not None else reports.GRID_N
     result = verify.dirichlet_spectrum(v, lo, hi, args.levels, grid_n)
-    payload = {"schema": SCHEMA, "spectrum": result.to_json()}
-    _emit(_json_text(payload), args.out)
+    _emit_json({"spectrum": result.to_json()}, args.out)
     return 0
 
 
@@ -513,17 +516,17 @@ def _cmd_verify_gram(args) -> int:
     data, family, _ = _load_build(args.family_json, what)
     if family not in ("tdpt", "isotonic"):
         raise ValueError("family JSON must identify a tdpt or isotonic family")
-    # where the file keeps its level numbers, and the spec fields it needs
-    key, container, kind, needed = {
-        "tdpt": ("p_tilde", dict, "a JSON object", ("n", "N", "M", "lambda1")),
-        "isotonic": ("levels", list, "a JSON list", ("n", "N")),
+    # where the file keeps its level numbers
+    key, container, kind = {
+        "tdpt": ("p_tilde", dict, "a JSON object"),
+        "isotonic": ("levels", list, "a JSON list"),
     }[family]
     if not isinstance(data.get(key, container()), container):
         raise ValueError(f"malformed {what}: {key}: expected {kind}")
-    spec_data = data.get("spec", {})
+    spec_data, needed = data.get("spec", {}), _SPEC_FIELDS[family]
     if not set(needed) <= spec_data.keys():
         raise ValueError(f"malformed {what}: spec needs {', '.join(needed)}")
-    spec = _SPECS[family](_parse_fields(f"{what}: spec", spec_data))
+    spec = _spec(family, _parse_fields(f"{what}: spec", spec_data))
     levels = [_parse_fields(f"{what}: {key}", {"n": k}).n for k in data.get(key, ())]
     if family == "tdpt":
         levels = sorted(levels) or list(range(7))
@@ -539,7 +542,6 @@ def _cmd_verify_gram(args) -> int:
         lo, hi = 0.0, math.inf
     vals, results = verify.gram_matrix(fns, lo, hi)
     payload = {
-        "schema": SCHEMA,
         "spec": spec.as_dict(),
         "levels": levels,
         "gram": [[float(v) for v in row] for row in vals],
@@ -547,99 +549,78 @@ def _cmd_verify_gram(args) -> int:
         "converged": all(r.converged for row in results for r in row),
         "max_offdiagonal_relative": float(verify.max_offdiagonal_relative(vals)),
     }
-    _emit(_json_text(payload), args.out)
+    _emit_json(payload, args.out)
     return 0
+
+
+def _spec_reads(family: str, names) -> set:
+    """The inputs the per-spec checks `names` of `family` read: the spec,
+    kmax and what each check declares."""
+    checks = reports.SPEC_CHECKS[family]
+    return {*_SPEC_FIELDS[family], "kmax"}.union(*(checks[n].reads for n in names))
 
 
 def _cmd_spec_verify(args) -> int:
     """`tdpt verify` and `isotonic verify`."""
     family = args.command
-    reads = ("grid_n",) if args.suite in ("spectrum", "all") else ()
-    _refuse_unread_inputs(args, reads)
-    spec = _SPECS[family](args)
     names = list(reports.SPEC_CHECKS[family]) if args.suite == "all" else [args.suite]
+    command = f"{family} verify --suite {args.suite}"
+    _refuse_unread(args, command, _spec_reads(family, names))
+    spec = _spec(family, args)
     report_list = reports.run_spec_checks(
-        family, names, spec, args.kmax, args.grid_n or reports.GRID_N, args.omega
+        family, names, spec, args.kmax, args.grid_n, args.omega
     )
     return _emit_reports(
         reports.envelope(report_list, family=family, spec=spec.as_dict()), args.out
     )
 
 
-# the inputs of `verify` besides the spec flags; each selector reads some
-_VERIFY_INPUTS = ("grid_n", "levels", "potential_json", "family_json")
-
-
-def _refuse_unread_inputs(args, reads=()):
-    unread = [
-        "--" + dest.replace("_", "-")
-        for dest in _VERIFY_INPUTS
-        if getattr(args, dest, None) is not None and dest not in reads
-    ]
-    if unread:
-        command = (f"verify {args.selector}" if args.command == "verify"
-                   else f"{args.command} verify --suite {args.suite}")
-        raise ValueError(f"{command} does not read {', '.join(unread)}")
+# the verify forms that take no spec: what they read and how they run
+_ORACLES = {
+    "spectrum": (("potential_json", "levels", "grid_n", "omega"), _cmd_verify_spectrum),
+    "gram": (("family_json", "omega"), _cmd_verify_gram),
+}
 
 
 def _cmd_verify(args) -> int:
     selector = args.selector
-    given = [
-        f"--{key}" for key in _FIELDS if getattr(args, _DEST.get(key, key)) is not None
-    ]
-    if args.params_file:
-        given.append("--params-file")
-    if selector in ("spectrum", "gram"):
-        unread = [flag for flag in given if flag != "--omega"]
-        if unread:
-            raise ValueError(
-                f"verify {selector} takes no spec flags but --omega "
-                f"(got {', '.join(unread)})"
-            )
-        if selector == "spectrum":
-            _refuse_unread_inputs(args, ("grid_n", "levels", "potential_json"))
-            return _cmd_verify_spectrum(args)
-        _refuse_unread_inputs(args, ("family_json",))
-        return _cmd_verify_gram(args)
+    command = f"verify {selector}"
+    if selector in _ORACLES:
+        reads, run = _ORACLES[selector]
+        _refuse_unread(args, command, reads)
+        return run(args)
 
+    family, _, name = selector.partition(".")
     try:
         reports.select_checks(selector)
         in_manifest = True
     except KeyError:
         in_manifest = False
-    if selector in _PARAMETRIZED and (given or not in_manifest):
-        family, name = selector.split(".", 1)
-        _refuse_unread_inputs(args, ("grid_n",) if name == "spectrum" else ())
+    given = any(_given(args, key) for key in (*_FIELDS, "params_file"))
+    if name in reports.SPEC_CHECKS.get(family, ()) and (given or not in_manifest):
+        _refuse_unread(args, command, _spec_reads(family, [name]) | {"params_file"})
         if args.params_file:
             # a flag given on the command line wins over the file
             data = _load_json(args.params_file, "params file")
             for dest, value in vars(_parse_fields("params file", data)).items():
                 if getattr(args, dest) is None:
                     setattr(args, dest, value)
-        needed = ("n", "N", "M") if family == "tdpt" else ("n", "N")
-        if any(getattr(args, _DEST.get(key, key)) is None for key in needed):
+        # a tdpt lambda1 not given is 1
+        needed = [key for key in _SPEC_FIELDS[family] if key != "lambda1"]
+        if not all(_given(args, key) for key in needed):
             flags = [f"--{key}" for key in needed]
             raise ValueError(
-                f"verify {selector} is a per-spec check and needs "
+                f"{command} is a per-spec check and needs "
                 f"{', '.join(flags[:-1])} and {flags[-1]}"
             )
         report_list = reports.run_spec_checks(
-            family,
-            [name],
-            _SPECS[family](args),
-            args.kmax if args.kmax is not None else reports.KMAX,
-            args.grid_n if args.grid_n is not None else reports.GRID_N,
-            args.omega if args.omega is not None else Fraction(2),
+            family, [name], _spec(family, args), args.kmax, args.grid_n, args.omega
         )
         return _emit_reports(reports.envelope(report_list, selector=selector), args.out)
 
     if not in_manifest:
         raise ValueError(f"unknown check or module: {selector}")
-    if given:
-        raise ValueError(
-            f"verify {selector} takes no spec flags (got {', '.join(given)})"
-        )
-    _refuse_unread_inputs(args)
+    _refuse_unread(args, command, ())
     return _emit_reports(reports.run_suite(selector), args.out)
 
 
@@ -649,8 +630,10 @@ def _cmd_verify(args) -> int:
 def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
     """CSV of the base and extended potentials and/or the eigenfunctions on
     the table grid, which must lie inside the open domain where both
-    potentials are finite."""
-    spec = _SPECS[family](args)
+    potentials are finite; a value that overflows is refused, not written."""
+    import numpy as np
+
+    spec = _spec(family, args)
     if family == "tdpt":
         pot = tdpt.extended_potential(spec)
         xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
@@ -674,7 +657,12 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
         header += [f"psi_{k}" for k in levels]
         columns += [eigenfunction(spec, k).eval_x for k in levels]
     # each column is one array evaluation over all the points
-    rows = zip(xs.tolist(), *(f(xs, *tails).tolist() for f in columns))
+    with np.errstate(all="ignore"):
+        values = [f(xs, *tails) for f in columns]
+    for name, col in zip(header[1:], values):
+        if (bad := np.flatnonzero(~np.isfinite(col))).size:
+            raise ValueError(f"{name} is not finite at x = {float(xs[bad[0]])!r}")
+    rows = zip(xs.tolist(), *(col.tolist() for col in values))
     _emit(_csv_text(header, rows), args.out)
     return 0
 
@@ -685,6 +673,10 @@ def _cmd_family_table(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    reads = {*_SPEC_FIELDS[args.family], "kmax"}
+    if args.kind != "polynomial":
+        reads |= {"x_points", "omega"} if args.family == "isotonic" else {"x_points"}
+    _refuse_unread(args, f"table --kind {args.kind} --family {args.family}", reads)
     if args.family == "tdpt" and (args.big_m is None or args.lambda1 is None):
         raise ValueError("tdpt tables need --M and --lambda1")
     if args.kind != "polynomial":
@@ -694,19 +686,18 @@ def _cmd_table(args) -> int:
             potential=args.kind == "potential",
             states=args.kind == "eigenfunction",
         )
-    spec = _SPECS[args.family](args)
+    spec = _spec(args.family, args)
     if args.family == "tdpt":
         polys = {k: tdpt.p_tilde(spec, k) for k in range(args.kmax + 1)}
     else:
         family = isotonic.exceptional_family(spec, args.kmax)
         polys = dict(zip(family.levels, family.polys))
     payload = {
-        "schema": SCHEMA,
         "family": args.family,
         "spec": spec.as_dict(),
         "polynomials": {str(k): p.to_json() for k, p in polys.items()},
     }
-    _emit(_json_text(payload), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 
@@ -717,21 +708,15 @@ def _add_out(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_isotonic_spec(p):
-    _add_field(p, "n", required=True)
-    _add_field(p, "N", required=True)
-
-
-def _add_tdpt_spec(p):
-    _add_isotonic_spec(p)
-    _add_field(p, "M", required=True)
-    _add_field(p, "lambda1", required=True)
+def _add_spec(p, family):
+    for key in _SPEC_FIELDS[family]:
+        _add_field(p, key, required=True)
 
 
 def _add_verify_args(p, family):
     names = tuple(reports.SPEC_CHECKS[family])
     p.add_argument("--suite", choices=names + ("all",), default="all")
-    _add_field(p, "kmax", default=reports.KMAX)
+    _add_field(p, "kmax")
     p.add_argument("--grid-n", type=_grid_n, default=None)
     _add_out(p)
 
@@ -777,16 +762,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tdpt", help="trigonometric extension")
     tsub = p.add_subparsers(dest="subcommand", required=True)
     b = tsub.add_parser("build", help="exact extension data as JSON")
-    _add_tdpt_spec(b)
+    _add_spec(b, "tdpt")
     _add_field(b, "kmax", default=4)
     _add_out(b)
     b.set_defaults(func=_cmd_tdpt_build)
     w = tsub.add_parser("verify", help="per-spec checks")
-    _add_tdpt_spec(w)
+    _add_spec(w, "tdpt")
     _add_verify_args(w, "tdpt")
     w.set_defaults(func=_cmd_spec_verify, omega=None)
     t = tsub.add_parser("table", help="sampled CSV table")
-    _add_tdpt_spec(t)
+    _add_spec(t, "tdpt")
     _add_field(t, "kmax", default=3)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(t)
@@ -795,17 +780,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isotonic", help="radial oscillator extension")
     isub = p.add_subparsers(dest="subcommand", required=True)
     b = isub.add_parser("build", help="exact extension data as JSON")
-    _add_isotonic_spec(b)
+    _add_spec(b, "isotonic")
     _add_field(b, "kmax", default=5)
     _add_out(b)
     b.set_defaults(func=_cmd_isotonic_build)
     w = isub.add_parser("verify", help="per-spec checks")
-    _add_isotonic_spec(w)
-    _add_field(w, "omega", default=Fraction(2))
+    _add_spec(w, "isotonic")
+    _add_field(w, "omega")
     _add_verify_args(w, "isotonic")
     w.set_defaults(func=_cmd_spec_verify)
     t = isub.add_parser("table", help="sampled CSV table")
-    _add_isotonic_spec(t)
+    _add_spec(t, "isotonic")
     _add_field(t, "omega", default=Fraction(1))
     _add_field(t, "kmax", default=4)
     t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
@@ -860,9 +845,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="potential",
     )
     p.add_argument("--family", choices=["tdpt", "isotonic"], required=True)
-    _add_isotonic_spec(p)
-    _add_field(p, "M")
-    _add_field(p, "lambda1")
+    for key in _SPEC_FIELDS["tdpt"]:
+        _add_field(p, key, required=key in _SPEC_FIELDS["isotonic"])
     _add_field(p, "omega")
     _add_field(p, "kmax", default=3)
     p.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")

@@ -286,7 +286,7 @@ def n0_shape_positive_control(N: int) -> bool:
 
 
 def quasi_isospectrality_witness(
-    spec: IsotonicSpec, omega: float, levels: int, grid_n: int = 6000
+    spec: IsotonicSpec, omega: float, levels: int, grid_n: int
 ):
     """Numeric Dirichlet spectrum of the extension against the punctured
     ladder {2kw : k != n}.  Returns (SpectrumResult, expected)."""

@@ -7,12 +7,13 @@ the elapsed_ms fields.
 
 A check is registered where it is defined, so its id and description are
 written once.  `@_check(check_id, description)` adds a suite check to
-`MANIFEST`; definition order is suite order.  `@_spec_check(family, name)`
-adds a per-spec check, a function of (spec, kmax, grid_n, omega), to
-`SPEC_CHECKS`; definition order is `--suite all` order.  `run_spec_checks`
-runs the per-spec checks on any spec for the CLI.  A suite check of an
-invariant that a per-spec check states calls that check: `tdpt.regularity`
-and `tdpt.shape` on each sampled spec; the `orthogonality` and `spectrum`
+`MANIFEST`; definition order is suite order.  `@_spec_check(family, name,
+reads)` adds a per-spec check, a function of (spec, kmax, grid_n, omega)
+that reads its spec, kmax and the inputs in `reads`, to `SPEC_CHECKS`;
+definition order is `--suite all` order.  `run_spec_checks` runs the
+per-spec checks on any spec for the CLI.  A suite check of an invariant
+that a per-spec check states calls that check: `tdpt.regularity` and
+`tdpt.shape` on each sampled spec; the `orthogonality` and `spectrum`
 checks of both families and `isotonic.residuals` on fixed specs.
 `isotonic.rootless` and `isotonic.ode-identity` each state part of what
 `q-crosscheck` states, on a grid of (n, N), and keep their own bodies.  An
@@ -39,6 +40,7 @@ SCHEMA = 1
 SPECTRUM_LEVELS = 4  # levels solved for by the per-spec spectrum checks
 KMAX = 4  # default highest level of the per-spec checks
 GRID_N = 3000  # default finite-difference grid of the spectrum checks
+OMEGA = Fraction(2)  # default frequency of the isotonic per-spec checks
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,13 @@ def _check(check_id: str, description: str):
     return register
 
 
-def _spec_check(family: str, name: str):
+def _spec_check(family: str, name: str, reads=()):
     """Register the decorated (spec, kmax, grid_n, omega) -> (status, spec,
-    witness) body as the per-spec check `family`.`name`."""
+    witness) body as the per-spec check `family`.`name`; its `reads`
+    attribute names what it reads besides the spec and kmax."""
 
     def register(fn):
+        fn.reads = reads
         SPEC_CHECKS.setdefault(family, {})[name] = fn
         return fn
 
@@ -390,7 +394,7 @@ def _tdpt_shape(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("tdpt", "spectrum")
+@_spec_check("tdpt", "spectrum", reads=("grid_n",))
 def _tdpt_spectrum(spec, kmax, grid_n, omega):
     witness = partial(tdpt.isospectrality_witness, spec)
     return _spectrum(witness, grid_n, dict(spec.as_dict(), kmax=kmax))
@@ -541,7 +545,7 @@ def _iso_ode(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("isotonic", "ortho")
+@_spec_check("isotonic", "ortho", reads=("omega",))
 def _iso_ortho(spec, kmax, grid_n, omega):
     levels = isotonic.surviving_levels(spec, kmax)
     params = dict(
@@ -600,7 +604,7 @@ def _iso_n0_negative(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("isotonic", "spectrum")
+@_spec_check("isotonic", "spectrum", reads=("grid_n", "omega"))
 def _iso_spectrum(spec, kmax, grid_n, omega):
     witness = partial(isotonic.quasi_isospectrality_witness, spec, float(omega))
     return _spectrum(
@@ -655,7 +659,7 @@ def _check_isotonic_rootless():
     "isotonic.orthogonality", "surviving bound states are orthogonal under quadrature"
 )
 def _check_isotonic_orthogonality():
-    return _iso_ortho(isotonic.IsotonicSpec(1, 1), 5, GRID_N, Fraction(2))
+    return _iso_ortho(isotonic.IsotonicSpec(1, 1), 5, GRID_N, OMEGA)
 
 
 @_check(
@@ -684,7 +688,7 @@ def _check_isotonic_boundary():
     "isotonic.spectrum", "extension spectrum equals the punctured ladder numerically"
 )
 def _check_isotonic_spectrum():
-    return _iso_spectrum(isotonic.IsotonicSpec(1, 1), KMAX, GRID_N, Fraction(2))
+    return _iso_spectrum(isotonic.IsotonicSpec(1, 1), KMAX, GRID_N, OMEGA)
 
 
 # -- chains -----------------------------------------------------------------------
@@ -974,13 +978,17 @@ def run_suite(selector: str = "all") -> dict:
 _NEEDS_REGULAR = ("ode", "ortho", "spectrum")
 
 
-def run_spec_checks(family, names, spec, kmax, grid_n, omega=None) -> list:
-    """Run the named per-spec checks of `family` on `spec`, in order.
+def run_spec_checks(family, names, spec, kmax=None, grid_n=None, omega=None) -> list:
+    """Run the named per-spec checks of `family` on `spec`, in order; an
+    input left None takes its default (KMAX, GRID_N, OMEGA).
 
     Usage errors, not failed checks, are refused with ValueError first: a
     tdpt spec that is irregular (for ode, ortho, spectrum) or at lambda1 = 0
     (for ortho, spectrum: the level-n state is not square integrable), and
     an ortho check over a single level, which has no pair to compare."""
+    kmax = KMAX if kmax is None else kmax
+    grid_n = GRID_N if grid_n is None else grid_n
+    omega = OMEGA if omega is None else omega
     needs_regular = [s for s in names if s in _NEEDS_REGULAR]
     if (
         family == "tdpt"

@@ -262,7 +262,7 @@ def shape_invariance_holds(n: int, N: int, M: int, lambda1) -> bool:
     return residual.is_zero
 
 
-def isospectrality_witness(spec: TdptSpec, levels: int, grid_n: int = 6000):
+def isospectrality_witness(spec: TdptSpec, levels: int, grid_n: int):
     """Numeric Dirichlet spectrum of the extension against the unchanged
     exact ladder E_k = 4k(N+M+1+k).  Returns (SpectrumResult, expected)."""
     pot = extended_potential(spec)

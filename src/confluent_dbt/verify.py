@@ -339,7 +339,7 @@ def _count_nodes(vec: np.ndarray) -> int:
 
 
 def dirichlet_spectrum(
-    v, a: float, b: float, n_levels: int, grid_n: int = 6000
+    v, a: float, b: float, n_levels: int, grid_n: int
 ) -> SpectrumResult:
     """Lowest n_levels Dirichlet eigenvalues via 3-point finite differences
     on grids of grid_n and 2*grid_n subintervals, Richardson-extrapolated.

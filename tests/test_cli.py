@@ -294,6 +294,21 @@ def test_table_endpoint_singularity_exit_2(capsys, argv):
     assert "must lie inside" in err and out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv,x", [
+    (["tdpt", "table", "--n", "0", "--N", "1", "--M", "1", "--lambda1", "1",
+      "--x-points", "1e-200:1:3"], "1e-200"),
+    (["isotonic", "table", "--n", "1", "--N", "1", "--x-points", "1e-170:1:3"],
+     "1e-170"),
+])
+def test_table_refuses_a_value_that_overflows(capsys, argv, x):
+    # inside the domain, but the base potential overflows at the first point:
+    # one line, no numpy warning and no inf in the CSV
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: v_base is not finite at x = {x}\n"
+
+
 def test_grid_parser():
     xs = cli._grid("0:1:5")
     assert len(xs) == 5
@@ -638,12 +653,12 @@ def test_verify_refuses_spec_flags_it_does_not_read(capsys, argv, unread):
     # refused before any file is read: none of these files exists
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: verify {argv[0]} takes no spec flags")
-    assert f"(got {', '.join(unread)})" in err
+    assert err == f"error: verify {argv[0]} does not read {', '.join(unread)}\n"
 
 
 @pytest.mark.parametrize("selector", sorted(
-    sel for sel in cli._PARAMETRIZED if sel not in reports._BY_ID
+    sel for family, checks in reports.SPEC_CHECKS.items()
+    for sel in (f"{family}.{name}" for name in checks) if sel not in reports._BY_ID
 ))
 def test_per_spec_id_without_spec_names_the_flags_it_needs(capsys, selector):
     code, out, err = run_cli(capsys, "verify", selector)
@@ -709,6 +724,110 @@ def test_verify_grid_n_reaches_the_per_spec_spectrum(capsys):
     assert code == 0 and data["checks"][0]["spec"]["grid_n"] == 1500
     code, data = run_json(capsys, "verify", "tdpt.spectrum", *spec)
     assert code == 0 and data["checks"][0]["spec"]["grid_n"] == reports.GRID_N
+
+
+# the spec flags of each family, and a value of every optional input of the
+# per-spec forms (the value a report's spec shows, where it shows one)
+SPEC_FLAGS = {
+    "tdpt": {"n": "1", "N": "1", "M": "1", "lambda1": "1"},
+    "isotonic": {"n": "1", "N": "1"},
+}
+INPUT_VALUES = {
+    "n": "1", "N": "1", "M": "1", "lambda1": "1", "omega": "3", "kmax": "3",
+    "grid_n": "1500", "levels": "3", "potential_json": "x.json",
+    "family_json": "x.json", "params_file": "params.json",
+}
+SHOWN = {"omega": "3", "kmax": 3, "grid_n": 1500}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _per_spec_cases():
+    """(argv, input, whether the form reads it) for every input each per-spec
+    form takes: `<family> verify --suite <name>` (and `all`) and
+    `verify <family>.<name>`, with what it reads taken from the `reads`
+    declarations of the checks."""
+    for family, checks in reports.SPEC_CHECKS.items():
+        spec = [t for key, value in SPEC_FLAGS[family].items()
+                for t in (_flag(key), value)]
+        suite_inputs = ["kmax", "grid_n"] + ["omega"] * (family == "isotonic")
+        for name in [*checks, "all"]:
+            names = list(checks) if name == "all" else [name]
+            reads = {"kmax"}.union(*(checks[s].reads for s in names))
+            argv = [family, "verify", *spec, "--suite", name]
+            for key in suite_inputs:
+                yield argv, key, key in reads
+            if name == "all":
+                continue
+            argv = ["verify", f"{family}.{name}", *spec]
+            for key in sorted(INPUT_VALUES.keys() - SPEC_FLAGS[family].keys()):
+                yield argv, key, key in reads | {"params_file"}
+
+
+PER_SPEC_CASES = list(_per_spec_cases())
+
+
+@pytest.mark.parametrize("argv,key,reads", PER_SPEC_CASES, ids=[
+    f"{' '.join(a for a in argv if not a.startswith('-') and len(a) > 1)}:{key}"
+    for argv, key, _ in PER_SPEC_CASES
+])
+def test_per_spec_forms_refuse_exactly_the_inputs_they_do_not_read(
+    capsys, tmp_path, monkeypatch, argv, key, reads
+):
+    monkeypatch.chdir(tmp_path)
+    family = argv[0] if argv[0] != "verify" else argv[1].split(".")[0]
+    (tmp_path / "params.json").write_text(json.dumps(SPEC_FLAGS[family]))
+    code, out, err = run_cli(capsys, *argv, _flag(key), INPUT_VALUES[key])
+    if not reads:
+        command = " ".join(argv[:2] if argv[0] == "verify" else argv[:2] + argv[-2:])
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} does not read {_flag(key)}\n"
+        return
+    assert (code, err) == (0, "")
+    if key in SHOWN:
+        checks = json.loads(out)["checks"]
+        assert SHOWN[key] in [c["spec"].get(key) for c in checks]
+
+
+@pytest.mark.parametrize("argv,command,unread", [
+    ("verify isotonic.ode --n 1 --N 1 --M 7 --lambda1 5",
+     "verify isotonic.ode", ["--M", "--lambda1"]),
+    ("verify tdpt.ode --n 1 --N 1 --M 1 --omega 3", "verify tdpt.ode", ["--omega"]),
+    ("isotonic verify --n 1 --N 1 --suite ode --omega 3",
+     "isotonic verify --suite ode", ["--omega"]),
+    ("table --kind polynomial --family isotonic --n 1 --N 1 --M 5 --lambda1 3 "
+     "--omega 2 --x-points 0.1:1:3", "table --kind polynomial --family isotonic",
+     ["--M", "--lambda1", "--omega", "--x-points"]),
+    ("table --kind potential --family tdpt --n 0 --N 1 --M 1 --lambda1 1 "
+     "--omega 2 --x-points 0.1:1:3", "table --kind potential --family tdpt",
+     ["--omega"]),
+    ("classical dump --family laguerre --n 2 --N 1 --M 4",
+     "classical dump --family laguerre", ["--M"]),
+    ("chain crosscheck --base tdpt --which matveev --params 0,1,1 --lambda1 5",
+     "chain crosscheck --which matveev", ["--lambda1"]),
+])
+def test_commands_refuse_the_inputs_they_do_not_read(capsys, argv, command, unread):
+    argv = shlex.split(argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {command} does not read {', '.join(unread)}\n"
+    # the same command without them runs
+    kept = [t for i, t in enumerate(argv)
+            if t not in unread and (i == 0 or argv[i - 1] not in unread)]
+    assert run_cli(capsys, *kept)[::2] == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    "table --kind eigenfunction --family isotonic --n 1 --N 1 --omega 2 "
+    "--x-points 0.1:1:3",
+    "table --kind polynomial --family tdpt --n 0 --N 1 --M 1 --lambda1 1 --kmax 2",
+    "classical dump --family jacobi --n 2 --N 1 --M 1",
+    "chain crosscheck --base tdpt --which two-step --params 0,1,1 --lambda1 1",
+])
+def test_commands_accept_the_inputs_they_read(capsys, argv):
+    assert run_cli(capsys, *shlex.split(argv))[::2] == (0, "")
 
 
 def test_verify_failing_check_exit_1(capsys, monkeypatch):

@@ -110,6 +110,22 @@ def test_manifest_rows_pinned():
     }
 
 
+@pytest.mark.parametrize("check_id,key", [
+    (f"{family}.{name}", key) for family, checks in reports.SPEC_CHECKS.items()
+    for name in checks for key in ("kmax", "grid_n", "omega")
+])
+def test_per_spec_check_declares_the_inputs_it_reads(check_id, key):
+    # an input is read when another value of it changes the result; every
+    # check reads kmax, and the CLI refuses what `reads` leaves out
+    family, name = check_id.split(".")
+    spec = {"tdpt": tdpt.TdptSpec(1, 1, 1, 1), "isotonic": isotonic.IsotonicSpec(1, 1)}
+    body = partial(reports.SPEC_CHECKS[family][name], spec[family])
+    inputs = {"kmax": 3, "grid_n": 1000, "omega": Fraction(2)}
+    other = dict(inputs, **{key: {"kmax": 4, "grid_n": 1200, "omega": Fraction(3)}[key]})
+    read = key == "kmax" or key in reports.SPEC_CHECKS[family][name].reads
+    assert (body(**inputs) != body(**other)) == read
+
+
 @pytest.mark.parametrize("family,spec,omega", [
     ("tdpt", tdpt.TdptSpec(0, 1, 1, 1), None),
     ("isotonic", isotonic.IsotonicSpec(1, 1), Fraction(2)),
@@ -255,25 +271,7 @@ def test_ortho_fails_when_the_rule_stops_at_its_node_cap(monkeypatch):
     assert params["nodes"] == 80
 
 
-def test_classical_orthogonality_fails_on_an_unconverged_rule(monkeypatch):
-    real = verify.gauss_gram
-    monkeypatch.setattr(
-        verify, "gauss_gram",
-        lambda states, omega=1.0: dataclasses.replace(real(states, omega), converged=False),
-    )
-    report = reports.run_check("classical.orthogonality")
-    assert report.status == "fail"
-    assert report.witness == "off-diagonal mass nan"
-
-
-# -- negative controls of the exact checks that the gcd decides -------------------
-
-
-def test_coprime_check_fails_when_gcd_finds_no_common_factor(monkeypatch):
-    monkeypatch.setattr(
-        exactalg.ExactPoly, "gcd", lambda self, other: exactalg.ExactPoly.one()
-    )
-    assert_fails_with_witness(reports._check_exactalg_coprime())
+# -- negative controls of the exact residual bodies ----------------------------------
 
 
 def test_tdpt_ode_fails_on_the_potential_at_lambda1_minus_one(monkeypatch):
@@ -295,62 +293,6 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
     assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
 
 
-# -- negative controls of the checks built on powers of linear factors ------------
-
-
-@pytest.fixture
-def wrong_binomial_top_term(monkeypatch):
-    """ExactPoly powers whose top term is doubled for linear bases and
-    k >= 2, with the constructor caches emptied on the way in and out."""
-    real = exactalg.ExactPoly.__pow__
-
-    def wrong(self, k):
-        out = real(self, k)
-        if k >= 2 and self.degree() == 1:
-            out = out + exactalg.ExactPoly.monomial(out.lc(), k)
-        return out
-
-    monkeypatch.setattr(exactalg.ExactPoly, "__pow__", wrong)
-    reports._clear_constructor_caches()
-    yield
-    monkeypatch.undo()
-    reports._clear_constructor_caches()
-
-
-@pytest.mark.parametrize(
-    "check_id", ["classical.jacobi-ode", "classical.derivatives", "tdpt.shape"]
-)
-def test_exact_check_fails_on_a_wrong_binomial_top_term(
-    wrong_binomial_top_term, check_id
-):
-    # the body is called directly, so an exception fails the test instead
-    # of becoming the witness
-    assert_fails_with_witness(reports._BY_ID[check_id].run())
-    assert reports.run_check(check_id).status == "fail"
-
-
-# -- negative controls of the chain checks evaluated on arrays --------------------
-
-
-def test_chain_energy_fails_on_a_seed_at_a_shifted_energy(monkeypatch):
-    real = chains.tdpt_seed
-
-    def shifted(n, N, M):
-        seed, v = real(n, N, M)
-        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
-
-    monkeypatch.setattr(chains, "tdpt_seed", shifted)
-    assert_fails_with_witness(reports._check_chains_energy())
-
-
-def test_chain_scaling_fails_when_only_the_state_is_scaled(monkeypatch):
-    monkeypatch.setattr(
-        chains, "scaled_seed",
-        lambda seed, c: dataclasses.replace(seed, f=lambda x: c * seed.f(x)),
-    )
-    assert_fails_with_witness(reports._check_chains_scaling())
-
-
 # -- negative controls of the manifest checks ------------------------------------------
 
 
@@ -363,6 +305,26 @@ def _permanent(mat):
         for j in range(len(mat))
     ]
     return sum(terms[1:], terms[0])
+
+
+def _wrong_binomial_top_term(real):
+    """ExactPoly powers whose top term is doubled for linear bases and k >= 2."""
+
+    def wrong(self, k):
+        out = real(self, k)
+        if k >= 2 and self.degree() == 1:
+            out = out + exactalg.ExactPoly.monomial(out.lc(), k)
+        return out
+
+    return wrong
+
+
+def _seed_at_shifted_energy(real):
+    def shifted(n, N, M):
+        seed, v = real(n, N, M)
+        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
+
+    return shifted
 
 
 def _gram_off_diagonal(real):
@@ -379,9 +341,43 @@ def _gram_off_diagonal(real):
 
 # check id[:control] -> (owner, name, make): the control replaces the
 # attribute name of owner (a module or class) with make(the real one), and
-# the check must fail.  `verify` loads at its first use, so its rows also
-# show that a patch on the lazily loaded module reaches the checks
+# the check must fail.  The memoized constructors are emptied before the
+# patch and after it is undone, so no value built under it survives.
+# `verify` loads at its first use, so its rows also show that a patch on
+# the lazily loaded module reaches the checks
 MANIFEST_CONTROLS = {
+    # a gcd that finds no common factor
+    "exactalg.coprime": (exactalg.ExactPoly, "gcd", lambda real: (
+        lambda self, other: exactalg.ExactPoly.one()
+    )),
+    # powers of linear factors with a wrong top term
+    "classical.jacobi-ode": (exactalg.ExactPoly, "__pow__", _wrong_binomial_top_term),
+    "classical.derivatives": (exactalg.ExactPoly, "__pow__", _wrong_binomial_top_term),
+    "tdpt.shape": (exactalg.ExactPoly, "__pow__", _wrong_binomial_top_term),
+    # a Gauss rule that never converges: its NaN off-diagonal passes no test
+    "classical.orthogonality": (verify, "gauss_gram", lambda real: (
+        lambda states, omega=1.0: dataclasses.replace(
+            real(states, omega), converged=False
+        )
+    )),
+    # a cumulative norm whose derivative is off by one
+    "tdpt.monotone": (tdpt, "q_poly", lambda real: (
+        lambda n, N, M: real(n, N, M) + exactalg.ExactPoly([0, 1])
+    )),
+    # a closed form of Q(1) off by one
+    "tdpt.endpoints": (tdpt, "q_at_one", lambda real: (
+        lambda n, N, M: real(n, N, M) + 1
+    )),
+    # a shifted integration constant twice too large
+    "tdpt.window": (tdpt, "lambda1_shifted", lambda real: (
+        lambda *args: 2 * real(*args)
+    )),
+    # a seed at an energy shifted by 1/2
+    "chains.energy": (chains, "tdpt_seed", _seed_at_shifted_energy),
+    # a rescaled state whose constant is not rescaled with it
+    "chains.scaling": (chains, "scaled_seed", lambda real: (
+        lambda seed, c: dataclasses.replace(seed, f=lambda x: c * seed.f(x))
+    )),
     # the residual of psi squared: a nonlinear operator
     "verify.linearity": (exactalg, "exact_ode_residual", lambda real: (
         lambda f, v, e: real(f * f, v, e)
@@ -409,10 +405,16 @@ def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
     owner, name, make = MANIFEST_CONTROLS[check_id]
     check_id = check_id.partition(":")[0]
     assert reports.run_check(check_id).status == "pass"
+    reports._clear_constructor_caches()
     monkeypatch.setattr(owner, name, make(getattr(owner, name)))
-    # the body is called directly, so an exception fails the test instead
-    # of becoming the witness
-    assert_fails_with_witness(reports._BY_ID[check_id].run())
+    try:
+        # the body is called directly, so an exception fails the test
+        # instead of becoming the witness
+        assert_fails_with_witness(reports._BY_ID[check_id].run())
+        assert reports.run_check(check_id).status == "fail"
+    finally:
+        monkeypatch.undo()
+        reports._clear_constructor_caches()
 
 
 # -- negative controls of every per-spec check ----------------------------------------

@@ -407,7 +407,7 @@ def test_harmonic_well_spectrum():
 
 def test_spectrum_requires_levels():
     with pytest.raises(ValueError):
-        verify.dirichlet_spectrum(lambda x: 0.0, 0.0, 1.0, 0)
+        verify.dirichlet_spectrum(lambda x: 0.0, 0.0, 1.0, 0, grid_n=100)
     with pytest.raises(ValueError):
         verify.dirichlet_spectrum(lambda x: 0.0, 0.0, 1.0, 4, grid_n=4)
 
