@@ -77,7 +77,6 @@ def _int_from(minimum: int):
     return parse
 
 
-_kmax = _int_from(0)
 # the coarse spectrum grid must hold more unknowns than the levels solved for
 _grid_n = _int_from(reports.SPECTRUM_LEVELS + 1)
 
@@ -90,7 +89,7 @@ _FIELDS = {
     "M": int,
     "lambda1": _rational,
     "omega": _positive_rational,
-    "kmax": _kmax,
+    "kmax": _int_from(0),
 }
 
 
@@ -267,8 +266,8 @@ def _emit_json(payload: dict, out_path) -> None:
 
 
 def _emit_reports(payload: dict, out_path) -> int:
-    """Write a report envelope; exit code 1 when a check failed."""
-    _emit_json(payload, out_path)
+    """Write a report envelope (it carries its schema); exit 1 if a check failed."""
+    _emit(_json_text(payload), out_path)
     return 1 if payload["failed"] else 0
 
 
@@ -496,6 +495,8 @@ def _cmd_verify_spectrum(args) -> int:
             "potential JSON must carry a z_form or zform_units field"
         )
     if family == "tdpt":
+        reads = ("potential_json", "levels", "grid_n")
+        _refuse_unread(args, "verify spectrum of a tdpt potential", reads)
         v = lambda x: rat(pointwise(math.cos, 2.0 * x))
         lo, hi = verify.tdpt_domain()
     else:
@@ -529,6 +530,7 @@ def _cmd_verify_gram(args) -> int:
     spec = _spec(family, _parse_fields(f"{what}: spec", spec_data))
     levels = [_parse_fields(f"{what}: {key}", {"n": k}).n for k in data.get(key, ())]
     if family == "tdpt":
+        _refuse_unread(args, "verify gram of a tdpt family", ("family_json",))
         levels = sorted(levels) or list(range(7))
         fns = [tdpt.eigenfunction(spec, k).eval_x for k in levels]
         lo, hi = verify.tdpt_domain(1e-8)
@@ -554,8 +556,9 @@ def _cmd_verify_gram(args) -> int:
 
 
 def _spec_reads(family: str, names) -> set:
-    """The inputs the per-spec checks `names` of `family` read: the spec,
-    kmax and what each check declares."""
+    """The inputs the per-spec checks `names` of `family` read: the spec, what
+    each check declares, and kmax, which every per-spec report records (the
+    benchmark pool passes --kmax to every suite)."""
     checks = reports.SPEC_CHECKS[family]
     return {*_SPEC_FIELDS[family], "kmax"}.union(*(checks[n].reads for n in names))
 
@@ -598,13 +601,13 @@ def _cmd_verify(args) -> int:
         in_manifest = False
     given = any(_given(args, key) for key in (*_FIELDS, "params_file"))
     if name in reports.SPEC_CHECKS.get(family, ()) and (given or not in_manifest):
-        _refuse_unread(args, command, _spec_reads(family, [name]) | {"params_file"})
         if args.params_file:
             # a flag given on the command line wins over the file
             data = _load_json(args.params_file, "params file")
             for dest, value in vars(_parse_fields("params file", data)).items():
                 if getattr(args, dest) is None:
                     setattr(args, dest, value)
+        _refuse_unread(args, command, _spec_reads(family, [name]) | {"params_file"})
         # a tdpt lambda1 not given is 1
         needed = [key for key in _SPEC_FIELDS[family] if key != "lambda1"]
         if not all(_given(args, key) for key in needed):
@@ -673,10 +676,13 @@ def _cmd_family_table(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    reads = {*_SPEC_FIELDS[args.family], "kmax"}
+    reads = set(_SPEC_FIELDS[args.family])
+    if args.kind != "potential":
+        reads.add("kmax")
     if args.kind != "polynomial":
         reads |= {"x_points", "omega"} if args.family == "isotonic" else {"x_points"}
     _refuse_unread(args, f"table --kind {args.kind} --family {args.family}", reads)
+    args.kmax = 3 if args.kmax is None else args.kmax
     if args.family == "tdpt" and (args.big_m is None or args.lambda1 is None):
         raise ValueError("tdpt tables need --M and --lambda1")
     if args.kind != "polynomial":
@@ -848,7 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _SPEC_FIELDS["tdpt"]:
         _add_field(p, key, required=key in _SPEC_FIELDS["isotonic"])
     _add_field(p, "omega")
-    _add_field(p, "kmax", default=3)
+    _add_field(p, "kmax")
     p.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
     _add_out(p)
     p.set_defaults(func=_cmd_table)

@@ -9,7 +9,7 @@ A check is registered where it is defined, so its id and description are
 written once.  `@_check(check_id, description)` adds a suite check to
 `MANIFEST`; definition order is suite order.  `@_spec_check(family, name,
 reads)` adds a per-spec check, a function of (spec, kmax, grid_n, omega)
-that reads its spec, kmax and the inputs in `reads`, to `SPEC_CHECKS`;
+that reads its spec and the inputs in `reads`, to `SPEC_CHECKS`;
 definition order is `--suite all` order.  `run_spec_checks` runs the
 per-spec checks on any spec for the CLI.  A suite check of an invariant
 that a per-spec check states calls that check: `tdpt.regularity` and
@@ -91,7 +91,7 @@ def _check(check_id: str, description: str):
 def _spec_check(family: str, name: str, reads=()):
     """Register the decorated (spec, kmax, grid_n, omega) -> (status, spec,
     witness) body as the per-spec check `family`.`name`; its `reads`
-    attribute names what it reads besides the spec and kmax."""
+    attribute names the inputs it reads besides the spec."""
 
     def register(fn):
         fn.reads = reads
@@ -364,7 +364,7 @@ def _tdpt_regularity(spec, kmax, grid_n, omega):
     return True, params, detail
 
 
-@_spec_check("tdpt", "ode")
+@_spec_check("tdpt", "ode", reads=("kmax",))
 def _tdpt_ode(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     pot = tdpt.extended_potential(spec)
@@ -377,7 +377,7 @@ def _tdpt_ode(spec, kmax, grid_n, omega):
     return True, params, f"residuals identically zero for k <= {kmax}"
 
 
-@_spec_check("tdpt", "ortho")
+@_spec_check("tdpt", "ortho", reads=("kmax",))
 def _tdpt_ortho(spec, kmax, grid_n, omega):
     states = [tdpt.eigenfunction(spec, k) for k in range(kmax + 1)]
     return _ortho(states, dict(spec.as_dict(), kmax=kmax))
@@ -523,7 +523,7 @@ def _iso_q_crosscheck(spec, kmax, grid_n, omega):
     return True, params, "routes agree and denominator is rootless"
 
 
-@_spec_check("isotonic", "ode")
+@_spec_check("isotonic", "ode", reads=("kmax",))
 def _iso_ode(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     pot = isotonic.extended_potential(spec)
@@ -545,7 +545,7 @@ def _iso_ode(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("isotonic", "ortho", reads=("omega",))
+@_spec_check("isotonic", "ortho", reads=("kmax", "omega"))
 def _iso_ortho(spec, kmax, grid_n, omega):
     levels = isotonic.surviving_levels(spec, kmax)
     params = dict(

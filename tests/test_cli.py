@@ -755,6 +755,7 @@ def _per_spec_cases():
         suite_inputs = ["kmax", "grid_n"] + ["omega"] * (family == "isotonic")
         for name in [*checks, "all"]:
             names = list(checks) if name == "all" else [name]
+            # every per-spec report records kmax, so every form takes it
             reads = {"kmax"}.union(*(checks[s].reads for s in names))
             argv = [family, "verify", *spec, "--suite", name]
             for key in suite_inputs:
@@ -791,6 +792,31 @@ def test_per_spec_forms_refuse_exactly_the_inputs_they_do_not_read(
         assert SHOWN[key] in [c["spec"].get(key) for c in checks]
 
 
+# (selector, key, whether it reads it) for every spec field a params file may
+# hold besides the family's spec
+PARAMS_FILE_CASES = [
+    (f"{family}.{name}", key, key in {"kmax", *check.reads})
+    for family, checks in reports.SPEC_CHECKS.items()
+    for name, check in checks.items()
+    for key in ("M", "lambda1", "omega", "kmax") if key not in SPEC_FLAGS[family]
+]
+
+
+@pytest.mark.parametrize("selector,key,reads", PARAMS_FILE_CASES)
+def test_per_spec_params_file_keys_follow_the_flag_rule(
+    capsys, tmp_path, monkeypatch, selector, key, reads
+):
+    monkeypatch.chdir(tmp_path)
+    fields = dict(SPEC_FLAGS[selector.split(".")[0]], **{key: INPUT_VALUES[key]})
+    (tmp_path / "params.json").write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, "verify", selector, "--params-file", "params.json")
+    if reads:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: verify {selector} does not read {_flag(key)}\n"
+
+
 @pytest.mark.parametrize("argv,command,unread", [
     ("verify isotonic.ode --n 1 --N 1 --M 7 --lambda1 5",
      "verify isotonic.ode", ["--M", "--lambda1"]),
@@ -803,6 +829,8 @@ def test_per_spec_forms_refuse_exactly_the_inputs_they_do_not_read(
     ("table --kind potential --family tdpt --n 0 --N 1 --M 1 --lambda1 1 "
      "--omega 2 --x-points 0.1:1:3", "table --kind potential --family tdpt",
      ["--omega"]),
+    ("table --kind potential --family tdpt --n 0 --N 1 --M 1 --lambda1 1 "
+     "--kmax 7", "table --kind potential --family tdpt", ["--kmax"]),
     ("classical dump --family laguerre --n 2 --N 1 --M 4",
      "classical dump --family laguerre", ["--M"]),
     ("chain crosscheck --base tdpt --which matveev --params 0,1,1 --lambda1 5",
@@ -823,11 +851,30 @@ def test_commands_refuse_the_inputs_they_do_not_read(capsys, argv, command, unre
     "table --kind eigenfunction --family isotonic --n 1 --N 1 --omega 2 "
     "--x-points 0.1:1:3",
     "table --kind polynomial --family tdpt --n 0 --N 1 --M 1 --lambda1 1 --kmax 2",
+    "table --kind eigenfunction --family tdpt --n 0 --N 1 --M 1 --lambda1 1 "
+    "--kmax 2 --x-points 0.1:1:3",
     "classical dump --family jacobi --n 2 --N 1 --M 1",
     "chain crosscheck --base tdpt --which two-step --params 0,1,1 --lambda1 1",
 ])
 def test_commands_accept_the_inputs_they_read(capsys, argv):
     assert run_cli(capsys, *shlex.split(argv))[::2] == (0, "")
+
+
+def test_oracles_refuse_omega_on_a_tdpt_file(capsys, tmp_path, monkeypatch):
+    # a tdpt potential has no frequency; what the oracles read depends on
+    # the family of the file
+    monkeypatch.chdir(tmp_path)
+    build = "tdpt build --n 0 --N 1 --M 1 --lambda1 1 --kmax 2 --out pot.json"
+    assert run_cli(capsys, *build.split())[0] == 0
+    for argv, command in [
+        ("spectrum --potential-json pot.json --levels 2",
+         "verify spectrum of a tdpt potential"),
+        ("gram --family-json pot.json", "verify gram of a tdpt family"),
+    ]:
+        code, out, err = run_cli(capsys, "verify", *argv.split(), "--omega", "3")
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} does not read --omega\n"
+        assert run_cli(capsys, "verify", *argv.split())[::2] == (0, "")
 
 
 def test_verify_failing_check_exit_1(capsys, monkeypatch):

@@ -115,15 +115,21 @@ def test_manifest_rows_pinned():
     for name in checks for key in ("kmax", "grid_n", "omega")
 ])
 def test_per_spec_check_declares_the_inputs_it_reads(check_id, key):
-    # an input is read when another value of it changes the result; every
-    # check reads kmax, and the CLI refuses what `reads` leaves out
+    # an input is read when another value of it changes the result, the
+    # input itself echoed in the report's spec aside; the CLI refuses what
+    # `reads` leaves out
     family, name = check_id.split(".")
     spec = {"tdpt": tdpt.TdptSpec(1, 1, 1, 1), "isotonic": isotonic.IsotonicSpec(1, 1)}
     body = partial(reports.SPEC_CHECKS[family][name], spec[family])
+
+    def result(**inputs):
+        status, params, witness = body(**inputs)
+        return status, {k: v for k, v in params.items() if k != key}, witness
+
     inputs = {"kmax": 3, "grid_n": 1000, "omega": Fraction(2)}
     other = dict(inputs, **{key: {"kmax": 4, "grid_n": 1200, "omega": Fraction(3)}[key]})
-    read = key == "kmax" or key in reports.SPEC_CHECKS[family][name].reads
-    assert (body(**inputs) != body(**other)) == read
+    read = key in reports.SPEC_CHECKS[family][name].reads
+    assert (result(**inputs) != result(**other)) == read
 
 
 @pytest.mark.parametrize("family,spec,omega", [
@@ -339,9 +345,9 @@ def _gram_off_diagonal(real):
     return perturbed
 
 
-# check id[:control] -> (owner, name, make): the control replaces the
-# attribute name of owner (a module or class) with make(the real one), and
-# the check must fail.  The memoized constructors are emptied before the
+# check id[:control] -> (owner, name, make[, witness]): the control replaces
+# the attribute name of owner (a module or class) with make(the real one),
+# and the check must fail, with the given witness where one is given.  The memoized constructors are emptied before the
 # patch and after it is undone, so no value built under it survives.
 # `verify` loads at its first use, so its rows also show that a patch on
 # the lazily loaded module reaches the checks
@@ -359,7 +365,7 @@ MANIFEST_CONTROLS = {
         lambda states, omega=1.0: dataclasses.replace(
             real(states, omega), converged=False
         )
-    )),
+    ), "off-diagonal mass nan"),
     # a cumulative norm whose derivative is off by one
     "tdpt.monotone": (tdpt, "q_poly", lambda real: (
         lambda n, N, M: real(n, N, M) + exactalg.ExactPoly([0, 1])
@@ -402,7 +408,7 @@ MANIFEST_CONTROLS = {
 
 @pytest.mark.parametrize("check_id", sorted(MANIFEST_CONTROLS))
 def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
-    owner, name, make = MANIFEST_CONTROLS[check_id]
+    owner, name, make, *witness = MANIFEST_CONTROLS[check_id]
     check_id = check_id.partition(":")[0]
     assert reports.run_check(check_id).status == "pass"
     reports._clear_constructor_caches()
@@ -411,7 +417,10 @@ def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
         # the body is called directly, so an exception fails the test
         # instead of becoming the witness
         assert_fails_with_witness(reports._BY_ID[check_id].run())
-        assert reports.run_check(check_id).status == "fail"
+        report = reports.run_check(check_id)
+        assert report.status == "fail"
+        if witness:
+            assert report.witness == witness[0]
     finally:
         monkeypatch.undo()
         reports._clear_constructor_caches()
