@@ -27,7 +27,7 @@ The numeric machinery is the package's own: the cumulative norm is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,17 +36,13 @@ from .classical import IsotonicOscillator, TrigPoschlTeller
 from .verify import quadrature, worst
 
 
-@dataclass(frozen=True)
-class SeedFunction:
+class SeedFunction(namedtuple("SeedFunction", "f df energy x0")):
     """A solution of -f'' + V f = E f with its derivative and bookkeeping.
 
     `x0` anchors the cumulative integral; `math.inf` anchors at the far
     end (the integral is then taken as -int_x^inf f^2)."""
 
-    f: object
-    df: object
-    energy: float
-    x0: float
+    __slots__ = ()
 
 
 def tdpt_seed(n: int, N: int, M: int):
@@ -173,9 +169,7 @@ def confluent_two_step(seed: SeedFunction, v, lambda1: float):
 def scaled_seed(seed: SeedFunction, c: float) -> SeedFunction:
     """Rescale the seed state by c; pairing with lambda1 -> c^2 lambda1
     must leave the two-step potential unchanged."""
-    return replace(
-        seed, f=lambda x: c * seed.f(x), df=lambda x: c * seed.df(x)
-    )
+    return seed._replace(f=lambda x: c * seed.f(x), df=lambda x: c * seed.df(x))
 
 
 # -- independent route: the energy-derivative Wronskian -------------------------
@@ -244,7 +238,7 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float):
     identity W(psi, d_E psi) = -int_{x_ref}^x psi^2 against direct
     quadrature, which is what makes the confluence work at all."""
     xs = np.asarray(xs, dtype=float)
-    anchored = replace(seed, x0=x_ref)
+    anchored = seed._replace(x0=x_ref)
     vt, _ = confluent_two_step(anchored, v, 0.0)
     vm, w = matveev_potential(seed, v, xs, x_ref)
     scale = max(1.0, float(np.max(np.abs(vm))))
@@ -256,21 +250,17 @@ def matveev_cross_check(seed: SeedFunction, v, xs, x_ref: float):
 # -- iterated confluent chains ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainResult:
-    """State of an m-step chain sampled on a grid.
+class ChainResult(namedtuple("ChainResult", (
+    "xs psi dpsi integrals log_derivatives potential potential_grouped"
+))):
+    """State of an m-step chain sampled on a grid: arrays over `xs`, and
+    tuples of them in `integrals` and `log_derivatives`.
 
     `potential` comes from telescoping the m Riccati derivatives;
     `potential_grouped` differentiates the ceil(m/2) pair-products
     (lambda_k + I_k) instead.  The two share only the integrated data."""
 
-    xs: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    integrals: tuple
-    log_derivatives: tuple
-    potential: np.ndarray
-    potential_grouped: np.ndarray
+    __slots__ = ()
 
 
 def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):

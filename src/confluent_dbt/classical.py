@@ -15,7 +15,7 @@ same degree and parameters gets one shared, immutable `ExactPoly`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -24,6 +24,7 @@ from .exactalg import (
     ONE_MINUS,
     ONE_PLUS,
     Z,
+    CheckedRecord,
     ExactPoly,
     RadialGauged,
     RationalFn,
@@ -79,8 +80,7 @@ def laguerre(n: int, alpha: int) -> ExactPoly:
     return ExactPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class TrigPoschlTeller:
+class TrigPoschlTeller(CheckedRecord, namedtuple("TrigPoschlTeller", "N M")):
     """V(x) = (N+1/2)(N-1/2)/sin^2(x) + (M+1/2)(M-1/2)/cos^2(x) - (N+M+1)^2
     on 0 < x < pi/2, with integer N, M >= 1.
 
@@ -89,12 +89,12 @@ class TrigPoschlTeller:
     E_n = 4n(N+M+1+n).
     """
 
-    N: int
-    M: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1 or self.M < 1:
+    def __new__(cls, N: int, M: int):
+        if N < 1 or M < 1:
             raise ValueError("integer parameters N, M >= 1 required")
+        return super().__new__(cls, N, M)
 
     def energy(self, n: int) -> Fraction:
         return Fraction(4 * n * (self.N + self.M + 1 + n))
@@ -124,8 +124,7 @@ class TrigPoschlTeller:
         return self.in_ground_gauge(RationalFn(jacobi(n, self.N, self.M)))
 
 
-@dataclass(frozen=True)
-class IsotonicOscillator:
+class IsotonicOscillator(CheckedRecord, namedtuple("IsotonicOscillator", "N")):
     """V(x) = w^2 x^2/4 + (N+1/2)(N-1/2)/x^2 - w(N+1) on x > 0, integer N >= 1.
 
     In z = w x^2/2 the bound states are psi_n = z^{(2N+1)/4} e^{-z/2} L_n^N(z)
@@ -134,11 +133,12 @@ class IsotonicOscillator:
     frequency-free.
     """
 
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.N < 1:
+    def __new__(cls, N: int):
+        if N < 1:
             raise ValueError("integer parameter N >= 1 required")
+        return super().__new__(cls, N)
 
     def energy_units(self, n: int) -> Fraction:
         """E_n in units of w."""

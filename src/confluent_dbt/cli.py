@@ -604,6 +604,10 @@ def _cmd_verify(args) -> int:
         if args.params_file:
             # a flag given on the command line wins over the file
             data = _load_json(args.params_file, "params file")
+            if unread := [key for key in data if key not in _FIELDS]:
+                raise ValueError(
+                    f"{command} does not read {', '.join(unread)} from --params-file"
+                )
             for dest, value in vars(_parse_fields("params file", data)).items():
                 if getattr(args, dest) is None:
                     setattr(args, dest, value)

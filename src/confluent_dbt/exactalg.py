@@ -38,11 +38,12 @@ zero exactly when the state solves the equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Sequence
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd
-from typing import Sequence
 
 NEG_INF = object()  # interval endpoint sentinels for Sturm counting
 POS_INF = object()
@@ -62,6 +63,18 @@ def as_rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+class CheckedRecord:
+    """First base of a namedtuple record whose `__new__` checks its fields,
+    so that `_replace` checks them too: namedtuple builds a replacement
+    through `_make`, which skips `__new__`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 def pointwise(fn, x, *args):
     """fn(x, *args) for a float x; for a 1-D numpy array x, fn applied
     point by point.  Keeps transcendental factors on libm: numpy's own
@@ -78,6 +91,19 @@ def pointwise(fn, x, *args):
 def _as_points(z):
     """A float, or a numpy array of points unchanged."""
     return z if getattr(z, "ndim", 0) else float(z)
+
+
+def _overflow_quiet(z):
+    """A context in which arithmetic on the points z overflows to inf
+    silently, as float arithmetic does and numpy's does not."""
+    if not getattr(z, "ndim", 0):
+        return _FLOAT_CONTEXT
+    import numpy as np  # an array argument means numpy is loaded
+
+    return np.errstate(over="ignore")
+
+
+_FLOAT_CONTEXT = nullcontext()
 
 
 # -- integer kernels (ascending coefficient lists of ints) ---------------------
@@ -483,8 +509,9 @@ class ExactPoly:
             )
         acc = 0.0
         z = _as_points(z)
-        for c in floats:
-            acc = acc * z + c
+        with _overflow_quiet(z):
+            for c in floats:
+                acc = acc * z + c
         return acc
 
     # -- serialization -----------------------------------------------------
@@ -642,7 +669,8 @@ class RationalFn:
         return RationalFn._canonical(p.derivative() * s - p * dg, d * s)
 
     def __call__(self, z):
-        return self.num(z) / self.den(z)
+        with _overflow_quiet(z):
+            return self.num(z) / self.den(z)
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -746,16 +774,14 @@ def count_roots(
     return n
 
 
-@dataclass(frozen=True)
-class RootIsolation:
+class RootIsolation(namedtuple("RootIsolation", "intervals multiplicity_free")):
     """Disjoint rational intervals, each holding exactly one distinct root.
 
     Degenerate intervals (lo == hi) mark exact rational roots.
     `multiplicity_free` certifies the input polynomial was squarefree.
     """
 
-    intervals: tuple
-    multiplicity_free: bool
+    __slots__ = ()
 
     @property
     def count(self) -> int:
@@ -828,13 +854,16 @@ Z = ExactPoly([0, 1])
 class _Gauged:
     """A gauge times the rational function `rat`.
 
-    A family is a frozen dataclass (``eq=False``) with its gauge fields,
-    then `rat`.  It declares `_GAUGE`, the gauge fields, each adding under
-    `*`; `_POWERS`, each exponent field with the polynomial it powers (a
-    sum moves integer exponent gaps into `rat`); `_MATCH`, the fields a
-    sum needs equal, with the message for a mismatch; and `_law`, giving
-    d/dx as (u, w, lower): r -> u r + w r' over the gauge fields `lower`."""
+    A family is a namedtuple subclass with its gauge fields, then `rat`,
+    and this class first among its bases, so that `==`, `hash`, `+` and
+    `*` are the ones below, not tuple's.  It declares `_GAUGE`, the gauge
+    fields, each adding under `*`; `_POWERS`, each exponent field with the
+    polynomial it powers (a sum moves integer exponent gaps into `rat`);
+    `_MATCH`, the fields a sum needs equal, with the message for a
+    mismatch; and `_law`, giving d/dx as (u, w, lower): r -> u r + w r'
+    over the gauge fields `lower`."""
 
+    __slots__ = ()
     _MATCH = {}
 
     @property
@@ -868,7 +897,7 @@ class _Gauged:
         """Exact x-derivative by the family's law (`_law`)."""
         u, w, lower = self._law()
         rat = RationalFn(u) * self.rat + RationalFn(w) * self.rat.derivative()
-        return replace(self, rat=rat, **lower)
+        return self._replace(rat=rat, **lower)
 
     def _aligned(self, other):
         """(lowered exponents, self.rat, other.rat) over one common gauge."""
@@ -888,22 +917,22 @@ class _Gauged:
         if other.is_zero:
             return self
         low, r1, r2 = self._aligned(other)
-        return replace(self, rat=r1 + r2, **low)
+        return self._replace(rat=r1 + r2, **low)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return replace(self, rat=-self.rat)
+        return self._replace(rat=-self.rat)
 
     def __mul__(self, other):
         if isinstance(other, type(self)):
             sums = {n: getattr(self, n) + getattr(other, n) for n in self._GAUGE}
-            return replace(self, rat=self.rat * other.rat, **sums)
+            return self._replace(rat=self.rat * other.rat, **sums)
         r = _coerce_rational(other)
         if r is None:
             raise TypeError(f"cannot use {other!r} as a rational function")
-        return replace(self, rat=self.rat * r)
+        return self._replace(rat=self.rat * r)
 
     __rmul__ = __mul__
 
@@ -920,15 +949,13 @@ class _Gauged:
         _, r1, r2 = self._aligned(other)
         return r1 == r2
 
+    __ne__ = object.__ne__  # the negation of `__eq__`, not tuple's `!=`
 
-@dataclass(frozen=True, eq=False)
-class TrigGauged(_Gauged):
+
+class TrigGauged(_Gauged, namedtuple("TrigGauged", "a b rat")):
     """(1-z)^a (1+z)^b * rat(z), z = cos 2x on the interval 0 < x < pi/2."""
 
-    a: Fraction
-    b: Fraction
-    rat: RationalFn
-
+    __slots__ = ()
     _GAUGE = ("a", "b")
     _POWERS = {"a": ONE_MINUS, "b": ONE_PLUS}
 
@@ -952,8 +979,7 @@ class TrigGauged(_Gauged):
         return self.eval_z(pointwise(math.cos, 2.0 * x))
 
 
-@dataclass(frozen=True, eq=False)
-class RadialGauged(_Gauged):
+class RadialGauged(_Gauged, namedtuple("RadialGauged", "c s p rat")):
     """(2w)^{p/2} z^c e^{s z/2} * rat(z), z = w x^2/2 on the half line x > 0.
 
     `p` counts powers of sqrt(2w) (w is the oscillator frequency, left
@@ -961,11 +987,7 @@ class RadialGauged(_Gauged):
     e^{-z} and friends.
     """
 
-    c: Fraction
-    s: int
-    p: int
-    rat: RationalFn
-
+    __slots__ = ()
     _GAUGE = ("c", "s", "p")
     _POWERS = {"c": Z}
     _MATCH = {
@@ -1050,9 +1072,9 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
         # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
         u, w, lower = g._law()
         num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
-        g = replace(g, **lower)
+        g = g._replace(**lower)
     h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
     # P G from f's gauge onto the residual's, over the same denominator
-    term = replace(f, rat=RationalFn(f.rat.num * gap.num * d2))._lifted(vars(g))
+    term = f._replace(rat=RationalFn(f.rat.num * gap.num * d2))._lifted(g._asdict())
     num = num * h + term.num
-    return replace(g, rat=RationalFn(num, d * d * d * h if num else None))
+    return g._replace(rat=RationalFn(num, d * d * d * h if num else None))

@@ -17,7 +17,7 @@ constructors it builds on (`q_poly.cache_clear()` empties it);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -27,6 +27,7 @@ from .classical import CACHE_SIZE, IsotonicOscillator, laguerre
 from .exactalg import (
     POS_INF,
     Z,
+    CheckedRecord,
     ExactPoly,
     RadialGauged,
     RationalFn,
@@ -34,8 +35,7 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
-class IsotonicSpec:
+class IsotonicSpec(CheckedRecord, namedtuple("IsotonicSpec", "n N")):
     """Extension parameters: deleted level n and potential integer N >= 1
     (checked by the base).
 
@@ -43,13 +43,13 @@ class IsotonicSpec:
     evaluations take it as an argument.
     """
 
-    n: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, N: int):
+        if n < 0:
             raise ValueError("level n must be >= 0")
-        IsotonicOscillator(self.N)  # raises unless N >= 1
+        IsotonicOscillator(N)  # raises unless N >= 1
+        return super().__new__(cls, n, N)
 
     @property
     def base(self) -> IsotonicOscillator:
@@ -145,13 +145,14 @@ def measure_weight_rational(spec: IsotonicSpec) -> RationalFn:
     return RationalFn(Z**spec.N, q * q)
 
 
-@dataclass(frozen=True)
-class IsotonicExtendedPotential:
-    """Extension in exact z-form (units of w) and numeric x-form."""
+class IsotonicExtendedPotential(
+    namedtuple("IsotonicExtendedPotential", "spec correction_units zform_units")
+):
+    """Extension in exact z-form (units of w) and numeric x-form:
+    `correction_units` is (V-ext - V-base)/w, rational in z, and
+    V-ext(x) = w * zform_units(w x^2/2)."""
 
-    spec: IsotonicSpec
-    correction_units: RationalFn  # (V-ext - V-base)/w, rational in z
-    zform_units: RationalFn  # V-ext(x) = w * zform_units(w x^2/2)
+    __slots__ = ()
 
     def v(self, x, omega: float):
         """V-ext at x: a float, or a numpy array of points."""
@@ -179,14 +180,13 @@ def surviving_levels(spec: IsotonicSpec, kmax: int) -> tuple:
     return tuple(k for k in range(max(kmax, spec.n + 1) + 1) if k != spec.n)
 
 
-@dataclass(frozen=True)
-class ExceptionalLaguerreFamily:
-    """Exceptional polynomials on the `surviving_levels`."""
+class ExceptionalLaguerreFamily(
+    namedtuple("ExceptionalLaguerreFamily", "spec levels polys weight_rational")
+):
+    """Exceptional polynomials on the `surviving_levels`; the weight is
+    `weight_rational` times e^{-z}."""
 
-    spec: IsotonicSpec
-    levels: tuple
-    polys: tuple
-    weight_rational: RationalFn  # the weight is this times e^{-z}
+    __slots__ = ()
 
 
 def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalLaguerreFamily:

@@ -24,12 +24,11 @@ run time.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -43,15 +42,13 @@ GRID_N = 3000  # default finite-difference grid of the spectrum checks
 OMEGA = Fraction(2)  # default frequency of the isotonic per-spec checks
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one named check."""
+class VerifyReport(namedtuple(
+    "VerifyReport", "check_id spec status witness elapsed_ms"
+)):
+    """Outcome of one named check: `status` is pass, fail or skip, and
+    `witness` is nonempty when it is not pass."""
 
-    check_id: str
-    spec: dict
-    status: str  # pass | fail | skip
-    witness: str  # nonempty when status != pass
-    elapsed_ms: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -63,11 +60,10 @@ class VerifyReport:
         }
 
 
-@dataclass(frozen=True)
-class SuiteCheck:
-    check_id: str
-    description: str
-    run: object  # () -> (ok, spec, witness)
+class SuiteCheck(namedtuple("SuiteCheck", "check_id description run")):
+    """A registered suite check; `run` is () -> (ok, spec, witness)."""
+
+    __slots__ = ()
 
     @property
     def module(self) -> str:
@@ -820,7 +816,9 @@ def _clear_constructor_caches():
     """Empty the memoized exact constructors, also through a wrapper put
     around them (such as a tracer's)."""
     for fn in (classical.jacobi, classical.laguerre, tdpt.q_poly, isotonic.q_poly):
-        inspect.unwrap(fn, stop=lambda f: hasattr(f, "cache_clear")).cache_clear()
+        while not hasattr(fn, "cache_clear"):
+            fn = fn.__wrapped__
+        fn.cache_clear()
 
 
 def _fast_subset_payload():

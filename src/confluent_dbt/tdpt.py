@@ -15,7 +15,7 @@ classical constructors it builds on (`q_poly.cache_clear()` empties it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -25,6 +25,7 @@ from .classical import CACHE_SIZE, TrigPoschlTeller, jacobi
 from .exactalg import (
     ONE_MINUS,
     ONE_PLUS,
+    CheckedRecord,
     ExactPoly,
     RationalFn,
     RootIsolation,
@@ -35,22 +36,18 @@ from .exactalg import (
 )
 
 
-@dataclass(frozen=True)
-class TdptSpec:
+class TdptSpec(CheckedRecord, namedtuple("TdptSpec", "n N M lambda1")):
     """Extension parameters: deleted/restored level n, potential integers
     N, M >= 1 (checked by the base), and the integration constant lambda1
     (exact rational)."""
 
-    n: int
-    N: int
-    M: int
-    lambda1: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __new__(cls, n: int, N: int, M: int, lambda1):
+        if n < 0:
             raise ValueError("level n must be >= 0")
-        TrigPoschlTeller(self.N, self.M)  # raises unless N, M >= 1
-        object.__setattr__(self, "lambda1", as_rat(self.lambda1))
+        TrigPoschlTeller(N, M)  # raises unless N, M >= 1
+        return super().__new__(cls, n, N, M, as_rat(lambda1))
 
     @property
     def base(self) -> TrigPoschlTeller:
@@ -178,13 +175,13 @@ def eigenfunction(spec: TdptSpec, k: int) -> TrigGauged:
     )
 
 
-@dataclass(frozen=True)
-class TdptExtendedPotential:
-    """Extended potential in both exact z-form and numeric x-form."""
+class TdptExtendedPotential(
+    namedtuple("TdptExtendedPotential", "spec correction z_form")
+):
+    """Extended potential in both exact z-form and numeric x-form;
+    `correction` is V-ext - V-base, rational in z."""
 
-    spec: TdptSpec
-    correction: RationalFn  # V-ext - V-base, rational in z
-    z_form: RationalFn
+    __slots__ = ()
 
     def v(self, x):
         """V-ext at x: a float, or a numpy array of points."""
@@ -209,13 +206,10 @@ def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:
     return TdptExtendedPotential(spec, correction, z_form)
 
 
-@dataclass(frozen=True)
-class ExceptionalFamily:
+class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec polys weight")):
     """The first kmax+1 exceptional polynomials with their weight."""
 
-    spec: TdptSpec
-    polys: tuple
-    weight: RationalFn
+    __slots__ = ()
 
 
 def exceptional_family(spec: TdptSpec, kmax: int) -> ExceptionalFamily:

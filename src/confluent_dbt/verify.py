@@ -25,7 +25,7 @@ successive Gram matrices agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -70,15 +70,13 @@ QUAD_LIMIT = 300  # subintervals
 EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(
+    namedtuple("QuadratureResult", "value abs_error subdivisions converged")
+):
     """`converged` says the error estimate met the tolerance before the
     subinterval cap (it is false on a NaN or infinite integrand)."""
 
-    value: float
-    abs_error: float
-    subdivisions: int
-    converged: bool
+    __slots__ = ()
 
 
 def _gauss_kronrod(f, intervals) -> list:
@@ -213,17 +211,13 @@ def _golub_welsch(diag, off, mass) -> tuple:
     return z, w
 
 
-@dataclass(frozen=True)
-class GaussGram:
+class GaussGram(namedtuple("GaussGram", "values nodes quadrature_error converged")):
     """Gram matrix of gauged states on the last Gauss rule of a node
     doubling.  `quadrature_error` is the largest change of an entry from
     the rule with half the nodes, relative to sqrt(G_jj G_kk); `converged`
     says it fell to 1e-12 before the node cap."""
 
-    values: np.ndarray
-    nodes: int
-    quadrature_error: float
-    converged: bool
+    __slots__ = ()
 
 
 def gauss_gram(states, omega: float = 1.0, max_nodes: int = 2560) -> GaussGram:
@@ -298,18 +292,15 @@ def max_offdiagonal_relative(vals: np.ndarray) -> float:
 # -- Dirichlet spectra ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(namedtuple(
+    "SpectrumResult", "energies node_counts domain grid_n error_estimates"
+)):
     """Lowest eigenvalues of -d^2/dx^2 + V with Dirichlet ends.
 
     `energies` are Richardson-extrapolated over the two grids; the error
     estimate is the extrapolation increment."""
 
-    energies: tuple
-    node_counts: tuple
-    domain: tuple
-    grid_n: int
-    error_estimates: tuple
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

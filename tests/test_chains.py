@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -54,7 +53,7 @@ def test_cumulative_integral_matches_exact_polynomial():
 
 def test_cumulative_integral_walks_both_sides_of_a_finite_anchor():
     seed, _ = chains.tdpt_seed(1, 1, 1)
-    inside = dataclasses.replace(seed, x0=0.8)
+    inside = seed._replace(x0=0.8)
     xs = np.array([1.3, 0.2, 0.8, 0.5, 1.1, 0.65])
     got = chains.integral_from_anchor(inside, xs)
     for x, g in zip(xs, got):
@@ -205,7 +204,7 @@ def test_matveev_route_agrees_with_two_step():
     x_ref = math.pi / 2 - 1e-3
     xs = np.linspace(0.1, 1.4, 7)
     vm, w = chains.matveev_potential(seed, v, xs, x_ref)
-    anchored = dataclasses.replace(seed, x0=x_ref)
+    anchored = seed._replace(x0=x_ref)
     vt, _ = chains.confluent_two_step(anchored, v, 0.0)
     for i, x in enumerate(xs):
         assert abs(vm[i] - vt(x)) < 1e-6
@@ -241,7 +240,7 @@ def test_chain_reduces_to_two_step():
     x_start = math.pi / 2 - 1e-3
     xs = np.linspace(0.1, 1.4, 9)
     res = chains.hyperconfluent_chain(seed, v, [1.0], xs, x_start)
-    anchored = dataclasses.replace(seed, x0=x_start)
+    anchored = seed._replace(x0=x_start)
     vt, _ = chains.confluent_two_step(anchored, v, 1.0)
     assert np.max(np.abs(res.potential - [vt(x) for x in xs])) < 1e-9
     assert np.max(np.abs(res.potential - res.potential_grouped)) < 1e-8

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -551,7 +550,7 @@ def test_chain_crosscheck_two_step_fails_on_a_shifted_lambda1(capsys, monkeypatc
     # negative control: the exact potential at lambda1 - 1 is another extension
     exact = cli.tdpt.extended_potential
     monkeypatch.setattr(cli.tdpt, "extended_potential", lambda spec: exact(
-        dataclasses.replace(spec, lambda1=spec.lambda1 - 1)))
+        spec._replace(lambda1=spec.lambda1 - 1)))
     code, data = run_json(capsys, "chain", "crosscheck", "--base", "tdpt",
                           "--which", "two-step", "--params", "0,1,1",
                           "--lambda1", "1")
@@ -566,7 +565,7 @@ def test_chain_crosscheck_matveev_fails_on_a_wrong_energy(capsys, monkeypatch):
 
     def shifted(*params):
         seed, v = seed_of(*params)
-        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
+        return seed._replace(energy=seed.energy + 0.5), v
 
     monkeypatch.setattr(cli.chains, "tdpt_seed", shifted)
     code, data = run_json(capsys, "chain", "crosscheck", "--base", "tdpt",
@@ -817,6 +816,21 @@ def test_per_spec_params_file_keys_follow_the_flag_rule(
         assert err == f"error: verify {selector} does not read {_flag(key)}\n"
 
 
+@pytest.mark.parametrize("key", ["grid_n", "bogus"])
+def test_params_file_refuses_keys_that_are_not_spec_fields(
+    capsys, tmp_path, monkeypatch, key
+):
+    # grid_n is read by the check as a flag, never from the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(json.dumps({"n": 1, "N": 1, key: 900}))
+    argv = ["verify", "isotonic.spectrum", "--params-file", "params.json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: verify isotonic.spectrum does not read {key} from --params-file\n"
+    )
+
+
 @pytest.mark.parametrize("argv,command,unread", [
     ("verify isotonic.ode --n 1 --N 1 --M 7 --lambda1 5",
      "verify isotonic.ode", ["--M", "--lambda1"]),
@@ -879,8 +893,8 @@ def test_oracles_refuse_omega_on_a_tdpt_file(capsys, tmp_path, monkeypatch):
 
 def test_verify_failing_check_exit_1(capsys, monkeypatch):
     check = reports._BY_ID["tdpt.window"]
-    monkeypatch.setitem(reports._BY_ID, check.check_id, dataclasses.replace(
-        check, run=lambda: (False, {}, "")))
+    monkeypatch.setitem(reports._BY_ID, check.check_id, check._replace(
+        run=lambda: (False, {}, "")))
     code, data = run_json(capsys, "verify", "tdpt.window")
     assert code == 1
     assert data["failed"] == ["tdpt.window"]
@@ -1354,12 +1368,13 @@ class NumpyWatch:
 sys.meta_path.insert(0, NumpyWatch())
 import confluent_dbt.cli as cli
 
-FLOAT = ("numpy", "confluent_dbt._flapack", "confluent_dbt.lapack",
-         "confluent_dbt.dop853")
+# what only a float command loads (numpy itself imports inspect)
+LATE = ("numpy", "confluent_dbt._flapack", "confluent_dbt.lapack",
+        "confluent_dbt.dop853", "dataclasses", "inspect")
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m in FLOAT or m.split(".")[0] in ("numpy", "scipy"))
+                  if m in LATE or m.split(".")[0] in ("numpy", "scipy"))
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -1391,7 +1406,8 @@ print(json.dumps({"exact": exact, "spectrum": loaded(),
 def test_exact_commands_do_not_import_numpy():
     # the exact layer proves its statements without floats: numpy, LAPACK,
     # the ODE solver and scipy load only when a float command first needs
-    # them, and OpenBLAS is then capped at one thread
+    # them, and OpenBLAS is then capped at one thread; no command of the
+    # exact layer loads dataclasses or inspect either
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
         [sys.executable, "-c", _EXACT_ONLY_RUN], capture_output=True, text=True,

@@ -302,3 +302,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         isotonic.IsotonicSpec(0, 0)
     assert isotonic.IsotonicSpec(2, 3).as_dict() == {"n": 2, "N": 3}
+    # a replacement is checked as a construction is
+    spec = isotonic.IsotonicSpec(1, 1)
+    with pytest.raises(ValueError):
+        spec._replace(n=-1)
+    with pytest.raises(ValueError):
+        spec.base._replace(N=0)
+    assert spec._replace(n=2) == isotonic.IsotonicSpec(2, 1)

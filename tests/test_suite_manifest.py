@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -8,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from confluent_dbt import chains, exactalg, isotonic, reports, tdpt, verify
+from confluent_dbt import chains, classical, exactalg, isotonic, reports, tdpt, verify
 
 
 REQUIRED = set(reports.REQUIRED_INVARIANTS)
@@ -259,7 +258,7 @@ def test_ortho_fails_on_a_nan_gram_entry(monkeypatch):
         gram = real(states, omega)
         values = gram.values.copy()
         values[0][1] = values[1][0] = math.nan
-        return dataclasses.replace(gram, values=values)
+        return gram._replace(values=values)
 
     monkeypatch.setattr(verify, "gauss_gram", with_nan)
     states = [tdpt.eigenfunction(SPEC, k) for k in range(3)]
@@ -284,7 +283,7 @@ def test_tdpt_ode_fails_on_the_potential_at_lambda1_minus_one(monkeypatch):
     real = tdpt.extended_potential
     monkeypatch.setattr(
         tdpt, "extended_potential",
-        lambda spec: real(dataclasses.replace(spec, lambda1=spec.lambda1 - 1)),
+        lambda spec: real(spec._replace(lambda1=spec.lambda1 - 1)),
     )
     assert_fails_with_witness(reports._tdpt_ode(SPEC, 3, reports.GRID_N, None))
 
@@ -293,7 +292,7 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
     real = isotonic.extended_potential
     monkeypatch.setattr(
         isotonic, "extended_potential",
-        lambda spec: real(dataclasses.replace(spec, N=spec.N + 1)),
+        lambda spec: real(spec._replace(N=spec.N + 1)),
     )
     spec = isotonic.IsotonicSpec(1, 1)
     assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
@@ -328,9 +327,23 @@ def _wrong_binomial_top_term(real):
 def _seed_at_shifted_energy(real):
     def shifted(n, N, M):
         seed, v = real(n, N, M)
-        return dataclasses.replace(seed, energy=seed.energy + 0.5), v
+        return seed._replace(energy=seed.energy + 0.5), v
 
     return shifted
+
+
+def _wrong_when_cached(real):
+    """A memoized constructor behind a wrapper that adds one to every value
+    its cache returns, so a warm run differs from a cold one; the cache is
+    emptied through the wrapper's `__wrapped__`."""
+
+    def wrong(*args):
+        hits = real.cache_info().hits
+        value = real(*args)
+        return value + 1 if real.cache_info().hits > hits else value
+
+    wrong.__wrapped__ = real
+    return wrong
 
 
 def _gram_off_diagonal(real):
@@ -352,6 +365,10 @@ def _gram_off_diagonal(real):
 # `verify` loads at its first use, so its rows also show that a patch on
 # the lazily loaded module reaches the checks
 MANIFEST_CONTROLS = {
+    # a Sturm chain without its last entry
+    "exactalg.sturm": (exactalg, "sturm_chain", lambda real: (
+        lambda p: real(p)[:-1]
+    ), "case 0: counted 3, constructed 4"),
     # a gcd that finds no common factor
     "exactalg.coprime": (exactalg.ExactPoly, "gcd", lambda real: (
         lambda self, other: exactalg.ExactPoly.one()
@@ -362,9 +379,7 @@ MANIFEST_CONTROLS = {
     "tdpt.shape": (exactalg.ExactPoly, "__pow__", _wrong_binomial_top_term),
     # a Gauss rule that never converges: its NaN off-diagonal passes no test
     "classical.orthogonality": (verify, "gauss_gram", lambda real: (
-        lambda states, omega=1.0: dataclasses.replace(
-            real(states, omega), converged=False
-        )
+        lambda states, omega=1.0: real(states, omega)._replace(converged=False)
     ), "off-diagonal mass nan"),
     # a cumulative norm whose derivative is off by one
     "tdpt.monotone": (tdpt, "q_poly", lambda real: (
@@ -382,7 +397,7 @@ MANIFEST_CONTROLS = {
     "chains.energy": (chains, "tdpt_seed", _seed_at_shifted_energy),
     # a rescaled state whose constant is not rescaled with it
     "chains.scaling": (chains, "scaled_seed", lambda real: (
-        lambda seed, c: dataclasses.replace(seed, f=lambda x: c * seed.f(x))
+        lambda seed, c: seed._replace(f=lambda x: c * seed.f(x))
     )),
     # the residual of psi squared: a nonlinear operator
     "verify.linearity": (exactalg, "exact_ode_residual", lambda real: (
@@ -403,6 +418,9 @@ MANIFEST_CONTROLS = {
     "exactalg.wronskian:d_dx": (exactalg.TrigGauged, "_law", lambda real: (
         lambda self: (lambda u, w, lower: (u + 1, 3 * w, lower))(*real(self))
     )),
+    # a Jacobi constructor whose cached values differ from fresh ones
+    "cli.determinism": (classical, "jacobi", _wrong_when_cached,
+                        "two runs of the same subset differ"),
 }
 
 
@@ -445,18 +463,18 @@ def _potential_plus_one(real):
 SPEC_CONTROLS = {
     # the certificate taken at the threshold, inside the forbidden window
     "tdpt.regularity": (SPEC, "certify_regularity", lambda real: (
-        lambda spec: real(dataclasses.replace(
-            spec, lambda1=tdpt.regularity_threshold(spec.n, spec.N, spec.M)
+        lambda spec: real(spec._replace(
+            lambda1=tdpt.regularity_threshold(spec.n, spec.N, spec.M)
         ))
     )),
     # the potential at lambda1 - 1
     "tdpt.ode": (SPEC, "extended_potential", lambda real: (
-        lambda spec: real(dataclasses.replace(spec, lambda1=spec.lambda1 - 1))
+        lambda spec: real(spec._replace(lambda1=spec.lambda1 - 1))
     )),
     # level 1 taken at lambda1 - 1
     "tdpt.ortho": (SPEC, "eigenfunction", lambda real: (
         lambda spec, k: real(
-            dataclasses.replace(spec, lambda1=spec.lambda1 - 1) if k == 1 else spec, k
+            spec._replace(lambda1=spec.lambda1 - 1) if k == 1 else spec, k
         )
     )),
     # a partner constant off by one
@@ -471,7 +489,7 @@ SPEC_CONTROLS = {
     )),
     # the potential for N + 1
     "isotonic.ode": (ISO, "extended_potential", lambda real: (
-        lambda spec: real(dataclasses.replace(spec, N=spec.N + 1))
+        lambda spec: real(spec._replace(N=spec.N + 1))
     )),
     # a non-orthogonal pair: level 2 plus level 0
     "isotonic.ortho": (ISO, "eigenfunction", lambda real: (

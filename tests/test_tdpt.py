@@ -279,3 +279,16 @@ def test_spec_validation():
         tdpt.TdptSpec(0, 1, 1, 0.25)
     d = tdpt.TdptSpec(2, 1, 3, Fraction(-7, 2)).as_dict()
     assert d == {"n": 2, "N": 1, "M": 3, "lambda1": "-7/2"}
+
+
+def test_replace_checks_and_coerces_as_the_constructor_does():
+    spec = tdpt.TdptSpec(1, 1, 1, 1)
+    with pytest.raises(ValueError):
+        spec._replace(n=-1)
+    with pytest.raises(ValueError):
+        spec.base._replace(M=0)
+    with pytest.raises(TypeError):
+        spec._replace(lambda1=0.25)
+    assert spec._replace(lambda1=3).lambda1 == Fraction(3)
+    assert type(spec._replace(lambda1=3).lambda1) is Fraction
+    assert type(spec._replace(n=2)) is tdpt.TdptSpec
