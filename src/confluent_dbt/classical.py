@@ -116,12 +116,10 @@ class TrigPoschlTeller(CheckedRecord, namedtuple("TrigPoschlTeller", "N M")):
             - (N + M + 1) ** 2
         )
 
-    def in_ground_gauge(self, rat: RationalFn) -> TrigGauged:
-        """rat in the gauge of every bound state: (1-z)^{(2N+1)/4} (1+z)^{(2M+1)/4}."""
-        return TrigGauged(Fraction(2 * self.N + 1, 4), Fraction(2 * self.M + 1, 4), rat)
-
     def eigenstate(self, n: int) -> TrigGauged:
-        return self.in_ground_gauge(RationalFn(jacobi(n, self.N, self.M)))
+        N, M = self.N, self.M
+        rat = RationalFn(jacobi(n, N, M))
+        return TrigGauged(Fraction(2 * N + 1, 4), Fraction(2 * M + 1, 4), rat)
 
 
 class IsotonicOscillator(CheckedRecord, namedtuple("IsotonicOscillator", "N")):
@@ -161,13 +159,9 @@ class IsotonicOscillator(CheckedRecord, namedtuple("IsotonicOscillator", "N")):
             - omega * (N + 1)
         )
 
-    def in_ground_gauge(self, rat: RationalFn, s: int = -1) -> RadialGauged:
-        """rat in the gauge z^{(2N+1)/4} e^{s z/2}: that of every bound state
-        at s = -1, of the extension's deleted state at s = +1."""
-        return RadialGauged(Fraction(2 * self.N + 1, 4), s, 0, rat)
-
     def eigenstate(self, n: int) -> RadialGauged:
-        return self.in_ground_gauge(RationalFn(laguerre(n, self.N)))
+        rat = RationalFn(laguerre(n, self.N))
+        return RadialGauged(Fraction(2 * self.N + 1, 4), -1, 0, rat)
 
     def norm_sq_units(self, n: int) -> Fraction:
         """Squared L2 norm of eigenstate(n) in units of (2w)^{-1/2}."""

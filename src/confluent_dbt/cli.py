@@ -97,6 +97,7 @@ _DEST = {"N": "big_n", "M": "big_m"}  # namespace names of the capital flags
 
 # the spec fields of each family, in flag order
 _SPEC_FIELDS = {"tdpt": ("n", "N", "M", "lambda1"), "isotonic": ("n", "N")}
+_FAMILY = {"tdpt": tdpt, "isotonic": isotonic}  # the module of each family
 
 # every input a command may leave unread, in the order a refusal names them;
 # each is None unless given
@@ -336,21 +337,19 @@ def _cmd_isotonic_build(args) -> int:
     spec = _spec("isotonic", args)
     pot = isotonic.extended_potential(spec)
     rootless, _ = isotonic.rootless_certificate(spec.n, spec.N)
-    family = isotonic.exceptional_family(spec, args.kmax)
+    levels = isotonic.surviving_levels(spec, args.kmax)
     payload = {
         "family": "isotonic",
         "spec": spec.as_dict(),
         "q": isotonic.q_poly(spec.n, spec.N).to_json(),
         "q_at_zero": str(isotonic.q_at_zero(spec.n, spec.N)),
         "rootless": rootless,
-        "l_tilde": {
-            str(k): p.to_json() for k, p in zip(family.levels, family.polys)
-        },
+        "l_tilde": {str(k): isotonic.l_tilde(spec, k).to_json() for k in levels},
         "correction_units": pot.correction_units.to_json(),
         "zform_units": pot.zform_units.to_json(),
         "deleted_level": spec.n,
-        "levels": list(family.levels),
-        "energies_units": [str(2 * k) for k in family.levels],
+        "levels": list(levels),
+        "energies_units": [str(2 * k) for k in levels],
     }
     _emit_json(payload, args.out)
     return 0
@@ -532,16 +531,13 @@ def _cmd_verify_gram(args) -> int:
     if family == "tdpt":
         _refuse_unread(args, "verify gram of a tdpt family", ("family_json",))
         levels = sorted(levels) or list(range(7))
-        fns = [tdpt.eigenfunction(spec, k).eval_x for k in levels]
-        lo, hi = verify.tdpt_domain(1e-8)
+        lo, hi, tails = *verify.tdpt_domain(1e-8), ()
     else:
         levels = levels or [k for k in range(6) if k != spec.n]
         omega = float(args.omega if args.omega is not None else Fraction(1))
-        fns = [
-            (lambda x, f=isotonic.eigenfunction(spec, k): f.eval_x(x, omega))
-            for k in levels
-        ]
-        lo, hi = 0.0, math.inf
+        lo, hi, tails = 0.0, math.inf, (omega,)
+    ext = _FAMILY[family].confluent(spec)
+    fns = [(lambda x, f=ext.state(k): f.eval_x(x, *tails)) for k in levels]
     vals, results = verify.gram_matrix(fns, lo, hi)
     payload = {
         "spec": spec.as_dict(),
@@ -641,28 +637,26 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
     import numpy as np
 
     spec = _spec(family, args)
+    pot = _FAMILY[family].extended_potential(spec)  # tdpt: rejects the window
     if family == "tdpt":
-        pot = tdpt.extended_potential(spec)
         xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
         if not (xs[0] > 0.0 and xs[-1] < math.pi / 2):
             raise ValueError("tdpt table points must lie inside 0 < x < pi/2")
-        levels = range(args.kmax + 1)
-        eigenfunction, tails = tdpt.eigenfunction, ()
+        levels, tails = range(args.kmax + 1), ()
     else:
         omega = float(args.omega if args.omega is not None else Fraction(1))
-        pot = isotonic.extended_potential(spec)
         xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
         if not xs[0] > 0.0:
             raise ValueError("isotonic table points must lie inside x > 0")
-        levels = isotonic.surviving_levels(spec, args.kmax)
-        eigenfunction, tails = isotonic.eigenfunction, (omega,)
+        levels, tails = isotonic.surviving_levels(spec, args.kmax), (omega,)
     header, columns = ["x"], []
     if potential:
         header += ["v_base", "v_ext"]
         columns += [spec.base.v, pot.v]
     if states:
+        ext = _FAMILY[family].confluent(spec)
         header += [f"psi_{k}" for k in levels]
-        columns += [eigenfunction(spec, k).eval_x for k in levels]
+        columns += [ext.state(k).eval_x for k in levels]
     # each column is one array evaluation over all the points
     with np.errstate(all="ignore"):
         values = [f(xs, *tails) for f in columns]
@@ -698,14 +692,13 @@ def _cmd_table(args) -> int:
         )
     spec = _spec(args.family, args)
     if args.family == "tdpt":
-        polys = {k: tdpt.p_tilde(spec, k) for k in range(args.kmax + 1)}
+        levels, poly = range(args.kmax + 1), tdpt.p_tilde
     else:
-        family = isotonic.exceptional_family(spec, args.kmax)
-        polys = dict(zip(family.levels, family.polys))
+        levels, poly = isotonic.surviving_levels(spec, args.kmax), isotonic.l_tilde
     payload = {
         "family": args.family,
         "spec": spec.as_dict(),
-        "polynomials": {str(k): p.to_json() for k, p in polys.items()},
+        "polynomials": {str(k): poly(spec, k).to_json() for k in levels},
     }
     _emit_json(payload, args.out)
     return 0

@@ -42,6 +42,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd
 
@@ -289,7 +290,7 @@ class ExactPoly:
 
     @staticmethod
     def one() -> "ExactPoly":
-        return ExactPoly([1])
+        return _ONE  # immutable, so one instance serves every caller
 
     @staticmethod
     def x() -> "ExactPoly":
@@ -531,6 +532,9 @@ class ExactPoly:
         return ExactPoly(
             [Fraction(int(nu), int(de)) for nu, de in obj["coeffs"]]
         )
+
+
+_ONE = ExactPoly([1])
 
 
 def _cancel(num: ExactPoly, den: ExactPoly) -> tuple:
@@ -849,17 +853,29 @@ def refine_root(p: ExactPoly, interval, width) -> tuple:
 ONE_MINUS = ExactPoly([1, -1])
 ONE_PLUS = ExactPoly([1, 1])
 Z = ExactPoly([0, 1])
+_TRIG_W = ExactPoly([-2, 0, 2])  # the r' coefficient of TrigGauged's law
+_HALF = Fraction(1, 2)
+
+
+@lru_cache(maxsize=256)
+def _lift(powers: tuple) -> ExactPoly:
+    """The product of poly ** k over `powers`, memoized: gauges move the
+    same few powers of 1 - z, 1 + z and z."""
+    lift = _ONE
+    for poly, k in powers:
+        lift = lift * poly**k
+    return lift
 
 
 class _Gauged:
     """A gauge times the rational function `rat`.
 
     A family is a namedtuple subclass with its gauge fields, then `rat`,
-    and this class first among its bases, so that `==`, `hash`, `+` and
-    `*` are the ones below, not tuple's.  It declares `_GAUGE`, the gauge
-    fields, each adding under `*`; `_POWERS`, each exponent field with the
-    polynomial it powers (a sum moves integer exponent gaps into `rat`);
-    `_MATCH`, the fields a sum needs equal, with the message for a
+    and this class first among its bases, so that `==`, `hash`, `+`, `*`
+    and `/` are the ones below, not tuple's.  It declares `_GAUGE`, the
+    gauge fields, each adding under `*`; `_POWERS`, each exponent field
+    with the polynomial it powers (a sum moves integer exponent gaps into
+    `rat`); `_MATCH`, the fields a sum needs equal, with the message for a
     mismatch; and `_law`, giving d/dx as (u, w, lower): r -> u r + w r'
     over the gauge fields `lower`."""
 
@@ -881,22 +897,30 @@ class _Gauged:
             *(getattr(self, n) % 1 for n in self._POWERS),
         ))
 
-    def _lifted(self, low: dict) -> RationalFn:
+    def rat_over(self, low: dict) -> RationalFn:
         """`rat` over the gauge whose exponents are `low`."""
-        lift = None
+        powers = []
         for name, poly in self._POWERS.items():
-            gap = getattr(self, name) - low[name]
-            if gap.denominator != 1:
-                raise ValueError("gauge exponents differ by a non-integer")
-            if gap:
-                factor = poly ** int(gap)
-                lift = factor if lift is None else lift * factor
-        return self.rat if lift is None else self.rat * lift
+            if getattr(self, name) != low[name]:
+                gap = getattr(self, name) - low[name]
+                if gap.denominator != 1:
+                    raise ValueError("gauge exponents differ by a non-integer")
+                powers.append((poly, int(gap)))
+        if not powers:
+            return self.rat
+        lift = _lift(tuple(powers))
+        if self.rat.is_polynomial():  # over 1: nothing to cancel
+            return RationalFn._canonical(self.rat.num * lift, self.rat.den)
+        return self.rat * lift
 
     def d_dx(self):
         """Exact x-derivative by the family's law (`_law`)."""
         u, w, lower = self._law()
-        rat = RationalFn(u) * self.rat + RationalFn(w) * self.rat.derivative()
+        r = self.rat
+        if r.is_polynomial():  # over 1: u r + w r' is a polynomial
+            rat = RationalFn._canonical(u * r.num + w * r.num.derivative(), r.den)
+        else:
+            rat = RationalFn(u) * r + RationalFn(w) * r.derivative()
         return self._replace(rat=rat, **lower)
 
     def _aligned(self, other):
@@ -907,7 +931,7 @@ class _Gauged:
             if getattr(self, name) != getattr(other, name):
                 raise ValueError(message)
         low = {n: min(getattr(self, n), getattr(other, n)) for n in self._POWERS}
-        return low, self._lifted(low), other._lifted(low)
+        return low, self.rat_over(low), other.rat_over(low)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
@@ -936,6 +960,12 @@ class _Gauged:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError("mixed gauge families")
+        diffs = {n: getattr(self, n) - getattr(other, n) for n in self._GAUGE}
+        return self._replace(rat=self.rat / other.rat, **diffs)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -943,10 +973,10 @@ class _Gauged:
             return self.is_zero and other.is_zero
         if any(getattr(self, n) != getattr(other, n) for n in self._MATCH):
             return False
-        # a non-integer exponent gap leaves an irrational factor: unequal
-        if any(getattr(self, n) % 1 != getattr(other, n) % 1 for n in self._POWERS):
+        try:
+            _, r1, r2 = self._aligned(other)
+        except ValueError:  # a non-integer exponent gap: an irrational factor
             return False
-        _, r1, r2 = self._aligned(other)
         return r1 == r2
 
     __ne__ = object.__ne__  # the negation of `__eq__`, not tuple's `!=`
@@ -962,9 +992,9 @@ class TrigGauged(_Gauged, namedtuple("TrigGauged", "a b rat")):
     def _law(self) -> tuple:
         """dz/dx = -2 sqrt(1-z^2) on 0 < x < pi/2: r becomes
         -2 [(b(1-z) - a(1+z)) r + (1-z^2) r'], one half power lower."""
-        a, b, half = self.a, self.b, Fraction(1, 2)
+        a, b = self.a, self.b
         u = ExactPoly([2 * (a - b), 2 * (a + b)])
-        return u, ExactPoly([-2, 0, 2]), {"a": a - half, "b": b - half}
+        return u, _TRIG_W, {"a": a - _HALF, "b": b - _HALF}
 
     def eval_z(self, z):
         """Value at z: a float, or a numpy array of points."""
@@ -999,7 +1029,7 @@ class RadialGauged(_Gauged, namedtuple("RadialGauged", "c s p rat")):
         """d/dx = sqrt(2w) sqrt(z) d/dz on x > 0: r becomes
         (c + (s/2) z) r + z r', z one half power lower, sqrt(2w) one higher."""
         u = ExactPoly([self.c, Fraction(self.s, 2)])
-        return u, Z, {"c": self.c - Fraction(1, 2), "p": self.p + 1}
+        return u, Z, {"c": self.c - _HALF, "p": self.p + 1}
 
     def eval_z(self, z, omega: float = 1.0):
         """Value at z: a float, or a numpy array of points."""
@@ -1048,6 +1078,43 @@ def _det(mat):
     return acc
 
 
+def confluent_numerator(psi_n, w, psi_k, gap, w_k) -> ExactPoly:
+    """p~_k = gap P_k w-bar - P_n W-bar_k of `Confluent`: P_k, P_n, w-bar
+    are the polynomials of psi_k, psi_n, w and W-bar_k is W_k's over w's
+    gauge (W_k's lies above it)."""
+    lifted = w_k.rat_over(w._asdict()).num
+    return gap * psi_k.rat.num * w.rat.num - psi_n.rat.num * lifted
+
+
+class Confluent(namedtuple("Confluent", "psi_n w numerator")):
+    """The two-step confluent Darboux transformation at the seed psi_n
+    (Fernandez and Salinas-Hernandez, J. Phys. A 36 (2003) 2537), with a
+    denominator w whose x-derivative is psi_n^2 (no other is accepted).
+    The state of a level k != n, c [(E_n - E_k) psi_k - psi_n W_k / w]
+    with W_k = W(psi_n, psi_k), is psi_n's gauge times p~_k over w's
+    polynomial: the family's c (1, or 1/(2w) for isotonic) leaves it that
+    gauge.  `numerator(k)` is the family's p~_k, assembled by
+    `confluent_numerator(psi_n, w, psi_k, c (E_n - E_k), W_k)`, or P_n at a
+    restored level n."""
+
+    __slots__ = ()
+
+    def __new__(cls, psi_n, w, numerator):
+        if w.d_dx() != psi_n * psi_n:
+            raise ValueError("the Darboux denominator's x-derivative is not psi_n^2")
+        return super().__new__(cls, psi_n, w, numerator)
+
+    def state(self, k):
+        return self.psi_n._replace(rat=RationalFn(self.numerator(k), self.w.rat.num))
+
+    def restored(self):
+        return self.psi_n / self.w
+
+    def correction(self):
+        """V-ext - V = -2 d/dx (psi_n^2 / w), gauged."""
+        return -2 * (self.psi_n * self.psi_n / self.w).d_dx()
+
+
 def exact_ode_residual(f, v_zform: RationalFn, energy):
     """Exact residual psi'' + (E - V) psi as a gauged function.
 
@@ -1075,6 +1142,6 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
         g = g._replace(**lower)
     h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
     # P G from f's gauge onto the residual's, over the same denominator
-    term = f._replace(rat=RationalFn(f.rat.num * gap.num * d2))._lifted(g._asdict())
+    term = f._replace(rat=RationalFn(f.rat.num * gap.num * d2)).rat_over(g._asdict())
     num = num * h + term.num
     return g._replace(rat=RationalFn(num, d * d * d * h if num else None))

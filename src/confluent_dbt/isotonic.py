@@ -7,12 +7,13 @@ polynomial in z = w x^2/2:
 * the cumulative-norm polynomial Q_n^N (two independent construction
   routes, kept separate on purpose),
 * the exceptional Laguerre family L-tilde_k for k != n,
-* the non-normalizable state replacing level n (witness of the deletion).
+* the non-normalizable state at the deleted energy (witness of the
+  deletion), restored by the construction (`confluent`).
 
 Identities are stored in units of w (the frequency), which scales out of
-every exact statement.  `q_poly` is memoized like the classical
-constructors it builds on (`q_poly.cache_clear()` empties it);
-`q_poly_via_ode`, the route it is checked against, is not.
+every exact statement.  `q_poly` and `confluent` are memoized like the
+classical constructors they build on; `q_poly_via_ode`, the route
+`q_poly` is checked against, is not.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from .exactalg import (
     POS_INF,
     Z,
     CheckedRecord,
+    Confluent,
     ExactPoly,
     RadialGauged,
     RationalFn,
+    confluent_numerator,
     isolate_roots,
 )
 
@@ -106,8 +109,22 @@ def l_nk(n: int, N: int, k: int) -> ExactPoly:
     return a - b
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _seed(spec: IsotonicSpec) -> tuple:
+    """psi_n and the Darboux denominator w = e^{-z} Q_n / sqrt(2w)."""
+    w = RadialGauged(0, -2, -1, RationalFn(q_poly(spec.n, spec.N)))
+    return spec.base.eigenstate(spec.n), w
+
+
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def confluent(spec: IsotonicSpec) -> Confluent:
+    """The extension's construction: c = 1/(2w), and level n is deleted."""
+    return Confluent(*_seed(spec), lambda k: l_tilde(spec, k))
+
+
 def l_tilde(spec: IsotonicSpec, k: int) -> ExactPoly:
-    """Exceptional Laguerre polynomial attached to surviving level k."""
+    """Exceptional Laguerre polynomial of surviving level k, its state's
+    numerator over Q_n."""
     n, N = spec.n, spec.N
     if k < 0:
         raise ValueError("negative level")
@@ -115,27 +132,9 @@ def l_tilde(spec: IsotonicSpec, k: int) -> ExactPoly:
         raise ValueError(
             f"level {k} is deleted from the extension; it has no bound state"
         )
-    return Fraction(n - k) * laguerre(k, N) * q_poly(n, N) - (
-        Z ** (N + 1) * l_nk(n, N, k) * laguerre(n, N)
-    )
-
-
-def eigenfunction(spec: IsotonicSpec, k: int) -> RadialGauged:
-    """Bound state of the extension at E_k = 2kw, k != n (unnormalized)."""
-    return spec.base.in_ground_gauge(
-        RationalFn(l_tilde(spec, k), q_poly(spec.n, spec.N))
-    )
-
-
-def deleted_state(spec: IsotonicSpec) -> RadialGauged:
-    """The formal solution sitting at the deleted energy 2nw.
-
-    It carries the growing gauge e^{+z/2}, so it is not normalizable: the
-    witness that the extension is only quasi-isospectral.
-    """
-    return spec.base.in_ground_gauge(
-        RationalFn(laguerre(spec.n, spec.N), q_poly(spec.n, spec.N)), s=+1
-    )
+    w_k = RadialGauged(N + 1, -2, 1, RationalFn(l_nk(n, N, k)))
+    # c (E_n - E_k) = (2w)^{-1} 2w (n - k)
+    return confluent_numerator(*_seed(spec), spec.base.eigenstate(k), n - k, w_k)
 
 
 def measure_weight_rational(spec: IsotonicSpec) -> RationalFn:
@@ -160,13 +159,9 @@ class IsotonicExtendedPotential(
 
 
 def extended_potential(spec: IsotonicSpec) -> IsotonicExtendedPotential:
-    """V-ext = V - 4 w sqrt(z) d/dz [ z^{N+1/2} (L_n^N)^2 / Q_n^N ]."""
-    n, N = spec.n, spec.N
-    ln = laguerre(n, N)
-    h = RationalFn(ln * ln, q_poly(n, N))
-    slope = RadialGauged(N + Fraction(1, 2), 0, 0, h).d_dx()
-    # sqrt(z) d/dz = d/dx / sqrt(2w), and d/dx leaves the gauge z^N
-    correction = RationalFn(Z**N * -4) * slope.rat
+    """V-ext = V - 2 d/dx (psi_n^2 / w) (`Confluent.correction`)."""
+    # the correction's gauge z^N (2w)^1 is z^N times 2 in units of w
+    correction = 2 * confluent(spec).correction().rat_over({"c": 0})
     return IsotonicExtendedPotential(
         spec, correction, spec.base.v_zform_units() + correction
     )

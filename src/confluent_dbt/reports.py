@@ -10,7 +10,8 @@ written once.  `@_check(check_id, description)` adds a suite check to
 `MANIFEST`; definition order is suite order.  `@_spec_check(family, name,
 reads)` adds a per-spec check, a function of (spec, kmax, grid_n, omega)
 that reads its spec and the inputs in `reads`, to `SPEC_CHECKS`;
-definition order is `--suite all` order.  `run_spec_checks` runs the
+registration order is `--suite all` order, and the one `ode` body is
+registered for both families.  `run_spec_checks` runs the
 per-spec checks on any spec for the CLI.  A suite check of an invariant
 that a per-spec check states calls that check: `tdpt.regularity` and
 `tdpt.shape` on each sampled spec; the `orthogonality` and `spectrum`
@@ -31,9 +32,10 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from . import chains, classical, exactalg, isotonic, tdpt, verify
-from .exactalg import ExactPoly, RationalFn, TrigGauged
+from .exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
 
 SCHEMA = 1
 SPECTRUM_LEVELS = 4  # levels solved for by the per-spec spectrum checks
@@ -197,15 +199,18 @@ def _check_exactalg_wronskian():
         return False, {}, "pair Wronskian not antisymmetric"
     if not exactalg.wronskian([f, f]).is_zero:
         return False, {}, "Wronskian of a repeated function is nonzero"
-    # the two properties above hold for any x-derivative; the closed form
-    # W(psi_n, psi_k) = -(1-z)^(N+1) (1+z)^(M+1) P_nk(z) tests d_dx itself
+    # the two properties above hold for any x-derivative; the closed forms
+    # W(psi_n, psi_k) = -(1-z)^(N+1) (1+z)^(M+1) P_nk and sqrt(2w) z^(N+1)
+    # e^(-z) L_nk, the confluent construction's route, test each d_dx
     N, M = base.N, base.M
+    radial = classical.IsotonicOscillator(2)
     for n, k in ((0, 1), (0, 2), (1, 3)):
-        want = TrigGauged(
-            N, M, RationalFn(ExactPoly([-1, 0, 1]) * tdpt.wronskian_pair_poly(n, N, M, k))
-        )
-        if exactalg.wronskian([base.eigenstate(n), base.eigenstate(k)]) != want:
-            return False, {}, f"W(psi_{n}, psi_{k}) differs from its closed form"
+        p_nk, l_nk = tdpt.wronskian_pair_poly(n, N, M, k), isotonic.l_nk(n, 2, k)
+        for b, want in ((base, TrigGauged(N + 1, M + 1, RationalFn(-p_nk))),
+                        (radial, RadialGauged(3, -2, 1, RationalFn(l_nk)))):
+            if exactalg.wronskian([b.eigenstate(n), b.eigenstate(k)]) != want:
+                what = f"W(psi_{n}, psi_{k}) of {type(b).__name__}"
+                return False, {}, f"{what} differs from its closed form"
     return True, {}, "antisymmetry and degeneracy hold"
 
 
@@ -337,6 +342,31 @@ def _spectrum(witness, grid_n, params):
     )
 
 
+# per family: its module, and the names of the extended potential's z-form
+# and of the energies, in the units `exact_ode_residual` takes (w for
+# isotonic), and what the `ode` witness adds for the restored state
+_ODE_TERMS = {
+    tdpt.TdptSpec: (tdpt, "z_form", "energy", ""),
+    isotonic.IsotonicSpec: (isotonic, "zform_units", "energy_units",
+                            ", deleted state included"),
+}
+
+
+def _ode(spec, kmax, grid_n, omega):
+    """Each state up to kmax, and the restored state psi_n / w at E_n (the
+    deleted state for isotonic), solves the extended equation exactly; both
+    families register this body as their `ode` check."""
+    family, z_form, energy, restored = _ODE_TERMS[type(spec)]
+    params = dict(spec.as_dict(), kmax=kmax)
+    ext, energy = family.confluent(spec), getattr(spec.base, energy)
+    v = getattr(family.extended_potential(spec), z_form)
+    states = ((k, ext.state(k)) for k in range(kmax + 1) if k != spec.n)
+    for k, state in chain(states, [(spec.n, ext.restored())]):
+        if not exactalg.exact_ode_residual(state, v, energy(k)).is_zero:
+            return False, params, f"nonzero exact residual at level {k}"
+    return True, params, f"residuals identically zero for k <= {kmax}{restored}"
+
+
 # -- tdpt -------------------------------------------------------------------------
 
 # per-spec checks
@@ -360,22 +390,13 @@ def _tdpt_regularity(spec, kmax, grid_n, omega):
     return True, params, detail
 
 
-@_spec_check("tdpt", "ode", reads=("kmax",))
-def _tdpt_ode(spec, kmax, grid_n, omega):
-    params = dict(spec.as_dict(), kmax=kmax)
-    pot = tdpt.extended_potential(spec)
-    for k in range(kmax + 1):
-        res = exactalg.exact_ode_residual(
-            tdpt.eigenfunction(spec, k), pot.z_form, spec.base.energy(k)
-        )
-        if not res.is_zero:
-            return False, params, f"nonzero exact residual at level {k}"
-    return True, params, f"residuals identically zero for k <= {kmax}"
+_spec_check("tdpt", "ode", reads=("kmax",))(_ode)
 
 
 @_spec_check("tdpt", "ortho", reads=("kmax",))
 def _tdpt_ortho(spec, kmax, grid_n, omega):
-    states = [tdpt.eigenfunction(spec, k) for k in range(kmax + 1)]
+    ext = tdpt.confluent(spec)
+    states = [ext.state(k) for k in range(kmax + 1)]
     return _ortho(states, dict(spec.as_dict(), kmax=kmax))
 
 
@@ -519,26 +540,7 @@ def _iso_q_crosscheck(spec, kmax, grid_n, omega):
     return True, params, "routes agree and denominator is rootless"
 
 
-@_spec_check("isotonic", "ode", reads=("kmax",))
-def _iso_ode(spec, kmax, grid_n, omega):
-    params = dict(spec.as_dict(), kmax=kmax)
-    pot = isotonic.extended_potential(spec)
-    for k in range(kmax + 1):
-        if k == spec.n:
-            continue
-        res = exactalg.exact_ode_residual(
-            isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
-        )
-        if not res.is_zero:
-            return False, params, f"nonzero exact residual at level {k}"
-    res = exactalg.exact_ode_residual(
-        isotonic.deleted_state(spec), pot.zform_units, 2 * spec.n
-    )
-    if not res.is_zero:
-        return False, params, "nonzero residual for the deleted state"
-    return True, params, (
-        f"residuals identically zero for k <= {kmax}, deleted state included"
-    )
+_spec_check("isotonic", "ode", reads=("kmax",))(_ode)
 
 
 @_spec_check("isotonic", "ortho", reads=("kmax", "omega"))
@@ -547,8 +549,8 @@ def _iso_ortho(spec, kmax, grid_n, omega):
     params = dict(
         spec.as_dict(), kmax=kmax, omega=str(omega), levels=list(levels)
     )
-    states = [isotonic.eigenfunction(spec, k) for k in levels]
-    return _ortho(states, params, float(omega))
+    ext = isotonic.confluent(spec)
+    return _ortho([ext.state(k) for k in levels], params, float(omega))
 
 
 @_spec_check("isotonic", "shape")
@@ -663,7 +665,7 @@ def _check_isotonic_orthogonality():
     "extension states satisfy the exact equation, deleted state included",
 )
 def _check_isotonic_residuals():
-    return _iso_ode(isotonic.IsotonicSpec(1, 1), 3, GRID_N, None)
+    return _ode(isotonic.IsotonicSpec(1, 1), 3, GRID_N, None)
 
 
 @_check(
@@ -672,7 +674,7 @@ def _check_isotonic_residuals():
 def _check_isotonic_boundary():
     spec = isotonic.IsotonicSpec(1, 1)
     for k in (0, 2, 3):
-        f = isotonic.eigenfunction(spec, k)
+        f = isotonic.confluent(spec).state(k)
         vals = [abs(f.eval_x(x, 2.0)) for x in (0.01, 0.001)]
         slope = math.log10(vals[0] / vals[1])
         if not 1.4 < slope < 1.6:
@@ -815,7 +817,8 @@ def _check_verify_gram():
 def _clear_constructor_caches():
     """Empty the memoized exact constructors, also through a wrapper put
     around them (such as a tracer's)."""
-    for fn in (classical.jacobi, classical.laguerre, tdpt.q_poly, isotonic.q_poly):
+    for fn in (classical.jacobi, classical.laguerre, tdpt.q_poly, isotonic.q_poly,
+               tdpt._seed, tdpt.confluent, isotonic._seed, isotonic.confluent):
         while not hasattr(fn, "cache_clear"):
             fn = fn.__wrapped__
         fn.cache_clear()

@@ -7,9 +7,10 @@ strictly isospectral extension whose data are polynomial in z = cos(2x):
 * the regularity window for the integration constant lambda1,
 * the exceptional polynomial family P-tilde_k and its orthogonality weight.
 
-All objects here are exact; numeric evaluation happens only through the
-returned gauged/rational callables.  `q_poly` is memoized like the
-classical constructors it builds on (`q_poly.cache_clear()` empties it).
+States and potential come from `confluent`; lambda1 enters only through
+w = lambda1 + Q_n.  All objects here are exact; numeric evaluation happens
+only through the returned gauged/rational callables.  `q_poly` and
+`confluent` are memoized like the classical constructors they build on.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ from .exactalg import (
     ONE_MINUS,
     ONE_PLUS,
     CheckedRecord,
+    Confluent,
     ExactPoly,
     RationalFn,
     RootIsolation,
     TrigGauged,
     as_rat,
+    confluent_numerator,
     isolate_roots,
     pointwise,
 )
@@ -140,8 +143,21 @@ def wronskian_pair_poly(n: int, N: int, M: int, k: int) -> ExactPoly:
     return a - b
 
 
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def _seed(spec: TdptSpec) -> tuple:
+    """psi_n and the Darboux denominator w = lambda1 + Q_n, gauge exponents 0."""
+    w = TrigGauged(0, 0, RationalFn(denominator_poly(spec)))
+    return spec.base.eigenstate(spec.n), w
+
+
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def confluent(spec: TdptSpec) -> Confluent:
+    """The extension's construction: c = 1, and level n keeps its state."""
+    return Confluent(*_seed(spec), lambda k: p_tilde(spec, k))
+
+
 def p_tilde(spec: TdptSpec, k: int) -> ExactPoly:
-    """Exceptional polynomial attached to level k of the extension.
+    """Exceptional polynomial of level k, its state's numerator over w.
 
     For k != n this has degree N+M+2n+1+k; the k = n member degenerates to
     the plain Jacobi polynomial P_n (the level survives, its polynomial
@@ -151,13 +167,9 @@ def p_tilde(spec: TdptSpec, k: int) -> ExactPoly:
         raise ValueError("negative level")
     if k == n:
         return jacobi(n, N, M)
-    gap = Fraction(4 * (n - k) * (n + k + N + M + 1))
-    return gap * jacobi(k, N, M) * denominator_poly(spec) + (
-        ONE_MINUS ** (N + 1)
-        * ONE_PLUS ** (M + 1)
-        * wronskian_pair_poly(n, N, M, k)
-        * jacobi(n, N, M)
-    )
+    w_k = TrigGauged(N + 1, M + 1, RationalFn(-wronskian_pair_poly(n, N, M, k)))
+    b, gap = spec.base, spec.base.energy(n) - spec.base.energy(k)
+    return confluent_numerator(*_seed(spec), b.eigenstate(k), gap, w_k)
 
 
 def measure_weight(spec: TdptSpec) -> RationalFn:
@@ -165,13 +177,6 @@ def measure_weight(spec: TdptSpec) -> RationalFn:
     d = denominator_poly(spec)
     return RationalFn(
         ONE_MINUS**spec.N * ONE_PLUS**spec.M * Fraction(1, 2), d * d
-    )
-
-
-def eigenfunction(spec: TdptSpec, k: int) -> TrigGauged:
-    """Bound state of the extended potential at energy E_k (unnormalized)."""
-    return spec.base.in_ground_gauge(
-        RationalFn(p_tilde(spec, k), denominator_poly(spec))
     )
 
 
@@ -189,21 +194,17 @@ class TdptExtendedPotential(
 
 
 def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:
-    """V-ext = V + 4 sqrt(1-z^2) d/dz [ (1-z)^{N+1/2} (1+z)^{M+1/2} G ]
-    with G = P_n^2 / (lambda1 + Q_n); regular lambda1 only."""
+    """V-ext = V - 2 d/dx (psi_n^2 / w) (`Confluent.correction`); regular
+    lambda1 only."""
     n, N, M = spec.n, spec.N, spec.M
     if not is_regular(n, N, M, spec.lambda1):
         raise ValueError(
             f"lambda1 = {spec.lambda1} lies inside the forbidden window "
             f"(0, {regularity_threshold(n, N, M)}]"
         )
-    p = jacobi(n, N, M)
-    g = RationalFn(p * p, denominator_poly(spec))
-    slope = TrigGauged(N + Fraction(1, 2), M + Fraction(1, 2), g).d_dx()
-    # 4 sqrt(1-z^2) d/dz = -2 d/dx, and d/dx leaves the gauge (1-z)^N (1+z)^M
-    correction = RationalFn(ONE_MINUS**N * ONE_PLUS**M * -2) * slope.rat
-    z_form = spec.base.v_zform() + correction
-    return TdptExtendedPotential(spec, correction, z_form)
+    # the correction's gauge (1-z)^N (1+z)^M moves into its rational part
+    correction = confluent(spec).correction().rat_over({"a": 0, "b": 0})
+    return TdptExtendedPotential(spec, correction, spec.base.v_zform() + correction)
 
 
 class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec polys weight")):

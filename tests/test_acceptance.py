@@ -88,7 +88,7 @@ def test_04_schroedinger_identities_exact():
             pot = tdpt.extended_potential(spec)
             for k in range(5):
                 res = verify.exact_ode_residual(
-                    tdpt.eigenfunction(spec, k), pot.z_form, spec.base.energy(k)
+                    tdpt.confluent(spec).state(k), pot.z_form, spec.base.energy(k)
                 )
                 assert res.is_zero, (spec, k)
         for n, N in ((0, 1), (1, 1), (1, 2)):
@@ -98,7 +98,7 @@ def test_04_schroedinger_identities_exact():
                 if k == n:
                     continue
                 res = verify.exact_ode_residual(
-                    isotonic.eigenfunction(spec, k), pot.zform_units, 2 * k
+                    isotonic.confluent(spec).state(k), pot.zform_units, 2 * k
                 )
                 assert res.is_zero, (spec, k)
 
@@ -151,13 +151,13 @@ def test_06_isospectrality_oracle():
 def test_07_orthogonality():
     with criterion(7, "orthogonality", 60):
         spec = tdpt.TdptSpec(0, 1, 1, 1)
-        fns = [tdpt.eigenfunction(spec, k).eval_x for k in range(7)]
+        fns = [tdpt.confluent(spec).state(k).eval_x for k in range(7)]
         vals, _ = verify.gram_matrix(fns, *verify.tdpt_domain(1e-8))
         assert verify.max_offdiagonal_relative(vals) < 1e-10
 
         ispec = isotonic.IsotonicSpec(1, 1)
         ifns = [
-            (lambda x, f=isotonic.eigenfunction(ispec, k): f.eval_x(x, 2.0))
+            (lambda x, f=isotonic.confluent(ispec).state(k): f.eval_x(x, 2.0))
             for k in (0, 2, 3, 4, 5)
         ]
         vals, _ = verify.gram_matrix(ifns, 0.0, math.inf)

@@ -1,6 +1,8 @@
 """The traced benchmark wraps program functions by name (`SPANS` in
-`perfbench/spans.py`); a rename or move in the package must fail here, not
-only in a traced bench run."""
+`perfbench/spans.py`) and checks that each fires on the workloads `EXPECTED`
+names; a rename or move in the package, or a command that stops calling
+one of the construction spans, must fail here, not only in a traced bench
+run."""
 
 import importlib
 import importlib.util
@@ -41,3 +43,92 @@ def test_span_target_resolves(name, owner, attr):
         obj = getattr(obj, class_name)
         assert isinstance(obj, type), f"{owner} is not a class"
     assert callable(getattr(obj, attr, None)), f"{name}: {owner}.{attr} is missing"
+
+
+# -- the construction spans fire on every workload that expects them -------------
+
+CONSTRUCTION_SPANS = (
+    "tdpt.p_tilde", "tdpt.extended_potential",
+    "isotonic.l_tilde", "isotonic.extended_potential",
+)
+
+# (workload, argv, the construction spans the command must call)
+COMMANDS = [
+    ("exact-build", "tdpt build --n 2 --N 1 --M 2 --lambda1 1 --kmax 4",
+     ("tdpt.p_tilde", "tdpt.extended_potential")),
+    ("exact-build", "isotonic build --n 2 --N 1 --kmax 4",
+     ("isotonic.l_tilde", "isotonic.extended_potential")),
+    ("exact-build", "table --kind polynomial --family tdpt --n 2 --N 1 --M 2 "
+     "--lambda1 1 --kmax 4", ("tdpt.p_tilde",)),
+    ("exact-build", "table --kind polynomial --family isotonic --n 2 --N 1 --kmax 4",
+     ("isotonic.l_tilde",)),
+    ("exact-verify", "tdpt verify --suite ode --n 1 --N 1 --M 1 --lambda1 -1 --kmax 2",
+     ("tdpt.p_tilde", "tdpt.extended_potential")),
+    ("exact-verify", "isotonic verify --suite ode --n 1 --N 1 --kmax 2",
+     ("isotonic.l_tilde", "isotonic.extended_potential")),
+    ("numeric", "tdpt table --n 1 --N 1 --M 3 --lambda1 -1 --kmax 3 "
+     "--x-points 0.01:1.54:50", ("tdpt.p_tilde", "tdpt.extended_potential")),
+    ("numeric", "isotonic table --n 1 --N 3 --omega 1 --kmax 3 "
+     "--x-points 0.06:5:50", ("isotonic.l_tilde", "isotonic.extended_potential")),
+]
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """Wrap each named span target with a call counter and rebind every name
+    in the package's modules and classes that refers to it, as the traced
+    benchmark does; returns span name -> [calls]."""
+    import sys
+
+    spans = _spans_module().SPANS
+    owners = [
+        value
+        for key, mod in sorted(sys.modules.items())
+        if key.startswith("confluent_dbt") and mod is not None
+        for value in [mod, *vars(mod).values()]
+        if value is mod or (isinstance(value, type)
+                            and value.__module__.startswith("confluent_dbt"))
+    ]
+    counts = {}
+    for name in names:
+        ((owner_path, attr),) = spans[name]
+        original = getattr(importlib.import_module(f"confluent_dbt.{owner_path}"), attr)
+        counts[name] = calls = [0]
+
+        def wrapper(*args, _original=original, _calls=calls, **kwargs):
+            _calls[0] += 1
+            return _original(*args, **kwargs)
+
+        for owner in owners:
+            for key, value in list(vars(owner).items()):
+                if value is original:
+                    monkeypatch.setattr(owner, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "workload, argv, must_call", COMMANDS, ids=[c[1] for c in COMMANDS]
+)
+def test_command_calls_the_construction_spans(monkeypatch, capsys, workload, argv,
+                                              must_call):
+    from confluent_dbt import cli, reports
+
+    reports._clear_constructor_caches()  # a cached construction skips no span
+    counts = _count_calls(monkeypatch, CONSTRUCTION_SPANS)
+    assert cli.main(argv.split()) == 0
+    capsys.readouterr()
+    assert [name for name in must_call if not counts[name][0]] == []
+
+
+def test_commands_cover_every_workload_the_construction_spans_expect():
+    expected = _spans_module().EXPECTED
+    covered = {(workload, name) for workload, _, names in COMMANDS for name in names}
+    assert {
+        (workload, name) for name in CONSTRUCTION_SPANS for workload in expected[name]
+    } <= covered

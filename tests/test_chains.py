@@ -164,7 +164,7 @@ def test_two_step_state_map_matches_exact_family():
     for k in (1, 2):
         g = base.eigenstate(k)
         gt = transform(g.eval_x, g.d_dx().eval_x, float(base.energy(k)))
-        exact = tdpt.eigenfunction(spec, k)
+        exact = tdpt.confluent(spec).state(k)
         for x in (0.3, 0.8, 1.2):
             assert abs(gt(x) - exact.eval_x(x)) < 1e-9
 

@@ -1042,7 +1042,7 @@ def test_table_eigenfunction_matches_library(capsys):
                              "--x-points", "0.3:1.2:3")
     assert code == 0
     spec = tdpt.TdptSpec(0, 1, 1, Fraction(1))
-    psi0 = tdpt.eigenfunction(spec, 0)
+    psi0 = tdpt.confluent(spec).state(0)
     for line in out.strip().split("\n")[1:]:
         cells = [float(c) for c in line.split(",")]
         assert cells[1] == pytest.approx(psi0.eval_x(cells[0]), rel=1e-14)

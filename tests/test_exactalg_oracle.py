@@ -424,7 +424,7 @@ def test_tdpt_eigenfunctions_solve_the_extension_at_40_digits(seed):
             return vz(mpmath.cos(2 * x))
 
         for k in rng.sample(range(6), 2):
-            f = tdpt.eigenfunction(spec, k)
+            f = tdpt.confluent(spec).state(k)
             a, b, rat = mp_rat(f.a), mp_rat(f.b), mp_ratfn(f.rat)
 
             def psi(x):
@@ -451,7 +451,7 @@ def test_isotonic_eigenfunctions_solve_the_extension_at_40_digits(seed):
             return w * zu(w * x * x / 2)
 
         for k in rng.sample([k for k in range(6) if k != spec.n], 2):
-            f = isotonic.eigenfunction(spec, k)
+            f = isotonic.confluent(spec).state(k)
             c, rat = mp_rat(f.c), mp_ratfn(f.rat)
 
             def psi(x):
@@ -537,7 +537,7 @@ def tdpt_cases(draw):
     lam = draw(st.sampled_from([-step, tdpt.regularity_threshold(n, N, M) + step]))
     spec = tdpt.TdptSpec(n, N, M, lam)
     k = draw(st.integers(0, 4))
-    return (tdpt.eigenfunction(spec, k), tdpt.extended_potential(spec).z_form,
+    return (tdpt.confluent(spec).state(k), tdpt.extended_potential(spec).z_form,
             spec.base.energy(k))
 
 
@@ -545,8 +545,8 @@ def tdpt_cases(draw):
 def isotonic_cases(draw):
     spec = isotonic.IsotonicSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
     k = draw(st.integers(0, 5))
-    f = (isotonic.deleted_state(spec) if k == spec.n
-         else isotonic.eigenfunction(spec, k))
+    f = (isotonic.confluent(spec).restored() if k == spec.n
+         else isotonic.confluent(spec).state(k))
     return f, isotonic.extended_potential(spec).zform_units, 2 * k
 
 

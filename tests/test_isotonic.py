@@ -7,6 +7,7 @@ from confluent_dbt import isotonic, verify
 from confluent_dbt.classical import IsotonicOscillator, laguerre
 from confluent_dbt.exactalg import (
     POS_INF,
+    Confluent,
     ExactPoly,
     RadialGauged,
     RationalFn,
@@ -127,6 +128,32 @@ def test_wronskian_closed_form():
         assert w == expected
 
 
+@pytest.mark.parametrize("n,N", [(1, 1), (4, 3), (10, 2)])
+def test_states_are_the_confluent_formula_with_determinant_wronskians(n, N):
+    # the polynomial-level assembly against the gauged definition
+    # c [(E_n - E_k) psi_k - psi_n W(psi_n, psi_k) / w] with c = 1/(2w)
+    # and E_n - E_k = 2w (n - k), the Wronskian from its determinant
+    spec = isotonic.IsotonicSpec(n, N)
+    ext, base = isotonic.confluent(spec), spec.base
+    c = RadialGauged(0, 0, -2, RationalFn(1))
+    for k in range(n + 3):
+        if k != n:
+            psi_k = base.eigenstate(k)
+            w_k = wronskian([ext.psi_n, psi_k])
+            gap = RadialGauged(0, 0, 2, RationalFn(n - k))
+            assert ext.state(k) == c * (gap * psi_k - ext.psi_n * w_k / ext.w)
+
+
+def test_confluent_refuses_a_denominator_whose_derivative_is_not_psi_n_squared():
+    spec = isotonic.IsotonicSpec(2, 3)
+    ext = isotonic.confluent(spec)
+    assert ext.w.d_dx() == ext.psi_n * ext.psi_n
+    # w without its e^{-z}
+    bad = RadialGauged(0, 0, -1, RationalFn(isotonic.q_poly(2, 3)))
+    with pytest.raises(ValueError, match="psi_n"):
+        Confluent(ext.psi_n, bad, ext.numerator)
+
+
 def test_exceptional_family_skips_deleted_level():
     spec = isotonic.IsotonicSpec(1, 1)
     fam = isotonic.exceptional_family(spec, 4)
@@ -142,7 +169,7 @@ def test_family_orthogonality_under_weight():
     spec = isotonic.IsotonicSpec(1, 1)
     omega = 2.0
     fns = [
-        isotonic.eigenfunction(spec, k) for k in (0, 2, 3, 4, 5)
+        isotonic.confluent(spec).state(k) for k in (0, 2, 3, 4, 5)
     ]
     vals, _ = verify.gram_matrix(
         [lambda x, f=f: f.eval_x(x, omega) for f in fns], 0.0, math.inf
@@ -166,7 +193,7 @@ def test_extension_eigenfunctions_solve_the_ode_exactly(spec, k):
     if k == spec.n:
         return
     pot = isotonic.extended_potential(spec)
-    psi = isotonic.eigenfunction(spec, k)
+    psi = isotonic.confluent(spec).state(k)
     res = verify.exact_ode_residual(psi, pot.zform_units, 2 * k)
     assert res.is_zero
 
@@ -176,7 +203,7 @@ def test_deleted_state_sits_at_deleted_energy():
     # but is not normalizable; the level is genuinely gone
     spec = isotonic.IsotonicSpec(1, 1)
     pot = isotonic.extended_potential(spec)
-    phi = isotonic.deleted_state(spec)
+    phi = isotonic.confluent(spec).restored()
     res = verify.exact_ode_residual(phi, pot.zform_units, 2 * spec.n)
     assert res.is_zero
     assert phi.s == +1
@@ -186,7 +213,7 @@ def test_eigenfunctions_vanish_at_origin():
     spec = isotonic.IsotonicSpec(1, 1)
     omega = 2.0
     for k in (0, 2, 3):
-        f = isotonic.eigenfunction(spec, k)
+        f = isotonic.confluent(spec).state(k)
         vals = [abs(f.eval_x(x, omega)) for x in (0.1, 0.01, 0.001)]
         assert vals[0] > vals[1] > vals[2]
         # boundary exponent (2N+1)/4 in z, i.e. x^{3/2} for N = 1

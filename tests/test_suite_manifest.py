@@ -232,22 +232,22 @@ def assert_fails_with_witness(result):
 
 
 def test_ortho_passes_on_the_eigenstates():
-    states = [tdpt.eigenfunction(SPEC, k) for k in range(4)]
+    states = [tdpt.confluent(SPEC).state(k) for k in range(4)]
     ok, params, witness = reports._ortho(states, {})
     assert ok and params["nodes"] == 80 and params["quadrature_error"] < 1e-12
 
 
 def test_ortho_fails_on_a_non_orthogonal_pair():
-    psi0, psi1 = (tdpt.eigenfunction(SPEC, k) for k in (0, 1))
+    psi0, psi1 = (tdpt.confluent(SPEC).state(k) for k in (0, 1))
     assert_fails_with_witness(reports._ortho([psi0, psi0 + psi1], {}))
     iso = isotonic.IsotonicSpec(1, 1)
-    phi0, phi2 = (isotonic.eigenfunction(iso, k) for k in (0, 2))
+    phi0, phi2 = (isotonic.confluent(iso).state(k) for k in (0, 2))
     assert_fails_with_witness(reports._ortho([phi0, phi0 + phi2], {}, 2.0))
 
 
 def test_ortho_fails_on_a_state_at_a_shifted_lambda1():
     shifted = tdpt.TdptSpec(SPEC.n, SPEC.N, SPEC.M, SPEC.lambda1 - 1)
-    states = [tdpt.eigenfunction(SPEC, 0), tdpt.eigenfunction(shifted, 1)]
+    states = [tdpt.confluent(SPEC).state(0), tdpt.confluent(shifted).state(1)]
     assert_fails_with_witness(reports._ortho(states, {}))
 
 
@@ -261,7 +261,7 @@ def test_ortho_fails_on_a_nan_gram_entry(monkeypatch):
         return gram._replace(values=values)
 
     monkeypatch.setattr(verify, "gauss_gram", with_nan)
-    states = [tdpt.eigenfunction(SPEC, k) for k in range(3)]
+    states = [tdpt.confluent(SPEC).state(k) for k in range(3)]
     assert_fails_with_witness(reports._ortho(states, {}))
 
 
@@ -285,7 +285,7 @@ def test_tdpt_ode_fails_on_the_potential_at_lambda1_minus_one(monkeypatch):
         tdpt, "extended_potential",
         lambda spec: real(spec._replace(lambda1=spec.lambda1 - 1)),
     )
-    assert_fails_with_witness(reports._tdpt_ode(SPEC, 3, reports.GRID_N, None))
+    assert_fails_with_witness(reports._ode(SPEC, 3, reports.GRID_N, None))
 
 
 def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
@@ -295,7 +295,7 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
         lambda spec: real(spec._replace(N=spec.N + 1)),
     )
     spec = isotonic.IsotonicSpec(1, 1)
-    assert_fails_with_witness(reports._iso_ode(spec, 3, reports.GRID_N, None))
+    assert_fails_with_witness(reports._ode(spec, 3, reports.GRID_N, None))
 
 
 # -- negative controls of the manifest checks ------------------------------------------
@@ -358,6 +358,30 @@ def _gram_off_diagonal(real):
     return perturbed
 
 
+def _states_replaced(state):
+    """A control on `confluent`: the construction of a spec answers
+    `state(k)` with state(the real confluent, spec, k), and nothing else,
+    so the potential, which `extended_potential` takes from the real
+    construction, stays unperturbed."""
+
+    def make(real):
+        return lambda spec: SimpleNamespace(state=lambda k: state(real, spec, k))
+
+    return make
+
+
+def _partner_adding_v(real):
+    """dbt_apply whose partner potential adds V where it subtracts it (an
+    error in the squared log-derivative or in the energy would cancel
+    between a step and its inverse)."""
+
+    def wrong(seed, v):
+        v1, transform = real(seed, v)
+        return (lambda x: v1(x) + 2.0 * v(x)), transform
+
+    return wrong
+
+
 # check id[:control] -> (owner, name, make[, witness]): the control replaces
 # the attribute name of owner (a module or class) with make(the real one),
 # and the check must fail, with the given witness where one is given.  The memoized constructors are emptied before the
@@ -418,6 +442,42 @@ MANIFEST_CONTROLS = {
     "exactalg.wronskian:d_dx": (exactalg.TrigGauged, "_law", lambda real: (
         lambda self: (lambda u, w, lower: (u + 1, 3 * w, lower))(*real(self))
     )),
+    # the same wrong derivative for the radial family: only the isotonic
+    # closed form can catch it
+    "exactalg.wronskian:radial_d_dx": (exactalg.RadialGauged, "_law", lambda real: (
+        lambda self: (lambda u, w, lower: (u + 1, 3 * w, lower))(*real(self))
+    ), "W(psi_0, psi_1) of IsotonicOscillator differs from its closed form"),
+    # an antiderivative off by z, so its derivative is off by one
+    "exactalg.antiderivative": (exactalg.ExactPoly, "antiderivative", lambda real: (
+        lambda self, lower=None: real(self, lower) + exactalg.ExactPoly([0, 1])
+    ), "derivative mismatch at case 0"),
+    # a Laguerre constructor with its parameter off by one
+    "classical.laguerre-ode": (classical, "laguerre", lambda real: (
+        lambda n, alpha: real(n, alpha + 1)
+    ), "residual nonzero at (n,alpha)=(1,-4)"),
+    # a cumulative norm off by one
+    "isotonic.ode-identity": (isotonic, "q_poly", lambda real: (
+        lambda n, N: real(n, N) + 1
+    ), "ODE identity fails at (0,1)"),
+    # a closed form of Q(0) off by one
+    "isotonic.endpoints": (isotonic, "q_at_zero", lambda real: (
+        lambda n, N: real(n, N) + 1
+    ), "Q(0) mismatch at (0,1)"),
+    # a cumulative norm with a root at z = 1
+    "isotonic.rootless": (isotonic, "q_poly", lambda real: (
+        lambda n, N: real(n, N) * exactalg.ExactPoly([-1, 1])
+    )),
+    # states with a half power of z too many: x^(5/2) at the origin
+    "isotonic.boundary": (isotonic, "confluent", _states_replaced(
+        lambda real, spec, k: real(spec).state(k)
+        * exactalg.RadialGauged(Fraction(1, 2), 0, 0, exactalg.RationalFn(1))
+    )),
+    # a one-step partner with +V where -V belongs
+    "chains.inverse": (chains, "dbt_apply", _partner_adding_v),
+    # an invariant the suite does not register
+    "cli.manifest": (reports, "REQUIRED_INVARIANTS", lambda real: (
+        real + ("cli.absent",)
+    ), "manifest missing ['cli.absent']"),
     # a Jacobi constructor whose cached values differ from fresh ones
     "cli.determinism": (classical, "jacobi", _wrong_when_cached,
                         "two runs of the same subset differ"),
@@ -459,7 +519,9 @@ def _potential_plus_one(real):
 
 
 # check id -> (spec, name, make): the control replaces name in the family's
-# module (tdpt or isotonic) with make(the real one), and the check must fail
+# module (tdpt or isotonic) with make(the real one), and the check must fail.
+# Each perturbs one side: the states (`confluent`) or the potential
+# (`extended_potential`), never both through their one construction.
 SPEC_CONTROLS = {
     # the certificate taken at the threshold, inside the forbidden window
     "tdpt.regularity": (SPEC, "certify_regularity", lambda real: (
@@ -472,11 +534,9 @@ SPEC_CONTROLS = {
         lambda spec: real(spec._replace(lambda1=spec.lambda1 - 1))
     )),
     # level 1 taken at lambda1 - 1
-    "tdpt.ortho": (SPEC, "eigenfunction", lambda real: (
-        lambda spec, k: real(
-            spec._replace(lambda1=spec.lambda1 - 1) if k == 1 else spec, k
-        )
-    )),
+    "tdpt.ortho": (SPEC, "confluent", _states_replaced(lambda real, spec, k: (
+        real(spec._replace(lambda1=spec.lambda1 - 1) if k == 1 else spec).state(k)
+    ))),
     # a partner constant off by one
     "tdpt.shape": (SPEC, "lambda1_shifted", lambda real: (
         lambda *args: real(*args) + 1
@@ -492,9 +552,9 @@ SPEC_CONTROLS = {
         lambda spec: real(spec._replace(N=spec.N + 1))
     )),
     # a non-orthogonal pair: level 2 plus level 0
-    "isotonic.ortho": (ISO, "eigenfunction", lambda real: (
-        lambda spec, k: real(spec, k) + real(spec, 0) if k == 2 else real(spec, k)
-    )),
+    "isotonic.ortho": (ISO, "confluent", _states_replaced(lambda real, spec, k: (
+        real(spec).state(k) + real(spec).state(0) if k == 2 else real(spec).state(k)
+    ))),
     # a constant C off by one
     "isotonic.shape": (ISO, "shape_invariance_residual", lambda real: (
         lambda n, N: real(n, N, Fraction(1, n) + 1)
@@ -531,3 +591,40 @@ def test_per_spec_check_fails_under_its_control(monkeypatch, check_id):
     status, _, witness = body()
     assert not status
     assert witness
+
+
+# manifest check -> the per-spec check whose body it runs; the control of that
+# per-spec check covers it
+PER_SPEC_BODIES = {
+    "tdpt.orthogonality": "tdpt.ortho",
+    "tdpt.regularity": "tdpt.regularity",
+    "tdpt.spectrum": "tdpt.spectrum",
+    "isotonic.orthogonality": "isotonic.ortho",
+    "isotonic.residuals": "isotonic.ode",
+    "isotonic.spectrum": "isotonic.spectrum",
+}
+
+
+def test_every_manifest_check_has_a_negative_control():
+    rows = {key.partition(":")[0] for key in MANIFEST_CONTROLS}
+    uncovered = [
+        c.check_id for c in reports.MANIFEST
+        if c.check_id not in rows and PER_SPEC_BODIES.get(c.check_id) not in SPEC_CONTROLS
+    ]
+    assert uncovered == []
+
+
+@pytest.mark.parametrize("check_id", sorted(PER_SPEC_BODIES))
+def test_manifest_check_fails_under_the_control_of_its_per_spec_body(
+    monkeypatch, check_id
+):
+    family = check_id.partition(".")[0]
+    _, name, make = SPEC_CONTROLS[PER_SPEC_BODIES[check_id]]
+    module = {"tdpt": tdpt, "isotonic": isotonic}[family]
+    reports._clear_constructor_caches()
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
+    try:
+        assert_fails_with_witness(reports._BY_ID[check_id].run())
+    finally:
+        monkeypatch.undo()
+        reports._clear_constructor_caches()

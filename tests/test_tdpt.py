@@ -7,6 +7,7 @@ import pytest
 from confluent_dbt import tdpt, verify
 from confluent_dbt.classical import jacobi
 from confluent_dbt.exactalg import (
+    Confluent,
     ExactPoly,
     RationalFn,
     TrigGauged,
@@ -146,6 +147,34 @@ def test_wronskian_pair_poly_antisymmetric():
         assert a == -1 * b
 
 
+@pytest.mark.parametrize(
+    "n,N,M,lam", [(2, 3, 2, 1), (7, 1, 4, Fraction(-5, 2)), (0, 1, 1, -3)]
+)
+def test_states_are_the_confluent_formula_with_determinant_wronskians(n, N, M, lam):
+    # the polynomial-level assembly against the gauged definition
+    # (E_n - E_k) psi_k - psi_n W(psi_n, psi_k) / w, with the Wronskian
+    # from its determinant
+    spec = tdpt.TdptSpec(n, N, M, lam)
+    ext, base = tdpt.confluent(spec), spec.base
+    assert ext.state(n) == ext.restored() == ext.psi_n / ext.w
+    for k in range(n + 3):
+        if k != n:
+            psi_k = base.eigenstate(k)
+            w_k = wronskian([ext.psi_n, psi_k])
+            gap = base.energy(n) - base.energy(k)
+            assert ext.state(k) == gap * psi_k - ext.psi_n * w_k / ext.w
+
+
+def test_confluent_refuses_a_denominator_whose_derivative_is_not_psi_n_squared():
+    spec = tdpt.TdptSpec(2, 3, 2, 1)
+    ext = tdpt.confluent(spec)
+    assert ext.w.d_dx() == ext.psi_n * ext.psi_n
+    # lambda1 + 2 Q_n: twice the derivative
+    bad = TrigGauged(0, 0, RationalFn(tdpt.q_poly(2, 3, 2) * 2 + spec.lambda1))
+    with pytest.raises(ValueError, match="psi_n"):
+        Confluent(ext.psi_n, bad, ext.numerator)
+
+
 def test_p_tilde_degree_and_surviving_level():
     spec = tdpt.TdptSpec(1, 1, 1, 1)
     n, N, M = spec.n, spec.N, spec.M
@@ -167,7 +196,7 @@ def test_p_tilde_degree_and_surviving_level():
 @pytest.mark.parametrize("k", range(5))
 def test_extension_eigenfunctions_solve_the_ode_exactly(spec, k):
     pot = tdpt.extended_potential(spec)
-    psi = tdpt.eigenfunction(spec, k)
+    psi = tdpt.confluent(spec).state(k)
     res = verify.exact_ode_residual(psi, pot.z_form, spec.base.energy(k))
     assert res.is_zero
 
@@ -194,7 +223,7 @@ def test_family_orthogonality_under_weight():
     # Gram matrix of the gauged eigenfunctions over (0, pi/2); relative
     # off-diagonal mass must vanish to quadrature accuracy
     spec = tdpt.TdptSpec(0, 1, 1, 1)
-    fns = [tdpt.eigenfunction(spec, k) for k in range(5)]
+    fns = [tdpt.confluent(spec).state(k) for k in range(5)]
     lo, hi = verify.tdpt_domain(1e-8)
     vals, _ = verify.gram_matrix([f.eval_x for f in fns], lo, hi)
     assert verify.max_offdiagonal_relative(vals) < 1e-10

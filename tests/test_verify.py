@@ -78,12 +78,12 @@ def residual_cases(draw):
             [Fraction(0), -step, tdpt.regularity_threshold(n, N, M) + step]
         ))
         spec = tdpt.TdptSpec(n, N, M, lam)
-        f, v = tdpt.eigenfunction(spec, k), tdpt.extended_potential(spec).z_form
+        f, v = tdpt.confluent(spec).state(k), tdpt.extended_potential(spec).z_form
         e = spec.base.energy(k)
     elif family == "isotonic":
         spec = isotonic.IsotonicSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
-        f = (isotonic.deleted_state(spec) if k == spec.n
-             else isotonic.eigenfunction(spec, k))
+        f = (isotonic.confluent(spec).restored() if k == spec.n
+             else isotonic.confluent(spec).state(k))
         v, e = isotonic.extended_potential(spec).zform_units, 2 * k
     elif family == "trig base":
         base = TrigPoschlTeller(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
@@ -290,7 +290,7 @@ def regular_tdpt_specs(draw):
 @given(regular_tdpt_specs(), st.integers(1, 6))
 @settings(max_examples=12, deadline=None)
 def test_gauss_gram_matches_adaptive_tdpt(spec, kmax):
-    states = [tdpt.eigenfunction(spec, k) for k in range(kmax + 1)]
+    states = [tdpt.confluent(spec).state(k) for k in range(kmax + 1)]
     assert_gauss_matches_adaptive(
         states, [f.eval_x for f in states], *verify.tdpt_domain(1e-8)
     )
@@ -303,7 +303,7 @@ def test_gauss_gram_matches_adaptive_tdpt(spec, kmax):
 @settings(max_examples=12, deadline=None)
 def test_gauss_gram_matches_adaptive_isotonic(n, N, kmax, omega):
     spec = isotonic.IsotonicSpec(n, N)
-    states = [isotonic.eigenfunction(spec, k) for k in isotonic.surviving_levels(spec, kmax)]
+    states = [isotonic.confluent(spec).state(k) for k in isotonic.surviving_levels(spec, kmax)]
     fns = [(lambda x, f=f: f.eval_x(x, omega)) for f in states]
     assert_gauss_matches_adaptive(states, fns, 0.0, math.inf, omega)
 
@@ -337,14 +337,14 @@ def test_gauss_gram_refuses_mixed_gauges():
     with pytest.raises(ValueError, match="one gauge"):
         verify.gauss_gram([radial, RadialGauged(radial.c, radial.s, 1, radial.rat)])
     with pytest.raises(ValueError, match="e\\^\\(-z/2\\)"):
-        verify.gauss_gram([isotonic.deleted_state(isotonic.IsotonicSpec(1, 1))])
+        verify.gauss_gram([isotonic.confluent(isotonic.IsotonicSpec(1, 1)).restored()])
     with pytest.raises(TypeError):
         verify.gauss_gram([math.sin])
 
 
 def test_gauss_gram_stops_at_its_node_cap():
     spec = isotonic.IsotonicSpec(1, 1)
-    states = [isotonic.eigenfunction(spec, k) for k in (0, 2, 3)]
+    states = [isotonic.confluent(spec).state(k) for k in (0, 2, 3)]
     gram = verify.gauss_gram(states, max_nodes=80)
     assert gram.nodes == 80 and not gram.converged
     assert gram.quadrature_error > 1e-12
