@@ -6,6 +6,7 @@ run."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,18 +14,18 @@ import pytest
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def _spans():
-    # spans.py imports only the standard library; its SPANS table is read,
+def _spans_module():
+    # spans.py imports only the standard library; its tables are read,
     # nothing is installed
     spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS_FILE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
 
 
 TARGETS = [
     (name, owner, attr)
-    for name, targets in _spans().items()
+    for name, targets in _spans_module().SPANS.items()
     for owner, attr in targets
 ]
 
@@ -73,19 +74,10 @@ COMMANDS = [
 ]
 
 
-def _spans_module():
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _count_calls(monkeypatch, names) -> dict:
     """Wrap each named span target with a call counter and rebind every name
     in the package's modules and classes that refers to it, as the traced
     benchmark does; returns span name -> [calls]."""
-    import sys
-
     spans = _spans_module().SPANS
     owners = [
         value
