@@ -290,6 +290,9 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
         return [y[1], (v(t) - e) * y[0]] + [psis[j] ** 2 for j in range(levels)]
 
     y0 = [seed.f(x_start), seed.df(x_start)] + [0.0] * levels
+    if not (math.isfinite(y0[0]) and y0[0] != 0.0):  # each step divides by it
+        raise ValueError(f"chain seed is {y0[0]!r} at x_start = {x_start!r}; "
+                         "start the chain where it is nonzero and finite")
     try:
         samples = _integrate(rhs, x_start, y0, xs)
     except ValueError as exc:

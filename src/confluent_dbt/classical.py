@@ -107,8 +107,9 @@ class TrigPoschlTeller(CheckedRecord, namedtuple("TrigPoschlTeller", "N M")):
             - Fraction((N + M + 1) ** 2)
         )
 
-    def v(self, x):
-        """V at x: a float, or a numpy array of points."""
+    def v(self, x, omega: float = 1.0):
+        """V at x: a float, or a numpy array of points (no frequency, so
+        `omega` is not read)."""
         N, M = self.N, self.M
         return (
             (N * N - 0.25) / pointwise(_sin_squared, x)

@@ -19,6 +19,10 @@ error, such as an input the command does not read.  File inputs
 file is missing, is not a JSON object, or holds a field its flag would
 refuse; each spec field has one parser, whether it comes from a flag, a
 file or chain `--params`.
+
+What the families differ in on the numeric side (levels, x-map and units,
+x-domain, Gram interval, spectrum window) is read through `_FAMILY` from
+the numeric description at the end of each family's module.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 # set before numpy loads OpenBLAS: the package's matrix products are tiny
@@ -39,7 +43,7 @@ from json.encoder import encode_basestring_ascii
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import chains, classical, isotonic, reports, tdpt, verify
-from .exactalg import RationalFn, pointwise
+from .exactalg import ExtendedPotential, RationalFn
 
 
 # -- input parsing ----------------------------------------------------------------
@@ -97,7 +101,8 @@ _DEST = {"N": "big_n", "M": "big_m"}  # namespace names of the capital flags
 
 # the spec fields of each family, in flag order
 _SPEC_FIELDS = {"tdpt": ("n", "N", "M", "lambda1"), "isotonic": ("n", "N")}
-_FAMILY = {"tdpt": tdpt, "isotonic": isotonic}  # the module of each family
+# the module of each family: its construction and its numeric description
+_FAMILY = {"tdpt": tdpt, "isotonic": isotonic}
 
 # every input a command may leave unread, in the order a refusal names them;
 # each is None unless given
@@ -111,6 +116,18 @@ def _spec(family: str, args):
         return isotonic.IsotonicSpec(args.n, args.big_n)
     lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
     return tdpt.TdptSpec(args.n, args.big_n, args.big_m, lam)
+
+
+def _omega(args) -> float:
+    """The frequency of a numeric command, 1 unless given (tdpt reads none)."""
+    return float(args.omega if args.omega is not None else Fraction(1))
+
+
+def _inside(family: str, what: str, lo, hi) -> None:
+    """Refuse points from lo to hi outside the open x-domain of `family`."""
+    end, domain = _FAMILY[family].DOMAIN
+    if not (lo > 0.0 and hi < end):
+        raise ValueError(f"{family} {what} must lie inside {domain}")
 
 
 def _add_field(p, key, **kwargs):
@@ -188,20 +205,23 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _load_build(path: str, what: str):
-    """A `tdpt|isotonic build` JSON: (data, family, z-form potential).  The
-    spec must be an object and a z-form a serialised rational function;
-    family and potential are None when the file names neither."""
+    """A `tdpt|isotonic build` JSON: (data, family, the `ExtendedPotential`
+    of its z-form).  The spec must be an object and a z-form a serialised
+    rational function; family and potential are None when the file names
+    neither."""
     data = _load_json(path, what)
     if not isinstance(data.get("spec", {}), dict):
         raise ValueError(f"malformed {what}: spec: expected a JSON object")
     for key, family in (("z_form", "tdpt"), ("zform_units", "isotonic")):
         if key in data:
             try:
-                return data, family, RationalFn.from_json(data[key])
+                rat = RationalFn.from_json(data[key])
             except (TypeError, ValueError, KeyError, ZeroDivisionError):
                 raise ValueError(
                     f"malformed {what}: {key}: not a serialised rational function"
                 ) from None
+            gauge = _FAMILY[family].GAUGE
+            return data, family, ExtendedPotential(None, gauge, None, rat)
     return data, data.get("family"), None
 
 
@@ -337,7 +357,7 @@ def _cmd_isotonic_build(args) -> int:
     spec = _spec("isotonic", args)
     pot = isotonic.extended_potential(spec)
     rootless, _ = isotonic.rootless_certificate(spec.n, spec.N)
-    levels = isotonic.surviving_levels(spec, args.kmax)
+    levels = isotonic.levels(spec, args.kmax)
     payload = {
         "family": "isotonic",
         "spec": spec.as_dict(),
@@ -345,8 +365,8 @@ def _cmd_isotonic_build(args) -> int:
         "q_at_zero": str(isotonic.q_at_zero(spec.n, spec.N)),
         "rootless": rootless,
         "l_tilde": {str(k): isotonic.l_tilde(spec, k).to_json() for k in levels},
-        "correction_units": pot.correction_units.to_json(),
-        "zform_units": pot.zform_units.to_json(),
+        "correction_units": pot.correction.to_json(),
+        "zform_units": pot.z_form.to_json(),
         "deleted_level": spec.n,
         "levels": list(levels),
         "energies_units": [str(2 * k) for k in levels],
@@ -359,7 +379,10 @@ def _cmd_isotonic_build(args) -> int:
 
 
 def _chain_setup(args):
-    """Seed, base potential and parameter label from --base and --params."""
+    """Seed, base potential and parameter label from --base and --params,
+    and the grid and anchor (a function of the grid) of `chain run`."""
+    import numpy as np
+
     keys = ("n", "N", "M") if args.base == "tdpt" else ("n", "N", "omega")
     if len(args.params) != 3:
         raise ValueError(f"{args.base} --params must be {','.join(keys)}")
@@ -368,36 +391,24 @@ def _chain_setup(args):
     if args.base == "tdpt":
         spec = tdpt.TdptSpec(p.n, p.big_n, p.big_m, 0)
         seed, v = chains.tdpt_seed(spec.n, spec.N, spec.M)
-        return seed, v, {"n": spec.n, "N": spec.N, "M": spec.M}
+        label = {"n": spec.n, "N": spec.N, "M": spec.M}
+        return seed, v, label, _grid("0.05:1.52:120"), lambda xs: math.pi / 2 - 1e-3
     spec = isotonic.IsotonicSpec(p.n, p.big_n)
     seed, v = chains.isotonic_seed(spec.n, spec.N, float(p.omega))
-    return seed, v, {"n": spec.n, "N": spec.N, "omega": str(p.omega)}
+    label = {"n": spec.n, "N": spec.N, "omega": str(p.omega)}
+    sqrt_omega = math.sqrt(float(p.omega))
+    xs = np.linspace(0.1 / sqrt_omega, 4.0 / sqrt_omega, 120)
+    # anchoring at the left edge keeps every accumulated integral
+    # nonnegative, so positive chain constants stay regular
+    return seed, v, label, xs, lambda xs: float(xs[0])
 
 
 def _cmd_chain_run(args) -> int:
-    import numpy as np
-
-    seed, v, label = _chain_setup(args)
-    xs, x_start = args.grid, args.x_start
-    if args.base == "tdpt":
-        if xs is None:
-            xs = _grid("0.05:1.52:120")
-        if x_start is None:
-            x_start = math.pi / 2 - 1e-3
-        hi, domain = math.pi / 2, "0 < x < pi/2"
-    else:
-        if xs is None:
-            sqrt_omega = math.sqrt(float(Fraction(label["omega"])))
-            xs = np.linspace(0.1 / sqrt_omega, 4.0 / sqrt_omega, 120)
-        # anchoring at the left edge keeps every accumulated integral
-        # nonnegative, so positive chain constants stay regular
-        if x_start is None:
-            x_start = float(xs[0])
-        hi, domain = math.inf, "x > 0"
-    if not (xs[0] > 0.0 and xs[-1] < hi):
-        raise ValueError(f"{args.base} chain points must lie inside {domain}")
-    if not 0.0 < x_start < hi:
-        raise ValueError(f"{args.base} chain --x-start must lie inside {domain}")
+    seed, v, label, xs, x_start = _chain_setup(args)
+    xs = xs if args.grid is None else args.grid
+    x_start = x_start(xs) if args.x_start is None else args.x_start
+    _inside(args.base, "chain points", xs[0], xs[-1])
+    _inside(args.base, "chain --x-start", x_start, x_start)
     lambdas = [float(c) for c in args.lambdas]
     if args.m is not None and args.m != len(lambdas) + 1:
         raise ValueError(
@@ -428,15 +439,13 @@ def _cmd_chain_crosscheck(args) -> int:
             "the energy-derivative route is anchored at the right endpoint "
             "and only supports the tdpt base"
         )
-    seed, v, label = _chain_setup(args)
+    seed, v, label, *_ = _chain_setup(args)
 
     if args.which == "two-step":
         lam = args.lambda1 if args.lambda1 is not None else Fraction(1)
         if args.base == "tdpt":
             spec = tdpt.TdptSpec(label["n"], label["N"], label["M"], lam)
-            exact = tdpt.extended_potential(spec).v
-            pts = np.linspace(0.15, math.pi / 2 - 0.15, args.points)
-            params = dict(spec.as_dict(), points=args.points)
+            omega, lo, hi = 1.0, 0.15, math.pi / 2 - 0.15
         else:
             if lam != 0:
                 raise ValueError(
@@ -445,15 +454,14 @@ def _cmd_chain_crosscheck(args) -> int:
                 )
             spec = isotonic.IsotonicSpec(label["n"], label["N"])
             omega = float(Fraction(label["omega"]))
-            pot = isotonic.extended_potential(spec)
-            exact = lambda x: pot.v(x, omega)
             lo, hi = 0.3 / math.sqrt(omega), 3.5 / math.sqrt(omega)
-            pts = np.linspace(lo, hi, args.points)
-            params = dict(spec.as_dict(), omega=label["omega"], points=args.points)
+        pot = _FAMILY[args.base].extended_potential(spec)
+        pts = np.linspace(lo, hi, args.points)
+        params = dict(label, **spec.as_dict(), points=args.points)
         vt, _t = chains.confluent_two_step(seed, v, float(lam))
 
         def body():
-            ex = exact(pts)
+            ex = pot.v(pts, omega)
             scale = max(1.0, verify.worst(np.abs(ex)))
             worst = verify.worst(np.abs(vt(pts) - ex)) / scale
             p = dict(params, tolerance=1e-9)
@@ -488,23 +496,21 @@ def _cmd_chain_crosscheck(args) -> int:
 def _cmd_verify_spectrum(args) -> int:
     if not args.potential_json or args.levels is None:
         raise ValueError("verify spectrum needs --potential-json and --levels")
-    _, family, rat = _load_build(args.potential_json, "potential JSON")
-    if rat is None:
+    _, family, pot = _load_build(args.potential_json, "potential JSON")
+    if pot is None:
         raise ValueError(
             "potential JSON must carry a z_form or zform_units field"
         )
-    if family == "tdpt":
-        reads = ("potential_json", "levels", "grid_n")
-        _refuse_unread(args, "verify spectrum of a tdpt potential", reads)
-        v = lambda x: rat(pointwise(math.cos, 2.0 * x))
-        lo, hi = verify.tdpt_domain()
-    else:
-        omega = float(args.omega if args.omega is not None else Fraction(1))
-        v = lambda x: omega * rat(omega * x * x / 2.0)
-        e_max = 2.0 * args.levels * omega
-        lo, hi = verify.isotonic_domain(omega, e_max)
+    fam = _FAMILY[family]
+    reads = ("potential_json", "levels", "grid_n", *fam.INPUTS)
+    _refuse_unread(args, f"verify spectrum of a {family} potential", reads)
+    omega = _omega(args)
     grid_n = args.grid_n if args.grid_n is not None else reports.GRID_N
-    result = verify.dirichlet_spectrum(v, lo, hi, args.levels, grid_n)
+    # the file does not name a deleted level: the window reaches one level up
+    window = fam.window(omega, args.levels)
+    result = verify.dirichlet_spectrum(
+        lambda x: pot.v(x, omega), *window, args.levels, grid_n
+    )
     _emit_json({"spectrum": result.to_json()}, args.out)
     return 0
 
@@ -516,10 +522,11 @@ def _cmd_verify_gram(args) -> int:
     data, family, _ = _load_build(args.family_json, what)
     if family not in ("tdpt", "isotonic"):
         raise ValueError("family JSON must identify a tdpt or isotonic family")
-    # where the file keeps its level numbers
-    key, container, kind = {
-        "tdpt": ("p_tilde", dict, "a JSON object"),
-        "isotonic": ("levels", list, "a JSON list"),
+    # where the file keeps its level numbers, and how many levels it reads
+    # without them
+    key, container, kind, count = {
+        "tdpt": ("p_tilde", dict, "a JSON object", 7),
+        "isotonic": ("levels", list, "a JSON list", 6),
     }[family]
     if not isinstance(data.get(key, container()), container):
         raise ValueError(f"malformed {what}: {key}: expected {kind}")
@@ -528,17 +535,15 @@ def _cmd_verify_gram(args) -> int:
         raise ValueError(f"malformed {what}: spec needs {', '.join(needed)}")
     spec = _spec(family, _parse_fields(f"{what}: spec", spec_data))
     levels = [_parse_fields(f"{what}: {key}", {"n": k}).n for k in data.get(key, ())]
-    if family == "tdpt":
-        _refuse_unread(args, "verify gram of a tdpt family", ("family_json",))
-        levels = sorted(levels) or list(range(7))
-        lo, hi, tails = *verify.tdpt_domain(1e-8), ()
-    else:
-        levels = levels or [k for k in range(6) if k != spec.n]
-        omega = float(args.omega if args.omega is not None else Fraction(1))
-        lo, hi, tails = 0.0, math.inf, (omega,)
-    ext = _FAMILY[family].confluent(spec)
-    fns = [(lambda x, f=ext.state(k): f.eval_x(x, *tails)) for k in levels]
-    vals, results = verify.gram_matrix(fns, lo, hi)
+    fam = _FAMILY[family]
+    reads = ("family_json", *fam.INPUTS)
+    _refuse_unread(args, f"verify gram of a {family} family", reads)
+    if container is dict:  # the keys of an object carry no order
+        levels = sorted(levels)
+    levels = levels or [k for k in fam.levels(spec, count) if k < count]
+    omega, ext = _omega(args), fam.confluent(spec)
+    fns = [partial(ext.state(k).eval_x, omega=omega) for k in levels]
+    vals, results = verify.gram_matrix(fns, *fam.GRAM_INTERVAL)
     payload = {
         "spec": spec.as_dict(),
         "levels": levels,
@@ -636,30 +641,23 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
     potentials are finite; a value that overflows is refused, not written."""
     import numpy as np
 
+    fam = _FAMILY[family]
     spec = _spec(family, args)
-    pot = _FAMILY[family].extended_potential(spec)  # tdpt: rejects the window
-    if family == "tdpt":
-        xs = args.x_points if args.x_points is not None else _grid("0.01:1.56:200")
-        if not (xs[0] > 0.0 and xs[-1] < math.pi / 2):
-            raise ValueError("tdpt table points must lie inside 0 < x < pi/2")
-        levels, tails = range(args.kmax + 1), ()
-    else:
-        omega = float(args.omega if args.omega is not None else Fraction(1))
-        xs = args.x_points if args.x_points is not None else _grid("0.05:5:200")
-        if not xs[0] > 0.0:
-            raise ValueError("isotonic table points must lie inside x > 0")
-        levels, tails = isotonic.surviving_levels(spec, args.kmax), (omega,)
+    pot = fam.extended_potential(spec)  # tdpt: rejects the window
+    xs = args.x_points if args.x_points is not None else _grid(fam.TABLE_GRID)
+    _inside(family, "table points", xs[0], xs[-1])
+    omega, levels = _omega(args), fam.levels(spec, args.kmax)
     header, columns = ["x"], []
     if potential:
         header += ["v_base", "v_ext"]
         columns += [spec.base.v, pot.v]
     if states:
-        ext = _FAMILY[family].confluent(spec)
+        ext = fam.confluent(spec)
         header += [f"psi_{k}" for k in levels]
         columns += [ext.state(k).eval_x for k in levels]
     # each column is one array evaluation over all the points
     with np.errstate(all="ignore"):
-        values = [f(xs, *tails) for f in columns]
+        values = [f(xs, omega) for f in columns]
     for name, col in zip(header[1:], values):
         if (bad := np.flatnonzero(~np.isfinite(col))).size:
             raise ValueError(f"{name} is not finite at x = {float(xs[bad[0]])!r}")
@@ -678,7 +676,7 @@ def _cmd_table(args) -> int:
     if args.kind != "potential":
         reads.add("kmax")
     if args.kind != "polynomial":
-        reads |= {"x_points", "omega"} if args.family == "isotonic" else {"x_points"}
+        reads |= {"x_points", *_FAMILY[args.family].INPUTS}
     _refuse_unread(args, f"table --kind {args.kind} --family {args.family}", reads)
     args.kmax = 3 if args.kmax is None else args.kmax
     if args.family == "tdpt" and (args.big_m is None or args.lambda1 is None):
@@ -690,15 +688,14 @@ def _cmd_table(args) -> int:
             potential=args.kind == "potential",
             states=args.kind == "eigenfunction",
         )
-    spec = _spec(args.family, args)
-    if args.family == "tdpt":
-        levels, poly = range(args.kmax + 1), tdpt.p_tilde
-    else:
-        levels, poly = isotonic.surviving_levels(spec, args.kmax), isotonic.l_tilde
+    fam, spec = _FAMILY[args.family], _spec(args.family, args)
     payload = {
         "family": args.family,
         "spec": spec.as_dict(),
-        "polynomials": {str(k): poly(spec, k).to_json() for k in levels},
+        "polynomials": {
+            str(k): fam.exceptional(spec, k).to_json()
+            for k in fam.levels(spec, args.kmax)
+        },
     }
     _emit_json(payload, args.out)
     return 0
@@ -711,9 +708,12 @@ def _add_out(p):
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def _add_spec(p, family):
+def _add_spec(p, family, *optional):
+    """The spec flags of `family`, then the `optional` flags."""
     for key in _SPEC_FIELDS[family]:
         _add_field(p, key, required=True)
+    for key in optional:
+        _add_field(p, key)
 
 
 def _add_verify_args(p, family):
@@ -762,43 +762,30 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(d)
     d.set_defaults(func=_cmd_classical_dump)
 
-    p = sub.add_parser("tdpt", help="trigonometric extension")
-    tsub = p.add_subparsers(dest="subcommand", required=True)
-    b = tsub.add_parser("build", help="exact extension data as JSON")
-    _add_spec(b, "tdpt")
-    _add_field(b, "kmax", default=4)
-    _add_out(b)
-    b.set_defaults(func=_cmd_tdpt_build)
-    w = tsub.add_parser("verify", help="per-spec checks")
-    _add_spec(w, "tdpt")
-    _add_verify_args(w, "tdpt")
-    w.set_defaults(func=_cmd_spec_verify, omega=None)
-    t = tsub.add_parser("table", help="sampled CSV table")
-    _add_spec(t, "tdpt")
-    _add_field(t, "kmax", default=3)
-    t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
-    _add_out(t)
-    t.set_defaults(func=_cmd_family_table)
-
-    p = sub.add_parser("isotonic", help="radial oscillator extension")
-    isub = p.add_subparsers(dest="subcommand", required=True)
-    b = isub.add_parser("build", help="exact extension data as JSON")
-    _add_spec(b, "isotonic")
-    _add_field(b, "kmax", default=5)
-    _add_out(b)
-    b.set_defaults(func=_cmd_isotonic_build)
-    w = isub.add_parser("verify", help="per-spec checks")
-    _add_spec(w, "isotonic")
-    _add_field(w, "omega")
-    _add_verify_args(w, "isotonic")
-    w.set_defaults(func=_cmd_spec_verify)
-    t = isub.add_parser("table", help="sampled CSV table")
-    _add_spec(t, "isotonic")
-    _add_field(t, "omega", default=Fraction(1))
-    _add_field(t, "kmax", default=4)
-    t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
-    _add_out(t)
-    t.set_defaults(func=_cmd_family_table)
+    # each family's help line, build command, and --kmax of build and table
+    for family, text, build, build_kmax, table_kmax in (
+        ("tdpt", "trigonometric extension", _cmd_tdpt_build, 4, 3),
+        ("isotonic", "radial oscillator extension", _cmd_isotonic_build, 5, 4),
+    ):
+        inputs = _FAMILY[family].INPUTS
+        fsub = sub.add_parser(family, help=text).add_subparsers(
+            dest="subcommand", required=True
+        )
+        b = fsub.add_parser("build", help="exact extension data as JSON")
+        _add_spec(b, family)
+        _add_field(b, "kmax", default=build_kmax)
+        _add_out(b)
+        b.set_defaults(func=build)
+        w = fsub.add_parser("verify", help="per-spec checks")
+        _add_spec(w, family, *inputs)
+        _add_verify_args(w, family)
+        w.set_defaults(func=_cmd_spec_verify, omega=None)
+        t = fsub.add_parser("table", help="sampled CSV table")
+        _add_spec(t, family, *inputs)
+        _add_field(t, "kmax", default=table_kmax)
+        t.add_argument("--x-points", type=_grid, default=None, metavar="A:B:N")
+        _add_out(t)
+        t.set_defaults(func=_cmd_family_table, omega=None)
 
     p = sub.add_parser("chain", help="numeric transform chains")
     hsub = p.add_subparsers(dest="subcommand", required=True)

@@ -27,6 +27,8 @@ The two gauged families are
 
 where R is a `RationalFn` and the exponents a, b, c are exact Fractions
 (quarter-integers in practice), with arithmetic written once (`_Gauged`).
+Each family owns its map from x (`z_at`) and the units of its exact
+values (`from_units`).
 Both families are closed under d/dx (`d_dx`, by the family's `_law`): R
 becomes u R + w R' and the exponents shift by a fixed step, (a, b) ->
 (a - 1/2, b - 1/2) or (c, p) -> (c - 1/2, p + 1).  That turns Schroedinger
@@ -981,6 +983,14 @@ class _Gauged:
 
     __ne__ = object.__ne__  # the negation of `__eq__`, not tuple's `!=`
 
+    @staticmethod
+    def from_units(value, omega: float = 1.0):
+        return value  # exact data hold values as they are, unless in units
+
+    def eval_x(self, x, omega: float = 1.0):
+        """Value at x (`z_at`): a float, or a numpy array of points."""
+        return self.eval_z(self.z_at(x, omega), omega)
+
 
 class TrigGauged(_Gauged, namedtuple("TrigGauged", "a b rat")):
     """(1-z)^a (1+z)^b * rat(z), z = cos 2x on the interval 0 < x < pi/2."""
@@ -996,7 +1006,7 @@ class TrigGauged(_Gauged, namedtuple("TrigGauged", "a b rat")):
         u = ExactPoly([2 * (a - b), 2 * (a + b)])
         return u, _TRIG_W, {"a": a - _HALF, "b": b - _HALF}
 
-    def eval_z(self, z):
+    def eval_z(self, z, omega: float = 1.0):
         """Value at z: a float, or a numpy array of points."""
         z = _as_points(z)
         return (
@@ -1005,8 +1015,11 @@ class TrigGauged(_Gauged, namedtuple("TrigGauged", "a b rat")):
             * self.rat(z)
         )
 
-    def eval_x(self, x):
-        return self.eval_z(pointwise(math.cos, 2.0 * x))
+    @staticmethod
+    def z_at(x, omega: float = 1.0):
+        """z = cos 2x at x, a float or a numpy array; the family has no
+        frequency, here or in `eval_z`, so `omega` is not read."""
+        return pointwise(math.cos, 2.0 * x)
 
 
 class RadialGauged(_Gauged, namedtuple("RadialGauged", "c s p rat")):
@@ -1041,8 +1054,14 @@ class RadialGauged(_Gauged, namedtuple("RadialGauged", "c s p rat")):
             * self.rat(z)
         )
 
-    def eval_x(self, x, omega: float = 1.0):
-        return self.eval_z(omega * x * x / 2.0, omega)
+    @staticmethod
+    def z_at(x, omega: float = 1.0):
+        """z = w x^2/2 at x, a float or a numpy array."""
+        return omega * x * x / 2.0
+
+    @staticmethod
+    def from_units(value, omega: float = 1.0):
+        return omega * value  # exact data hold values in units of w
 
 
 def wronskian(fs: Sequence[_Gauged]) -> _Gauged:
@@ -1113,6 +1132,27 @@ class Confluent(namedtuple("Confluent", "psi_n w numerator")):
     def correction(self):
         """V-ext - V = -2 d/dx (psi_n^2 / w), gauged."""
         return -2 * (self.psi_n * self.psi_n / self.w).d_dx()
+
+
+class ExtendedPotential(
+    namedtuple("ExtendedPotential", "spec gauge correction z_form")
+):
+    """V-ext (`z_form`) and V-ext - V-base (`correction`) of an extension,
+    rational in the z of the gauged family `gauge` and in its units."""
+
+    __slots__ = ()
+
+    def v(self, x, omega: float = 1.0):
+        """V-ext at x: a float, or a numpy array of points."""
+        g = self.gauge
+        return g.from_units(self.z_form(g.z_at(x, omega)), omega)
+
+
+class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec levels polys weight")):
+    """The exceptional polynomials of an extension's `levels` and their
+    orthogonality weight, rational in z (a radial one's times e^{-z})."""
+
+    __slots__ = ()
 
 
 def exact_ode_residual(f, v_zform: RationalFn, energy):

@@ -13,17 +13,19 @@ polynomial in z = w x^2/2:
 Identities are stored in units of w (the frequency), which scales out of
 every exact statement.  `q_poly` and `confluent` are memoized like the
 classical constructors they build on; `q_poly_via_ode`, the route
-`q_poly` is checked against, is not.
+`q_poly` is checked against, is not.  The module ends with the family's
+numeric description, the names `cli` and `reports` read of every family
+(tdpt has the same).
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import verify
 from .classical import CACHE_SIZE, IsotonicOscillator, laguerre
 from .exactalg import (
     POS_INF,
@@ -31,6 +33,8 @@ from .exactalg import (
     CheckedRecord,
     Confluent,
     ExactPoly,
+    ExceptionalFamily,
+    ExtendedPotential,
     RadialGauged,
     RationalFn,
     confluent_numerator,
@@ -144,54 +148,19 @@ def measure_weight_rational(spec: IsotonicSpec) -> RationalFn:
     return RationalFn(Z**spec.N, q * q)
 
 
-class IsotonicExtendedPotential(
-    namedtuple("IsotonicExtendedPotential", "spec correction_units zform_units")
-):
-    """Extension in exact z-form (units of w) and numeric x-form:
-    `correction_units` is (V-ext - V-base)/w, rational in z, and
-    V-ext(x) = w * zform_units(w x^2/2)."""
-
-    __slots__ = ()
-
-    def v(self, x, omega: float):
-        """V-ext at x: a float, or a numpy array of points."""
-        return omega * self.zform_units(omega * x * x / 2.0)
-
-
-def extended_potential(spec: IsotonicSpec) -> IsotonicExtendedPotential:
+def extended_potential(spec: IsotonicSpec) -> ExtendedPotential:
     """V-ext = V - 2 d/dx (psi_n^2 / w) (`Confluent.correction`)."""
     # the correction's gauge z^N (2w)^1 is z^N times 2 in units of w
     correction = 2 * confluent(spec).correction().rat_over({"c": 0})
-    return IsotonicExtendedPotential(
-        spec, correction, spec.base.v_zform_units() + correction
+    return ExtendedPotential(
+        spec, GAUGE, correction, spec.base.v_zform_units() + correction
     )
 
 
-def surviving_levels(spec: IsotonicSpec, kmax: int) -> tuple:
-    """Levels 0..kmax that keep a bound state (the deleted n is skipped),
-    extended to n+1 when kmax is lower so a level above n is included."""
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    return tuple(k for k in range(max(kmax, spec.n + 1) + 1) if k != spec.n)
-
-
-class ExceptionalLaguerreFamily(
-    namedtuple("ExceptionalLaguerreFamily", "spec levels polys weight_rational")
-):
-    """Exceptional polynomials on the `surviving_levels`; the weight is
-    `weight_rational` times e^{-z}."""
-
-    __slots__ = ()
-
-
-def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalLaguerreFamily:
-    levels = surviving_levels(spec, kmax)
-    return ExceptionalLaguerreFamily(
-        spec,
-        levels,
-        tuple(l_tilde(spec, k) for k in levels),
-        measure_weight_rational(spec),
-    )
+def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalFamily:
+    ks = levels(spec, kmax)
+    polys = tuple(l_tilde(spec, k) for k in ks)
+    return ExceptionalFamily(spec, ks, polys, measure_weight_rational(spec))
 
 
 # -- n = 0: equivalence with a one-step type-II transformation ----------------
@@ -280,23 +249,33 @@ def n0_shape_positive_control(N: int) -> bool:
     return len(_coefficient_ratios(rhs * 3, rhs)) == 1
 
 
-def quasi_isospectrality_witness(
-    spec: IsotonicSpec, omega: float, levels: int, grid_n: int
-):
-    """Numeric Dirichlet spectrum of the extension against the punctured
-    ladder {2kw : k != n}.  Returns (SpectrumResult, expected)."""
-    pot = extended_potential(spec)
-    expected = []
-    k = 0
-    while len(expected) < levels:
-        if k != spec.n:
-            expected.append(2.0 * k * omega)
-        k += 1
-    e_max = expected[-1]
-    result = verify.dirichlet_spectrum(
-        lambda x: pot.v(x, omega),
-        *verify.isotonic_domain(omega, e_max),
-        levels,
-        grid_n=grid_n,
-    )
-    return result, expected
+# -- numeric description -------------------------------------------------------
+
+GAUGE = RadialGauged  # z = w x^2/2, values in units of w
+INPUTS = ("omega",)  # what numeric evaluation reads besides the spec
+DOMAIN = (math.inf, "x > 0")  # the open x-domain, 0 < x < DOMAIN[0]
+TABLE_GRID = "0.05:5:200"  # the points of a table by default
+GRAM_INTERVAL = (0.0, math.inf)  # where a Gram matrix integrates
+exceptional = l_tilde  # the exceptional polynomial of level k
+
+
+def levels(spec: IsotonicSpec, kmax: int) -> tuple:
+    """Levels 0..kmax that keep a bound state: the deleted n is skipped
+    (quasi-isospectral), and a kmax below n+1 is raised to n+1 so that a
+    level above n is included."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return tuple(k for k in range(max(kmax, spec.n + 1) + 1) if k != spec.n)
+
+
+def energy(spec: IsotonicSpec, k: int) -> Fraction:
+    """E_k = 2k in units of w, the same for the base and the extension."""
+    return spec.base.energy_units(k)
+
+
+def window(omega: float, top: int) -> tuple:
+    """The Dirichlet window of a spectrum up to level `top` at frequency
+    omega: inner cutoff well inside the centrifugal wall, outer wall deep
+    in the oscillator tail."""
+    e_max = 2.0 * top * omega
+    return 1e-3 * math.sqrt(2.0 / omega), 2.0 * math.sqrt((e_max + 40.0) / omega)

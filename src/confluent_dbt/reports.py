@@ -10,8 +10,10 @@ written once.  `@_check(check_id, description)` adds a suite check to
 `MANIFEST`; definition order is suite order.  `@_spec_check(family, name,
 reads)` adds a per-spec check, a function of (spec, kmax, grid_n, omega)
 that reads its spec and the inputs in `reads`, to `SPEC_CHECKS`;
-registration order is `--suite all` order, and the one `ode` body is
-registered for both families.  `run_spec_checks` runs the
+registration order is `--suite all` order.  The `ode`, `ortho` and
+`spectrum` bodies are registered for both families; what the families
+differ in (levels, x-map and units, window, energies) they read from the
+numeric description at the end of the spec's module.  `run_spec_checks` runs the
 per-spec checks on any spec for the CLI.  A suite check of an invariant
 that a per-spec check states calls that check: `tdpt.regularity` and
 `tdpt.shape` on each sampled spec; the `orthogonality` and `spectrum`
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -92,8 +95,9 @@ def _spec_check(family: str, name: str, reads=()):
     attribute names the inputs it reads besides the spec."""
 
     def register(fn):
-        fn.reads = reads
-        SPEC_CHECKS.setdefault(family, {})[name] = fn
+        check = partial(fn)  # one per family, each with its own reads
+        check.reads = reads
+        SPEC_CHECKS.setdefault(family, {})[name] = check
         return fn
 
     return register
@@ -314,7 +318,7 @@ def _offdiagonal(states, omega=1.0):
     return gram, verify.max_offdiagonal_relative(gram.values)
 
 
-def _ortho(states, params, omega=1.0):
+def _orthogonal(states, params, omega=1.0):
     """The gauged eigenstates are orthogonal under their Gauss rule."""
     gram, worst = _offdiagonal(states, omega)
     params = dict(params, nodes=gram.nodes, quadrature_error=gram.quadrature_error)
@@ -326,11 +330,67 @@ def _ortho(states, params, omega=1.0):
     return worst < 1e-10, params, f"max relative off-diagonal {_fmt(worst)}"
 
 
-def _spectrum(witness, grid_n, params):
-    """The lowest finite-difference levels match the expected energies;
-    `witness(levels, grid_n)` returns (SpectrumResult, expected)."""
+def _family(spec):
+    """The module of the spec's family: its construction and description."""
+    return sys.modules[type(spec).__module__]
+
+
+def _numeric(spec, kmax, omega):
+    """(family, frequency, params) of a numeric check on `spec`; the params
+    hold the spec, kmax and the inputs the family reads."""
+    family, params = _family(spec), dict(spec.as_dict(), kmax=kmax)
+    if family.INPUTS:  # a frequency
+        return family, float(omega), dict(params, omega=str(omega))
+    return family, 1.0, params
+
+
+def spectrum_witness(spec, count, grid_n, omega=1.0):
+    """Numeric Dirichlet spectrum of the extension at frequency omega against
+    the energies of its lowest `count` levels that keep a state (the
+    unchanged ladder for tdpt, {2kw : k != n} for isotonic).  Returns
+    (SpectrumResult, expected)."""
+    family = _family(spec)
+    pot, levels = family.extended_potential(spec), family.levels(spec, count)[:count]
+    units = [float(family.energy(spec, k)) for k in levels]
+    expected = [family.GAUGE.from_units(e, omega) for e in units]
+    window = family.window(omega, levels[-1])
+    result = verify.dirichlet_spectrum(
+        lambda x: pot.v(x, omega), *window, count, grid_n=grid_n
+    )
+    return result, expected
+
+
+def _ode(spec, kmax, grid_n, omega):
+    """Each state up to kmax, and the restored state psi_n / w at E_n (the
+    deleted state for isotonic), solves the extended equation exactly."""
+    family = _family(spec)
+    params = dict(spec.as_dict(), kmax=kmax)
+    ext, v = family.confluent(spec), family.extended_potential(spec).z_form
+    states = ((k, ext.state(k)) for k in range(kmax + 1) if k != spec.n)
+    for k, state in chain(states, [(spec.n, ext.restored())]):
+        if not exactalg.exact_ode_residual(state, v, family.energy(spec, k)).is_zero:
+            return False, params, f"nonzero exact residual at level {k}"
+    kept = spec.n in family.levels(spec, spec.n)
+    restored = "" if kept else ", deleted state included"
+    return True, params, f"residuals identically zero for k <= {kmax}{restored}"
+
+
+def _ortho(spec, kmax, grid_n, omega):
+    """The states up to kmax are orthogonal; the params name the levels when
+    one is deleted."""
+    family, w, params = _numeric(spec, kmax, omega)
+    levels = family.levels(spec, kmax)
+    if levels != tuple(range(kmax + 1)):
+        params["levels"] = list(levels)
+    ext = family.confluent(spec)
+    return _orthogonal([ext.state(k) for k in levels], params, w)
+
+
+def _spectrum(spec, kmax, grid_n, omega):
+    """The lowest finite-difference levels match `spectrum_witness`'s."""
+    _, w, params = _numeric(spec, kmax, omega)
     levels = SPECTRUM_LEVELS
-    result, expected = witness(levels, grid_n)
+    result, expected = spectrum_witness(spec, levels, grid_n, w)
     worst = verify.worst(
         abs(g - e) / max(1.0, abs(e)) for g, e in zip(result.energies, expected)
     )
@@ -340,31 +400,6 @@ def _spectrum(witness, grid_n, params):
         f"expected {[_fmt(e) for e in expected]}, max relative "
         f"deviation {_fmt(worst)}, nodes {list(result.node_counts)}"
     )
-
-
-# per family: its module, and the names of the extended potential's z-form
-# and of the energies, in the units `exact_ode_residual` takes (w for
-# isotonic), and what the `ode` witness adds for the restored state
-_ODE_TERMS = {
-    tdpt.TdptSpec: (tdpt, "z_form", "energy", ""),
-    isotonic.IsotonicSpec: (isotonic, "zform_units", "energy_units",
-                            ", deleted state included"),
-}
-
-
-def _ode(spec, kmax, grid_n, omega):
-    """Each state up to kmax, and the restored state psi_n / w at E_n (the
-    deleted state for isotonic), solves the extended equation exactly; both
-    families register this body as their `ode` check."""
-    family, z_form, energy, restored = _ODE_TERMS[type(spec)]
-    params = dict(spec.as_dict(), kmax=kmax)
-    ext, energy = family.confluent(spec), getattr(spec.base, energy)
-    v = getattr(family.extended_potential(spec), z_form)
-    states = ((k, ext.state(k)) for k in range(kmax + 1) if k != spec.n)
-    for k, state in chain(states, [(spec.n, ext.restored())]):
-        if not exactalg.exact_ode_residual(state, v, energy(k)).is_zero:
-            return False, params, f"nonzero exact residual at level {k}"
-    return True, params, f"residuals identically zero for k <= {kmax}{restored}"
 
 
 # -- tdpt -------------------------------------------------------------------------
@@ -391,13 +426,7 @@ def _tdpt_regularity(spec, kmax, grid_n, omega):
 
 
 _spec_check("tdpt", "ode", reads=("kmax",))(_ode)
-
-
-@_spec_check("tdpt", "ortho", reads=("kmax",))
-def _tdpt_ortho(spec, kmax, grid_n, omega):
-    ext = tdpt.confluent(spec)
-    states = [ext.state(k) for k in range(kmax + 1)]
-    return _ortho(states, dict(spec.as_dict(), kmax=kmax))
+_spec_check("tdpt", "ortho", reads=("kmax", *tdpt.INPUTS))(_ortho)
 
 
 @_spec_check("tdpt", "shape")
@@ -411,10 +440,7 @@ def _tdpt_shape(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("tdpt", "spectrum", reads=("grid_n",))
-def _tdpt_spectrum(spec, kmax, grid_n, omega):
-    witness = partial(tdpt.isospectrality_witness, spec)
-    return _spectrum(witness, grid_n, dict(spec.as_dict(), kmax=kmax))
+_spec_check("tdpt", "spectrum", reads=("grid_n", *tdpt.INPUTS))(_spectrum)
 
 
 # suite checks
@@ -457,7 +483,7 @@ def _check_tdpt_endpoints():
 @_check("tdpt.orthogonality", "extension bound states are orthogonal under quadrature")
 def _check_tdpt_orthogonality():
     results = [
-        _tdpt_ortho(spec, 6, GRID_N, None)
+        _ortho(spec, 6, GRID_N, None)
         for spec in (tdpt.TdptSpec(0, 1, 1, 1), tdpt.TdptSpec(1, 2, 1, -2))
     ]
     return (
@@ -520,7 +546,7 @@ def _check_tdpt_window():
 
 @_check("tdpt.spectrum", "extension spectrum is numerically unchanged")
 def _check_tdpt_spectrum():
-    return _tdpt_spectrum(tdpt.TdptSpec(0, 1, 1, 1), KMAX, GRID_N, None)
+    return _spectrum(tdpt.TdptSpec(0, 1, 1, 1), KMAX, GRID_N, None)
 
 
 # -- isotonic ---------------------------------------------------------------------
@@ -541,16 +567,7 @@ def _iso_q_crosscheck(spec, kmax, grid_n, omega):
 
 
 _spec_check("isotonic", "ode", reads=("kmax",))(_ode)
-
-
-@_spec_check("isotonic", "ortho", reads=("kmax", "omega"))
-def _iso_ortho(spec, kmax, grid_n, omega):
-    levels = isotonic.surviving_levels(spec, kmax)
-    params = dict(
-        spec.as_dict(), kmax=kmax, omega=str(omega), levels=list(levels)
-    )
-    ext = isotonic.confluent(spec)
-    return _ortho([ext.state(k) for k in levels], params, float(omega))
+_spec_check("isotonic", "ortho", reads=("kmax", *isotonic.INPUTS))(_ortho)
 
 
 @_spec_check("isotonic", "shape")
@@ -574,7 +591,7 @@ def _iso_n0_type2(spec, kmax, grid_n, omega):
     if not isotonic.n0_type2_proportional(spec.N):
         return False, params, "denominator is not a scaled Laguerre polynomial"
     partner = isotonic.n0_type2_partner_units(spec.N)
-    if isotonic.extended_potential(spec).zform_units != partner:
+    if isotonic.extended_potential(spec).z_form != partner:
         return False, params, (
             "extension does not equal the one-step partner of the "
             "enlarged-parameter base"
@@ -602,12 +619,7 @@ def _iso_n0_negative(spec, kmax, grid_n, omega):
     )
 
 
-@_spec_check("isotonic", "spectrum", reads=("grid_n", "omega"))
-def _iso_spectrum(spec, kmax, grid_n, omega):
-    witness = partial(isotonic.quasi_isospectrality_witness, spec, float(omega))
-    return _spectrum(
-        witness, grid_n, dict(spec.as_dict(), kmax=kmax, omega=str(omega))
-    )
+_spec_check("isotonic", "spectrum", reads=("grid_n", *isotonic.INPUTS))(_spectrum)
 
 
 # suite checks
@@ -657,7 +669,7 @@ def _check_isotonic_rootless():
     "isotonic.orthogonality", "surviving bound states are orthogonal under quadrature"
 )
 def _check_isotonic_orthogonality():
-    return _iso_ortho(isotonic.IsotonicSpec(1, 1), 5, GRID_N, OMEGA)
+    return _ortho(isotonic.IsotonicSpec(1, 1), 5, GRID_N, OMEGA)
 
 
 @_check(
@@ -686,7 +698,7 @@ def _check_isotonic_boundary():
     "isotonic.spectrum", "extension spectrum equals the punctured ladder numerically"
 )
 def _check_isotonic_spectrum():
-    return _iso_spectrum(isotonic.IsotonicSpec(1, 1), KMAX, GRID_N, OMEGA)
+    return _spectrum(isotonic.IsotonicSpec(1, 1), KMAX, GRID_N, OMEGA)
 
 
 # -- chains -----------------------------------------------------------------------
@@ -772,12 +784,11 @@ def _check_verify_linearity():
 
 @_check("verify.order", "finite-difference eigenvalues converge at second order")
 def _check_verify_order():
-    a, b = verify.tdpt_domain()
     r1 = verify.convergence_order_ratio(
-        classical.TrigPoschlTeller(1, 1).v, a, b, grid_n=1000
+        classical.TrigPoschlTeller(1, 1).v, *tdpt.window(1.0, 0), grid_n=1000
     )
     iso = classical.IsotonicOscillator(1)
-    lo, hi = verify.isotonic_domain(2.0, 16.0)
+    lo, hi = isotonic.window(2.0, 4)  # up to E = 16
     r2 = verify.convergence_order_ratio(
         lambda x: iso.v(x, 2.0), lo, hi, grid_n=1000
     )
@@ -1010,10 +1021,7 @@ def run_spec_checks(family, names, spec, kmax=None, grid_n=None, omega=None) -> 
             f"suite(s) {', '.join(needs_bound)} need lambda1 != 0"
         )
     if "ortho" in names:
-        if family == "tdpt":
-            levels = kmax + 1
-        else:
-            levels = len(isotonic.surviving_levels(spec, kmax))
+        levels = len(_family(spec).levels(spec, kmax))
         if levels < 2:
             raise ValueError(
                 f"suite ortho needs at least two levels; kmax = {kmax} "

@@ -11,6 +11,8 @@ States and potential come from `confluent`; lambda1 enters only through
 w = lambda1 + Q_n.  All objects here are exact; numeric evaluation happens
 only through the returned gauged/rational callables.  `q_poly` and
 `confluent` are memoized like the classical constructors they build on.
+The module ends with the family's numeric description, the names `cli`
+and `reports` read of every family (isotonic has the same).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from . import verify
 from .classical import CACHE_SIZE, TrigPoschlTeller, jacobi
 from .exactalg import (
     ONE_MINUS,
@@ -29,13 +30,14 @@ from .exactalg import (
     CheckedRecord,
     Confluent,
     ExactPoly,
+    ExceptionalFamily,
+    ExtendedPotential,
     RationalFn,
     RootIsolation,
     TrigGauged,
     as_rat,
     confluent_numerator,
     isolate_roots,
-    pointwise,
 )
 
 
@@ -180,20 +182,7 @@ def measure_weight(spec: TdptSpec) -> RationalFn:
     )
 
 
-class TdptExtendedPotential(
-    namedtuple("TdptExtendedPotential", "spec correction z_form")
-):
-    """Extended potential in both exact z-form and numeric x-form;
-    `correction` is V-ext - V-base, rational in z."""
-
-    __slots__ = ()
-
-    def v(self, x):
-        """V-ext at x: a float, or a numpy array of points."""
-        return self.z_form(pointwise(math.cos, 2.0 * x))
-
-
-def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:
+def extended_potential(spec: TdptSpec) -> ExtendedPotential:
     """V-ext = V - 2 d/dx (psi_n^2 / w) (`Confluent.correction`); regular
     lambda1 only."""
     n, N, M = spec.n, spec.N, spec.M
@@ -204,23 +193,15 @@ def extended_potential(spec: TdptSpec) -> TdptExtendedPotential:
         )
     # the correction's gauge (1-z)^N (1+z)^M moves into its rational part
     correction = confluent(spec).correction().rat_over({"a": 0, "b": 0})
-    return TdptExtendedPotential(spec, correction, spec.base.v_zform() + correction)
-
-
-class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec polys weight")):
-    """The first kmax+1 exceptional polynomials with their weight."""
-
-    __slots__ = ()
+    return ExtendedPotential(
+        spec, GAUGE, correction, spec.base.v_zform() + correction
+    )
 
 
 def exceptional_family(spec: TdptSpec, kmax: int) -> ExceptionalFamily:
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
-    return ExceptionalFamily(
-        spec,
-        tuple(p_tilde(spec, k) for k in range(kmax + 1)),
-        measure_weight(spec),
-    )
+    ks = levels(spec, kmax)
+    polys = tuple(p_tilde(spec, k) for k in ks)
+    return ExceptionalFamily(spec, ks, polys, measure_weight(spec))
 
 
 def shape_invariance_residual(
@@ -257,12 +238,28 @@ def shape_invariance_holds(n: int, N: int, M: int, lambda1) -> bool:
     return residual.is_zero
 
 
-def isospectrality_witness(spec: TdptSpec, levels: int, grid_n: int):
-    """Numeric Dirichlet spectrum of the extension against the unchanged
-    exact ladder E_k = 4k(N+M+1+k).  Returns (SpectrumResult, expected)."""
-    pot = extended_potential(spec)
-    result = verify.dirichlet_spectrum(
-        pot.v, *verify.tdpt_domain(), levels, grid_n=grid_n
-    )
-    expected = [float(spec.base.energy(k)) for k in range(levels)]
-    return result, expected
+# -- numeric description -------------------------------------------------------
+
+GAUGE = TrigGauged  # z = cos 2x, values as they are
+INPUTS = ()  # what numeric evaluation reads besides the spec: no frequency
+DOMAIN = (math.pi / 2, "0 < x < pi/2")  # the open x-domain, 0 < x < DOMAIN[0]
+TABLE_GRID = "0.01:1.56:200"  # the points of a table by default
+GRAM_INTERVAL = (1e-8, math.pi / 2 - 1e-8)  # where a Gram matrix integrates
+exceptional = p_tilde  # the exceptional polynomial of level k
+
+
+def levels(spec: TdptSpec, kmax: int) -> tuple:
+    """Levels 0..kmax: every level keeps its state (strictly isospectral)."""
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    return tuple(range(kmax + 1))
+
+
+def energy(spec: TdptSpec, k: int) -> Fraction:
+    """E_k, the same for the base and the extension."""
+    return spec.base.energy(k)
+
+
+def window(omega: float, top: int) -> tuple:
+    """The Dirichlet window of a spectrum, whatever its levels."""
+    return 1e-4, math.pi / 2 - 1e-4

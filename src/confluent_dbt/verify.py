@@ -359,19 +359,6 @@ def dirichlet_spectrum(
     )
 
 
-def tdpt_domain(eps: float = 1e-4) -> tuple:
-    """Dirichlet window for the trigonometric family."""
-    return eps, math.pi / 2 - eps
-
-
-def isotonic_domain(omega: float, e_max: float) -> tuple:
-    """Dirichlet window for the radial family: inner cutoff well inside the
-    centrifugal wall, outer wall deep in the oscillator tail."""
-    a = 1e-3 * math.sqrt(2.0 / omega)
-    b = 2.0 * math.sqrt((e_max + 40.0) / omega)
-    return a, b
-
-
 def convergence_order_ratio(v, a, b, grid_n: int = 1000) -> float:
     """Discretization-error ratio of the ground eigenvalue between grids n
     and 2n, measured against the h -> 0 limit of the same Dirichlet problem

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confluent_dbt import chains, classical, cli, isotonic, tdpt, verify
+from confluent_dbt import chains, classical, cli, isotonic, reports, tdpt, verify
 from confluent_dbt.exactalg import (
     POS_INF,
     ExactPoly,
@@ -98,7 +98,7 @@ def test_04_schroedinger_identities_exact():
                 if k == n:
                     continue
                 res = verify.exact_ode_residual(
-                    isotonic.confluent(spec).state(k), pot.zform_units, 2 * k
+                    isotonic.confluent(spec).state(k), pot.z_form, 2 * k
                 )
                 assert res.is_zero, (spec, k)
 
@@ -130,16 +130,14 @@ def test_05_enlarged_shape_invariance():
 def test_06_isospectrality_oracle():
     with criterion(6, "numeric spectra", 60):
         spec = tdpt.TdptSpec(0, 1, 1, 1)
-        result, expected = tdpt.isospectrality_witness(spec, 4, grid_n=2500)
+        result, expected = reports.spectrum_witness(spec, 4, grid_n=2500)
         assert expected == [0.0, 16.0, 40.0, 72.0]
         for got, want in zip(result.energies, expected):
             assert abs(got - want) / max(1.0, abs(want)) < 1e-5
         assert result.node_counts == (0, 1, 2, 3)
 
         ispec = isotonic.IsotonicSpec(1, 1)
-        result, expected = isotonic.quasi_isospectrality_witness(
-            ispec, 2.0, 4, grid_n=3000
-        )
+        result, expected = reports.spectrum_witness(ispec, 4, grid_n=3000, omega=2.0)
         assert expected == [0.0, 8.0, 12.0, 16.0]
         for got, want in zip(result.energies, expected):
             assert abs(got - want) / max(1.0, abs(want)) < 1e-5
@@ -152,7 +150,7 @@ def test_07_orthogonality():
     with criterion(7, "orthogonality", 60):
         spec = tdpt.TdptSpec(0, 1, 1, 1)
         fns = [tdpt.confluent(spec).state(k).eval_x for k in range(7)]
-        vals, _ = verify.gram_matrix(fns, *verify.tdpt_domain(1e-8))
+        vals, _ = verify.gram_matrix(fns, *tdpt.GRAM_INTERVAL)
         assert verify.max_offdiagonal_relative(vals) < 1e-10
 
         ispec = isotonic.IsotonicSpec(1, 1)

@@ -52,6 +52,14 @@ CONSTRUCTION_SPANS = (
     "tdpt.p_tilde", "tdpt.extended_potential",
     "isotonic.l_tilde", "isotonic.extended_potential",
 )
+# the numeric oracles the family commands reach through the shared bodies
+ORACLE_SPANS = ("verify.dirichlet_spectrum", "verify.gram_matrix")
+
+# the build outputs the oracle rows read, written before the counters go in
+BUILDS = {
+    "tdpt.json": "tdpt build --n 1 --N 1 --M 2 --lambda1 1 --kmax 2",
+    "isotonic.json": "isotonic build --n 1 --N 1 --kmax 3",
+}
 
 # (workload, argv, the construction spans the command must call)
 COMMANDS = [
@@ -71,6 +79,28 @@ COMMANDS = [
      "--x-points 0.01:1.54:50", ("tdpt.p_tilde", "tdpt.extended_potential")),
     ("numeric", "isotonic table --n 1 --N 3 --omega 1 --kmax 3 "
      "--x-points 0.06:5:50", ("isotonic.l_tilde", "isotonic.extended_potential")),
+    ("numeric", "tdpt verify --suite spectrum --n 0 --N 1 --M 1 --lambda1 1",
+     ("tdpt.extended_potential", "verify.dirichlet_spectrum")),
+    ("numeric", "isotonic verify --suite spectrum --n 1 --N 1 --omega 2",
+     ("isotonic.extended_potential", "verify.dirichlet_spectrum")),
+    ("numeric", "tdpt verify --suite ortho --n 1 --N 2 --M 1 --lambda1 -2 --kmax 3",
+     ("tdpt.p_tilde",)),
+    ("numeric", "isotonic verify --suite ortho --n 1 --N 1 --omega 2 --kmax 3",
+     ("isotonic.l_tilde",)),
+    ("numeric", "table --kind eigenfunction --family tdpt --n 1 --N 1 --M 3 "
+     "--lambda1 -1 --kmax 3 --x-points 0.01:1.54:50",
+     ("tdpt.p_tilde", "tdpt.extended_potential")),
+    ("numeric", "table --kind eigenfunction --family isotonic --n 1 --N 3 "
+     "--omega 2 --kmax 3 --x-points 0.06:5:50",
+     ("isotonic.l_tilde", "isotonic.extended_potential")),
+    ("numeric", "verify spectrum --potential-json {dir}/tdpt.json --levels 3",
+     ("verify.dirichlet_spectrum",)),
+    ("numeric", "verify spectrum --potential-json {dir}/isotonic.json --levels 3 "
+     "--omega 2", ("verify.dirichlet_spectrum",)),
+    ("numeric", "verify gram --family-json {dir}/tdpt.json",
+     ("tdpt.p_tilde", "verify.gram_matrix")),
+    ("numeric", "verify gram --family-json {dir}/isotonic.json --omega 2",
+     ("isotonic.l_tilde", "verify.gram_matrix")),
 ]
 
 
@@ -107,13 +137,16 @@ def _count_calls(monkeypatch, names) -> dict:
 @pytest.mark.parametrize(
     "workload, argv, must_call", COMMANDS, ids=[c[1] for c in COMMANDS]
 )
-def test_command_calls_the_construction_spans(monkeypatch, capsys, workload, argv,
-                                              must_call):
+def test_command_calls_the_construction_spans(monkeypatch, capsys, tmp_path,
+                                              workload, argv, must_call):
     from confluent_dbt import cli, reports
 
+    for name, build in BUILDS.items():
+        if name in argv:
+            assert cli.main([*build.split(), "--out", str(tmp_path / name)]) == 0
     reports._clear_constructor_caches()  # a cached construction skips no span
-    counts = _count_calls(monkeypatch, CONSTRUCTION_SPANS)
-    assert cli.main(argv.split()) == 0
+    counts = _count_calls(monkeypatch, CONSTRUCTION_SPANS + ORACLE_SPANS)
+    assert cli.main(argv.replace("{dir}", str(tmp_path)).split()) == 0
     capsys.readouterr()
     assert [name for name in must_call if not counts[name][0]] == []
 
@@ -122,5 +155,7 @@ def test_commands_cover_every_workload_the_construction_spans_expect():
     expected = _spans_module().EXPECTED
     covered = {(workload, name) for workload, _, names in COMMANDS for name in names}
     assert {
-        (workload, name) for name in CONSTRUCTION_SPANS for workload in expected[name]
+        (workload, name)
+        for name in CONSTRUCTION_SPANS + ORACLE_SPANS
+        for workload in expected[name]
     } <= covered

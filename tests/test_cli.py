@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import classical, cli, reports, verify
+from confluent_dbt import classical, cli, isotonic, reports, tdpt, verify
 from confluent_dbt.exactalg import ExactPoly, RationalFn
 
 
@@ -506,6 +506,20 @@ def test_chain_run_integration_failure_exit_2(capsys):
     assert "chain integration failed" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "chain run --base tdpt --params 0,1,1 --lambdas 1 --grid 0.05:1.5:3 "
+    "--x-start 1e-200",
+    "chain run --base isotonic --params 0,1,1 --lambdas 1 --x-start 1000",
+])
+def test_chain_run_refuses_a_seed_that_vanishes_at_x_start(capsys, argv):
+    # the seed underflows to 0 at x_start, and every auxiliary state of the
+    # chain divides by it: refused with one line before the integration
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: chain seed is 0.0 at x_start = ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_chain_run_bad_params_exit_2(capsys):
     code, out, err = run_cli(capsys, "chain", "run", "--base", "tdpt",
                              "--params", "0,1")
@@ -938,6 +952,54 @@ def test_verify_spectrum_radial_gap(capsys, tmp_path):
     # punctured ladder: 2kw for k = 0, 2, 3, 4 and nothing at 4
     for g, want in zip(got, [0.0, 8.0, 12.0, 16.0]):
         assert g == pytest.approx(want, abs=2e-4)
+
+
+@pytest.mark.parametrize("family, spec, flags, omega, xs", [
+    ("tdpt", tdpt.TdptSpec(1, 2, 1, -2), "--n 1 --N 2 --M 1 --lambda1 -2", 1.0,
+     (0.003, 1.567)),
+    ("isotonic", isotonic.IsotonicSpec(1, 2), "--n 1 --N 2", 2.5, (0.003, 6.0)),
+])
+def test_verify_spectrum_rebuilds_the_potential_bit_for_bit(
+    tmp_path, family, spec, flags, omega, xs
+):
+    # one x-map and one frequency scaling per family: the potential `verify
+    # spectrum` rebuilds from a build JSON is `extended_potential(spec).v`,
+    # point for point, and that is the z-form at z = cos 2x, or w times the
+    # z-form at z = w x^2/2, in this operation order
+    import numpy as np
+
+    path = tmp_path / "build.json"
+    assert cli.main([family, "build", *flags.split(), "--out", str(path)]) == 0
+    _, loaded, rebuilt = cli._load_build(str(path), "potential JSON")
+    pot = cli._FAMILY[family].extended_potential(spec)
+    points = np.linspace(*xs, 1001)
+    want = pot.v(points, omega).tolist()
+    assert loaded == family
+    assert rebuilt.v(points, omega).tolist() == want
+    assert [rebuilt.v(x, omega) for x in points.tolist()] == want
+    by_hand = {
+        "tdpt": lambda x: pot.z_form(math.cos(2.0 * x)),
+        "isotonic": lambda x: omega * pot.z_form(omega * x * x / 2.0),
+    }[family]
+    assert [by_hand(x) for x in points.tolist()] == want
+
+
+# the names of a family's numeric description, at the end of its module
+DESCRIPTION = {"GAUGE", "INPUTS", "DOMAIN", "TABLE_GRID", "GRAM_INTERVAL",
+               "exceptional", "levels", "energy", "window"}
+
+
+@pytest.mark.parametrize("family", ["tdpt", "isotonic"])
+def test_families_expose_one_description(family):
+    module = cli._FAMILY[family]
+    section = Path(module.__file__).read_text().split("# -- numeric description")[1]
+    defined = set(re.findall(r"^(?:def )?(\w+)(?: = |\()", section, re.M))
+    assert defined == DESCRIPTION
+    assert all(hasattr(module, name) for name in DESCRIPTION)
+
+
+def test_family_tables_share_their_keys():
+    assert set(cli._SPEC_FIELDS) == set(cli._FAMILY) == set(reports.SPEC_CHECKS)
 
 
 def test_verify_spectrum_needs_inputs(capsys):

@@ -672,7 +672,7 @@ def test_tdpt_potentials_array_bit_identical(n, N, M, lam, xs):
 @settings(max_examples=40, deadline=None)
 def test_isotonic_potentials_array_bit_identical(n, N, omega, xs):
     spec = isotonic.IsotonicSpec(n, N)
-    units = isotonic.extended_potential(spec).zform_units
+    units = isotonic.extended_potential(spec).z_form
     assert_bit_identical(
         isotonic.extended_potential(spec).v,
         lambda x, w: w * rat_reference(units, w * x * x / 2.0),

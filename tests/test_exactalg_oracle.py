@@ -445,7 +445,7 @@ def test_isotonic_eigenfunctions_solve_the_extension_at_40_digits(seed):
     omega = Fraction(rng.randint(1, 6), rng.randint(1, 3))
     with mpmath.workdps(40):
         w = mp_rat(omega)
-        zu = mp_ratfn(isotonic.extended_potential(spec).zform_units)
+        zu = mp_ratfn(isotonic.extended_potential(spec).z_form)
 
         def v(x):
             return w * zu(w * x * x / 2)
@@ -547,7 +547,7 @@ def isotonic_cases(draw):
     k = draw(st.integers(0, 5))
     f = (isotonic.confluent(spec).restored() if k == spec.n
          else isotonic.confluent(spec).state(k))
-    return f, isotonic.extended_potential(spec).zform_units, 2 * k
+    return f, isotonic.extended_potential(spec).z_form, 2 * k
 
 
 @given(st.one_of(tdpt_cases(), isotonic_cases()), st.sampled_from(VARIANTS))

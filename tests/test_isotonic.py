@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from confluent_dbt import isotonic, verify
+from confluent_dbt import isotonic, reports, verify
 from confluent_dbt.classical import IsotonicOscillator, laguerre
 from confluent_dbt.exactalg import (
     POS_INF,
@@ -159,8 +159,8 @@ def test_exceptional_family_skips_deleted_level():
     fam = isotonic.exceptional_family(spec, 4)
     assert fam.levels == (0, 2, 3, 4)
     assert len(fam.polys) == 4
-    assert fam.weight_rational == isotonic.measure_weight_rational(spec)
-    assert fam.weight_rational(1.0) > 0
+    assert fam.weight == isotonic.measure_weight_rational(spec)
+    assert fam.weight(1.0) > 0
     with pytest.raises(ValueError):
         isotonic.exceptional_family(spec, -1)
 
@@ -194,7 +194,7 @@ def test_extension_eigenfunctions_solve_the_ode_exactly(spec, k):
         return
     pot = isotonic.extended_potential(spec)
     psi = isotonic.confluent(spec).state(k)
-    res = verify.exact_ode_residual(psi, pot.zform_units, 2 * k)
+    res = verify.exact_ode_residual(psi, pot.z_form, 2 * k)
     assert res.is_zero
 
 
@@ -204,7 +204,7 @@ def test_deleted_state_sits_at_deleted_energy():
     spec = isotonic.IsotonicSpec(1, 1)
     pot = isotonic.extended_potential(spec)
     phi = isotonic.confluent(spec).restored()
-    res = verify.exact_ode_residual(phi, pot.zform_units, 2 * spec.n)
+    res = verify.exact_ode_residual(phi, pot.z_form, 2 * spec.n)
     assert res.is_zero
     assert phi.s == +1
 
@@ -237,7 +237,7 @@ def test_extension_display_form():
         - 20 * RationalFn(ExactPoly([-2, -4, 5]), d * d)
         + 2
     )
-    assert pot.zform_units == display
+    assert pot.z_form == display
 
 
 def test_extension_potential_x_form_matches_z_form():
@@ -247,19 +247,23 @@ def test_extension_potential_x_form_matches_z_form():
         for x in (0.3, 0.8, 1.7):
             z = omega * x * x / 2
             assert pot.v(x, omega) == pytest.approx(
-                omega * pot.zform_units(z), rel=1e-14
+                omega * pot.z_form(z), rel=1e-14
             )
 
 
 def test_quasi_isospectrality_witness_smoke():
     spec = isotonic.IsotonicSpec(1, 1)
-    result, expected = isotonic.quasi_isospectrality_witness(
-        spec, 2.0, 4, grid_n=1500
-    )
+    result, expected = reports.spectrum_witness(spec, 4, grid_n=1500, omega=2.0)
     assert expected == [0.0, 8.0, 12.0, 16.0]  # E = 4 deleted
     for got, want in zip(result.energies, expected):
         assert got == pytest.approx(want, abs=5e-4)
     assert result.node_counts == (0, 1, 2, 3)
+
+
+def test_domain_windows():
+    lo, hi = isotonic.window(2.0, 4)  # up to E = 16
+    assert lo == pytest.approx(1e-3)
+    assert hi == pytest.approx(2.0 * math.sqrt(28.0))
 
 
 # -- shape invariance and its n = 0 failure ---------------------------------------
@@ -308,7 +312,7 @@ def test_n0_partner_identity_exact(N):
     # one-step partner of the (N+1)-oscillator shifted by 2w
     spec = isotonic.IsotonicSpec(0, N)
     pot = isotonic.extended_potential(spec)
-    assert pot.zform_units == isotonic.n0_type2_partner_units(N)
+    assert pot.z_form == isotonic.n0_type2_partner_units(N)
 
 
 def test_n0_partner_identity_numeric():
@@ -317,7 +321,7 @@ def test_n0_partner_identity_numeric():
         pot = isotonic.extended_potential(spec)
         partner = isotonic.n0_type2_partner_units(N)
         for z in [0.1 + 0.61 * j for j in range(10)]:
-            assert abs(pot.zform_units(z) - partner(z)) < 1e-12
+            assert abs(pot.z_form(z) - partner(z)) < 1e-12
 
 
 # -- parameter validation -----------------------------------------------------------

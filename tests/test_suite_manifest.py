@@ -233,22 +233,22 @@ def assert_fails_with_witness(result):
 
 def test_ortho_passes_on_the_eigenstates():
     states = [tdpt.confluent(SPEC).state(k) for k in range(4)]
-    ok, params, witness = reports._ortho(states, {})
+    ok, params, witness = reports._orthogonal(states, {})
     assert ok and params["nodes"] == 80 and params["quadrature_error"] < 1e-12
 
 
 def test_ortho_fails_on_a_non_orthogonal_pair():
     psi0, psi1 = (tdpt.confluent(SPEC).state(k) for k in (0, 1))
-    assert_fails_with_witness(reports._ortho([psi0, psi0 + psi1], {}))
+    assert_fails_with_witness(reports._orthogonal([psi0, psi0 + psi1], {}))
     iso = isotonic.IsotonicSpec(1, 1)
     phi0, phi2 = (isotonic.confluent(iso).state(k) for k in (0, 2))
-    assert_fails_with_witness(reports._ortho([phi0, phi0 + phi2], {}, 2.0))
+    assert_fails_with_witness(reports._orthogonal([phi0, phi0 + phi2], {}, 2.0))
 
 
 def test_ortho_fails_on_a_state_at_a_shifted_lambda1():
     shifted = tdpt.TdptSpec(SPEC.n, SPEC.N, SPEC.M, SPEC.lambda1 - 1)
     states = [tdpt.confluent(SPEC).state(0), tdpt.confluent(shifted).state(1)]
-    assert_fails_with_witness(reports._ortho(states, {}))
+    assert_fails_with_witness(reports._orthogonal(states, {}))
 
 
 def test_ortho_fails_on_a_nan_gram_entry(monkeypatch):
@@ -262,7 +262,7 @@ def test_ortho_fails_on_a_nan_gram_entry(monkeypatch):
 
     monkeypatch.setattr(verify, "gauss_gram", with_nan)
     states = [tdpt.confluent(SPEC).state(k) for k in range(3)]
-    assert_fails_with_witness(reports._ortho(states, {}))
+    assert_fails_with_witness(reports._orthogonal(states, {}))
 
 
 def test_ortho_fails_when_the_rule_stops_at_its_node_cap(monkeypatch):
@@ -270,7 +270,7 @@ def test_ortho_fails_when_the_rule_stops_at_its_node_cap(monkeypatch):
         verify, "gauss_gram", partial(verify.gauss_gram, max_nodes=80)
     )
     spec = isotonic.IsotonicSpec(1, 1)
-    ok, params, witness = reports._iso_ortho(spec, 3, reports.GRID_N, Fraction(2))
+    ok, params, witness = reports._ortho(spec, 3, reports.GRID_N, Fraction(2))
     assert not ok
     assert "node cap" in witness
     assert params["nodes"] == 80

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from confluent_dbt import tdpt, verify
+from confluent_dbt import reports, tdpt, verify
 from confluent_dbt.classical import jacobi
 from confluent_dbt.exactalg import (
     Confluent,
@@ -211,6 +211,7 @@ def test_measure_weight_positive_inside_interval():
 def test_exceptional_family_contents():
     spec = tdpt.TdptSpec(1, 1, 1, 1)
     fam = tdpt.exceptional_family(spec, 4)
+    assert fam.levels == (0, 1, 2, 3, 4)
     assert len(fam.polys) == 5
     assert fam.polys[1] == jacobi(1, 1, 1)
     assert fam.weight == tdpt.measure_weight(spec)
@@ -224,8 +225,7 @@ def test_family_orthogonality_under_weight():
     # off-diagonal mass must vanish to quadrature accuracy
     spec = tdpt.TdptSpec(0, 1, 1, 1)
     fns = [tdpt.confluent(spec).state(k) for k in range(5)]
-    lo, hi = verify.tdpt_domain(1e-8)
-    vals, _ = verify.gram_matrix([f.eval_x for f in fns], lo, hi)
+    vals, _ = verify.gram_matrix([f.eval_x for f in fns], *tdpt.GRAM_INTERVAL)
     assert verify.max_offdiagonal_relative(vals) < 1e-10
 
 
@@ -287,11 +287,18 @@ def test_extension_potential_x_form_matches_z_form():
 
 def test_isospectrality_witness_smoke():
     spec = tdpt.TdptSpec(0, 1, 1, 1)
-    result, expected = tdpt.isospectrality_witness(spec, 3, grid_n=1500)
+    result, expected = reports.spectrum_witness(spec, 3, grid_n=1500)
     assert expected == [0.0, 16.0, 40.0]
     for got, want in zip(result.energies, expected):
         assert got == pytest.approx(want, rel=2e-4, abs=2e-4)
     assert result.node_counts == (0, 1, 2)
+
+
+def test_domain_windows():
+    a, b = tdpt.window(2.0, 9)  # the same for every frequency and level
+    assert a == pytest.approx(1e-4)
+    assert b == pytest.approx(math.pi / 2 - 1e-4)
+    assert tdpt.GRAM_INTERVAL == (1e-8, math.pi / 2 - 1e-8)
 
 
 # -- parameter validation ----------------------------------------------------------

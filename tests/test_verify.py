@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confluent_dbt import chains, cli, isotonic, tdpt, verify
+from confluent_dbt import chains, cli, isotonic, reports, tdpt, verify
 from confluent_dbt.classical import IsotonicOscillator, TrigPoschlTeller
 from confluent_dbt.exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
 
@@ -84,7 +84,7 @@ def residual_cases(draw):
         spec = isotonic.IsotonicSpec(draw(st.integers(0, 3)), draw(st.integers(1, 3)))
         f = (isotonic.confluent(spec).restored() if k == spec.n
              else isotonic.confluent(spec).state(k))
-        v, e = isotonic.extended_potential(spec).zform_units, 2 * k
+        v, e = isotonic.extended_potential(spec).z_form, 2 * k
     elif family == "trig base":
         base = TrigPoschlTeller(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
         f, v, e = base.eigenstate(k), base.v_zform(), base.energy(k)
@@ -292,7 +292,7 @@ def regular_tdpt_specs(draw):
 def test_gauss_gram_matches_adaptive_tdpt(spec, kmax):
     states = [tdpt.confluent(spec).state(k) for k in range(kmax + 1)]
     assert_gauss_matches_adaptive(
-        states, [f.eval_x for f in states], *verify.tdpt_domain(1e-8)
+        states, [f.eval_x for f in states], *tdpt.GRAM_INTERVAL
     )
 
 
@@ -303,7 +303,7 @@ def test_gauss_gram_matches_adaptive_tdpt(spec, kmax):
 @settings(max_examples=12, deadline=None)
 def test_gauss_gram_matches_adaptive_isotonic(n, N, kmax, omega):
     spec = isotonic.IsotonicSpec(n, N)
-    states = [isotonic.confluent(spec).state(k) for k in isotonic.surviving_levels(spec, kmax)]
+    states = [isotonic.confluent(spec).state(k) for k in isotonic.levels(spec, kmax)]
     fns = [(lambda x, f=f: f.eval_x(x, omega)) for f in states]
     assert_gauss_matches_adaptive(states, fns, 0.0, math.inf, omega)
 
@@ -455,13 +455,13 @@ def test_count_nodes_matches_the_loop(vec):
 
 
 def test_convergence_is_second_order():
-    a, b = verify.tdpt_domain()
+    a, b = tdpt.window(1.0, 0)
     ratio = verify.convergence_order_ratio(
         TrigPoschlTeller(1, 1).v, a, b, grid_n=1000
     )
     assert 3.6 < ratio < 4.4
     iso = IsotonicOscillator(1)
-    lo, hi = verify.isotonic_domain(2.0, 16.0)
+    lo, hi = isotonic.window(2.0, 4)
     ratio2 = verify.convergence_order_ratio(
         lambda x: iso.v(x, 2.0), lo, hi, grid_n=1000
     )
@@ -496,16 +496,14 @@ def test_potentials_give_one_value_per_grid_point(monkeypatch, tmp_path, capsys)
         )
 
     # the finite-difference solver: both bases and both extensions
-    tdpt.isospectrality_witness(tdpt.TdptSpec(0, 1, 1, 1), 2, grid_n=200)
-    isotonic.quasi_isospectrality_witness(
-        isotonic.IsotonicSpec(1, 1), 2.0, 2, grid_n=200
-    )
+    reports.spectrum_witness(tdpt.TdptSpec(0, 1, 1, 1), 2, grid_n=200)
+    reports.spectrum_witness(isotonic.IsotonicSpec(1, 1), 2, grid_n=200, omega=2.0)
     verify.convergence_order_ratio(
-        TrigPoschlTeller(1, 1).v, *verify.tdpt_domain(), grid_n=200
+        TrigPoschlTeller(1, 1).v, *tdpt.window(1.0, 0), grid_n=200
     )
     iso = IsotonicOscillator(1)
     verify.convergence_order_ratio(
-        lambda x: iso.v(x, 2.0), *verify.isotonic_domain(2.0, 16.0), grid_n=200
+        lambda x: iso.v(x, 2.0), *isotonic.window(2.0, 4), grid_n=200
     )
     assert len(calls) == 10
     # and `verify spectrum` on both kinds of build output
@@ -533,15 +531,3 @@ def test_potentials_give_one_value_per_grid_point(monkeypatch, tmp_path, capsys)
     assert all(len(shape) == 1 and shape[0] > 1 for shape in grid_calls)
     assert all(points == values for points, values in calls)
 
-
-# -- domains --------------------------------------------------------------------------
-
-
-def test_domain_windows():
-    a, b = verify.tdpt_domain()
-    assert a == pytest.approx(1e-4)
-    assert b == pytest.approx(math.pi / 2 - 1e-4)
-    lo, hi = verify.isotonic_domain(2.0, 16.0)
-    assert lo == pytest.approx(1e-3)
-    assert hi == pytest.approx(2.0 * math.sqrt(28.0))
-    assert verify.tdpt_domain(1e-6)[0] == 1e-6
