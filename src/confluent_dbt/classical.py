@@ -100,12 +100,11 @@ class TrigPoschlTeller(CheckedRecord, namedtuple("TrigPoschlTeller", "N M")):
         return Fraction(4 * n * (self.N + self.M + 1 + n))
 
     def v_zform(self) -> RationalFn:
+        """a/(1-z) + b/(1+z) - c as one fraction over 1 - z^2."""
         N, M = self.N, self.M
-        return (
-            RationalFn(2 * (Fraction(N) ** 2 - Fraction(1, 4)), ONE_MINUS)
-            + RationalFn(2 * (Fraction(M) ** 2 - Fraction(1, 4)), ONE_PLUS)
-            - Fraction((N + M + 1) ** 2)
-        )
+        a, b = Fraction(4 * N * N - 1, 2), Fraction(4 * M * M - 1, 2)
+        c = (N + M + 1) ** 2
+        return RationalFn(ExactPoly([a + b - c, a - b, c]), ONE_MINUS * ONE_PLUS)
 
     def v(self, x, omega: float = 1.0):
         """V at x: a float, or a numpy array of points (no frequency, so
@@ -144,11 +143,10 @@ class IsotonicOscillator(CheckedRecord, namedtuple("IsotonicOscillator", "N")):
         return Fraction(2 * n)
 
     def v_zform_units(self) -> RationalFn:
+        """z/2 + (N^2 - 1/4)/(2z) - (N + 1) as one fraction over z."""
         N = self.N
-        return (
-            RationalFn(Z, 2)
-            + RationalFn(Fraction(N * N, 1) - Fraction(1, 4), Z * 2)
-            - Fraction(N + 1)
+        return RationalFn(
+            ExactPoly([Fraction(4 * N * N - 1, 8), -(N + 1), Fraction(1, 2)]), Z
         )
 
     def v(self, x, omega: float):

@@ -900,7 +900,9 @@ class _Gauged:
         ))
 
     def rat_over(self, low: dict) -> RationalFn:
-        """`rat` over the gauge whose exponents are `low`."""
+        """`rat` over the gauge whose exponents are `low`.  The lift is a
+        product of powers of linear polynomials, so it shares a factor with
+        `rat`'s reduced denominator only where that vanishes at their roots."""
         powers = []
         for name, poly in self._POWERS.items():
             if getattr(self, name) != low[name]:
@@ -910,10 +912,12 @@ class _Gauged:
                 powers.append((poly, int(gap)))
         if not powers:
             return self.rat
-        lift = _lift(tuple(powers))
-        if self.rat.is_polynomial():  # over 1: nothing to cancel
-            return RationalFn._canonical(self.rat.num * lift, self.rat.den)
-        return self.rat * lift
+        lift, r = _lift(tuple(powers)), self.rat
+        roots = (-p.coeff(0) / p.coeff(1) for p, _ in powers)
+        # a constant denominator vanishes nowhere, so skip its evaluations
+        if r.is_polynomial() or all(map(r.den, roots)):
+            return RationalFn._canonical(r.num * lift, r.den)
+        return r * lift
 
     def d_dx(self):
         """Exact x-derivative by the family's law (`_law`)."""
@@ -1130,8 +1134,15 @@ class Confluent(namedtuple("Confluent", "psi_n w numerator")):
         return self.psi_n / self.w
 
     def correction(self):
-        """V-ext - V = -2 d/dx (psi_n^2 / w), gauged."""
-        return -2 * (self.psi_n * self.psi_n / self.w).d_dx()
+        """V-ext - V = -2 d/dx (psi_n^2 / w), gauged: with P, D the
+        polynomials of psi_n, w and (u, v) the law at psi_n^2 / w's gauge,
+        -2 [u P^2 D + v (2 P P' D - P^2 D')] / D^2, reduced once."""
+        psi, w = self.psi_n, self.w
+        p, d = psi.rat.num, w.rat.num
+        q = psi._replace(**{g: 2 * getattr(psi, g) - getattr(w, g) for g in w._GAUGE})
+        u, v, lower = q._law()
+        num = p * (u * p * d + v * (2 * p.derivative() * d - p * d.derivative()))
+        return q._replace(rat=RationalFn(num * -2, d * d), **lower)
 
 
 class ExtendedPotential(

@@ -163,6 +163,24 @@ def test_trig_potential_zform_matches_direct():
             assert zf(math.cos(2 * x)) == pytest.approx(base.v(x), rel=1e-12)
 
 
+@pytest.mark.parametrize("N", range(1, 13))
+def test_base_zforms_are_the_three_term_sums_exactly(N):
+    # the one-fraction z-forms against the sums they replaced, term by term
+    # as the potentials read: a/(1-z) + b/(1+z) - c and z/2 + a'/(2z) - c'
+    quarter = Fraction(1, 4)
+    for M in range(1, 13):
+        three_terms = (
+            RationalFn(2 * (Fraction(N) ** 2 - quarter), ExactPoly([1, -1]))
+            + RationalFn(2 * (Fraction(M) ** 2 - quarter), ExactPoly([1, 1]))
+            - Fraction((N + M + 1) ** 2)
+        )
+        assert TrigPoschlTeller(N, M).v_zform() == three_terms
+    three_terms = (
+        RationalFn(Z, 2) + RationalFn(Fraction(N * N) - quarter, Z * 2) - (N + 1)
+    )
+    assert IsotonicOscillator(N).v_zform_units() == three_terms
+
+
 def test_trig_eigenstate_solves_schroedinger_numerically():
     base = TrigPoschlTeller(1, 2)
     for n in (0, 1, 3):

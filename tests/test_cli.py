@@ -1362,6 +1362,33 @@ def test_module_entry_point():
     assert data["family"] == "jacobi"
 
 
+def test_output_digests_names_its_package_and_refuses_without_one(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    tool = [sys.executable, str(root / "tools" / "output_digests.py")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # -S: no site-packages either, where an installed copy could be found
+    proc = subprocess.run(
+        [tool[0], "-S", *tool[1:]], capture_output=True, text=True, env=env,
+        cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot import confluent_dbt")
+    assert proc.stderr.count("\n") == 1
+    pool = {"candidates": {"c1": {"argv": ["classical", "dump", "--family",
+                                           "laguerre", "--n", "1", "--N", "1"]}}}
+    (tmp_path / "pool.json").write_text(json.dumps(pool))
+    (tmp_path / "README.md").write_text("no commands\n")
+    proc = subprocess.run(
+        tool + ["--pool", "pool.json", "--readme", "README.md"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**env, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == f"digesting {root / 'src' / 'confluent_dbt'}\n"
+    digest, total = proc.stdout.splitlines()
+    assert digest.endswith("  c1") and total.startswith("total ")
+
+
 _NO_SCIPY_RUN = """
 import contextlib, io, json, os, sys
 import confluent_dbt.cli as cli

@@ -556,6 +556,62 @@ def test_radial_s_and_p_mismatch(pair, shift):
             other - f
 
 
+ONE_MINUS, ONE_PLUS, Z = ExactPoly([1, -1]), ExactPoly([1, 1]), ExactPoly.x()
+# factors with no root at 1, -1 or 0, where the lifts vanish
+OFF_ROOT_DENS = [ExactPoly([1]), ExactPoly([3, 1]), ExactPoly([2, 0, 1])]
+
+
+@st.composite
+def lifted_cases(draw):
+    """(f, low, lift): f's denominator vanishes at none, some or all of the
+    lift's roots, as powers of the lift's own factors chosen up to 2 make it;
+    `low` lowers f's exponents by `lift`'s powers."""
+    num = draw(poly_strategy(4))
+    den = draw(st.sampled_from(OFF_ROOT_DENS))
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        a, b, ga, gb = draw(exp_parts), draw(exp_parts), draw(exp_gaps), draw(exp_gaps)
+        rat = RationalFn(num, den * ONE_MINUS**i * ONE_PLUS**j)
+        return (TrigGauged(a + ga, b + gb, rat), {"a": a, "b": b},
+                ONE_MINUS**ga * ONE_PLUS**gb)
+    i, c, gc = draw(st.integers(0, 2)), draw(exp_parts), draw(exp_gaps)
+    s, p = draw(st.integers(-2, 1)), draw(st.integers(0, 3))
+    return RadialGauged(c + gc, s, p, RationalFn(num, den * Z**i)), {"c": c}, Z**gc
+
+
+def _trig_case(rat, gaps):
+    return TrigGauged(3 + gaps[0], 1 + gaps[1], rat), {"a": 3, "b": 1}, (
+        ONE_MINUS ** gaps[0] * ONE_PLUS ** gaps[1])
+
+
+@given(lifted_cases())
+@example(_trig_case(RationalFn(ExactPoly([1]), ExactPoly([3, 1])), (1, 2)))
+@example(_trig_case(RationalFn(ExactPoly([1]), ExactPoly([3, 4, 1])), (0, 2)))
+@example(_trig_case(RationalFn(ExactPoly([0, 1]), ExactPoly([-1, 0, 1])), (1, 1)))
+@example((RadialGauged(2, -1, 0, RationalFn(ExactPoly([1]), ExactPoly([0, 2, 0, 1]))),
+          {"c": 1}, Z))
+@settings(max_examples=80, deadline=None)
+def test_rat_over_is_the_reduced_product_with_the_lift(case):
+    # the lift shares a factor with a reduced denominator only where that
+    # vanishes at 1, -1 or 0: rat_over skips the cancel elsewhere, and both
+    # routes must give rat * lift, reduced as sympy.cancel reduces it
+    sympy = pytest.importorskip("sympy")
+    f, low, lift = case
+    got = f.rat_over(low)
+    assert got == f.rat * lift
+    x = sympy.Symbol("x")
+
+    def poly(p):
+        cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+        return sympy.Poly(cs or [0], x, domain=sympy.QQ)
+
+    assert got.den.lc() == 1
+    assert sympy.gcd(poly(got.num), poly(got.den)).degree() == 0
+    value = poly(got.num).as_expr() / poly(got.den).as_expr()
+    want = poly(f.rat.num * lift).as_expr() / poly(f.rat.den).as_expr()
+    assert sympy.cancel(value - want) == 0
+
+
 # -- array evaluation ----------------------------------------------------------
 
 # The references are written out point by point on Python floats and libm:

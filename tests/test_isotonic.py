@@ -154,6 +154,19 @@ def test_confluent_refuses_a_denominator_whose_derivative_is_not_psi_n_squared()
         Confluent(ext.psi_n, bad, ext.numerator)
 
 
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("N", range(1, 6))
+def test_correction_is_minus_twice_the_derivative_of_psi_n_squared_over_w(n, N):
+    # the one reduction over w^2 against the gauged algebra's
+    # -2 d/dx (psi_n^2 / w)
+    ext = isotonic.confluent(isotonic.IsotonicSpec(n, N))
+    got = ext.correction()
+    want = -2 * (ext.psi_n * ext.psi_n / ext.w).d_dx()
+    assert got == want
+    # the same gauge and the same reduced rational part
+    assert got._asdict() == want._asdict()
+
+
 def test_exceptional_family_skips_deleted_level():
     spec = isotonic.IsotonicSpec(1, 1)
     fam = isotonic.exceptional_family(spec, 4)

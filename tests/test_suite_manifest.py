@@ -298,6 +298,28 @@ def test_isotonic_ode_fails_on_the_potential_for_n_plus_one(monkeypatch):
     assert_fails_with_witness(reports._ode(spec, 3, reports.GRID_N, None))
 
 
+def _correction_with_the_w_prime_term_flipped(self):
+    """`Confluent.correction` with the sign of its P^2 D' term flipped:
+    -2 [u P^2 D + v (2 P P' D + P^2 D')] / D^2."""
+    psi, w = self.psi_n, self.w
+    p, d = psi.rat.num, w.rat.num
+    q = psi._replace(**{g: 2 * getattr(psi, g) - getattr(w, g) for g in w._GAUGE})
+    u, v, lower = q._law()
+    num = p * (u * p * d + v * (2 * p.derivative() * d + p * d.derivative()))
+    return q._replace(rat=exactalg.RationalFn(num * -2, d * d), **lower)
+
+
+@pytest.mark.parametrize("spec", [SPEC, isotonic.IsotonicSpec(1, 1)], ids=repr)
+def test_ode_fails_on_a_correction_with_the_w_prime_term_flipped(monkeypatch, spec):
+    # an error inside the construction's one formula, not a wrong spec
+    body = partial(reports._ode, spec, 3, reports.GRID_N, None)
+    assert body()[0]
+    monkeypatch.setattr(
+        exactalg.Confluent, "correction", _correction_with_the_w_prime_term_flipped
+    )
+    assert_fails_with_witness(body())
+
+
 # -- negative controls of the manifest checks ------------------------------------------
 
 

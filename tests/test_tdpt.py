@@ -175,6 +175,27 @@ def test_confluent_refuses_a_denominator_whose_derivative_is_not_psi_n_squared()
         Confluent(ext.psi_n, bad, ext.numerator)
 
 
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("lam", ["0", "-7/3", "threshold + 1/1000", "1000000"])
+def test_correction_is_minus_twice_the_derivative_of_psi_n_squared_over_w(n, lam):
+    # the one reduction over w^2 against the gauged algebra's
+    # -2 d/dx (psi_n^2 / w); at lambda1 = 0, w vanishes at z = -1 and the
+    # reduction must cancel 1 + z
+    for N in range(1, 5):
+        for M in range(1, 5):
+            if lam == "threshold + 1/1000":
+                lam1 = tdpt.regularity_threshold(n, N, M) + Fraction(1, 1000)
+            else:
+                lam1 = Fraction(lam)
+            ext = tdpt.confluent(tdpt.TdptSpec(n, N, M, lam1))
+            assert (ext.w.rat.num(-1) == 0) == (lam1 == 0)
+            got = ext.correction()
+            want = -2 * (ext.psi_n * ext.psi_n / ext.w).d_dx()
+            assert got == want
+            # the same gauge and the same reduced rational part
+            assert got._asdict() == want._asdict()
+
+
 def test_p_tilde_degree_and_surviving_level():
     spec = tdpt.TdptSpec(1, 1, 1, 1)
     n, N, M = spec.n, spec.N, spec.M

@@ -10,7 +10,9 @@ zeroed).  One line per command is printed, then the total over all of them:
 
 Run it once on each tree (the package is imported from `PYTHONPATH`, the
 command lists are read from this checkout) and compare the totals; `diff`
-of the two files names the commands whose output moved.  The pool file is
+of the two files names the commands whose output moved.  The directory of
+the package digested goes to stderr, so a run on the wrong tree shows; with
+no `confluent_dbt` importable the script exits 2.  The pool file is
 only read.  Pool commands each run in a fresh empty directory; the README
 lines run in order in one directory, so a file one line writes (`--out
 pot.json`) is read by the next, and `params.json` holds the spec fields
@@ -31,7 +33,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-from confluent_dbt import cli
+try:
+    from confluent_dbt import cli
+except ModuleNotFoundError as exc:  # PYTHONPATH=src left out
+    if exc.name != "confluent_dbt":
+        raise
+    cli = None
 
 ROOT = Path(__file__).resolve().parent.parent
 _ELAPSED = re.compile(r'("elapsed_ms": )\d+')
@@ -93,6 +100,11 @@ def main(argv=None) -> int:
     p.add_argument("--pool", type=Path, default=ROOT / "perfbench" / "pool.json")
     p.add_argument("--readme", type=Path, default=ROOT / "README.md")
     args = p.parse_args(argv)
+    if cli is None:
+        print("error: cannot import confluent_dbt; run with PYTHONPATH=src "
+              "from the root of a checkout", file=sys.stderr)
+        return 2
+    print(f"digesting {Path(cli.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
 
     def emit(cid, digest):
