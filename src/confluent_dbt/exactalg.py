@@ -1112,7 +1112,8 @@ def confluent_numerator(psi_n, w, psi_k, gap, w_k) -> ExactPoly:
 class Confluent(namedtuple("Confluent", "psi_n w numerator")):
     """The two-step confluent Darboux transformation at the seed psi_n
     (Fernandez and Salinas-Hernandez, J. Phys. A 36 (2003) 2537), with a
-    denominator w whose x-derivative is psi_n^2 (no other is accepted).
+    denominator w whose x-derivative is psi_n^2 (no other is accepted), each
+    of psi_n and w a gauge times a polynomial, which the formulas read.
     The state of a level k != n, c [(E_n - E_k) psi_k - psi_n W_k / w]
     with W_k = W(psi_n, psi_k), is psi_n's gauge times p~_k over w's
     polynomial: the family's c (1, or 1/(2w) for isotonic) leaves it that
@@ -1123,6 +1124,8 @@ class Confluent(namedtuple("Confluent", "psi_n w numerator")):
     __slots__ = ()
 
     def __new__(cls, psi_n, w, numerator):
+        if not (psi_n.rat.is_polynomial() and w.rat.is_polynomial()):
+            raise ValueError("psi_n and w must each be a gauge times a polynomial")
         if w.d_dx() != psi_n * psi_n:
             raise ValueError("the Darboux denominator's x-derivative is not psi_n^2")
         return super().__new__(cls, psi_n, w, numerator)

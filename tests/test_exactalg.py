@@ -563,9 +563,9 @@ OFF_ROOT_DENS = [ExactPoly([1]), ExactPoly([3, 1]), ExactPoly([2, 0, 1])]
 
 @st.composite
 def lifted_cases(draw):
-    """(f, low, lift): f's denominator vanishes at none, some or all of the
-    lift's roots, as powers of the lift's own factors chosen up to 2 make it;
-    `low` lowers f's exponents by `lift`'s powers."""
+    """(f, low, lift): f's denominator is one of OFF_ROOT_DENS times powers
+    0 to 2 of 1 - z and 1 + z (or of z), so it vanishes at none, some or all
+    of the lift's roots; `low` lowers f's exponents by the lift's powers."""
     num = draw(poly_strategy(4))
     den = draw(st.sampled_from(OFF_ROOT_DENS))
     if draw(st.booleans()):

@@ -175,6 +175,21 @@ def test_confluent_refuses_a_denominator_whose_derivative_is_not_psi_n_squared()
         Confluent(ext.psi_n, bad, ext.numerator)
 
 
+def test_confluent_refuses_a_rational_part_that_is_not_a_polynomial():
+    # psi_n or w written one power of 1 - z higher, over 1 - z: gauged `==`
+    # to it, so the guard on w' holds, but the formulas read the polynomials
+    ext = tdpt.confluent(tdpt.TdptSpec(1, 2, 1, -2))
+    psi_over, w_over = (
+        f._replace(a=f.a + 1, rat=RationalFn(f.rat.num, ONE_MINUS))
+        for f in (ext.psi_n, ext.w)
+    )
+    assert psi_over == ext.psi_n and w_over == ext.w
+    assert w_over.d_dx() == psi_over * psi_over
+    for psi_n, w in ((ext.psi_n, w_over), (psi_over, ext.w)):
+        with pytest.raises(ValueError, match="gauge times a polynomial"):
+            Confluent(psi_n, w, ext.numerator)
+
+
 @pytest.mark.parametrize("n", range(9))
 @pytest.mark.parametrize("lam", ["0", "-7/3", "threshold + 1/1000", "1000000"])
 def test_correction_is_minus_twice_the_derivative_of_psi_n_squared_over_w(n, lam):
