@@ -644,9 +644,11 @@ def _sampled_table(family: str, args, potential: bool, states: bool) -> int:
     fam = _FAMILY[family]
     spec = _spec(family, args)
     pot = fam.extended_potential(spec)  # tdpt: rejects the window
-    xs = args.x_points if args.x_points is not None else _grid(fam.TABLE_GRID)
-    _inside(family, "table points", xs[0], xs[-1])
     omega, levels = _omega(args), fam.levels(spec, args.kmax)
+    xs = args.x_points
+    if xs is None:
+        xs = np.linspace(*fam.table_grid(omega))  # in the family's units
+    _inside(family, "table points", xs[0], xs[-1])
     header, columns = ["x"], []
     if potential:
         header += ["v_base", "v_ext"]

@@ -34,7 +34,11 @@ becomes u R + w R' and the exponents shift by a fixed step, (a, b) ->
 (a - 1/2, b - 1/2) or (c, p) -> (c - 1/2, p + 1).  That turns Schroedinger
 identities into decidable rational-function identities: `exact_ode_residual`
 gives psi'' + (E - V) psi of a gauged state over one common denominator,
-zero exactly when the state solves the equation.
+zero exactly when the state solves the equation.  The states gauge P/D of
+one extension are eigenpolynomials P of one second-order operator with
+polynomial coefficients, Q2 P'' + Q1 P' + (Q0 + E Qe) P over D^3 h; it is
+built once per (gauge, V, D) from V, the law and D alone, never from the
+construction of the states, and memoized in a bounded cache.
 """
 
 from __future__ import annotations
@@ -1169,6 +1173,41 @@ class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec levels polys weigh
     __slots__ = ()
 
 
+@lru_cache(maxsize=256)
+def _ode_operator(family, gauge: tuple, v_zform: RationalFn, d: ExactPoly) -> tuple:
+    """(g, D^3 h, Q2, Q1, Q0, Qe): psi'' + (E - V) psi for psi = gauge P/D
+    of `family` is g (Q2 P'' + Q1 P' + (Q0 + E Qe) P) / (D^3 h).  Memoized
+    (`cache_clear()` empties it): the states of one extension share their
+    gauge, V and D.
+
+    With h and d2 = `_cancel(V.den, D^2)`, the law's first step takes P/D
+    to (A P + B P') / D^2, A = u D - w D' and B = w D, and its second, times
+    h, to E2 B P'' + (C B + E2 (A + B')) P' + (C A + E2 A') P over D^3 h,
+    C = (u D - 2 w D') h and E2 = w D h.  (E - V) P / D joins it over D^3 h
+    through the lift from the gauge down to g; a radial state keeps its
+    1/2, since (E - V) psi = (sqrt(2w))^2 ((E - V)/2) psi in units of w."""
+    f = family(*gauge, RationalFn(1))
+    d1, dd = d.derivative(), d * d
+    h, d2 = _cancel(v_zform.den, dd)
+    u, w, lower = f._law()
+    a, b = u * d - w * d1, w * d
+    g = f._replace(**lower)
+    u, w, lower = g._law()
+    c, e2 = (u * d - 2 * w * d1) * h, w * d * h
+    g = g._replace(**lower)
+    lift = f.rat_over(g._asdict()).num * d2
+    if family is RadialGauged:
+        lift = lift * _HALF
+    return (
+        g,
+        dd * d * h,
+        e2 * b,
+        c * b + e2 * (a + b.derivative()),
+        c * a + e2 * a.derivative() - v_zform.num * lift,
+        v_zform.den * lift,
+    )
+
+
 def exact_ode_residual(f, v_zform: RationalFn, energy):
     """Exact residual psi'' + (E - V) psi as a gauged function.
 
@@ -1178,24 +1217,22 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     (V(x) = w * v_zform(z), E = w * energy), which cancels from the
     statement.  The identity holds iff the returned object `.is_zero`.
 
-    The residual sits two derivatives below f's gauge: psi'' is N/D^3 by the
-    family's law applied twice to f's P/D, (E - V) psi = G/H psi joins it
-    over D lcm(D^2, H), and the sum is reduced once, by no gcd if it is zero.
+    The residual sits two derivatives below f's gauge.  For f = gauge P/D
+    it applies the operator of (f's gauge, V, D) (`_ode_operator`, built
+    once and memoized) to P: Q2 P'' + Q1 P' + (Q0 + E Qe) P over D^3 h, a
+    rational E entering as one fraction, reduced once, by no gcd if it is
+    zero.  The operator reads only V, the gauge and D.
     """
     if not isinstance(f, (TrigGauged, RadialGauged)):
         raise TypeError("eigenfunction must be a gauged function")
-    e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
-    gap = e - v_zform  # E - V
-    if isinstance(f, RadialGauged):
-        gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
-    num, d, g = f.rat.num, f.rat.den, f
-    for j in (1, 2):
-        # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
-        u, w, lower = g._law()
-        num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
-        g = g._replace(**lower)
-    h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
-    # P G from f's gauge onto the residual's, over the same denominator
-    term = f._replace(rat=RationalFn(f.rat.num * gap.num * d2)).rat_over(g._asdict())
-    num = num * h + term.num
-    return g._replace(rat=RationalFn(num, d * d * d * h if num else None))
+    gauge = tuple(getattr(f, n) for n in f._GAUGE)
+    g, den, q2, q1, q0, qe = _ode_operator(type(f), gauge, v_zform, f.rat.den)
+    p = f.rat.num
+    dp = p.derivative()
+    num = q2 * dp.derivative() + q1 * dp
+    if isinstance(energy, RationalFn):
+        num = (num + q0 * p) * energy.den + qe * p * energy.num
+        den = den * energy.den
+    else:
+        num = num + (q0 + qe * as_rat(energy)) * p
+    return g._replace(rat=RationalFn(num, den if num else None))

@@ -254,7 +254,6 @@ def n0_shape_positive_control(N: int) -> bool:
 GAUGE = RadialGauged  # z = w x^2/2, values in units of w
 INPUTS = ("omega",)  # what numeric evaluation reads besides the spec
 DOMAIN = (math.inf, "x > 0")  # the open x-domain, 0 < x < DOMAIN[0]
-TABLE_GRID = "0.05:5:200"  # the points of a table by default
 GRAM_INTERVAL = (0.0, math.inf)  # where a Gram matrix integrates
 exceptional = l_tilde  # the exceptional polynomial of level k
 
@@ -271,6 +270,14 @@ def levels(spec: IsotonicSpec, kmax: int) -> tuple:
 def energy(spec: IsotonicSpec, k: int) -> Fraction:
     """E_k = 2k in units of w, the same for the base and the extension."""
     return spec.base.energy_units(k)
+
+
+def table_grid(omega: float) -> tuple:
+    """The points of a table by default, (first, last, count): x from 0.05
+    to 5 in units of 1/sqrt(w), so the states' nodes fall on it at every
+    frequency."""
+    unit = math.sqrt(omega)
+    return 0.05 / unit, 5.0 / unit, 200
 
 
 def window(omega: float, top: int) -> tuple:

@@ -826,10 +826,11 @@ def _check_verify_gram():
 
 
 def _clear_constructor_caches():
-    """Empty the memoized exact constructors, also through a wrapper put
-    around them (such as a tracer's)."""
+    """Empty the memoized exact constructors and residual operators, also
+    through a wrapper put around them (such as a tracer's)."""
     for fn in (classical.jacobi, classical.laguerre, tdpt.q_poly, isotonic.q_poly,
-               tdpt._seed, tdpt.confluent, isotonic._seed, isotonic.confluent):
+               tdpt._seed, tdpt.confluent, isotonic._seed, isotonic.confluent,
+               exactalg._ode_operator):
         while not hasattr(fn, "cache_clear"):
             fn = fn.__wrapped__
         fn.cache_clear()

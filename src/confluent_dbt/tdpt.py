@@ -243,7 +243,6 @@ def shape_invariance_holds(n: int, N: int, M: int, lambda1) -> bool:
 GAUGE = TrigGauged  # z = cos 2x, values as they are
 INPUTS = ()  # what numeric evaluation reads besides the spec: no frequency
 DOMAIN = (math.pi / 2, "0 < x < pi/2")  # the open x-domain, 0 < x < DOMAIN[0]
-TABLE_GRID = "0.01:1.56:200"  # the points of a table by default
 GRAM_INTERVAL = (1e-8, math.pi / 2 - 1e-8)  # where a Gram matrix integrates
 exceptional = p_tilde  # the exceptional polynomial of level k
 
@@ -258,6 +257,12 @@ def levels(spec: TdptSpec, kmax: int) -> tuple:
 def energy(spec: TdptSpec, k: int) -> Fraction:
     """E_k, the same for the base and the extension."""
     return spec.base.energy(k)
+
+
+def table_grid(omega: float) -> tuple:
+    """The points of a table by default, (first, last, count); the family
+    has no frequency, so `omega` is not read."""
+    return 0.01, 1.56, 200
 
 
 def window(omega: float, top: int) -> tuple:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import classical, cli, isotonic, reports, tdpt, verify
+from confluent_dbt import classical, cli, exactalg, isotonic, reports, tdpt, verify
 from confluent_dbt.exactalg import ExactPoly, RationalFn
 
 
@@ -459,6 +459,44 @@ def test_isotonic_table_spot_values_match_library(capsys):
     for line in out.strip().split("\n")[1:]:
         cells = [float(c) for c in line.split(",")]
         assert cells[2] == pytest.approx(pot.v(cells[0], 2.0), rel=1e-14)
+
+
+# the spec flags of a family's table, and its default points written out
+_DEFAULT_POINTS = [
+    ("tdpt", "--n 0 --N 1 --M 1 --lambda1 1", None, "0.01:1.56:200"),
+    ("isotonic", "--n 1 --N 1", "1", "0.05:5:200"),
+    ("isotonic", "--n 1 --N 1", "4", "0.025:2.5:200"),
+]
+
+
+@pytest.mark.parametrize("family,spec,omega,points", _DEFAULT_POINTS)
+@pytest.mark.parametrize("kind", ["potential", "eigenfunction"])
+def test_default_table_points_are_the_family_grid_in_its_units(
+    capsys, family, spec, omega, points, kind
+):
+    # isotonic points are 0.05 to 5 in units of 1/sqrt(w); tdpt has no frequency
+    argv = ["table", "--kind", kind, "--family", family, *spec.split()]
+    argv += ["--omega", omega] if omega else []
+    default = run_cli(capsys, *argv)
+    assert default[0] == 0
+    assert default == run_cli(capsys, *argv, "--x-points", points)
+
+
+def _sign_changes(values):
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
+
+
+def test_isotonic_default_table_shows_the_nodes_at_a_low_frequency(capsys):
+    code, out, err = run_cli(capsys, "isotonic", "table", "--n", "1", "--N", "1",
+                             "--omega", "1/100", "--kmax", "3")
+    assert code == 0
+    header, *lines = out.strip().split("\n")
+    columns = list(zip(*([float(c) for c in line.split(",")] for line in lines)))
+    psi = dict(zip(header.split(","), columns))
+    assert len(lines) == 200 and psi["x"][0] == 0.5 and psi["x"][-1] == 50.0
+    # the j-th state up the ladder has j nodes, and the points show them all
+    nodes = [_sign_changes(psi[f"psi_{k}"]) for k in (0, 2, 3)]
+    assert nodes == [0, 1, 2]
 
 
 # -- chain ----------------------------------------------------------------------------
@@ -985,7 +1023,7 @@ def test_verify_spectrum_rebuilds_the_potential_bit_for_bit(
 
 
 # the names of a family's numeric description, at the end of its module
-DESCRIPTION = {"GAUGE", "INPUTS", "DOMAIN", "TABLE_GRID", "GRAM_INTERVAL",
+DESCRIPTION = {"GAUGE", "INPUTS", "DOMAIN", "table_grid", "GRAM_INTERVAL",
                "exceptional", "levels", "energy", "window"}
 
 
@@ -1300,6 +1338,14 @@ def test_commands_reuse_parser_and_caches_in_either_order(capsys):
     assert forward == backward[::-1]
     # the two chain runs differ in their step count, not by leftover state
     assert forward[2][1] != forward[3][1]
+
+
+def test_clearing_the_constructor_caches_empties_the_residual_operators():
+    spec = isotonic.IsotonicSpec(1, 1)
+    assert reports.run_spec_checks("isotonic", ["ode"], spec)[0].status == "pass"
+    assert exactalg._ode_operator.cache_info().currsize > 0
+    reports._clear_constructor_caches()
+    assert exactalg._ode_operator.cache_info().currsize == 0
 
 
 def test_parser_is_built_once():

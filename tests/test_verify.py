@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from confluent_dbt import chains, cli, isotonic, reports, tdpt, verify
+from confluent_dbt import chains, cli, exactalg, isotonic, reports, tdpt, verify
 from confluent_dbt.classical import IsotonicOscillator, TrigPoschlTeller
-from confluent_dbt.exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
+from confluent_dbt.exactalg import (
+    ExactPoly, RadialGauged, RationalFn, TrigGauged, _cancel, as_rat,
+)
 
 
 # -- exact residual operator -----------------------------------------------------
@@ -106,11 +110,126 @@ def residual_cases(draw):
     return f, v, e, variant
 
 
+def frozen_residual(f, v_zform, energy):
+    """The residual as computed before the memoized operator, kept as an
+    oracle: the law applied twice to f's P/D gives N/D^3, (E - V) psi = G/H
+    psi joins it over D lcm(D^2, H), and the sum is reduced once."""
+    if not isinstance(f, (TrigGauged, RadialGauged)):
+        raise TypeError("eigenfunction must be a gauged function")
+    e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
+    gap = e - v_zform  # E - V
+    if isinstance(f, RadialGauged):
+        gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
+    num, d, g = f.rat.num, f.rat.den, f
+    for j in (1, 2):
+        # u r + w r' with r = num/D^j is (D (u num + w num') - j w num D')/D^(j+1)
+        u, w, lower = g._law()
+        num = d * (u * num + w * num.derivative()) - j * w * num * d.derivative()
+        g = g._replace(**lower)
+    h, d2 = _cancel(gap.den, d * d)  # H and D^2 over their gcd
+    # P G from f's gauge onto the residual's, over the same denominator
+    term = f._replace(rat=RationalFn(f.rat.num * gap.num * d2)).rat_over(g._asdict())
+    num = num * h + term.num
+    return g._replace(rat=RationalFn(num, d * d * d * h if num else None))
+
+
+def assert_same_residual(new, old):
+    """Equal as gauged values and field by field: the same exponents and the
+    same reduced numerator and monic denominator."""
+    assert type(new) is type(old)
+    assert new == old
+    assert tuple(new) == tuple(old)
+
+
+def suite_states(family, spec, kmax):
+    """(level, state) of each state an `ode` suite checks: every level up to
+    kmax but n, then the restored state psi_n / w at level n."""
+    ext = family.confluent(spec)
+    states = [(k, ext.state(k)) for k in range(kmax + 1) if k != spec.n]
+    return states + [(spec.n, ext.restored())]
+
+
+def assert_matches_the_frozen_route(family, spec, kmax):
+    v = family.extended_potential(spec).z_form
+    for k, f in suite_states(family, spec, kmax):
+        e = family.energy(spec, k)
+        res = verify.exact_ode_residual(f, v, e)
+        assert res.is_zero
+        assert_same_residual(res, frozen_residual(f, v, e))
+    # a nonzero residual, reduced against the full denominator
+    e = family.energy(spec, spec.n) + 1
+    assert_same_residual(verify.exact_ode_residual(f, v, e), frozen_residual(f, v, e))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_residual_matches_the_frozen_route_on_tdpt(n):
+    for N, M in product(range(1, 5), repeat=2):
+        above = tdpt.regularity_threshold(n, N, M) + Fraction(1, 1000)
+        for lam in (Fraction(0), Fraction(-7, 3), above, Fraction(10**6)):
+            assert_matches_the_frozen_route(tdpt, tdpt.TdptSpec(n, N, M, lam), 4)
+
+
+def test_residual_matches_the_frozen_route_on_isotonic():
+    for n, N in product(range(9), range(1, 6)):
+        assert_matches_the_frozen_route(isotonic, isotonic.IsotonicSpec(n, N), 4)
+
+
+def test_residual_operators_are_keyed_by_gauge_potential_and_denominator():
+    # the states of an extension, the isotonic deleted state (another
+    # gauge) and each state over two more denominators (same gauge and V)
+    cases = []
+    for family, spec in ((tdpt, tdpt.TdptSpec(2, 1, 2, Fraction(-7, 3))),
+                         (isotonic, isotonic.IsotonicSpec(2, 1))):
+        v = family.extended_potential(spec).z_form
+        for k, f in suite_states(family, spec, 4):
+            e = family.energy(spec, k) + k % 2  # odd levels off their energy
+            for j in (0, 2, 3):
+                rat = f.rat * RationalFn(1, ExactPoly([j, 1])) if j else f.rat
+                cases.append((f._replace(rat=rat), v, e))
+    cold = []
+    for case in cases:
+        exactalg._ode_operator.cache_clear()
+        cold.append(verify.exact_ode_residual(*case))
+    order = list(range(len(cases)))
+    random.Random(7).shuffle(order)
+    exactalg._ode_operator.cache_clear()
+    for i in order:
+        assert_same_residual(verify.exact_ode_residual(*cases[i]), cold[i])
+    keys = {(type(f), *(getattr(f, n) for n in f._GAUGE), v, f.rat.den)
+            for f, v, _ in cases}
+    info = exactalg._ode_operator.cache_info()
+    assert (info.currsize, info.hits) == (len(keys), len(cases) - len(keys))
+
+
+@pytest.mark.parametrize("spec,kmax", [
+    (tdpt.TdptSpec(1, 2, 1, Fraction(7, 3)), 4),
+    (tdpt.TdptSpec(5, 1, 1, Fraction(-1)), 3),
+    (isotonic.IsotonicSpec(1, 2), 4),
+    (isotonic.IsotonicSpec(4, 1), 2),
+])
+def test_ode_check_takes_one_residual_per_state(monkeypatch, spec, kmax):
+    family = reports._family(spec)
+    real, calls = exactalg.exact_ode_residual, []
+
+    def counting(f, v, e):
+        calls.append(f)
+        return real(f, v, e)
+
+    monkeypatch.setattr(exactalg, "exact_ode_residual", counting)
+    exactalg._ode_operator.cache_clear()
+    ok, _, _ = reports._ode(spec, kmax, None, None)
+    assert ok
+    assert calls == [f for _, f in suite_states(family, spec, kmax)]
+    # one operator serves the states; isotonic's deleted state has its own gauge
+    assert exactalg._ode_operator.cache_info().currsize == 1 + (family is isotonic)
+
+
 @given(residual_cases())
 @settings(max_examples=80, deadline=None)
 def test_residual_matches_the_gauged_route(case):
     f, v, energy, variant = case
     res = verify.exact_ode_residual(f, v, energy)
+    assert_same_residual(res, frozen_residual(f, v, energy))
     assert res == gauged_route(f, v, energy)
     assert res.is_zero == (variant in ("true", "rational energy"))
     # two half powers below f's gauge, reduced, with a monic denominator
