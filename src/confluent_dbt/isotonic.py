@@ -276,8 +276,8 @@ def table_grid(omega: float) -> tuple:
     """The points of a table by default, (first, last, count): x from 0.05
     to 5 in units of 1/sqrt(w), so the states' nodes fall on it at every
     frequency."""
-    unit = math.sqrt(omega)
-    return 0.05 / unit, 5.0 / unit, 200
+    root = math.sqrt(omega)
+    return 0.05 / root, 5.0 / root, 200
 
 
 def window(omega: float, top: int) -> tuple:
