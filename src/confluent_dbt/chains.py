@@ -125,22 +125,6 @@ def dbt_apply(seed: SeedFunction, v):
     return v1, transform
 
 
-def confluent_seed(seed: SeedFunction, lambda1: float) -> SeedFunction:
-    """The second-step seed (lambda1 + I)/f.
-
-    It solves the one-step partner equation at the same energy; its
-    derivative collapses to f - (lambda1 + I) f'/f^2."""
-
-    def big(x):
-        return (lambda1 + integral_from_anchor(seed, x)) / seed.f(x)
-
-    def dbig(x):
-        fx = seed.f(x)
-        return fx - (lambda1 + integral_from_anchor(seed, x)) * seed.df(x) / (fx * fx)
-
-    return SeedFunction(big, dbig, seed.energy, seed.x0)
-
-
 def confluent_two_step(seed: SeedFunction, v, lambda1: float):
     """Composite of the two steps.
 
@@ -180,14 +164,17 @@ def _integrate(rhs, x_start, y0, xs):
     x_start towards both ends of xs and return y sampled at xs by the dense
     output, one row per component.  A stalled solver raises ValueError."""
     out = np.zeros((len(y0), len(xs)))
-    for sel, stop in ((xs < x_start, xs.min()), (xs >= x_start, xs.max())):
-        if stop == x_start or not np.any(sel):
-            # nothing to reach on this side, or every point sits at x_start
-            out[:, sel] = np.asarray(y0, dtype=float)[:, None]
-            continue
-        out[:, sel] = dop853.solve(rhs, x_start, stop, y0, rtol=1e-11, atol=1e-13)(
-            xs[sel]
-        )
+    # a chain turning singular overflows before the solver stalls: the
+    # stall is its one error, with no warnings ahead of it
+    with np.errstate(all="ignore"):
+        for sel, stop in ((xs < x_start, xs.min()), (xs >= x_start, xs.max())):
+            if stop == x_start or not np.any(sel):
+                # nothing to reach on this side, or every point sits at x_start
+                out[:, sel] = np.asarray(y0, dtype=float)[:, None]
+                continue
+            out[:, sel] = dop853.solve(
+                rhs, x_start, stop, y0, rtol=1e-11, atol=1e-13
+            )(xs[sel])
     return out
 
 

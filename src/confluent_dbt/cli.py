@@ -541,6 +541,9 @@ def _cmd_verify_gram(args) -> int:
     if container is dict:  # the keys of an object carry no order
         levels = sorted(levels)
     levels = levels or [k for k in fam.levels(spec, count) if k < count]
+    if len(levels) < 2:  # a Gram matrix needs an off-diagonal entry
+        raise ValueError(f"verify gram needs at least two levels; {what} "
+                         f"lists {len(levels)}")
     omega, ext = _omega(args), fam.confluent(spec)
     fns = [partial(ext.state(k).eval_x, omega=omega) for k in levels]
     vals, results = verify.gram_matrix(fns, *fam.GRAM_INTERVAL)

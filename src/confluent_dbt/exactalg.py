@@ -13,12 +13,12 @@ cached, and transcendental factors stay on libm (`pointwise`).
 
 A gcd comes from one big-integer gcd of values at a power of two
 (GCDHEU), accepted only when trial division certifies it, with a primitive
-remainder sequence as the fallback.  Every `RationalFn` operation returns
-a reduced result by Henrici's formulas, which take gcds of the operands'
-factors rather than of their cross products.  A power of a linear
-polynomial comes from the binomial theorem, and the JSON form of a
-coefficient is its reduced numerator and denominator read off the stored
-integers.
+remainder sequence as the fallback; the same sequence (`_prs`) builds the
+Sturm chains.  Every `RationalFn` operation returns a reduced result by
+Henrici's formulas, which take gcds of the operands' factors rather than
+of their cross products.  A power of a linear polynomial comes from the
+binomial theorem, and the JSON form of a coefficient is its reduced
+numerator and denominator read off the stored integers.
 
 The two gauged families are
 
@@ -80,6 +80,11 @@ class CheckedRecord:
     @classmethod
     def _make(cls, fields):
         return cls(*fields)
+
+    def as_dict(self) -> dict:
+        """The fields as JSON values: an exact rational as its string."""
+        d = self._asdict()
+        return {k: str(v) if isinstance(v, Fraction) else v for k, v in d.items()}
 
 
 def pointwise(fn, x, *args):
@@ -454,8 +459,8 @@ class ExactPoly:
         """Monic greatest common divisor.
 
         The heuristic gcd (`_heu_gcd`) settles it with big-integer gcds of
-        values; when it gives up, a primitive polynomial remainder sequence
-        over Z finds the gcd."""
+        values; when it gives up, the last entry of the primitive remainder
+        sequence (`_prs`) is the gcd."""
         if other.is_zero:
             return self.monic()
         if self.is_zero:
@@ -464,17 +469,9 @@ class ExactPoly:
         if len(a) == 1 or len(b) == 1:
             return ExactPoly.one()
         g = _heu_gcd(a, b)
-        if g is not None:
-            return ExactPoly._monic_of(g)
-        if len(a) < len(b):
-            a, b = b, a
-        while True:
-            r = _strip(_pdiv(a, b)[1])
-            if not r:
-                return ExactPoly._monic_of(b)
-            if len(r) == 1:
-                return ExactPoly.one()
-            a, b = b, _primitive(r)
+        if g is None:
+            *_, g = _prs(a, b)
+        return ExactPoly._monic_of(g)
 
     # -- calculus ----------------------------------------------------------
 
@@ -705,19 +702,24 @@ def _coerce_rational(v):
 # ---------------------------------------------------------------------------
 
 
+def _prs(a, b):
+    """Primitive signed remainder sequence of the integer lists a, b: b,
+    -rem(a, b), ..., each over its content; the last entry is gcd(a, b).
+    A shorter a is its own remainder, so the sequence swaps them first."""
+    while b:
+        b = _primitive(b)
+        yield b
+        r = _strip(_pdiv(a, b)[1])
+        a, b = b, [-c for c in r]
+
+
 def sturm_chain(p: ExactPoly) -> list:
     """Signed-remainder Sturm chain of p (expects p squarefree).
 
     Entries are primitive integer polynomials, each a positive multiple of
     the classical entry (p, p', -rem, ...), so sign counts are unchanged."""
     a = _primitive(list(p._num))
-    chain = [a]
-    b = [i * c for i, c in enumerate(a)][1:]
-    while b:
-        b = _primitive(b)
-        chain.append(b)
-        r = _strip(_pdiv(a, b)[1])
-        a, b = b, [-c for c in r]
+    chain = (a, *_prs(a, [i * c for i, c in enumerate(a)][1:]))
     return [ExactPoly._from_ints(c) for c in chain]
 
 
@@ -1164,13 +1166,6 @@ class ExtendedPotential(
         """V-ext at x: a float, or a numpy array of points."""
         g = self.gauge
         return g.from_units(self.z_form(g.z_at(x, omega)), omega)
-
-
-class ExceptionalFamily(namedtuple("ExceptionalFamily", "spec levels polys weight")):
-    """The exceptional polynomials of an extension's `levels` and their
-    orthogonality weight, rational in z (a radial one's times e^{-z})."""
-
-    __slots__ = ()
 
 
 @lru_cache(maxsize=256)

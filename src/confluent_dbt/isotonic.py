@@ -33,7 +33,6 @@ from .exactalg import (
     CheckedRecord,
     Confluent,
     ExactPoly,
-    ExceptionalFamily,
     ExtendedPotential,
     RadialGauged,
     RationalFn,
@@ -61,9 +60,6 @@ class IsotonicSpec(CheckedRecord, namedtuple("IsotonicSpec", "n N")):
     @property
     def base(self) -> IsotonicOscillator:
         return IsotonicOscillator(self.N)
-
-    def as_dict(self) -> dict:
-        return {"n": self.n, "N": self.N}
 
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
@@ -155,12 +151,6 @@ def extended_potential(spec: IsotonicSpec) -> ExtendedPotential:
     return ExtendedPotential(
         spec, GAUGE, correction, spec.base.v_zform_units() + correction
     )
-
-
-def exceptional_family(spec: IsotonicSpec, kmax: int) -> ExceptionalFamily:
-    ks = levels(spec, kmax)
-    polys = tuple(l_tilde(spec, k) for k in ks)
-    return ExceptionalFamily(spec, ks, polys, measure_weight_rational(spec))
 
 
 # -- n = 0: equivalence with a one-step type-II transformation ----------------

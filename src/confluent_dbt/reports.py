@@ -56,13 +56,7 @@ class VerifyReport(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "spec": self.spec,
-            "status": self.status,
-            "witness": self.witness,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return self._asdict()
 
 
 class SuiteCheck(namedtuple("SuiteCheck", "check_id description run")):

@@ -30,7 +30,6 @@ from .exactalg import (
     CheckedRecord,
     Confluent,
     ExactPoly,
-    ExceptionalFamily,
     ExtendedPotential,
     RationalFn,
     RootIsolation,
@@ -58,14 +57,6 @@ class TdptSpec(CheckedRecord, namedtuple("TdptSpec", "n N M lambda1")):
     def base(self) -> TrigPoschlTeller:
         return TrigPoschlTeller(self.N, self.M)
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "M": self.M,
-            "lambda1": str(self.lambda1),
-        }
-
 
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def q_poly(n: int, N: int, M: int) -> ExactPoly:
@@ -81,15 +72,6 @@ def q_at_one(n: int, N: int, M: int) -> Fraction:
         2 ** (N + M) * factorial(n + N) * factorial(n + M),
         (2 * n + N + M + 1) * factorial(n) * factorial(n + N + M),
     )
-
-
-def q_recurrence_holds(n: int, N: int, M: int) -> bool:
-    """Q_{n-1}^(N+1,M+1)(1) = [4n/(n+N+M+1)] Q_n^(N,M)(1), n >= 1."""
-    if n < 1:
-        raise ValueError("recurrence needs n >= 1")
-    lhs = q_at_one(n - 1, N + 1, M + 1)
-    rhs = Fraction(4 * n, n + N + M + 1) * q_at_one(n, N, M)
-    return lhs == rhs
 
 
 def regularity_threshold(n: int, N: int, M: int) -> Fraction:
@@ -196,12 +178,6 @@ def extended_potential(spec: TdptSpec) -> ExtendedPotential:
     return ExtendedPotential(
         spec, GAUGE, correction, spec.base.v_zform() + correction
     )
-
-
-def exceptional_family(spec: TdptSpec, kmax: int) -> ExceptionalFamily:
-    ks = levels(spec, kmax)
-    polys = tuple(p_tilde(spec, k) for k in ks)
-    return ExceptionalFamily(spec, ks, polys, measure_weight(spec))
 
 
 def shape_invariance_residual(

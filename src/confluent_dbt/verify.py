@@ -303,13 +303,7 @@ class SpectrumResult(namedtuple(
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "energies": list(self.energies),
-            "node_counts": list(self.node_counts),
-            "domain": list(self.domain),
-            "grid_n": self.grid_n,
-            "error_estimates": list(self.error_estimates),
-        }
+        return self._asdict()
 
 
 def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):

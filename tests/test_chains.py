@@ -122,18 +122,6 @@ def test_one_step_inverts_exactly():
         assert abs(v0(x) - v(x)) < 1e-9
 
 
-def test_confluent_seed_solves_partner_equation():
-    seed, v = chains.tdpt_seed(0, 1, 1)
-    v1, _ = chains.dbt_apply(seed, v)
-    aux = chains.confluent_seed(seed, 1.0)
-    assert aux.energy == seed.energy
-    for x in (0.4, 0.9):
-        lhs = -second_derivative(aux.f, x, 3e-3) + v1(x) * aux.f(x)
-        assert lhs == pytest.approx(seed.energy * aux.f(x), abs=1e-6)
-        fd = (aux.f(x + 1e-5) - aux.f(x - 1e-5)) / 2e-5
-        assert aux.df(x) == pytest.approx(fd, rel=1e-8)
-
-
 # -- two-step transform vs the exact layers ------------------------------------------
 
 
@@ -303,26 +291,6 @@ def test_one_step_radial_parameter_shift():
         shifted = isotonic.IsotonicSpec(0, N + 1).base
         for x in np.linspace(0.4, 2.4, 10):
             assert abs(v1(x) - (shifted.v(x, omega) + 2 * omega)) < 1e-10
-
-
-def test_confluent_seed_radial_closed_form():
-    # ground seed of the N = 1 oscillator, integral anchored at infinity:
-    # the auxiliary state is -(1/sqrt(2w)) e^{-z/2} z^{-3/4} (1 + z)
-    omega = 2.0
-    seed, _ = chains.isotonic_seed(0, 1, omega)
-    aux = chains.confluent_seed(seed, 0.0)
-    for x in (0.4, 0.9, 1.6, 2.4):
-        z = omega * x * x / 2
-        want = -math.exp(-z / 2) * z ** -0.75 * (1 + z) / math.sqrt(2 * omega)
-        assert aux.f(x) == pytest.approx(want, rel=1e-10)
-
-
-def test_confluent_seed_large_lambda_limit():
-    seed, _ = chains.tdpt_seed(0, 1, 1)
-    lam = 1e9
-    aux = chains.confluent_seed(seed, lam)
-    for x in (0.3, 0.8, 1.3):
-        assert aux.f(x) / lam == pytest.approx(1.0 / seed.f(x), rel=1e-6)
 
 
 def test_matveev_cross_check_cases():

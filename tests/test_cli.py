@@ -536,12 +536,16 @@ def test_chain_run_m_mismatch_exit_2(capsys):
     assert "disagrees" in err
 
 
-def test_chain_run_integration_failure_exit_2(capsys):
-    code, out, err = run_cli(capsys, "chain", "run", "--base", "tdpt",
-                             "--params", "0,1,2", "--lambdas", "1,1,1,1",
-                             "--grid", "0.05:1.45:2000")
-    assert code == 2
-    assert "chain integration failed" in err and out == ""
+@pytest.mark.parametrize("argv", [
+    "chain run --base tdpt --params 0,1,2 --lambdas 1,1,1,1 --grid 0.05:1.45:2000",
+    # the chain overflows on its way to the stall
+    "chain run --base tdpt --params 0,1,1 --lambdas 1 --grid 1e-300:1e-299:3",
+])
+def test_chain_run_integration_failure_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: chain integration failed")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -1079,6 +1083,21 @@ def test_verify_gram_roundtrip(capsys, tmp_path):
     assert data["max_offdiagonal_relative"] < 1e-10
     m = len(data["levels"])
     assert len(data["gram"]) == m and len(data["gram"][0]) == m
+
+
+@pytest.mark.parametrize("build,edit", [
+    pytest.param("isotonic", _edit(levels=[0]), id="isotonic"),
+    pytest.param("tdpt", lambda data: dict(data, p_tilde={"2": data["p_tilde"]["2"]}),
+                 id="tdpt"),
+])
+def test_verify_gram_refuses_one_level(capsys, tmp_path, build, edit):
+    # one level has no off-diagonal entry to measure
+    path = tmp_path / "family.json"
+    assert cli.main(_BUILDS[build] + ["--out", str(path)]) == 0
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run_cli(capsys, "verify", "gram", "--family-json", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: verify gram needs at least two levels; family JSON lists 1\n"
 
 
 def test_quadrature_cap_is_reported(capsys, tmp_path, monkeypatch):

@@ -169,13 +169,17 @@ def test_correction_is_minus_twice_the_derivative_of_psi_n_squared_over_w(n, N):
 
 def test_exceptional_family_skips_deleted_level():
     spec = isotonic.IsotonicSpec(1, 1)
-    fam = isotonic.exceptional_family(spec, 4)
-    assert fam.levels == (0, 2, 3, 4)
-    assert len(fam.polys) == 4
-    assert fam.weight == isotonic.measure_weight_rational(spec)
-    assert fam.weight(1.0) > 0
+    assert isotonic.levels(spec, 4) == (0, 2, 3, 4)
+    assert isotonic.exceptional is isotonic.l_tilde
+    assert all(not isotonic.exceptional(spec, k).is_zero for k in (0, 2, 3, 4))
     with pytest.raises(ValueError):
-        isotonic.exceptional_family(spec, -1)
+        isotonic.exceptional(spec, 1)
+    q = isotonic.q_poly(1, 1)
+    weight = isotonic.measure_weight_rational(spec)
+    assert weight == RationalFn(ExactPoly.x(), q * q)
+    assert weight(1.0) > 0
+    with pytest.raises(ValueError):
+        isotonic.levels(spec, -1)
 
 
 def test_family_orthogonality_under_weight():
@@ -345,7 +349,8 @@ def test_spec_validation():
         isotonic.IsotonicSpec(-1, 1)
     with pytest.raises(ValueError):
         isotonic.IsotonicSpec(0, 0)
-    assert isotonic.IsotonicSpec(2, 3).as_dict() == {"n": 2, "N": 3}
+    d = isotonic.IsotonicSpec(2, 3).as_dict()
+    assert d == {"n": 2, "N": 3} and type(d["n"]) is type(d["N"]) is int
     # a replacement is checked as a construction is
     spec = isotonic.IsotonicSpec(1, 1)
     with pytest.raises(ValueError):

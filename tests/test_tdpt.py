@@ -46,7 +46,11 @@ def test_q_endpoints(n, N, M):
 @pytest.mark.parametrize("n", range(1, 5))
 @pytest.mark.parametrize("N,M", [(1, 1), (2, 1), (3, 2)])
 def test_q_endpoint_recurrence(n, N, M):
-    assert tdpt.q_recurrence_holds(n, N, M)
+    # Q_{n-1}^(N+1,M+1)(1) = [4n/(n+N+M+1)] Q_n^(N,M)(1): the lambda1 shift
+    # carries the threshold of (n, N, M) onto that of (n-1, N+1, M+1)
+    thr = tdpt.regularity_threshold(n, N, M)
+    shifted = tdpt.regularity_threshold(n - 1, N + 1, M + 1)
+    assert tdpt.lambda1_shifted(n, N, M, thr) == shifted
 
 
 def test_threshold_two_thirds_for_ground_level():
@@ -246,14 +250,17 @@ def test_measure_weight_positive_inside_interval():
 
 def test_exceptional_family_contents():
     spec = tdpt.TdptSpec(1, 1, 1, 1)
-    fam = tdpt.exceptional_family(spec, 4)
-    assert fam.levels == (0, 1, 2, 3, 4)
-    assert len(fam.polys) == 5
-    assert fam.polys[1] == jacobi(1, 1, 1)
-    assert fam.weight == tdpt.measure_weight(spec)
-    assert fam.weight(0.0) > 0
+    assert tdpt.levels(spec, 4) == (0, 1, 2, 3, 4)
+    assert tdpt.exceptional is tdpt.p_tilde
+    assert all(not tdpt.exceptional(spec, k).is_zero for k in range(5))
+    assert tdpt.exceptional(spec, 1) == jacobi(1, 1, 1)
+    weight = tdpt.measure_weight(spec)
+    assert weight == RationalFn(
+        ONE_MINUS * ONE_PLUS * Fraction(1, 2), tdpt.denominator_poly(spec) ** 2
+    )
+    assert weight(0.0) > 0
     with pytest.raises(ValueError):
-        tdpt.exceptional_family(spec, -1)
+        tdpt.levels(spec, -1)
 
 
 def test_family_orthogonality_under_weight():
@@ -351,6 +358,14 @@ def test_spec_validation():
         tdpt.TdptSpec(0, 1, 1, 0.25)
     d = tdpt.TdptSpec(2, 1, 3, Fraction(-7, 2)).as_dict()
     assert d == {"n": 2, "N": 1, "M": 3, "lambda1": "-7/2"}
+
+
+@pytest.mark.parametrize("lambda1,text", [(5, "5"), (Fraction(-7, 3), "-7/3")])
+def test_spec_as_dict_writes_lambda1_as_a_string(lambda1, text):
+    # the integers stay ints; lambda1 is a string even when it is whole
+    d = tdpt.TdptSpec(1, 2, 3, lambda1).as_dict()
+    assert d == {"n": 1, "N": 2, "M": 3, "lambda1": text}
+    assert [type(d[k]) for k in ("n", "N", "M")] == [int] * 3
 
 
 def test_replace_checks_and_coerces_as_the_constructor_does():
