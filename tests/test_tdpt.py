@@ -360,7 +360,8 @@ def test_spec_validation():
     assert d == {"n": 2, "N": 1, "M": 3, "lambda1": "-7/2"}
 
 
-@pytest.mark.parametrize("lambda1,text", [(5, "5"), (Fraction(-7, 3), "-7/3")])
+@pytest.mark.parametrize("lambda1,text", [(5, "5"), (Fraction(-7, 3), "-7/3")],
+                         ids=["whole", "fraction"])
 def test_spec_as_dict_writes_lambda1_as_a_string(lambda1, text):
     # the integers stay ints; lambda1 is a string even when it is whole
     d = tdpt.TdptSpec(1, 2, 3, lambda1).as_dict()
