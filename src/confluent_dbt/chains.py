@@ -45,36 +45,25 @@ class SeedFunction(namedtuple("SeedFunction", "f df energy x0")):
     __slots__ = ()
 
 
-def tdpt_seed(n: int, N: int, M: int):
-    """Bound state n of the trigonometric potential, anchored at pi/2.
-
-    Returns (seed, potential callable)."""
-    base = TrigPoschlTeller(N, M)
+def _base_seed(base, n: int, energy: float, x0: float, omega: float):
+    """Bound state n of `base` anchored at x0, at the frequency `omega` that
+    only the radial family reads.  Returns (seed, potential callable)."""
     state = base.eigenstate(n)
     dstate = state.d_dx()
-    seed = SeedFunction(
-        f=state.eval_x,
-        df=dstate.eval_x,
-        energy=float(base.energy(n)),
-        x0=math.pi / 2,
-    )
-    return seed, base.v
+    seed = SeedFunction(lambda x: state.eval_x(x, omega),
+                        lambda x: dstate.eval_x(x, omega), energy, x0)
+    return seed, lambda x: base.v(x, omega)
+
+
+def tdpt_seed(n: int, N: int, M: int):
+    """Bound state n of the trigonometric potential, anchored at pi/2."""
+    base = TrigPoschlTeller(N, M)
+    return _base_seed(base, n, float(base.energy(n)), math.pi / 2, 1.0)
 
 
 def isotonic_seed(n: int, N: int, omega: float):
-    """Bound state n of the radial oscillator, anchored at infinity.
-
-    Returns (seed, potential callable)."""
-    base = IsotonicOscillator(N)
-    state = base.eigenstate(n)
-    dstate = state.d_dx()
-    seed = SeedFunction(
-        f=lambda x: state.eval_x(x, omega),
-        df=lambda x: dstate.eval_x(x, omega),
-        energy=float(2 * n * omega),
-        x0=math.inf,
-    )
-    return seed, lambda x: base.v(x, omega)
+    """Bound state n of the radial oscillator, anchored at infinity."""
+    return _base_seed(IsotonicOscillator(N), n, float(2 * n * omega), math.inf, omega)
 
 
 def integral_from_anchor(seed: SeedFunction, x):

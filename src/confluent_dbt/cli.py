@@ -221,7 +221,7 @@ def _load_build(path: str, what: str):
                     f"malformed {what}: {key}: not a serialised rational function"
                 ) from None
             gauge = _FAMILY[family].GAUGE
-            return data, family, ExtendedPotential(None, gauge, None, rat)
+            return data, family, ExtendedPotential(gauge, None, rat)
     return data, data.get("family"), None
 
 
@@ -511,7 +511,7 @@ def _cmd_verify_spectrum(args) -> int:
     result = verify.dirichlet_spectrum(
         lambda x: pot.v(x, omega), *window, args.levels, grid_n
     )
-    _emit_json({"spectrum": result.to_json()}, args.out)
+    _emit_json({"spectrum": result._asdict()}, args.out)
     return 0
 
 
@@ -540,6 +540,10 @@ def _cmd_verify_gram(args) -> int:
     _refuse_unread(args, f"verify gram of a {family} family", reads)
     if container is dict:  # the keys of an object carry no order
         levels = sorted(levels)
+    repeated = [k for k in levels if levels.count(k) > 1]
+    if repeated:  # a level's overlap with itself measures no orthogonality
+        raise ValueError(f"verify gram needs distinct levels; {what} lists "
+                         f"{repeated[0]} more than once")
     levels = levels or [k for k in fam.levels(spec, count) if k < count]
     if len(levels) < 2:  # a Gram matrix needs an off-diagonal entry
         raise ValueError(f"verify gram needs at least two levels; {what} "

@@ -14,11 +14,12 @@ cached, and transcendental factors stay on libm (`pointwise`).
 A gcd comes from one big-integer gcd of values at a power of two
 (GCDHEU), accepted only when trial division certifies it, with a primitive
 remainder sequence as the fallback; the same sequence (`_prs`) builds the
-Sturm chains.  Every `RationalFn` operation returns a reduced result by
-Henrici's formulas, which take gcds of the operands' factors rather than
-of their cross products.  A power of a linear polynomial comes from the
-binomial theorem, and the JSON form of a coefficient is its reduced
-numerator and denominator read off the stored integers.
+Sturm chains, which count distinct roots in open intervals.  Every
+`RationalFn` operation returns a reduced result by Henrici's formulas,
+which take gcds of the operands' factors rather than of their cross
+products.  A power of a linear polynomial comes from the binomial theorem,
+and the JSON form of a coefficient is its reduced numerator and
+denominator read off the stored integers.
 
 The two gauged families are
 
@@ -310,10 +311,6 @@ class ExactPoly:
     @staticmethod
     def constant(c) -> "ExactPoly":
         return ExactPoly([as_rat(c)])
-
-    @staticmethod
-    def monomial(c, k: int) -> "ExactPoly":
-        return ExactPoly([0] * k + [as_rat(c)])
 
     # -- basic queries -----------------------------------------------------
 
@@ -762,28 +759,12 @@ def _open_count(q: ExactPoly, chain, x, y) -> int:
     return n
 
 
-def count_roots(
-    p: ExactPoly,
-    lo=NEG_INF,
-    hi=POS_INF,
-    lo_closed: bool = False,
-    hi_closed: bool = False,
-) -> int:
-    """Number of distinct real roots of p in the requested interval.
-
-    Endpoints are exact Fractions or the NEG_INF/POS_INF sentinels; open
-    endpoints by default.  Multiplicities are ignored (the count is over
-    distinct roots).
-    """
+def count_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi),
+    endpoints exact Fractions or the NEG_INF/POS_INF sentinels; a caller
+    that wants a closed end tests p there.  Multiplicities are ignored."""
     q, chain, _ = _sturm_data(p)
-    if not chain:
-        return 0
-    n = _open_count(q, chain, lo, hi)
-    if hi is not POS_INF and hi_closed and q(hi) == 0:
-        n += 1
-    if lo is not NEG_INF and lo_closed and q(lo) == 0:
-        n += 1
-    return n
+    return _open_count(q, chain, lo, hi) if chain else 0
 
 
 class RootIsolation(namedtuple("RootIsolation", "intervals multiplicity_free")):
@@ -1154,9 +1135,7 @@ class Confluent(namedtuple("Confluent", "psi_n w numerator")):
         return q._replace(rat=RationalFn(num * -2, d * d), **lower)
 
 
-class ExtendedPotential(
-    namedtuple("ExtendedPotential", "spec gauge correction z_form")
-):
+class ExtendedPotential(namedtuple("ExtendedPotential", "gauge correction z_form")):
     """V-ext (`z_form`) and V-ext - V-base (`correction`) of an extension,
     rational in the z of the gauged family `gauge` and in its units."""
 
@@ -1171,7 +1150,8 @@ class ExtendedPotential(
 @lru_cache(maxsize=256)
 def _ode_operator(family, gauge: tuple, v_zform: RationalFn, d: ExactPoly) -> tuple:
     """(g, D^3 h, Q2, Q1, Q0, Qe): psi'' + (E - V) psi for psi = gauge P/D
-    of `family` is g (Q2 P'' + Q1 P' + (Q0 + E Qe) P) / (D^3 h).  Memoized
+    of `family` is g (Q2 P'' + Q1 P' + (Q0 + E Qe) P) / (D^3 h), the energy
+    E an exact number that the operator does not read.  Memoized
     (`cache_clear()` empties it): the states of one extension share their
     gauge, V and D.
 
@@ -1214,9 +1194,10 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
 
     The residual sits two derivatives below f's gauge.  For f = gauge P/D
     it applies the operator of (f's gauge, V, D) (`_ode_operator`, built
-    once and memoized) to P: Q2 P'' + Q1 P' + (Q0 + E Qe) P over D^3 h, a
-    rational E entering as one fraction, reduced once, by no gcd if it is
-    zero.  The operator reads only V, the gauge and D.
+    once and memoized) to P: Q2 P'' + Q1 P' + (Q0 + E Qe) P over D^3 h,
+    E an exact number (`as_rat`; anything else raises TypeError), reduced
+    once, by no gcd if it is zero.  The operator reads only V, the gauge
+    and D.
     """
     if not isinstance(f, (TrigGauged, RadialGauged)):
         raise TypeError("eigenfunction must be a gauged function")
@@ -1224,10 +1205,5 @@ def exact_ode_residual(f, v_zform: RationalFn, energy):
     g, den, q2, q1, q0, qe = _ode_operator(type(f), gauge, v_zform, f.rat.den)
     p = f.rat.num
     dp = p.derivative()
-    num = q2 * dp.derivative() + q1 * dp
-    if isinstance(energy, RationalFn):
-        num = (num + q0 * p) * energy.den + qe * p * energy.num
-        den = den * energy.den
-    else:
-        num = num + (q0 + qe * as_rat(energy)) * p
+    num = q2 * dp.derivative() + q1 * dp + (q0 + qe * as_rat(energy)) * p
     return g._replace(rat=RationalFn(num, den if num else None))

@@ -148,9 +148,7 @@ def extended_potential(spec: IsotonicSpec) -> ExtendedPotential:
     """V-ext = V - 2 d/dx (psi_n^2 / w) (`Confluent.correction`)."""
     # the correction's gauge z^N (2w)^1 is z^N times 2 in units of w
     correction = 2 * confluent(spec).correction().rat_over({"c": 0})
-    return ExtendedPotential(
-        spec, GAUGE, correction, spec.base.v_zform_units() + correction
-    )
+    return ExtendedPotential(GAUGE, correction, spec.base.v_zform_units() + correction)
 
 
 # -- n = 0: equivalence with a one-step type-II transformation ----------------

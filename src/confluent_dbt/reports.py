@@ -55,9 +55,6 @@ class VerifyReport(namedtuple(
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 class SuiteCheck(namedtuple("SuiteCheck", "check_id description run")):
     """A registered suite check; `run` is () -> (ok, spec, witness)."""
@@ -835,7 +832,7 @@ def _fast_subset_payload():
     reports = [run_check(i) for i in ids]
     return json.dumps(
         [
-            {k: v for k, v in r.to_json().items() if k != "elapsed_ms"}
+            {k: v for k, v in r._asdict().items() if k != "elapsed_ms"}
             for r in reports
         ],
         sort_keys=True,
@@ -914,11 +911,6 @@ _missing = [i for i in REQUIRED_INVARIANTS if i not in _BY_ID]
 assert not _missing, f"manifest incomplete: {_missing}"
 
 
-def manifest_rows():
-    """(check_id, module, description) rows in suite order."""
-    return [(c.check_id, c.module, c.description) for c in MANIFEST]
-
-
 def make_report(check_id: str, fn) -> VerifyReport:
     """Time a check body and wrap it as a VerifyReport.
 
@@ -959,7 +951,7 @@ def envelope(reports, **extra) -> dict:
     failed = [r.check_id for r in reports if r.status == "fail"]
     return {
         "schema": SCHEMA,
-        "checks": [r.to_json() for r in reports],
+        "checks": [r._asdict() for r in reports],
         "counts": {
             "pass": sum(1 for r in reports if r.status == "pass"),
             "fail": len(failed),

@@ -175,9 +175,7 @@ def extended_potential(spec: TdptSpec) -> ExtendedPotential:
         )
     # the correction's gauge (1-z)^N (1+z)^M moves into its rational part
     correction = confluent(spec).correction().rat_over({"a": 0, "b": 0})
-    return ExtendedPotential(
-        spec, GAUGE, correction, spec.base.v_zform() + correction
-    )
+    return ExtendedPotential(GAUGE, correction, spec.base.v_zform() + correction)
 
 
 def shape_invariance_residual(

@@ -302,9 +302,6 @@ class SpectrumResult(namedtuple(
 
     __slots__ = ()
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def _fd_eigs(v, a: float, b: float, n_levels: int, grid_n: int, vectors: bool):
     h = (b - a) / grid_n

