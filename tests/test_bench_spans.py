@@ -1,7 +1,7 @@
 """The traced benchmark wraps program functions by name (`SPANS` in
 `perfbench/spans.py`) and checks that each fires on the workloads `EXPECTED`
 names; a rename or move in the package, or a command that stops calling
-one of the construction spans, must fail here, not only in a traced bench
+a span its workload expects, must fail here, not only in a traced bench
 run."""
 
 import importlib
@@ -54,6 +54,7 @@ BUILDS = {
     "isotonic.json": "isotonic build --n 1 --N 1 --kmax 3",
 }
 
+# spans that several rows below share
 KERNELS = ("cli.main", "exactalg.poly_mul", "exactalg.poly_gcd", "exactalg.ratfn_canon")
 TDPT = ("classical.jacobi", "tdpt.q_poly", "tdpt.p_tilde", "tdpt.extended_potential")
 ISOTONIC = ("classical.laguerre", "isotonic.q_poly", "isotonic.l_tilde",
@@ -161,7 +162,9 @@ def _count_calls(monkeypatch) -> dict:
         for owner_path, attr in targets:
             module_name, _, class_name = owner_path.partition(":")
             owner = importlib.import_module(f"confluent_dbt.{module_name}")
-            original = getattr(getattr(owner, class_name) if class_name else owner, attr)
+            if class_name:
+                owner = getattr(owner, class_name)
+            original = getattr(owner, attr)
 
             def wrapper(*args, _original=original, _name=name, **kwargs):
                 depth[0] += _name == "reports.run_check"

@@ -77,8 +77,9 @@ def test_certificate_agrees_with_root_count(n, N):
     rootless, witness = isotonic.rootless_certificate(n, N)
     assert rootless == (roots == 0)
     assert witness.count == roots
-    for lo, hi in witness.intervals:
-        assert count_roots(q, lo, hi) + (q(lo) == 0) + (q(hi) == 0) == 1
+    for lo, hi in witness.intervals:  # [r, r] marks an exact root r
+        closed = count_roots(q, lo, hi) + (q(lo) == 0) + (q(hi) == 0)
+        assert q(lo) == 0 if lo == hi else closed == 1
     assert witness.multiplicity_free == (q.gcd(q.derivative()).degree() == 0)
 
 
