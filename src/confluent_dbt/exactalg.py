@@ -759,12 +759,21 @@ def _open_count(q: ExactPoly, chain, x, y) -> int:
     return n
 
 
+def _empty(lo, hi) -> bool:
+    """Whether the open interval (lo, hi) is empty, that is lo >= hi; NEG_INF
+    lies below and POS_INF above every number."""
+    if lo is POS_INF or hi is NEG_INF:
+        return True
+    return lo is not NEG_INF and hi is not POS_INF and lo >= hi
+
+
 def count_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi),
     endpoints exact Fractions or the NEG_INF/POS_INF sentinels; a caller
-    that wants a closed end tests p there.  Multiplicities are ignored."""
+    that wants a closed end tests p there.  Multiplicities are ignored, and
+    an empty interval (lo >= hi) holds no root."""
     q, chain, _ = _sturm_data(p)
-    return _open_count(q, chain, lo, hi) if chain else 0
+    return _open_count(q, chain, lo, hi) if chain and not _empty(lo, hi) else 0
 
 
 class RootIsolation(namedtuple("RootIsolation", "intervals multiplicity_free")):
@@ -787,9 +796,10 @@ def _cauchy_bound(p: ExactPoly) -> Fraction:
 
 
 def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
-    """Isolate the distinct real roots of p inside the open interval."""
+    """Isolate the distinct real roots of p inside the open interval; an
+    empty interval (lo >= hi) isolates none."""
     q, chain, multiplicity_free = _sturm_data(p)
-    if not chain:
+    if not chain or _empty(lo, hi):
         return RootIsolation((), multiplicity_free)
     a = -_cauchy_bound(q) if lo is NEG_INF else as_rat(lo)
     b = _cauchy_bound(q) if hi is POS_INF else as_rat(hi)
@@ -815,8 +825,11 @@ def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
 
 def refine_root(p: ExactPoly, interval, width) -> tuple:
     """Shrink an isolating interval by bisection until it is narrower
-    than `width`.  The interval must contain exactly one distinct root."""
+    than `width`.  The interval must contain exactly one distinct root and
+    must not be reversed."""
     lo, hi = as_rat(interval[0]), as_rat(interval[1])
+    if lo > hi:
+        raise ValueError(f"reversed interval ({lo}, {hi})")
     if lo == hi:
         return (lo, hi)
     width = as_rat(width)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confluent_dbt import classical, cli, exactalg, isotonic, reports, tdpt, verify
+from confluent_dbt import (chains, classical, cli, exactalg, floatcmds, isotonic, reports,
+                           tdpt, verify)
 from confluent_dbt.exactalg import ExactPoly, RationalFn
 
 
@@ -239,6 +240,17 @@ def test_malformed_input_exit_2(capsys, tmp_path, argv, build, content):
     assert "error:" in err and "Traceback" not in err and out == ""
     if argv in NEGATIVE_LEVEL_CHAINS.values():
         assert err == "error: level n must be >= 0\n"
+
+
+@pytest.mark.parametrize("reader,what", [
+    ("params", "params file"), ("potential", "potential JSON"), ("family", "family JSON"),
+])
+def test_missing_input_file_is_refused_as_unreadable(capsys, tmp_path, reader, what):
+    # a file that cannot be opened is not a malformed one
+    path = str(tmp_path / "absent.json")
+    code, out, err = run_cli(capsys, *(path if a == "FILE" else a for a in _READERS[reader]))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {what}: [Errno 2] No such file or directory: {path!r}\n"
 
 
 def test_params_file_omega_validated(capsys, tmp_path):
@@ -617,13 +629,13 @@ def test_chain_crosscheck_two_step_fails_on_a_shifted_lambda1(capsys, monkeypatc
 
 def test_chain_crosscheck_matveev_fails_on_a_wrong_energy(capsys, monkeypatch):
     # negative control: a seed energy off by 1/2 breaks both routes' agreement
-    seed_of = cli.chains.tdpt_seed
+    seed_of = chains.tdpt_seed
 
     def shifted(*params):
         seed, v = seed_of(*params)
         return seed._replace(energy=seed.energy + 0.5), v
 
-    monkeypatch.setattr(cli.chains, "tdpt_seed", shifted)
+    monkeypatch.setattr(chains, "tdpt_seed", shifted)
     code, data = run_json(capsys, "chain", "crosscheck", "--base", "tdpt",
                           "--which", "matveev", "--params", "0,1,1")
     assert code == 1
@@ -713,7 +725,7 @@ def test_verify_refuses_spec_flags_it_does_not_read(capsys, argv, unread):
 
 @pytest.mark.parametrize("selector", sorted(
     sel for family, checks in reports.SPEC_CHECKS.items()
-    for sel in (f"{family}.{name}" for name in checks) if sel not in reports._BY_ID
+    for sel in (f"{family}.{name}" for name in checks) if sel not in reports._by_id()
 ))
 def test_per_spec_id_without_spec_names_the_flags_it_needs(capsys, selector):
     code, out, err = run_cli(capsys, "verify", selector)
@@ -948,8 +960,8 @@ def test_oracles_refuse_omega_on_a_tdpt_file(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_failing_check_exit_1(capsys, monkeypatch):
-    check = reports._BY_ID["tdpt.window"]
-    monkeypatch.setitem(reports._BY_ID, check.check_id, check._replace(
+    check = reports._by_id()["tdpt.window"]
+    monkeypatch.setitem(reports._by_id(), check.check_id, check._replace(
         run=lambda: (False, {}, "")))
     code, data = run_json(capsys, "verify", "tdpt.window")
     assert code == 1
@@ -1012,7 +1024,7 @@ def test_verify_spectrum_rebuilds_the_potential_bit_for_bit(
 
     path = tmp_path / "build.json"
     assert cli.main([family, "build", *flags.split(), "--out", str(path)]) == 0
-    _, loaded, rebuilt = cli._load_build(str(path), "potential JSON")
+    _, loaded, rebuilt = floatcmds._load_build(str(path), "potential JSON")
     pot = cli._FAMILY[family].extended_potential(spec)
     points = np.linspace(*xs, 1001)
     want = pot.v(points, omega).tolist()
@@ -1189,7 +1201,7 @@ def test_csv_17_digit_formatting(capsys):
 def test_csv_row_bytes_pinned():
     # an int, a negative zero, the smallest subnormal, a value that needs
     # all 17 digits
-    text = cli._csv_text(["a", "b", "c", "d"], [(3, -0.0, 5e-324, 0.1 + 0.2)])
+    text = floatcmds._csv_text(["a", "b", "c", "d"], [(3, -0.0, 5e-324, 0.1 + 0.2)])
     assert text == "a,b,c,d\n3,-0,4.9406564584124654e-324,0.30000000000000004\n"
 
 
@@ -1532,9 +1544,11 @@ class NumpyWatch:
 sys.meta_path.insert(0, NumpyWatch())
 import confluent_dbt.cli as cli
 
-# what only a float command loads (numpy itself imports inspect)
+# what only a float command or a suite check loads (numpy itself imports
+# inspect)
 LATE = ("numpy", "confluent_dbt._flapack", "confluent_dbt.lapack",
-        "confluent_dbt.dop853", "dataclasses", "inspect")
+        "confluent_dbt.dop853", "dataclasses", "inspect", "confluent_dbt.suite",
+        "confluent_dbt.floatcmds")
 
 def loaded():
     return sorted(m for m in sys.modules
@@ -1562,8 +1576,12 @@ for argv in (
 exact = loaded()
 run(["tdpt", "verify", "--suite", "spectrum", "--n", "0", "--N", "1", "--M", "1",
      "--lambda1", "1"])
-print(json.dumps({"exact": exact, "spectrum": loaded(),
-                  "threads": NumpyWatch.threads}))
+spectrum = loaded()
+run(["verify", "all"])
+suite = loaded()
+run(["table", "--family", "isotonic", "--n", "1", "--N", "1"])
+print(json.dumps({"exact": exact, "spectrum": spectrum, "suite": suite,
+                  "table": loaded(), "threads": NumpyWatch.threads}))
 """
 
 
@@ -1571,7 +1589,9 @@ def test_exact_commands_do_not_import_numpy():
     # the exact layer proves its statements without floats: numpy, LAPACK,
     # the ODE solver and scipy load only when a float command first needs
     # them, and OpenBLAS is then capped at one thread; no command of the
-    # exact layer loads dataclasses or inspect either
+    # exact layer loads dataclasses or inspect either.  The suite checks load
+    # with the first suite run, and the float commands with the first
+    # sampled table, not with a per-spec float check
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
         [sys.executable, "-c", _EXACT_ONLY_RUN], capture_output=True, text=True,
@@ -1583,6 +1603,36 @@ def test_exact_commands_do_not_import_numpy():
     assert {"numpy", "confluent_dbt._flapack"} <= set(seen["spectrum"])
     assert not any(m.split(".")[0] == "scipy" for m in seen["spectrum"])
     assert seen["threads"] == "1"
+    suite, floatcmds = "confluent_dbt.suite", "confluent_dbt.floatcmds"
+    assert suite not in seen["spectrum"] and floatcmds not in seen["spectrum"]
+    assert suite in seen["suite"] and floatcmds not in seen["suite"]
+    assert {suite, floatcmds} <= set(seen["table"])
+
+
+_STARTUP_RUN = """
+import json, sys
+import confluent_dbt.cli as cli
+
+cli.build_parser()
+# type() reads no attribute, so it leaves a lazy module unexecuted
+print(json.dumps({name: type(module).__name__ for name, module in sys.modules.items()
+                  if name.split(".")[0] == "confluent_dbt"}))
+"""
+
+
+def test_startup_loads_only_what_every_command_needs():
+    # the suite checks and the float commands are compiled at their first
+    # use, and `verify` and `chains` are entered but not executed
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_RUN], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    eager = ("exactalg", "classical", "tdpt", "isotonic", "reports", "cli")
+    assert json.loads(proc.stdout) == {
+        "confluent_dbt": "module",
+        **{f"confluent_dbt.{name}": "module" for name in eager},
+        **{f"confluent_dbt.{name}": "_LazyModule" for name in ("verify", "chains")},
+    }
 
 
 def test_thread_env_does_not_change_results():

@@ -233,6 +233,32 @@ def test_half_line_count():
     assert count_roots(p, NEG_INF, Fraction(0)) == 1
 
 
+Z = ExactPoly([0, 1])
+
+
+@pytest.mark.parametrize("p,lo,hi", [
+    (Z - 1, Fraction(1), Fraction(1)),
+    ((Z - 1) * (Z + 2), Fraction(3), Fraction(-3)),
+    ((Z - 1) * (Z + 2), POS_INF, NEG_INF),
+    ((Z - 1) * (Z + 2), POS_INF, Fraction(0)),
+    ((Z - 1) * (Z + 2), Fraction(0), NEG_INF),
+    ((Z - 1) * (Z + 2), NEG_INF, NEG_INF),
+    ((Z - 1) * (Z + 2), POS_INF, POS_INF),
+], ids=["point", "reversed", "reversed-sentinels", "from-pos-inf", "to-neg-inf",
+        "neg-inf-twice", "pos-inf-twice"])
+def test_empty_interval_holds_no_root(p, lo, hi):
+    # an open interval with lo >= hi is empty, the sentinels included
+    assert count_roots(p, lo, hi) == 0
+    assert isolate_roots(p, lo, hi).intervals == ()
+
+
+@pytest.mark.parametrize("interval", [(Fraction(3), Fraction(-3)), (Fraction(1), 0)])
+def test_refine_root_refuses_a_reversed_interval(interval):
+    # the second interval has the root at its left end
+    with pytest.raises(ValueError):
+        refine_root((Z - 1) * (Z + 2), interval, Fraction(1, 100))
+
+
 # -- RationalFn ----------------------------------------------------------------
 
 

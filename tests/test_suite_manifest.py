@@ -7,10 +7,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from confluent_dbt import chains, classical, exactalg, isotonic, reports, tdpt, verify
+# importing `suite` registers its checks in reports.MANIFEST
+from confluent_dbt import chains, classical, exactalg, isotonic, reports, suite, tdpt, verify
 
-
-REQUIRED = set(reports.REQUIRED_INVARIANTS)
+REQUIRED = set(suite.REQUIRED_INVARIANTS)
 
 
 def test_manifest_covers_required_invariants():
@@ -499,7 +499,7 @@ MANIFEST_CONTROLS = {
     # a one-step partner with +V where -V belongs
     "chains.inverse": (chains, "dbt_apply", _partner_adding_v),
     # an invariant the suite does not register
-    "cli.manifest": (reports, "REQUIRED_INVARIANTS", lambda real: (
+    "cli.manifest": (suite, "REQUIRED_INVARIANTS", lambda real: (
         real + ("cli.absent",)
     ), "manifest missing ['cli.absent']"),
     # a Jacobi constructor whose cached values differ from fresh ones
@@ -518,7 +518,7 @@ def test_manifest_check_fails_under_its_control(monkeypatch, check_id):
     try:
         # the body is called directly, so an exception fails the test
         # instead of becoming the witness
-        assert_fails_with_witness(reports._BY_ID[check_id].run())
+        assert_fails_with_witness(reports._by_id()[check_id].run())
         report = reports.run_check(check_id)
         assert report.status == "fail"
         if witness:
@@ -648,7 +648,7 @@ def test_manifest_check_fails_under_the_control_of_its_per_spec_body(
     reports._clear_constructor_caches()
     monkeypatch.setattr(module, name, make(getattr(module, name)))
     try:
-        assert_fails_with_witness(reports._BY_ID[check_id].run())
+        assert_fails_with_witness(reports._by_id()[check_id].run())
     finally:
         monkeypatch.undo()
         reports._clear_constructor_caches()
