@@ -10,6 +10,7 @@ import pytest
 # importing `suite` registers its checks in reports.MANIFEST
 from confluent_dbt import chains, classical, exactalg, isotonic, reports, suite, tdpt, verify
 
+
 REQUIRED = set(suite.REQUIRED_INVARIANTS)
 
 
