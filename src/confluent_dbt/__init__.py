@@ -9,7 +9,6 @@ import sys
 from .exactalg import (  # noqa: F401
     ExactPoly,
     RationalFn,
-    RootIsolation,
     TrigGauged,
     RadialGauged,
     wronskian,

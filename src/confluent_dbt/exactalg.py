@@ -53,9 +53,6 @@ from functools import lru_cache
 from itertools import repeat
 from math import comb, gcd
 
-NEG_INF = object()  # interval endpoint sentinels for Sturm counting
-POS_INF = object()
-
 # Evaluation points the heuristic gcd tries before the remainder sequence
 _HEU_TRIES = 6
 
@@ -720,15 +717,7 @@ def sturm_chain(p: ExactPoly) -> list:
     return [ExactPoly._from_ints(c) for c in chain]
 
 
-def _sign_at(p: ExactPoly, x) -> int:
-    if p.is_zero:
-        return 0
-    lead = p._num[-1]
-    if x is POS_INF:
-        return 1 if lead > 0 else -1
-    if x is NEG_INF:
-        s = 1 if lead > 0 else -1
-        return s if p.degree() % 2 == 0 else -s
+def _sign_at(p: ExactPoly, x: Fraction) -> int:
     v = _horner_at(p._num, x)[0]
     return (v > 0) - (v < 0)
 
@@ -739,55 +728,23 @@ def _variations(chain, x) -> int:
 
 
 def _sturm_data(p: ExactPoly) -> tuple:
-    """(squarefree part q, Sturm chain of q, multiplicity-free flag of p),
-    all from one gcd(p, p').  The chain is empty when p has no root."""
+    """(squarefree part q, Sturm chain of q), both from one gcd(p, p').
+    The chain is empty when p has no root."""
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
     if p.degree() == 0:
-        return p.monic(), [], True
-    g = p.gcd(p.derivative())
-    q = (p // g).monic()
-    return q, sturm_chain(q), g.degree() == 0
+        return p.monic(), []
+    q = (p // p.gcd(p.derivative())).monic()
+    return q, sturm_chain(q)
 
 
-def _open_count(q: ExactPoly, chain, x, y) -> int:
+def _open_count(q: ExactPoly, chain, x: Fraction, y: Fraction) -> int:
     """Distinct roots of the squarefree q in the open interval (x, y): the
     Sturm count covers (x, y], so a root sitting at y is subtracted."""
     n = _variations(chain, x) - _variations(chain, y)
-    if y is not POS_INF and q(y) == 0:
+    if q(y) == 0:
         n -= 1
     return n
-
-
-def _empty(lo, hi) -> bool:
-    """Whether the open interval (lo, hi) is empty, that is lo >= hi; NEG_INF
-    lies below and POS_INF above every number."""
-    if lo is POS_INF or hi is NEG_INF:
-        return True
-    return lo is not NEG_INF and hi is not POS_INF and lo >= hi
-
-
-def count_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi),
-    endpoints exact Fractions or the NEG_INF/POS_INF sentinels; a caller
-    that wants a closed end tests p there.  Multiplicities are ignored, and
-    an empty interval (lo >= hi) holds no root."""
-    q, chain, _ = _sturm_data(p)
-    return _open_count(q, chain, lo, hi) if chain and not _empty(lo, hi) else 0
-
-
-class RootIsolation(namedtuple("RootIsolation", "intervals multiplicity_free")):
-    """Disjoint rational intervals, each holding exactly one distinct root.
-
-    Degenerate intervals (lo == hi) mark exact rational roots.
-    `multiplicity_free` certifies the input polynomial was squarefree.
-    """
-
-    __slots__ = ()
-
-    @property
-    def count(self) -> int:
-        return len(self.intervals)
 
 
 def _cauchy_bound(p: ExactPoly) -> Fraction:
@@ -795,14 +752,33 @@ def _cauchy_bound(p: ExactPoly) -> Fraction:
     return 1 + Fraction(max(map(abs, num)), abs(num[-1]))
 
 
-def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
-    """Isolate the distinct real roots of p inside the open interval; an
-    empty interval (lo >= hi) isolates none."""
-    q, chain, multiplicity_free = _sturm_data(p)
-    if not chain or _empty(lo, hi):
-        return RootIsolation((), multiplicity_free)
-    a = -_cauchy_bound(q) if lo is NEG_INF else as_rat(lo)
-    b = _cauchy_bound(q) if hi is POS_INF else as_rat(hi)
+def _bracket(q: ExactPoly, lo, hi) -> tuple:
+    """The ends of the open interval (lo, hi) as exact rationals.  An end
+    given as None is unbounded and becomes the Cauchy bound of q, beyond
+    which q has no root."""
+    a = -_cauchy_bound(q) if lo is None else as_rat(lo)
+    b = _cauchy_bound(q) if hi is None else as_rat(hi)
+    return a, b
+
+
+def count_roots(p: ExactPoly, lo=None, hi=None) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi),
+    each end an exact rational or None for an unbounded end; a caller that
+    wants a closed end tests p there.  Multiplicities are ignored, and an
+    empty interval (lo >= hi) holds no root."""
+    q, chain = _sturm_data(p)
+    a, b = _bracket(q, lo, hi)
+    return _open_count(q, chain, a, b) if chain and a < b else 0
+
+
+def isolate_roots(p: ExactPoly, lo=None, hi=None) -> tuple:
+    """Isolate the distinct real roots of p in the open interval (lo, hi),
+    ends as for `count_roots`: a tuple of disjoint rational intervals
+    (a, b), left to right, each holding exactly one distinct root; a
+    degenerate one (a == b) marks an exact rational root.  An empty
+    interval isolates none."""
+    q, chain = _sturm_data(p)
+    a, b = _bracket(q, lo, hi)
     out = []
 
     def rec(x, y):
@@ -818,9 +794,9 @@ def isolate_roots(p: ExactPoly, lo=NEG_INF, hi=POS_INF) -> RootIsolation:
             out.append((m, m))
         rec(m, y)
 
-    rec(a, b)
-    out.sort(key=lambda iv: iv[0])
-    return RootIsolation(tuple(out), multiplicity_free)
+    if chain and a < b:
+        rec(a, b)
+    return tuple(out)
 
 
 def refine_root(p: ExactPoly, interval, width) -> tuple:
@@ -833,7 +809,7 @@ def refine_root(p: ExactPoly, interval, width) -> tuple:
     if lo == hi:
         return (lo, hi)
     width = as_rat(width)
-    q, chain, _ = _sturm_data(p)
+    q, chain = _sturm_data(p)
     if _open_count(q, chain, lo, hi) != 1 and not (q(lo) == 0 or q(hi) == 0):
         raise ValueError("interval does not isolate a single root")
     while hi - lo > width:

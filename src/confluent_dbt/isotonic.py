@@ -28,7 +28,6 @@ from math import factorial
 
 from .classical import CACHE_SIZE, IsotonicOscillator, laguerre
 from .exactalg import (
-    POS_INF,
     Z,
     CheckedRecord,
     Confluent,
@@ -94,11 +93,11 @@ def q_at_zero(n: int, N: int) -> Fraction:
 def rootless_certificate(n: int, N: int) -> tuple:
     """Sturm-certified absence of roots of Q_n^N on (0, inf).
 
-    Returns (rootless, RootIsolation witness); the extension is regular on
-    the whole half-line precisely because of this.
+    Returns (rootless, the isolating intervals of `isolate_roots`); the
+    extension is regular on the whole half-line precisely because of this.
     """
-    witness = isolate_roots(q_poly(n, N), Fraction(0), POS_INF)
-    return witness.count == 0, witness
+    roots = isolate_roots(q_poly(n, N), Fraction(0), None)
+    return not roots, roots
 
 
 def l_nk(n: int, N: int, k: int) -> ExactPoly:
@@ -187,21 +186,15 @@ def n0_type2_partner_units(N: int) -> RationalFn:
 # -- shape invariance ----------------------------------------------------------
 
 
-def shape_invariance_residual(n: int, N: int, c_factor=None) -> tuple:
+def shape_invariance_residual(n: int, N: int) -> ExactPoly:
     """Residual of Q_n^N = C Q_{n-1}^(N+1) + z^{N+1} L_n^N L_{n-1}^(N+1) / n
-    with C = 1/n.  Returns (residual, C); zero residual iff the identity
-    holds.  A different `c_factor` serves as a negative control.
+    with C = 1/n; the zero polynomial exactly when the identity holds.
     """
     if n < 1:
         raise ValueError("shape invariance needs n >= 1")
-    c = Fraction(1, n) if c_factor is None else Fraction(c_factor)
-    cross = Z ** (N + 1) * laguerre(n, N) * laguerre(n - 1, N + 1) * Fraction(1, n)
-    return q_poly(n, N) - c * q_poly(n - 1, N + 1) - cross, c
-
-
-def shape_invariance_holds(n: int, N: int) -> bool:
-    residual, _ = shape_invariance_residual(n, N)
-    return residual.is_zero
+    c = Fraction(1, n)
+    cross = Z ** (N + 1) * laguerre(n, N) * laguerre(n - 1, N + 1) * c
+    return q_poly(n, N) - c * q_poly(n - 1, N + 1) - cross
 
 
 def _coefficient_ratios(lhs: ExactPoly, rhs: ExactPoly) -> set:

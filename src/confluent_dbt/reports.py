@@ -201,8 +201,8 @@ def _tdpt_regularity(spec, kmax, grid_n, omega):
         )
     word = "regular" if certified else "irregular"
     detail = f"predicate and certificate agree: {word}"
-    if witness.intervals:
-        ivs = [(str(a), str(b)) for a, b in witness.intervals]
+    if witness:
+        ivs = [(str(a), str(b)) for a, b in witness]
         detail += f", denominator roots isolated in {ivs}"
     return True, params, detail
 
@@ -216,7 +216,7 @@ def _tdpt_shape(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     if spec.n < 1:
         return "skip", params, "no partner constant at n = 0"
-    ok = tdpt.shape_invariance_holds(spec.n, spec.N, spec.M, spec.lambda1)
+    ok = tdpt.shape_invariance_residual(*spec)[0].is_zero
     return ok, params, (
         "identity residual identically zero" if ok else "identity broken"
     )
@@ -235,7 +235,7 @@ def _iso_q_crosscheck(spec, kmax, grid_n, omega):
         return False, params, "derivative-sum and ODE routes disagree"
     rootless, witness = isotonic.rootless_certificate(spec.n, spec.N)
     if not rootless:
-        ivs = [(str(a), str(b)) for a, b in witness.intervals]
+        ivs = [(str(a), str(b)) for a, b in witness]
         return False, params, f"denominator roots isolated in {ivs}"
     return True, params, "routes agree and denominator is rootless"
 
@@ -251,7 +251,7 @@ def _iso_shape(spec, kmax, grid_n, omega):
         return "skip", params, (
             "no partner constant at n = 0; run n0-negative instead"
         )
-    ok = isotonic.shape_invariance_holds(spec.n, spec.N)
+    ok = isotonic.shape_invariance_residual(spec.n, spec.N).is_zero
     return ok, params, (
         "identity residual identically zero" if ok else "identity broken"
     )
@@ -304,7 +304,7 @@ def _clear_constructor_caches():
     through a wrapper put around them (such as a tracer's)."""
     for fn in (classical.jacobi, classical.laguerre, tdpt.q_poly, isotonic.q_poly,
                tdpt._seed, tdpt.confluent, isotonic._seed, isotonic.confluent,
-               exactalg._ode_operator):
+               exactalg._lift, exactalg._ode_operator):
         while not hasattr(fn, "cache_clear"):
             fn = fn.__wrapped__
         fn.cache_clear()

@@ -368,7 +368,7 @@ def _check_isotonic_rootless():
                 return (
                     False,
                     {"n_max": 5, "N_max": 4},
-                    f"root certified at ({n},{N}): {witness.intervals}",
+                    f"root certified at ({n},{N}): {witness}",
                 )
     return True, {"n_max": 5, "N_max": 4}, "no roots on the half line"
 

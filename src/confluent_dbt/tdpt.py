@@ -32,7 +32,6 @@ from .exactalg import (
     ExactPoly,
     ExtendedPotential,
     RationalFn,
-    RootIsolation,
     TrigGauged,
     as_rat,
     confluent_numerator,
@@ -95,20 +94,19 @@ def denominator_poly(spec: TdptSpec) -> ExactPoly:
 
 def certify_regularity(spec: TdptSpec) -> tuple:
     """Sturm-certified absence of roots of lambda1 + Q on the half-open
-    interval (-1, 1].  Returns (regular, RootIsolation witness).
+    interval (-1, 1].  Returns (regular, roots): the isolating intervals
+    of `isolate_roots`, and (1, 1) when z = 1 is a root.
 
     Q is anchored at Q(-1) = 0 and strictly decreasing, so a zero of the
     denominator lands in (-1, 1] exactly when lambda1 sits in the forbidden
     window.  A zero at z = -1 itself (lambda1 = 0) is allowed, but there the
     level-n state is not square integrable (`ortho`/`spectrum` refuse it)."""
     d = denominator_poly(spec)
-    witness = isolate_roots(d, Fraction(-1), Fraction(1))
-    if d(Fraction(1)) == 0:
-        one = Fraction(1)
-        witness = RootIsolation(
-            witness.intervals + ((one, one),), witness.multiplicity_free
-        )
-    return witness.count == 0, witness
+    one = Fraction(1)
+    roots = isolate_roots(d, -one, one)
+    if d(one) == 0:
+        roots += ((one, one),)
+    return not roots, roots
 
 
 def wronskian_pair_poly(n: int, N: int, M: int, k: int) -> ExactPoly:
@@ -205,11 +203,6 @@ def shape_invariance_residual(
     lhs = q_poly(n, N, M) + lam - cross
     rhs = (q_poly(n - 1, N + 1, M + 1) + lam_shift) * c
     return lhs - rhs, c, lam_shift
-
-
-def shape_invariance_holds(n: int, N: int, M: int, lambda1) -> bool:
-    residual, _, _ = shape_invariance_residual(n, N, M, lambda1)
-    return residual.is_zero
 
 
 # -- numeric description -------------------------------------------------------

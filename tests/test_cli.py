@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -334,6 +335,34 @@ def test_unknown_check_id_exit_2(capsys):
     code, out, err = run_cli(capsys, "verify", "bogus.check")
     assert code == 2
     assert "unknown check" in err
+
+
+CHAIN_RUN = ("chain", "run", "--base", "tdpt", "--params", "0,1,1", "--lambdas", "1")
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    MemoryError("Unable to allocate 22.4 GiB for an array with shape (3, 1000000000)"),
+], ids=["bare", "numpy-message"])
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, exc):
+    # the command body is replaced: no test allocates a real array that large
+    def body(args):
+        raise exc
+
+    monkeypatch.setattr(floatcmds, "_cmd_chain_run", body)
+    code, out, err = run_cli(capsys, *CHAIN_RUN)
+    assert code == 2 and out == ""
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+
+def test_a_key_error_is_a_defect_and_propagates(capsys, monkeypatch):
+    # no bad input raises KeyError, so one is not reported as a usage error
+    def body(args):
+        raise KeyError("n")
+
+    monkeypatch.setattr(floatcmds, "_cmd_chain_run", body)
+    with pytest.raises(KeyError):
+        cli.main(list(CHAIN_RUN))
 
 
 # -- classical ---------------------------------------------------------------------
@@ -1381,12 +1410,21 @@ def test_commands_reuse_parser_and_caches_in_either_order(capsys):
     assert forward[2][1] != forward[3][1]
 
 
-def test_clearing_the_constructor_caches_empties_the_residual_operators():
-    spec = isotonic.IsotonicSpec(1, 1)
-    assert reports.run_spec_checks("isotonic", ["ode"], spec)[0].status == "pass"
-    assert exactalg._ode_operator.cache_info().currsize > 0
+def test_clearing_the_constructor_caches_empties_every_memo():
+    # every lru_cache of the exact modules, found by its type rather than
+    # listed, so a memo added later without being cleared fails here
+    memos = {
+        f"{module.__name__}.{name}": fn
+        for module in (exactalg, classical, tdpt, isotonic)
+        for name, fn in vars(module).items()
+        if isinstance(fn, functools._lru_cache_wrapper)
+    }
+    for family, spec in (("tdpt", tdpt.TdptSpec(1, 1, 2, 1)),
+                         ("isotonic", isotonic.IsotonicSpec(1, 1))):
+        assert reports.run_spec_checks(family, ["ode"], spec)[0].status == "pass"
+    assert {name for name, fn in memos.items() if fn.cache_info().currsize == 0} == set()
     reports._clear_constructor_caches()
-    assert exactalg._ode_operator.cache_info().currsize == 0
+    assert {name for name, fn in memos.items() if fn.cache_info().currsize > 0} == set()
 
 
 def test_parser_is_built_once():
@@ -1635,22 +1673,19 @@ def test_startup_loads_only_what_every_command_needs():
     }
 
 
-def test_thread_env_does_not_change_results():
-    base = subprocess.run(
-        [sys.executable, "-m", "confluent_dbt", "verify", "exactalg"],
-        capture_output=True, text=True,
-    )
-    capped = subprocess.run(
-        [sys.executable, "-m", "confluent_dbt", "verify", "exactalg"],
-        capture_output=True, text=True,
-        env={**os.environ, "CONFLUENT_DBT_THREADS": "1"},
-    )
-    assert base.returncode == 0 and capped.returncode == 0
-
-    def strip_elapsed(text):
-        d = json.loads(text)
-        for c in d["checks"]:
+def test_two_interpreters_with_different_hash_seeds_agree():
+    # set and dict orders of strings change with PYTHONHASHSEED; the report
+    # of a fresh interpreter must not, apart from its timings
+    def report(seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "confluent_dbt", "verify", "exactalg"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        for c in data["checks"]:
             c.pop("elapsed_ms")
-        return d
+        return data
 
-    assert strip_elapsed(base.stdout) == strip_elapsed(capped.stdout)
+    assert report("1") == report("2")

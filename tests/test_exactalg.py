@@ -9,8 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from confluent_dbt import isotonic, tdpt
 from confluent_dbt.exactalg import (
-    NEG_INF,
-    POS_INF,
     ExactPoly,
     RadialGauged,
     RationalFn,
@@ -197,18 +195,16 @@ def test_count_roots_dense_sampling_oracle():
 def test_multiple_roots_counted_once():
     p = ExactPoly([-1, 1]) ** 3 * ExactPoly([2, 1])
     assert count_roots(p) == 2
-    iso = isolate_roots(p)
-    assert iso.count == 2
-    assert not iso.multiplicity_free
+    assert len(isolate_roots(p)) == 2
 
 
 def test_isolation_separates_and_refines():
     roots = [Fraction(-3), Fraction(1, 2), Fraction(2), Fraction(7, 3)]
     p = _poly_from_roots(roots)
     iso = isolate_roots(p)
-    assert iso.multiplicity_free
-    assert iso.count == 4
-    for (lo, hi), r in zip(iso.intervals, sorted(roots)):
+    assert len(iso) == 4
+    # the intervals come left to right
+    for (lo, hi), r in zip(iso, sorted(roots)):
         assert lo <= r <= hi
         if lo != hi:
             assert count_roots(p, lo, hi) + (p(lo) == 0) + (p(hi) == 0) == 1
@@ -223,14 +219,14 @@ def test_isolation_window_endpoint_root():
     assert count_roots(p, Fraction(-1), Fraction(1)) == 1
     lo, hi = Fraction(-1), Fraction(1)
     assert count_roots(p, lo, hi) + (p(lo) == 0) + (p(hi) == 0) == 2  # closed
-    iso = isolate_roots(p, Fraction(-1), Fraction(1))
-    assert iso.count == 1
+    assert len(isolate_roots(p, Fraction(-1), Fraction(1))) == 1
 
 
 def test_half_line_count():
     p = _poly_from_roots([Fraction(-2), Fraction(5)])
-    assert count_roots(p, Fraction(0), POS_INF) == 1
-    assert count_roots(p, NEG_INF, Fraction(0)) == 1
+    assert count_roots(p, Fraction(0), None) == 1
+    assert count_roots(p, None, Fraction(0)) == 1
+    assert isolate_roots(p, Fraction(0), None)[0][0] >= 0
 
 
 Z = ExactPoly([0, 1])
@@ -239,17 +235,25 @@ Z = ExactPoly([0, 1])
 @pytest.mark.parametrize("p,lo,hi", [
     (Z - 1, Fraction(1), Fraction(1)),
     ((Z - 1) * (Z + 2), Fraction(3), Fraction(-3)),
-    ((Z - 1) * (Z + 2), POS_INF, NEG_INF),
-    ((Z - 1) * (Z + 2), POS_INF, Fraction(0)),
-    ((Z - 1) * (Z + 2), Fraction(0), NEG_INF),
-    ((Z - 1) * (Z + 2), NEG_INF, NEG_INF),
-    ((Z - 1) * (Z + 2), POS_INF, POS_INF),
-], ids=["point", "reversed", "reversed-sentinels", "from-pos-inf", "to-neg-inf",
-        "neg-inf-twice", "pos-inf-twice"])
+    ((Z - 1) * (Z + 2), Fraction(1), Fraction(-2)),
+], ids=["point", "reversed", "reversed-between-roots"])
 def test_empty_interval_holds_no_root(p, lo, hi):
-    # an open interval with lo >= hi is empty, the sentinels included
+    # an open interval with lo >= hi is empty
     assert count_roots(p, lo, hi) == 0
-    assert isolate_roots(p, lo, hi).intervals == ()
+    assert isolate_roots(p, lo, hi) == ()
+
+
+# an end given as None is unbounded; the roots 1 and -2 of (z - 1)(z + 2)
+# lie inside its Cauchy bound 3, which stands in for that end
+@pytest.mark.parametrize("lo,hi,roots", [
+    (None, None, 2), (-100, None, 2), (None, 100, 2), (-2, None, 1), (None, 1, 1),
+    (5, None, 0), (None, -5, 0), (1, None, 0), (None, -2, 0), (3, None, 0),
+    (100, None, 0), (None, -100, 0),
+])
+def test_unbounded_end_counts_every_root_beyond(lo, hi, roots):
+    p = (Z - 1) * (Z + 2)
+    assert count_roots(p, lo, hi) == roots
+    assert len(isolate_roots(p, lo, hi)) == roots
 
 
 @pytest.mark.parametrize("interval", [(Fraction(3), Fraction(-3)), (Fraction(1), 0)])

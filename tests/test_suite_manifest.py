@@ -582,7 +582,7 @@ SPEC_CONTROLS = {
     ))),
     # a constant C off by one
     "isotonic.shape": (ISO, "shape_invariance_residual", lambda real: (
-        lambda n, N: real(n, N, Fraction(1, n) + 1)
+        lambda n, N: real(n, N) - isotonic.q_poly(n - 1, N + 1)
     )),
     # a type-II ratio of the wrong sign
     "isotonic.n0-type2": (ISO_N0, "n0_type2_ratio", lambda real: (

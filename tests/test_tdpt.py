@@ -74,7 +74,7 @@ def test_regularity_predicate_matches_sturm_certificate():
             certified, witness = tdpt.certify_regularity(spec)
             assert predicted == certified, (n, N, M, lam)
             if not certified:
-                assert witness.count >= 1
+                assert len(witness) >= 1
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -91,11 +91,10 @@ def test_certificate_agrees_with_closed_root_count(n, N, M):
         roots = count_roots(d, Fraction(-1), Fraction(1)) + (d(Fraction(1)) == 0)
         certified, witness = tdpt.certify_regularity(spec)
         assert certified == (roots == 0), lam
-        assert witness.count == roots, lam
-        for lo, hi in witness.intervals:  # [r, r] marks an exact root r
+        assert len(witness) == roots, lam
+        for lo, hi in witness:  # [r, r] marks an exact root r
             closed = count_roots(d, lo, hi) + (d(lo) == 0) + (d(hi) == 0)
             assert d(lo) == 0 if lo == hi else closed == 1
-        assert witness.multiplicity_free == (d.gcd(d.derivative()).degree() == 0)
 
 
 def test_forbidden_window_boundary_cases():
@@ -281,8 +280,8 @@ def test_family_orthogonality_under_weight():
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_shape_invariance_all_27(n, N, M):
-    assert tdpt.shape_invariance_holds(n, N, M, Fraction(5, 3))
-    assert tdpt.shape_invariance_holds(n, N, M, -7)
+    assert tdpt.shape_invariance_residual(n, N, M, Fraction(5, 3))[0].is_zero
+    assert tdpt.shape_invariance_residual(n, N, M, -7)[0].is_zero
 
 
 def test_shape_invariance_worked_case():
