@@ -636,8 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command: bad input and running out of memory exit 2, and any
     other exception is a defect that propagates."""
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)  # a grid is allocated here
+        args = parser.parse_args(argv)  # a grid is allocated here
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -216,7 +216,7 @@ def _tdpt_shape(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     if spec.n < 1:
         return "skip", params, "no partner constant at n = 0"
-    ok = tdpt.shape_invariance_residual(*spec)[0].is_zero
+    ok = tdpt.shape_invariance_residual(spec.n, spec.N, spec.M, spec.lambda1)[0].is_zero
     return ok, params, (
         "identity residual identically zero" if ok else "identity broken"
     )

@@ -340,17 +340,24 @@ def test_unknown_check_id_exit_2(capsys):
 CHAIN_RUN = ("chain", "run", "--base", "tdpt", "--params", "0,1,1", "--lambdas", "1")
 
 
-@pytest.mark.parametrize("exc", [
-    MemoryError(),
-    MemoryError("Unable to allocate 22.4 GiB for an array with shape (3, 1000000000)"),
-], ids=["bare", "numpy-message"])
-def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, exc):
-    # the command body is replaced: no test allocates a real array that large
-    def body(args):
+@pytest.mark.parametrize("target, argv, exc", [
+    (floatcmds, CHAIN_RUN, MemoryError()),
+    (floatcmds, CHAIN_RUN, MemoryError(
+        "Unable to allocate 22.4 GiB for an array with shape (3, 1000000000)")),
+    (cli, (*CHAIN_RUN, "--grid", "0.1:1:10"), MemoryError("grid")),
+], ids=["bare", "numpy-message", "while-parsing"])
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, target, argv, exc):
+    # the command body or the --grid type is replaced: no test allocates a
+    # real array that large
+    def raise_it(arg):
         raise exc
 
-    monkeypatch.setattr(floatcmds, "_cmd_chain_run", body)
-    code, out, err = run_cli(capsys, *CHAIN_RUN)
+    if target is floatcmds:
+        monkeypatch.setattr(floatcmds, "_cmd_chain_run", raise_it)
+    else:  # a fresh parser, so that --grid takes the replaced type
+        monkeypatch.setattr(cli, "_grid", raise_it)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {str(exc) or 'MemoryError'}\n"
 

@@ -580,9 +580,9 @@ SPEC_CONTROLS = {
     "isotonic.ortho": (ISO, "confluent", _states_replaced(lambda real, spec, k: (
         real(spec).state(k) + real(spec).state(0) if k == 2 else real(spec).state(k)
     ))),
-    # a constant C off by one
-    "isotonic.shape": (ISO, "shape_invariance_residual", lambda real: (
-        lambda n, N: real(n, N) - isotonic.q_poly(n - 1, N + 1)
+    # the partner Q_{n-1}^(N+1) doubled, as the constant 2C would give
+    "isotonic.shape": (ISO, "q_poly", lambda real: (
+        lambda n, N: real(n, N) * (2 if N == ISO.N + 1 else 1)
     )),
     # a type-II ratio of the wrong sign
     "isotonic.n0-type2": (ISO_N0, "n0_type2_ratio", lambda real: (
