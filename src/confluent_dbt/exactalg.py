@@ -1,9 +1,9 @@
-"""Exact big-rational algebra: polynomials, rational functions, Sturm chains,
-and gauged functions closed under the physical derivative.
+"""Exact big-rational algebra: polynomials, rational functions, real root
+isolation, and gauged functions closed under the physical derivative.
 
 Everything in this module is exact.  A polynomial is stored as integer
 numerators over one positive common denominator, so its kernels (products,
-division, gcd, Sturm chains, evaluation at a rational) run on Python ints;
+division, gcd, root isolation, evaluation at a rational) run on Python ints;
 coefficients are presented as `fractions.Fraction` and no floating point
 enters until an explicit float evaluation is requested.  Float evaluation
 takes a float or a numpy array of points and gives the same bits either
@@ -13,8 +13,9 @@ cached, and transcendental factors stay on libm (`pointwise`).
 
 A gcd comes from one big-integer gcd of values at a power of two
 (GCDHEU), accepted only when trial division certifies it, with a primitive
-remainder sequence as the fallback; the same sequence (`_prs`) builds the
-Sturm chains, which count distinct roots in open intervals.  Every
+remainder sequence (`_prs`) as the fallback.  Descartes' rule of signs
+with bisection isolates real roots in integers, an unbounded end becoming
+a root bound 2^k + 1 (`_root_bound`).  Every
 `RationalFn` operation returns a reduced result by Henrici's formulas,
 which take gcds of the operands' factors rather than of their cross
 products.  A power of a linear polynomial comes from the binomial theorem,
@@ -50,8 +51,9 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, gcd
+from operator import add, ne
 
 # Evaluation points the heuristic gcd tries before the remainder sequence
 _HEU_TRIES = 6
@@ -692,7 +694,7 @@ def _coerce_rational(v):
 
 
 # ---------------------------------------------------------------------------
-# Sturm chains: exact root counting, isolation, refinement
+# Root counting, isolation and refinement: Descartes' rule with bisection
 # ---------------------------------------------------------------------------
 
 
@@ -707,58 +709,75 @@ def _prs(a, b):
         a, b = b, [-c for c in r]
 
 
-def sturm_chain(p: ExactPoly) -> list:
-    """Signed-remainder Sturm chain of p (expects p squarefree).
-
-    Entries are primitive integer polynomials, each a positive multiple of
-    the classical entry (p, p', -rem, ...), so sign counts are unchanged."""
-    a = _primitive(list(p._num))
-    chain = (a, *_prs(a, [i * c for i, c in enumerate(a)][1:]))
-    return [ExactPoly._from_ints(c) for c in chain]
-
-
-def _sign_at(p: ExactPoly, x: Fraction) -> int:
-    v = _horner_at(p._num, x)[0]
-    return (v > 0) - (v < 0)
+def _shift(c, h=1) -> list:
+    """c(z + h) for the integer list c (Taylor shift), by repeated
+    synthetic division by z - h on the descending coefficients."""
+    step = add if h == 1 else (lambda s, x: s * h + x)
+    r = c[::-1]
+    for n in range(len(r), 1, -1):
+        r[:n] = accumulate(r[:n], step)
+    return r[::-1]
 
 
-def _variations(chain, x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(c) -> int:
+    """Sign changes along the integer list c, zeros skipped."""
+    signs = [x > 0 for x in c if x]
+    return sum(map(ne, signs, signs[1:]))
 
 
-def _sturm_data(p: ExactPoly) -> tuple:
-    """(squarefree part q, Sturm chain of q), both from one gcd(p, p').
-    The chain is empty when p has no root."""
+def _squarefree(p: ExactPoly) -> ExactPoly:
+    """The monic squarefree part p / gcd(p, p'): the same distinct roots."""
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
-    if p.degree() == 0:
-        return p.monic(), []
-    q = (p // p.gcd(p.derivative())).monic()
-    return q, sturm_chain(q)
+    return (p // p.gcd(p.derivative())).monic()
 
 
-def _open_count(q: ExactPoly, chain, x: Fraction, y: Fraction) -> int:
-    """Distinct roots of the squarefree q in the open interval (x, y): the
-    Sturm count covers (x, y], so a root sitting at y is subtracted."""
-    n = _variations(chain, x) - _variations(chain, y)
-    if q(y) == 0:
-        n -= 1
-    return n
+def _root_bound(c) -> int:
+    """2^k + 1 for the least k >= 0 at which c(2^k + t) has no sign
+    variation, so that by Descartes' rule no root of c lies beyond 2^k; t
+    is taken as 2^k s, which keeps the signs.  An odd end keeps bisection
+    midpoints off small dyadic roots: from (0, 5), 5/2, 5/4, ..., never 2."""
+    k = 0
+    while _variations(_shift([x << k * i for i, x in enumerate(c)])):
+        k += 1
+    return (1 << k) + 1
 
 
-def _cauchy_bound(p: ExactPoly) -> Fraction:
-    num = p._num
-    return 1 + Fraction(max(map(abs, num)), abs(num[-1]))
+def _isolate(q: ExactPoly, lo, hi) -> list:
+    """The intervals of `isolate_roots` for the monic squarefree q.
 
+    (a, b) maps onto (0, 1) in integers as r(t) = q(a + (b - a) t), up to a
+    factor.  A node with no sign variation in (1 + t)^d r(1 / (1 + t)) holds
+    no root and one with one variation one root (Descartes); any other
+    halves, into 2^d r(t/2) and its shift by 1, whose zero constant term is
+    a root at the midpoint.  A subtree that finds one root reports its
+    node's interval, as a count of distinct roots would place it."""
+    c = _primitive(list(q._num))
+    a = as_rat(-_root_bound([-x if i & 1 else x for i, x in enumerate(c)])
+               if lo is None else lo)
+    b = as_rat(_root_bound(c) if hi is None else hi)
+    if a >= b:
+        return []
+    s = math.lcm(a.denominator, b.denominator)
+    r = _shift([x * s ** (len(c) - 1 - i) for i, x in enumerate(c)], int(a * s))
+    w = int((b - a) * s)
+    r = _primitive([x * w**i for i, x in enumerate(r)])
 
-def _bracket(q: ExactPoly, lo, hi) -> tuple:
-    """The ends of the open interval (lo, hi) as exact rationals.  An end
-    given as None is unbounded and becomes the Cauchy bound of q, beyond
-    which q has no root."""
-    a = -_cauchy_bound(q) if lo is None else as_rat(lo)
-    b = _cauchy_bound(q) if hi is None else as_rat(hi)
-    return a, b
+    def rec(r, x, y):
+        v = _variations(_shift(r[::-1]))
+        if v < 2:
+            return [(x, y)] * v
+        left = _primitive([c << (len(r) - 1 - i) for i, c in enumerate(r)])
+        right = _shift(left)
+        m = (x + y) / 2
+        found = rec(left, x, m)
+        if not right[0]:
+            found.append((m, m))
+            right = right[1:]
+        found += rec(right, m, y)
+        return found if len(found) != 1 else [(x, y)]
+
+    return rec(r, a, b)
 
 
 def count_roots(p: ExactPoly, lo=None, hi=None) -> int:
@@ -766,9 +785,7 @@ def count_roots(p: ExactPoly, lo=None, hi=None) -> int:
     each end an exact rational or None for an unbounded end; a caller that
     wants a closed end tests p there.  Multiplicities are ignored, and an
     empty interval (lo >= hi) holds no root."""
-    q, chain = _sturm_data(p)
-    a, b = _bracket(q, lo, hi)
-    return _open_count(q, chain, a, b) if chain and a < b else 0
+    return len(_isolate(_squarefree(p), lo, hi))
 
 
 def isolate_roots(p: ExactPoly, lo=None, hi=None) -> tuple:
@@ -777,49 +794,27 @@ def isolate_roots(p: ExactPoly, lo=None, hi=None) -> tuple:
     (a, b), left to right, each holding exactly one distinct root; a
     degenerate one (a == b) marks an exact rational root.  An empty
     interval isolates none."""
-    q, chain = _sturm_data(p)
-    a, b = _bracket(q, lo, hi)
-    out = []
-
-    def rec(x, y):
-        c = _open_count(q, chain, x, y)
-        if c == 0:
-            return
-        if c == 1:
-            out.append((x, y))
-            return
-        m = (x + y) / 2
-        rec(x, m)
-        if q(m) == 0:
-            out.append((m, m))
-        rec(m, y)
-
-    if chain and a < b:
-        rec(a, b)
-    return tuple(out)
+    return tuple(_isolate(_squarefree(p), lo, hi))
 
 
 def refine_root(p: ExactPoly, interval, width) -> tuple:
     """Shrink an isolating interval by bisection until it is narrower
     than `width`.  The interval must contain exactly one distinct root and
-    must not be reversed."""
-    lo, hi = as_rat(interval[0]), as_rat(interval[1])
+    must not be reversed; a root at an end comes back as (end, end)."""
+    lo, hi, width = as_rat(interval[0]), as_rat(interval[1]), as_rat(width)
     if lo > hi:
         raise ValueError(f"reversed interval ({lo}, {hi})")
-    if lo == hi:
-        return (lo, hi)
-    width = as_rat(width)
-    q, chain = _sturm_data(p)
-    if _open_count(q, chain, lo, hi) != 1 and not (q(lo) == 0 or q(hi) == 0):
+    q = _squarefree(p)
+    inside, ends = len(_isolate(q, lo, hi)), {e for e in (lo, hi) if q(e) == 0}
+    if not inside and len(ends) == 1:
+        return (*ends, *ends)
+    if inside != 1:
         raise ValueError("interval does not isolate a single root")
     while hi - lo > width:
         mid = (lo + hi) / 2
         if q(mid) == 0:
             return (mid, mid)
-        if _open_count(q, chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if len(_isolate(q, lo, mid)) == 1 else (mid, hi)
     return (lo, hi)
 
 

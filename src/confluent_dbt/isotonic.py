@@ -91,7 +91,8 @@ def q_at_zero(n: int, N: int) -> Fraction:
 
 
 def rootless_certificate(n: int, N: int) -> tuple:
-    """Sturm-certified absence of roots of Q_n^N on (0, inf).
+    """Certified absence of roots of Q_n^N on (0, inf), by Descartes' rule
+    with bisection up to a power-of-two root bound 2^k + 1.
 
     Returns (rootless, the isolating intervals of `isolate_roots`); the
     extension is regular on the whole half-line precisely because of this.

@@ -89,6 +89,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _intervals(witness) -> str:
+    return str([(str(a), str(b)) for a, b in witness])
+
+
 # -- per-spec bodies shared by both families --------------------------------------
 
 
@@ -202,8 +206,7 @@ def _tdpt_regularity(spec, kmax, grid_n, omega):
     word = "regular" if certified else "irregular"
     detail = f"predicate and certificate agree: {word}"
     if witness:
-        ivs = [(str(a), str(b)) for a, b in witness]
-        detail += f", denominator roots isolated in {ivs}"
+        detail += f", denominator roots isolated in {_intervals(witness)}"
     return True, params, detail
 
 
@@ -235,8 +238,7 @@ def _iso_q_crosscheck(spec, kmax, grid_n, omega):
         return False, params, "derivative-sum and ODE routes disagree"
     rootless, witness = isotonic.rootless_certificate(spec.n, spec.N)
     if not rootless:
-        ivs = [(str(a), str(b)) for a, b in witness]
-        return False, params, f"denominator roots isolated in {ivs}"
+        return False, params, f"denominator roots isolated in {_intervals(witness)}"
     return True, params, "routes agree and denominator is rootless"
 
 

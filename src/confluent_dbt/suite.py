@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import chains, classical, exactalg, isotonic, reports, tdpt, verify
 from .exactalg import ExactPoly, RadialGauged, RationalFn, TrigGauged
 from .reports import (GRID_N, KMAX, MANIFEST, OMEGA, _check, _clear_constructor_caches,
-                      _fmt, _ode, _offdiagonal, _ortho, _spectrum, _tdpt_regularity,
-                      _tdpt_shape)
+                      _fmt, _intervals, _ode, _offdiagonal, _ortho, _spectrum,
+                      _tdpt_regularity, _tdpt_shape)
 
 
 # -- exactalg ---------------------------------------------------------------------
@@ -368,7 +368,7 @@ def _check_isotonic_rootless():
                 return (
                     False,
                     {"n_max": 5, "N_max": 4},
-                    f"root certified at ({n},{N}): {witness}",
+                    f"root certified at ({n},{N}): {_intervals(witness)}",
                 )
     return True, {"n_max": 5, "N_max": 4}, "no roots on the half line"
 

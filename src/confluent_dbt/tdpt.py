@@ -93,9 +93,9 @@ def denominator_poly(spec: TdptSpec) -> ExactPoly:
 
 
 def certify_regularity(spec: TdptSpec) -> tuple:
-    """Sturm-certified absence of roots of lambda1 + Q on the half-open
-    interval (-1, 1].  Returns (regular, roots): the isolating intervals
-    of `isolate_roots`, and (1, 1) when z = 1 is a root.
+    """Certified absence of roots of lambda1 + Q on the half-open interval
+    (-1, 1], by Descartes' rule with bisection.  Returns (regular, roots):
+    the isolating intervals of `isolate_roots`, and (1, 1) at a root z = 1.
 
     Q is anchored at Q(-1) = 0 and strictly decreasing, so a zero of the
     denominator lands in (-1, 1] exactly when lambda1 sits in the forbidden

@@ -244,7 +244,7 @@ def test_empty_interval_holds_no_root(p, lo, hi):
 
 
 # an end given as None is unbounded; the roots 1 and -2 of (z - 1)(z + 2)
-# lie inside its Cauchy bound 3, which stands in for that end
+# lie inside the root bounds 2 and -3 that stand in for those ends
 @pytest.mark.parametrize("lo,hi,roots", [
     (None, None, 2), (-100, None, 2), (None, 100, 2), (-2, None, 1), (None, 1, 1),
     (5, None, 0), (None, -5, 0), (1, None, 0), (None, -2, 0), (3, None, 0),
@@ -798,3 +798,22 @@ def test_float_coefficients_are_the_rounded_fractions(coeffs):
     p(0.5)
     want = [float(c) for c in reversed(p.coeffs)] or [0.0]
     assert [c.hex() for c in p._floats] == [c.hex() for c in want]
+
+
+@pytest.mark.parametrize("interval,root", [
+    ((Fraction(1), Fraction(3, 2)), Fraction(1)),
+    ((Fraction(0), Fraction(1)), Fraction(1)),
+    ((Fraction(-2), Fraction(-1)), Fraction(-2)),
+], ids=["left-end", "right-end", "left-end-negative"])
+def test_refine_root_keeps_a_root_at_an_end(interval, root):
+    # the open interval holds no root and one end is the root: bisecting
+    # would move away from it
+    assert refine_root((Z - 1) * (Z + 2), interval, Fraction(1, 100)) == (root, root)
+
+
+@pytest.mark.parametrize("interval", [
+    (Fraction(-2), Fraction(1)), (Fraction(2), Fraction(3)), (Fraction(5), Fraction(5)),
+], ids=["both-ends-roots", "no-root", "point-off-the-root"])
+def test_refine_root_refuses_an_interval_without_exactly_one_root(interval):
+    with pytest.raises(ValueError):
+        refine_root((Z - 1) * (Z + 2), interval, Fraction(1, 100))

@@ -251,7 +251,7 @@ def test_gcd_of_denominator_powers(n, N, M, lam):
     assert r.num == from_sympy(sympy.Poly(num, X, domain=sympy.QQ) * (1 / lead))
 
 
-# -- squarefree part, Sturm counting and isolation ----------------------------------
+# -- squarefree part, root counting and isolation ----------------------------------
 
 
 @st.composite
@@ -274,7 +274,7 @@ def rooted_polys(draw):
 def test_squarefree_part_matches_sympy(case):
     p, _ = case
     sqf = from_sympy(to_sympy(p).sqf_part().monic())
-    assert exactalg._sturm_data(p)[0] == sqf
+    assert exactalg._squarefree(p) == sqf
 
 
 def sympy_open_count(sp, lo, hi):

@@ -66,11 +66,17 @@ def test_q_rootless_on_half_line(n, N):
     assert witness == ()
 
 
+def test_rootless_certificate_reaches_n_80():
+    # Q_80^3 has degree 163; its Sturm chain took 18 s
+    assert isotonic.q_poly(80, 3).degree() == 163
+    assert isotonic.rootless_certificate(80, 3) == (True, ())
+
+
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("N", range(1, 4))
 def test_certificate_agrees_with_root_count(n, N):
-    # count_roots is the independent count: the certificate itself builds
-    # its witness from isolate_roots alone
+    # the witness against the engine's own count; sympy and the frozen
+    # Sturm engine check that engine (test_exactalg_oracle, test_sturm_oracle)
     q = isotonic.q_poly(n, N)
     roots = count_roots(q, Fraction(0), None)
     rootless, witness = isotonic.rootless_certificate(n, N)

@@ -414,10 +414,10 @@ def _partner_adding_v(real):
 # `verify` loads at its first use, so its rows also show that a patch on
 # the lazily loaded module reaches the checks
 MANIFEST_CONTROLS = {
-    # a Sturm chain without its last entry
-    "exactalg.sturm": (exactalg, "sturm_chain", lambda real: (
-        lambda p: real(p)[:-1]
-    ), "case 0: counted 3, constructed 4"),
+    # a Descartes sign-variation count one too low (never below zero)
+    "exactalg.sturm": (exactalg, "_variations", lambda real: (
+        lambda c: max(real(c) - 1, 0)
+    ), "case 0: counted 2, constructed 4"),
     # a gcd that finds no common factor
     "exactalg.coprime": (exactalg.ExactPoly, "gcd", lambda real: (
         lambda self, other: exactalg.ExactPoly.one()
@@ -491,7 +491,7 @@ MANIFEST_CONTROLS = {
     # a cumulative norm with a root at z = 1
     "isotonic.rootless": (isotonic, "q_poly", lambda real: (
         lambda n, N: real(n, N) * exactalg.ExactPoly([-1, 1])
-    )),
+    ), "root certified at (0,1): [('0', '2')]"),
     # states with a half power of z too many: x^(5/2) at the origin
     "isotonic.boundary": (isotonic, "confluent", _states_replaced(
         lambda real, spec, k: real(spec).state(k)

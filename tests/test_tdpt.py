@@ -81,8 +81,8 @@ def test_regularity_predicate_matches_sturm_certificate():
 @pytest.mark.parametrize("N", range(1, 4))
 @pytest.mark.parametrize("M", range(1, 4))
 def test_certificate_agrees_with_closed_root_count(n, N, M):
-    # count_roots is the independent count: the certificate itself builds
-    # its witness from isolate_roots alone
+    # the witness against the engine's own count; sympy and the frozen
+    # Sturm engine check that engine (test_exactalg_oracle, test_sturm_oracle)
     thr = tdpt.regularity_threshold(n, N, M)
     for lam in (thr, thr / 2, thr / 3, Fraction(0), Fraction(-1), 2 * thr):
         spec = tdpt.TdptSpec(n, N, M, lam)
@@ -95,6 +95,23 @@ def test_certificate_agrees_with_closed_root_count(n, N, M):
         for lo, hi in witness:  # [r, r] marks an exact root r
             closed = count_roots(d, lo, hi) + (d(lo) == 0) + (d(hi) == 0)
             assert d(lo) == 0 if lo == hi else closed == 1
+
+
+# the certificate at the degree where a Sturm chain took 13 s: lambda1 + Q
+# of degree 134, inside the window, at its edge and on either side of it
+@pytest.mark.parametrize("lam,roots", [
+    (lambda thr: thr / 2, 1),
+    (lambda thr: thr, 1),
+    (lambda thr: thr + Fraction(1, 10**6), 0),
+    (lambda thr: Fraction(-1), 0),
+], ids=["inside", "edge", "above", "negative"])
+def test_certificate_reaches_degree_134(lam, roots):
+    n, N, M = 64, 3, 2
+    spec = tdpt.TdptSpec(n, N, M, lam(tdpt.regularity_threshold(n, N, M)))
+    assert tdpt.denominator_poly(spec).degree() == 134
+    certified, witness = tdpt.certify_regularity(spec)
+    assert certified == tdpt.is_regular(n, N, M, spec.lambda1) == (roots == 0)
+    assert len(witness) == roots
 
 
 def test_forbidden_window_boundary_cases():
