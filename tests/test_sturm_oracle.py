@@ -153,8 +153,9 @@ def _recorded(run) -> list:
 
 
 def test_pool_specs_are_found():
-    assert len(_pool_specs("regularity")) == 108
-    assert len(_pool_specs("q-crosscheck")) == 24
+    regularity, qcross = _pool_specs("regularity"), _pool_specs("q-crosscheck")
+    assert regularity and all(isinstance(s, tdpt.TdptSpec) for s in regularity)
+    assert qcross and all(isinstance(s, isotonic.IsotonicSpec) for s in qcross)
 
 
 @pytest.mark.parametrize("run", [
