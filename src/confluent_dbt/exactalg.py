@@ -710,13 +710,14 @@ def _prs(a, b):
 
 
 def _shift(c, h=1) -> list:
-    """c(z + h) for the integer list c (Taylor shift), by repeated
-    synthetic division by z - h on the descending coefficients."""
+    """c(z + h) for the integer list c (Taylor shift): each synthetic division
+    by z - h of the descending coefficients leaves the next one as remainder."""
     step = add if h == 1 else (lambda s, x: s * h + x)
-    r = c[::-1]
-    for n in range(len(r), 1, -1):
-        r[:n] = accumulate(r[:n], step)
-    return r[::-1]
+    r, out = c[::-1], []
+    while r:
+        r = list(accumulate(r, step))
+        out.append(r.pop())
+    return out
 
 
 def _variations(c) -> int:
