@@ -801,7 +801,7 @@ def isolate_roots(p: ExactPoly, lo=None, hi=None) -> tuple:
 def refine_root(p: ExactPoly, interval, width) -> tuple:
     """Shrink an isolating interval by bisection until it is narrower
     than `width`.  The interval must contain exactly one distinct root and
-    must not be reversed; a root at an end comes back as (end, end)."""
+    must not be reversed; when that root is an end, (end, end) comes back."""
     lo, hi, width = as_rat(interval[0]), as_rat(interval[1]), as_rat(width)
     if lo > hi:
         raise ValueError(f"reversed interval ({lo}, {hi})")
