@@ -274,7 +274,8 @@ def hyperconfluent_chain(seed: SeedFunction, v, lambdas, xs, x_start: float):
     except ValueError as exc:
         # the integrator stalls where the chain turns singular
         raise ValueError(
-            f"chain {exc}; the constants are likely outside the regular window"
+            f"chain {str(exc).rstrip('.')}; "
+            "the constants are likely outside the regular window"
         ) from None
     psi, dpsi = samples[0], samples[1]
     integrals = tuple(samples[2 + j] for j in range(levels))

@@ -47,6 +47,7 @@ from json.encoder import encode_basestring_ascii
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import classical, isotonic, reports, tdpt
+from .exactalg import ExactPoly, RationalFn
 
 
 # -- input parsing ----------------------------------------------------------------
@@ -222,17 +223,26 @@ def _emit(text: str, out_path):
 
 
 def _json_text(payload: dict) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline.
+    """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, where
+    an `ExactPoly` or `RationalFn` stands for its `to_json()` dict.
 
     Written here because `json` ignores its C encoder when given an
-    indent; the containers are walked as `json` walks them, and every
-    scalar but a string is left to `json.dumps`."""
+    indent.  Strings are escaped as `json` escapes them.  An int and an
+    exact object are matched by exact type and written directly, the object
+    straight from its stored integers (`json_text`).  Containers are walked
+    as `json` walks them, and any other value, a subclass too, is left to
+    `json.dumps`."""
     return _json_value(payload, "\n") + "\n"
 
 
 def _json_value(value, nl: str) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is ExactPoly or kind is RationalFn:
+        return value.json_text(nl)
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
         ends, items = "[]", [_json_value(v, inner) for v in value]
@@ -296,7 +306,7 @@ def _cmd_classical_dump(args) -> int:
     _refuse_unread(args, f"classical dump --family {args.family}", fields)
     build = classical.jacobi if args.family == "jacobi" else classical.laguerre
     poly = build(*fields.values())
-    _emit_json(dict(fields, family=args.family, polynomial=poly.to_json()), args.out)
+    _emit_json(dict(fields, family=args.family, polynomial=poly), args.out)
     return 0
 
 
@@ -310,15 +320,12 @@ def _cmd_tdpt_build(args) -> int:
     payload = {
         "family": "tdpt",
         "spec": spec.as_dict(),
-        "q": tdpt.q_poly(spec.n, spec.N, spec.M).to_json(),
+        "q": tdpt.q_poly(spec.n, spec.N, spec.M),
         "threshold": str(tdpt.regularity_threshold(spec.n, spec.N, spec.M)),
-        "denominator": tdpt.denominator_poly(spec).to_json(),
-        "p_tilde": {
-            str(k): tdpt.p_tilde(spec, k).to_json()
-            for k in range(args.kmax + 1)
-        },
-        "correction": pot.correction.to_json(),
-        "z_form": pot.z_form.to_json(),
+        "denominator": tdpt.denominator_poly(spec),
+        "p_tilde": {str(k): tdpt.p_tilde(spec, k) for k in range(args.kmax + 1)},
+        "correction": pot.correction,
+        "z_form": pot.z_form,
         "energies": [
             str(base.energy(k)) for k in range(max(6, spec.n + 3))
         ],
@@ -338,12 +345,12 @@ def _cmd_isotonic_build(args) -> int:
     payload = {
         "family": "isotonic",
         "spec": spec.as_dict(),
-        "q": isotonic.q_poly(spec.n, spec.N).to_json(),
+        "q": isotonic.q_poly(spec.n, spec.N),
         "q_at_zero": str(isotonic.q_at_zero(spec.n, spec.N)),
         "rootless": rootless,
-        "l_tilde": {str(k): isotonic.l_tilde(spec, k).to_json() for k in levels},
-        "correction_units": pot.correction.to_json(),
-        "zform_units": pot.z_form.to_json(),
+        "l_tilde": {str(k): isotonic.l_tilde(spec, k) for k in levels},
+        "correction_units": pot.correction,
+        "zform_units": pot.z_form,
         "deleted_level": spec.n,
         "levels": list(levels),
         "energies_units": [str(2 * k) for k in levels],
@@ -480,7 +487,7 @@ def _cmd_table(args) -> int:
         "family": args.family,
         "spec": spec.as_dict(),
         "polynomials": {
-            str(k): fam.exceptional(spec, k).to_json()
+            str(k): fam.exceptional(spec, k)
             for k in fam.levels(spec, args.kmax)
         },
     }

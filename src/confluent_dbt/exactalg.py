@@ -517,6 +517,9 @@ class ExactPoly:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
+        """The dict form {"coeffs": [[numerator, denominator], ...]}, each
+        coefficient reduced and written in decimal; `from_json` inverts it,
+        and the tests hold `json_text` to it."""
         den = self._den
         return {
             "coeffs": [
@@ -525,6 +528,21 @@ class ExactPoly:
                 for g in (gcd(c, den),)
             ]
         }
+
+    def json_text(self, nl: str = "\n") -> str:
+        """`to_json()` as `json.dumps(..., indent=2)` writes it where `nl`
+        (a newline and the enclosing indent) precedes the closing brace,
+        straight from the stored integers: one `%` per coefficient."""
+        den, i1 = self._den, nl + "  "
+        if not self._num:
+            return "{" + i1 + '"coeffs": []' + nl + "}"
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        pair = "[" + i3 + '"%d",' + i3 + '"%d"' + i2 + "]"
+        body = ("," + i2).join(
+            [pair % (c // g, den // g) for c in self._num for g in (gcd(c, den),)]
+        )
+        return "{" + i1 + '"coeffs": [' + i2 + body + i1 + "]" + nl + "}"
 
     @staticmethod
     def from_json(obj: dict) -> "ExactPoly":
@@ -676,7 +694,15 @@ class RationalFn:
             return self.num(z) / self.den(z)
 
     def to_json(self) -> dict:
+        """The dict form {"num": ..., "den": ...} of two `ExactPoly.to_json`
+        dicts; `from_json` inverts it, and the tests hold `json_text` to it."""
         return {"num": self.num.to_json(), "den": self.den.to_json()}
+
+    def json_text(self, nl: str = "\n") -> str:
+        """`to_json()` as `ExactPoly.json_text` writes it, keys sorted."""
+        i1 = nl + "  "
+        return ("{" + i1 + '"den": ' + self.den.json_text(i1) + ","
+                + i1 + '"num": ' + self.num.json_text(i1) + nl + "}")
 
     @staticmethod
     def from_json(obj: dict) -> "RationalFn":
@@ -764,21 +790,31 @@ def _isolate(q: ExactPoly, lo, hi) -> list:
     w = int((b - a) * s)
     r = _primitive([x * w**i for i, x in enumerate(r)])
 
-    def rec(r, x, y):
-        v = _variations(_shift(r[::-1]))
-        if v < 2:
-            return [(x, y)] * v
-        left = _primitive([c << (len(r) - 1 - i) for i, c in enumerate(r)])
-        right = _shift(left)
-        m = (x + y) / 2
-        found = rec(left, x, m)
-        if not right[0]:
-            found.append((m, m))
-            right = right[1:]
-        found += rec(right, m, y)
-        return found if len(found) != 1 else [(x, y)]
-
-    return rec(r, a, b)
+    # depth first, left to right, on an explicit stack, as two close roots
+    # take a level per halving of their distance.  An entry is a node
+    # (r, x, y), a midpoint root (None, m, m), or the end of the subtree of
+    # (x, y) whose roots start at found[r]
+    found, todo = [], [(r, a, b)]
+    while todo:
+        r, x, y = todo.pop()
+        if r is None:
+            found.append((x, y))
+        elif isinstance(r, int):
+            if len(found) - r == 1:
+                found[-1] = (x, y)
+        elif (v := _variations(_shift(r[::-1]))) < 2:
+            found += [(x, y)] * v
+        else:
+            left = _primitive([c << (len(r) - 1 - i) for i, c in enumerate(r)])
+            right = _shift(left)
+            m = (x + y) / 2
+            todo.append((len(found), x, y))
+            if not right[0]:
+                todo += [(right[1:], m, y), (None, m, m)]
+            else:
+                todo.append((right, m, y))
+            todo.append((left, x, m))
+    return found
 
 
 def count_roots(p: ExactPoly, lo=None, hi=None) -> int:

@@ -55,7 +55,8 @@ def _check_exactalg_antiderivative():
 
 
 @_check(
-    "exactalg.sturm", "Sturm root counts match constructed root sets up to degree 12"
+    "exactalg.sturm",
+    "Descartes root counts match constructed root sets up to degree 12",
 )
 def _check_exactalg_sturm():
     rng = random.Random(12)
@@ -289,7 +290,9 @@ def _check_tdpt_shape():
     return True, {"cases": 27}, "identity exact on 27 cases, control breaks it"
 
 
-@_check("tdpt.regularity", "regularity predicate agrees with the Sturm certificate")
+@_check(
+    "tdpt.regularity", "regularity predicate agrees with the Descartes certificate"
+)
 def _check_tdpt_regularity():
     rng = random.Random(20240818)
     for n, N, M in [(0, 1, 1), (1, 1, 1), (2, 2, 1), (1, 2, 3)]:

@@ -596,6 +596,16 @@ def test_chain_run_integration_failure_exit_2(capsys, argv):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_chain_integration_failure_message_reads_as_one_sentence(capsys):
+    argv = "chain run --base tdpt --params 0,1,2 --lambdas 1,1,1,1 --grid 0.05:1.45:2000"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert err == (
+        "error: chain integration failed: Required step size is less than spacing "
+        "between numbers; the constants are likely outside the regular window\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     "chain run --base tdpt --params 0,1,1 --lambdas 1 --grid 0.05:1.5:3 "
     "--x-start 1e-200",
@@ -1300,6 +1310,50 @@ def test_json_text_equals_sorted_indented_dumps(payload):
     assert cli._json_text(payload) == reference_json_text(payload)
 
 
+big_ints = st.integers(min_value=-(2**300), max_value=2**300)
+exact_polys = st.one_of(
+    st.just(ExactPoly()),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=5).map(ExactPoly),
+    st.lists(
+        big_ints | st.builds(Fraction, big_ints, st.integers(1, 2**70)), max_size=5
+    ).map(ExactPoly),
+)
+exact_objects = exact_polys | st.builds(
+    RationalFn, exact_polys, exact_polys.filter(lambda p: not p.is_zero)
+)
+
+
+def coeffs_dict(p):
+    return {"coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs]}
+
+
+def with_coeffs_dicts(value, seen):
+    """`value` with each exact object replaced by a dict built from its
+    .coeffs, and appended to `seen`; containers are rebuilt, as json
+    writes a tuple or a subclass."""
+    if type(value) is ExactPoly:
+        seen.append(value)
+        return coeffs_dict(value)
+    if type(value) is RationalFn:
+        seen.append(value)
+        return {"num": coeffs_dict(value.num), "den": coeffs_dict(value.den)}
+    if isinstance(value, dict):
+        return {k: with_coeffs_dicts(v, seen) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [with_coeffs_dicts(v, seen) for v in value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(exact_objects | json_scalars, json_containers, max_leaves=12))
+def test_json_text_writes_exact_objects_as_their_coeffs_dicts(payload):
+    seen = []
+    reference = reference_json_text(with_coeffs_dicts(payload, seen))
+    assert cli._json_text(payload) == reference
+    for obj in seen:
+        assert type(obj).from_json(json.loads(cli._json_text(obj))) == obj
+
+
 def test_json_text_refuses_what_json_refuses():
     for payload in ({"a": [1, Fraction(1, 3)]}, {"a": {(1, 2): 0}}):
         with pytest.raises(TypeError) as want:
@@ -1519,6 +1573,24 @@ def test_output_digests_names_its_package_and_refuses_without_one(tmp_path):
     assert proc.stderr == f"digesting {root / 'src' / 'confluent_dbt'}\n"
     digest, total = proc.stdout.splitlines()
     assert digest.endswith("  c1") and total.startswith("total ")
+
+    def against(saved):
+        (tmp_path / "saved.txt").write_text(saved)
+        return subprocess.run(
+            tool + ["--pool", "pool.json", "--readme", "README.md",
+                    "--against", "saved.txt"],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**env, "PYTHONPATH": str(root / "src")},
+        )
+
+    same = against(proc.stdout)
+    assert same.returncode == 0
+    assert same.stdout == f"{total}\n0 command(s) differ from saved.txt\n"
+    moved = against(f"{'0' * 16}  c1\n{'0' * 16}  gone\n{total}\n")
+    assert moved.returncode == 1
+    assert moved.stdout == (
+        f"{digest}\n{total}\nmissing  gone\n2 command(s) differ from saved.txt\n"
+    )
 
 
 _NO_SCIPY_RUN = """

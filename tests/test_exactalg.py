@@ -229,6 +229,15 @@ def test_half_line_count():
     assert isolate_roots(p, Fraction(0), None)[0][0] >= 0
 
 
+def test_roots_closer_than_the_recursion_limit():
+    # 2^-1100 apart: the bisection runs about 1100 levels deep
+    r, s = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 2**1100)
+    p = _poly_from_roots([r, s])
+    assert count_roots(p, 0, 1) == 2
+    (a, b), (c, d) = isolate_roots(p, 0, 1)
+    assert a < r < b <= c < s < d
+
+
 Z = ExactPoly([0, 1])
 
 

@@ -42,7 +42,7 @@ PINNED_ROWS = [
     ("exactalg.antiderivative", "exactalg",
      "antiderivative anchored at a point differentiates back exactly"),
     ("exactalg.sturm", "exactalg",
-     "Sturm root counts match constructed root sets up to degree 12"),
+     "Descartes root counts match constructed root sets up to degree 12"),
     ("exactalg.coprime", "exactalg",
      "rational-function arithmetic keeps numerator and denominator coprime"),
     ("exactalg.wronskian", "exactalg",
@@ -64,7 +64,7 @@ PINNED_ROWS = [
     ("tdpt.shape", "tdpt",
      "enlarged shape-invariance identity holds exactly on 27 cases"),
     ("tdpt.regularity", "tdpt",
-     "regularity predicate agrees with the Sturm certificate"),
+     "regularity predicate agrees with the Descartes certificate"),
     ("tdpt.window", "tdpt",
      "shifted integration constant keeps its regularity regime"),
     ("tdpt.spectrum", "tdpt",

@@ -17,6 +17,12 @@ only read.  Pool commands each run in a fresh empty directory; the README
 lines run in order in one directory, so a file one line writes (`--out
 pot.json`) is read by the next, and `params.json` holds the spec fields
 {"n": 1, "N": 1} for the README's `--params-file` example.
+
+Given a saved run, only the commands whose digest differs from it, or that
+only one of the two runs has, are printed, and the script exits 1 if there
+is any:
+
+    PYTHONPATH=src python3 tools/output_digests.py --against before.txt
 """
 
 from __future__ import annotations
@@ -99,17 +105,30 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pool", type=Path, default=ROOT / "perfbench" / "pool.json")
     p.add_argument("--readme", type=Path, default=ROOT / "README.md")
+    p.add_argument("--against", type=Path, default=None,
+                   help="a saved run: print only the commands that differ from it")
     args = p.parse_args(argv)
+    saved = None
+    if args.against:
+        # a saved line is "<digest>  <id>"; the total line is left out
+        saved = dict(
+            line.split("  ", 1)[::-1]
+            for line in args.against.read_text().splitlines()
+            if "  " in line
+        )
     if cli is None:
         print("error: cannot import confluent_dbt; run with PYTHONPATH=src "
               "from the root of a checkout", file=sys.stderr)
         return 2
     print(f"digesting {Path(cli.__file__).parent}", file=sys.stderr)
     total = hashlib.sha256()
+    differ = []
 
     def emit(cid, digest):
-        print(f"{digest}  {cid}", flush=True)
         total.update(f"{digest} {cid}\n".encode())
+        if saved is None or saved.pop(cid, None) != digest:
+            differ.append(cid)
+            print(f"{digest}  {cid}", flush=True)
 
     for cid, command in pool_commands(args.pool):
         with tempfile.TemporaryDirectory() as tmp:
@@ -119,7 +138,13 @@ def main(argv=None) -> int:
         for cid, command in readme_commands(args.readme):
             emit(cid, run_digest(command, Path(tmp)))
     print(f"total {total.hexdigest()}")
-    return 0
+    if saved is None:
+        return 0
+    for cid in saved:  # saved but not run now
+        print(f"missing  {cid}")
+    count = len(differ) + len(saved)
+    print(f"{count} command(s) differ from {args.against}")
+    return 1 if count else 0
 
 
 if __name__ == "__main__":
