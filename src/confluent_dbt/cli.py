@@ -224,12 +224,12 @@ def _emit(text: str, out_path):
 
 def _json_text(payload: dict) -> str:
     """`json.dumps(payload, indent=2, sort_keys=True)` and a newline, where
-    an `ExactPoly` or `RationalFn` stands for its `to_json()` dict.
+    an `ExactPoly` or `RationalFn` is written as its `json_text` object.
 
     Written here because `json` ignores its C encoder when given an
     indent.  Strings are escaped as `json` escapes them.  An int and an
     exact object are matched by exact type and written directly, the object
-    straight from its stored integers (`json_text`).  Containers are walked
+    straight from its stored integers.  Containers are walked
     as `json` walks them, and any other value, a subclass too, is left to
     `json.dumps`."""
     return _json_value(payload, "\n") + "\n"

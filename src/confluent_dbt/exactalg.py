@@ -164,12 +164,6 @@ def _pdiv(a, b) -> tuple:
     return quo, rem, s
 
 
-def _strip(a) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _primitive(a) -> list:
     """Nonzero integer list divided by its (positive) content."""
     g = gcd(*a)
@@ -455,8 +449,8 @@ class ExactPoly:
         """Monic greatest common divisor.
 
         The heuristic gcd (`_heu_gcd`) settles it with big-integer gcds of
-        values; when it gives up, the last entry of the primitive remainder
-        sequence (`_prs`) is the gcd."""
+        values; when it gives up, the primitive remainder sequence (`_prs`)
+        gives it."""
         if other.is_zero:
             return self.monic()
         if self.is_zero:
@@ -466,7 +460,7 @@ class ExactPoly:
             return ExactPoly.one()
         g = _heu_gcd(a, b)
         if g is None:
-            *_, g = _prs(a, b)
+            g = _prs(a, b)
         return ExactPoly._monic_of(g)
 
     # -- calculus ----------------------------------------------------------
@@ -516,23 +510,11 @@ class ExactPoly:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        """The dict form {"coeffs": [[numerator, denominator], ...]}, each
-        coefficient reduced and written in decimal; `from_json` inverts it,
-        and the tests hold `json_text` to it."""
-        den = self._den
-        return {
-            "coeffs": [
-                [str(c // g), str(den // g)]
-                for c in self._num
-                for g in (gcd(c, den),)
-            ]
-        }
-
     def json_text(self, nl: str = "\n") -> str:
-        """`to_json()` as `json.dumps(..., indent=2)` writes it where `nl`
-        (a newline and the enclosing indent) precedes the closing brace,
-        straight from the stored integers: one `%` per coefficient."""
+        """{"coeffs": [[numerator, denominator], ...]}, each coefficient
+        reduced and a decimal string, as `json.dumps(..., indent=2)` lays it
+        out with `nl` (a newline and the enclosing indent) before the closing
+        brace; one `%` per coefficient.  `from_json` reads it back."""
         den, i1 = self._den, nl + "  "
         if not self._num:
             return "{" + i1 + '"coeffs": []' + nl + "}"
@@ -546,9 +528,15 @@ class ExactPoly:
 
     @staticmethod
     def from_json(obj: dict) -> "ExactPoly":
-        return ExactPoly(
-            [Fraction(int(nu), int(de)) for nu, de in obj["coeffs"]]
-        )
+        """`json_text` read back; a non-integer entry raises ValueError."""
+        pairs = obj["coeffs"]
+        if type(pairs) is not list or not all(
+            type(pair) is list and len(pair) == 2
+            and all(type(v) in (int, str) for v in pair) for pair in pairs
+        ):
+            raise ValueError("coeffs must be a list of [numerator, denominator] "
+                             "integers or integer strings")
+        return ExactPoly([Fraction(int(nu), int(de)) for nu, de in pairs])
 
 
 _ONE = ExactPoly([1])
@@ -693,13 +681,9 @@ class RationalFn:
         with _overflow_quiet(z):
             return self.num(z) / self.den(z)
 
-    def to_json(self) -> dict:
-        """The dict form {"num": ..., "den": ...} of two `ExactPoly.to_json`
-        dicts; `from_json` inverts it, and the tests hold `json_text` to it."""
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
     def json_text(self, nl: str = "\n") -> str:
-        """`to_json()` as `ExactPoly.json_text` writes it, keys sorted."""
+        """{"den": ..., "num": ...}, each polynomial written by its own
+        `json_text` one indent deeper; `from_json` reads it back."""
         i1 = nl + "  "
         return ("{" + i1 + '"den": ' + self.den.json_text(i1) + ","
                 + i1 + '"num": ' + self.num.json_text(i1) + nl + "}")
@@ -724,15 +708,16 @@ def _coerce_rational(v):
 # ---------------------------------------------------------------------------
 
 
-def _prs(a, b):
-    """Primitive signed remainder sequence of the integer lists a, b: b,
-    -rem(a, b), ..., each over its content; the last entry is gcd(a, b).
-    A shorter a is its own remainder, so the sequence swaps them first."""
+def _prs(a, b) -> list:
+    """gcd(a, b), up to sign, of the nonzero integer lists a, b: the last of
+    the primitive remainders b, rem(a, b), ...; a shorter a is its own
+    remainder, so the sequence swaps them first."""
     while b:
         b = _primitive(b)
-        yield b
-        r = _strip(_pdiv(a, b)[1])
-        a, b = b, [-c for c in r]
+        a, b = b, _pdiv(a, b)[1]
+        while b and not b[-1]:
+            b.pop()
+    return a
 
 
 def _shift(c, h=1) -> list:
@@ -836,9 +821,11 @@ def isolate_roots(p: ExactPoly, lo=None, hi=None) -> tuple:
 
 def refine_root(p: ExactPoly, interval, width) -> tuple:
     """Shrink an isolating interval by bisection until it is narrower
-    than `width`.  The interval must contain exactly one distinct root and
-    must not be reversed; when that root is an end, (end, end) comes back."""
+    than `width` > 0.  The interval must contain exactly one distinct root
+    and must not be reversed; when that root is an end, (end, end) comes back."""
     lo, hi, width = as_rat(interval[0]), as_rat(interval[1]), as_rat(width)
+    if width <= 0:
+        raise ValueError(f"refinement width {width} is not positive")
     if lo > hi:
         raise ValueError(f"reversed interval ({lo}, {hi})")
     q = _squarefree(p)
@@ -881,13 +868,14 @@ class _Gauged:
     """A gauge times the rational function `rat`.
 
     A family is a namedtuple subclass with its gauge fields, then `rat`,
-    and this class first among its bases, so that `==`, `hash`, `+`, `*`
-    and `/` are the ones below, not tuple's.  It declares `_GAUGE`, the
-    gauge fields, each adding under `*`; `_POWERS`, each exponent field
-    with the polynomial it powers (a sum moves integer exponent gaps into
-    `rat`); `_MATCH`, the fields a sum needs equal, with the message for a
-    mismatch; and `_law`, giving d/dx as (u, w, lower): r -> u r + w r'
-    over the gauge fields `lower`."""
+    and this class first among its bases, so that `==`, `+`, `*` and `/`
+    are the ones below, not tuple's, and it is unhashable (`==` moves
+    integer exponent gaps into `rat`; no cache is keyed by a gauged value).
+    It declares `_GAUGE`, the gauge fields, each adding under `*`;
+    `_POWERS`, each exponent field with the polynomial it powers (a sum
+    moves integer exponent gaps into `rat`); `_MATCH`, the fields a sum
+    needs equal, with the message for a mismatch; and `_law`, giving d/dx
+    as (u, w, lower): r -> u r + w r' over the gauge fields `lower`."""
 
     __slots__ = ()
     _MATCH = {}
@@ -895,17 +883,6 @@ class _Gauged:
     @property
     def is_zero(self) -> bool:
         return self.rat.is_zero
-
-    def __hash__(self):
-        # `==` ignores integer gaps between exponents (they move into
-        # `rat`) and the gauge of a zero, so neither may enter the hash
-        if self.is_zero:
-            return hash(type(self))
-        return hash((
-            type(self),
-            *(getattr(self, n) for n in self._MATCH),
-            *(getattr(self, n) % 1 for n in self._POWERS),
-        ))
 
     def rat_over(self, low: dict) -> RationalFn:
         """`rat` over the gauge whose exponents are `low`.  The lift is a

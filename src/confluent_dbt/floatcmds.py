@@ -210,6 +210,8 @@ def _cmd_verify_gram(args) -> int:
     fam = _FAMILY[family]
     reads = ("family_json", *fam.INPUTS)
     _refuse_unread(args, f"verify gram of a {family} family", reads)
+    if family == "tdpt":  # the Gram matrix is what the ortho check reads
+        reports.refuse_tdpt(spec, ("ortho",))
     if container is dict:  # the keys of an object carry no order
         levels = sorted(levels)
     repeated = [k for k in levels if levels.count(k) > 1]

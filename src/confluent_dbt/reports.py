@@ -219,7 +219,7 @@ def _tdpt_shape(spec, kmax, grid_n, omega):
     params = dict(spec.as_dict(), kmax=kmax)
     if spec.n < 1:
         return "skip", params, "no partner constant at n = 0"
-    ok = tdpt.shape_invariance_residual(spec.n, spec.N, spec.M, spec.lambda1)[0].is_zero
+    ok = tdpt.shape_invariance_residual(spec.n, spec.N, spec.M, spec.lambda1).is_zero
     return ok, params, (
         "identity residual identically zero" if ok else "identity broken"
     )
@@ -384,27 +384,14 @@ def run_suite(selector: str = "all") -> dict:
 
 # -- per-spec runner --------------------------------------------------------------
 
-# tdpt checks that evaluate the extension and so need a regular lambda1
-_NEEDS_REGULAR = ("ode", "ortho", "spectrum")
 
-
-def run_spec_checks(family, names, spec, kmax=None, grid_n=None, omega=None) -> list:
-    """Run the named per-spec checks of `family` on `spec`, in order; an
-    input left None takes its default (KMAX, GRID_N, OMEGA).
-
-    Usage errors, not failed checks, are refused with ValueError first: a
-    tdpt spec that is irregular (for ode, ortho, spectrum) or at lambda1 = 0
-    (for ortho, spectrum: the level-n state is not square integrable), and
-    an ortho check over a single level, which has no pair to compare."""
-    kmax = KMAX if kmax is None else kmax
-    grid_n = GRID_N if grid_n is None else grid_n
-    omega = OMEGA if omega is None else omega
-    needs_regular = [s for s in names if s in _NEEDS_REGULAR]
-    if (
-        family == "tdpt"
-        and needs_regular
-        and not tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1)
-    ):
+def refuse_tdpt(spec, names) -> None:
+    """Refuse with ValueError a tdpt spec that the per-spec checks `names`
+    cannot run on: an irregular one (for ode, ortho, spectrum), or one at
+    lambda1 = 0 (for ortho, spectrum: the level-n state is not square
+    integrable)."""
+    needs_regular = [s for s in names if s in ("ode", "ortho", "spectrum")]
+    if needs_regular and not tdpt.is_regular(spec.n, spec.N, spec.M, spec.lambda1):
         threshold = tdpt.regularity_threshold(spec.n, spec.N, spec.M)
         raise ValueError(
             f"irregular spec: lambda1 = {spec.lambda1} lies inside the "
@@ -413,11 +400,25 @@ def run_spec_checks(family, names, spec, kmax=None, grid_n=None, omega=None) -> 
             "(--suite regularity reports it)"
         )
     needs_bound = [s for s in names if s in ("ortho", "spectrum")]
-    if family == "tdpt" and needs_bound and spec.lambda1 == 0:
+    if needs_bound and spec.lambda1 == 0:
         raise ValueError(
             f"lambda1 = 0 leaves the level-{spec.n} state not square integrable; "
             f"suite(s) {', '.join(needs_bound)} need lambda1 != 0"
         )
+
+
+def run_spec_checks(family, names, spec, kmax=None, grid_n=None, omega=None) -> list:
+    """Run the named per-spec checks of `family` on `spec`, in order; an
+    input left None takes its default (KMAX, GRID_N, OMEGA).
+
+    Usage errors, not failed checks, are refused with ValueError first: a
+    tdpt spec that the checks cannot run on (`refuse_tdpt`), and an ortho
+    check over a single level, which has no pair to compare."""
+    kmax = KMAX if kmax is None else kmax
+    grid_n = GRID_N if grid_n is None else grid_n
+    omega = OMEGA if omega is None else omega
+    if family == "tdpt":
+        refuse_tdpt(spec, names)
     if "ortho" in names:
         levels = len(_family(spec).levels(spec, kmax))
         if levels < 2:

@@ -284,7 +284,7 @@ def _check_tdpt_shape():
                 ok, _, _ = _tdpt_shape(spec, KMAX, GRID_N, None)
                 if not ok:
                     return False, {}, f"residual nonzero at ({n},{N},{M})"
-    broken, _, _ = tdpt.shape_invariance_residual(1, 1, 1, 1, c_factor=2)
+    broken = tdpt.shape_invariance_residual(1, 1, 1, 1, c_factor=2)
     if broken.is_zero:
         return False, {}, "negative control did not break the identity"
     return True, {"cases": 27}, "identity exact on 27 cases, control breaks it"

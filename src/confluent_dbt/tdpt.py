@@ -178,15 +178,15 @@ def extended_potential(spec: TdptSpec) -> ExtendedPotential:
 
 def shape_invariance_residual(
     n: int, N: int, M: int, lambda1, c_factor=None
-) -> tuple:
+) -> ExactPoly:
     """Residual polynomial of the enlarged shape-invariance identity.
 
     With A = lambda1 + Q_n^(N,M) - (1-z)^{N+1}(1+z)^{M+1} P_n P'_{n-1}/(4n)
     and C = (N+M+n+1)/(4n), the identity A = C (lambda1' + Q_{n-1}^(N+1,M+1))
-    holds for every lambda1 with lambda1' = 4n lambda1/(N+M+n+1).  Returns
-    (residual, C, lambda1'); the residual is the zero polynomial exactly
-    when the identity holds.  Passing a different `c_factor` (e.g. C+1)
-    breaks the identity and serves as a negative control.
+    holds for every lambda1 with lambda1' = 4n lambda1/(N+M+n+1); the
+    residual is the zero polynomial exactly when the identity holds.
+    Passing a different `c_factor` (e.g. C+1) breaks the identity and
+    serves as a negative control.
     """
     if n < 1:
         raise ValueError("shape invariance needs n >= 1")
@@ -202,7 +202,7 @@ def shape_invariance_residual(
     )
     lhs = q_poly(n, N, M) + lam - cross
     rhs = (q_poly(n - 1, N + 1, M + 1) + lam_shift) * c
-    return lhs - rhs, c, lam_shift
+    return lhs - rhs
 
 
 # -- numeric description -------------------------------------------------------

@@ -109,11 +109,12 @@ def test_05_enlarged_shape_invariance():
             for N in (1, 2, 3):
                 for M in (1, 2, 3):
                     for lam in lams:
-                        residual, c, lam2 = tdpt.shape_invariance_residual(
-                            n, N, M, lam
-                        )
-                        assert residual.is_zero, (n, N, M, lam)
-                        assert c == Fraction(N + M + n + 1, 4 * n)
+                        c = Fraction(N + M + n + 1, 4 * n)
+                        for c_factor in (None, c):
+                            assert tdpt.shape_invariance_residual(
+                                n, N, M, lam, c_factor
+                            ).is_zero, (n, N, M, lam)
+                        lam2 = tdpt.lambda1_shifted(n, N, M, lam)
                         assert lam2 == Fraction(4 * n, N + M + n + 1) * lam
         for n in (1, 2, 3):
             for N in (1, 2, 3):

@@ -1123,11 +1123,56 @@ def test_verify_spectrum_refuses_a_nonfinite_potential(capsys, tmp_path, kind):
     # eigensolver refuses such input before the call, and the overflow on
     # the grid raises no warning on the way there
     pot = tmp_path / "pot.json"
-    pot.write_text(json.dumps({"z_form": _NONFINITE[kind].to_json()}))
+    pot.write_text(json.dumps({"z_form": json.loads(_NONFINITE[kind].json_text())}))
     code, out, err = run_cli(capsys, "verify", "spectrum", "--potential-json",
                              str(pot), "--levels", "2", "--grid-n", "50")
     assert code == 2 and out == ""
     assert err == "error: array must not contain infs or NaNs\n"
+
+
+@pytest.mark.parametrize("numerator,code", [
+    (1.5, 2), (True, 2), (None, 0),
+], ids=["float", "bool", "as-written"])
+def test_verify_spectrum_reads_only_integer_coefficients(capsys, tmp_path, numerator,
+                                                         code):
+    # int() would read 1.5 and true as 1, a potential the file does not hold
+    pot = tmp_path / "build.json"
+    assert cli.main(_BUILDS["tdpt"] + ["--out", str(pot)]) == 0
+    data = json.loads(pot.read_text())
+    if numerator is not None:
+        data["z_form"]["num"]["coeffs"][0][0] = numerator
+    pot.write_text(json.dumps(data))
+    got, out, err = run_cli(capsys, "verify", "spectrum", "--potential-json", str(pot),
+                            "--levels", "2", "--grid-n", "50")
+    assert got == code
+    if code == 2:
+        assert out == "" and err == (
+            "error: malformed potential JSON: z_form: not a serialised rational function\n"
+        )
+
+
+@pytest.mark.parametrize("lambda1,err", [
+    ("0", "error: lambda1 = 0 leaves the level-1 state not square integrable; "
+          "suite(s) ortho need lambda1 != 0\n"),
+    ("1/100", "error: irregular spec: lambda1 = 1/100 lies inside the forbidden "
+              "window (0, 8/15]; suite(s) ortho need a regular one "
+              "(--suite regularity reports it)\n"),
+], ids=["lambda1-zero", "irregular"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_gram_refuses_what_the_ortho_suite_refuses(capsys, tmp_path, lambda1,
+                                                          err):
+    # at lambda1 = 0 the Gram entries were infinite; inside the forbidden
+    # window (which `tdpt build` refuses) the states have a pole on the domain
+    path = tmp_path / "family.json"
+    assert cli.main(["tdpt", "build", "--n", "1", "--N", "1", "--M", "1",
+                     "--lambda1", "1", "--out", str(path)]) == 0
+    path.write_text(json.dumps(_edit_spec(lambda1=lambda1)(json.loads(path.read_text()))))
+    code, out, got = run_cli(capsys, "verify", "gram", "--family-json", str(path))
+    assert (code, out, got) == (2, "", err)
+    spec = tdpt.TdptSpec(1, 1, 1, Fraction(lambda1))
+    with pytest.raises(ValueError) as want:
+        reports.run_spec_checks("tdpt", ["ortho"], spec)
+    assert got == f"error: {want.value}\n"
 
 
 def test_verify_gram_roundtrip(capsys, tmp_path):

@@ -3,11 +3,12 @@ Sturm-chain counting and isolation it replaced.
 
 The frozen functions below are the former bodies of `count_roots` and
 `isolate_roots`, verbatim apart from their names, on the integer kernels
-that stay in `exactalg`.  With both ends bounded the two engines must give
-identical intervals, since both bisect at midpoints and report a node's
-interval once it holds one root; with an unbounded end they stand in
-different bounds (Cauchy's there, 2^k + 1 here), so only the counts must
-agree.  The inputs are every polynomial that the benchmark pool's
+that stay in `exactalg`; the remainder sequence they read (`_prs`, with
+its `_strip`) is frozen here as well.  With both ends bounded the two
+engines must give identical intervals, since both bisect at midpoints and
+report a node's interval once it holds one root; with an unbounded end
+they stand in different bounds (Cauchy's there, 2^k + 1 here), so only
+the counts must agree.  The inputs are every polynomial that the benchmark pool's
 `regularity` and `q-crosscheck` commands and the `tdpt.regularity`,
 `isotonic.rootless` and `exactalg.sturm` suite checks isolate, recorded at
 the engine's one entry point, and hypothesis-drawn rooted polynomials.
@@ -28,7 +29,6 @@ from confluent_dbt.exactalg import (
     _horner_at,
     _pdiv,
     _primitive,
-    _strip,
     as_rat,
     count_roots,
     isolate_roots,
@@ -38,6 +38,12 @@ POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool.json"
 
 
 # -- the frozen Sturm engine ---------------------------------------------------------
+
+
+def _strip(a) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
 def _prs(a, b):

@@ -297,17 +297,16 @@ def test_family_orthogonality_under_weight():
 @pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_shape_invariance_all_27(n, N, M):
-    assert tdpt.shape_invariance_residual(n, N, M, Fraction(5, 3))[0].is_zero
-    assert tdpt.shape_invariance_residual(n, N, M, -7)[0].is_zero
+    assert tdpt.shape_invariance_residual(n, N, M, Fraction(5, 3)).is_zero
+    assert tdpt.shape_invariance_residual(n, N, M, -7).is_zero
 
 
 def test_shape_invariance_worked_case():
     # n = N = M = 1: C = 1, lambda1' = lambda1, and the cross term is
     # z (1 - z^2)^2 / 2
-    residual, c, lam2 = tdpt.shape_invariance_residual(1, 1, 1, Fraction(1))
-    assert residual.is_zero
-    assert c == 1
-    assert lam2 == 1
+    assert tdpt.shape_invariance_residual(1, 1, 1, Fraction(1)).is_zero
+    assert tdpt.shape_invariance_residual(1, 1, 1, Fraction(1), c_factor=1).is_zero
+    assert tdpt.lambda1_shifted(1, 1, 1, Fraction(1)) == 1
     cross = (
         ONE_MINUS**2 * ONE_PLUS**2 * jacobi(1, 1, 1) * jacobi(0, 2, 2) * Fraction(1, 4)
     )
@@ -315,10 +314,13 @@ def test_shape_invariance_worked_case():
 
 
 def test_shape_invariance_negative_control():
-    residual, c, _ = tdpt.shape_invariance_residual(1, 1, 1, 1)
-    assert residual.is_zero
-    broken, _, _ = tdpt.shape_invariance_residual(1, 1, 1, 1, c_factor=c + 1)
-    assert not broken.is_zero
+    # C = (N + M + n + 1) / (4n) = 1 here
+    assert tdpt.shape_invariance_residual(1, 1, 1, 1).is_zero
+    assert not tdpt.shape_invariance_residual(1, 1, 1, 1, c_factor=2).is_zero
+
+
+def test_shape_invariance_residual_is_one_polynomial():
+    assert isinstance(tdpt.shape_invariance_residual(1, 1, 1, 1), ExactPoly)
 
 
 def test_shape_invariance_needs_positive_n():

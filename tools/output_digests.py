@@ -101,6 +101,18 @@ def run_digest(argv: list, directory: Path) -> str:
     return h.hexdigest()[:16]
 
 
+def digests(pool: Path, readme: Path):
+    """(id, digest) of every pool command, each run in a fresh directory,
+    then of every README command, run in order in one directory."""
+    for cid, command in pool_commands(pool):
+        with tempfile.TemporaryDirectory() as tmp:
+            yield cid, run_digest(command, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "params.json").write_text(json.dumps({"n": 1, "N": 1}))
+        for cid, command in readme_commands(readme):
+            yield cid, run_digest(command, Path(tmp))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pool", type=Path, default=ROOT / "perfbench" / "pool.json")
@@ -124,19 +136,11 @@ def main(argv=None) -> int:
     total = hashlib.sha256()
     differ = []
 
-    def emit(cid, digest):
+    for cid, digest in digests(args.pool, args.readme):
         total.update(f"{digest} {cid}\n".encode())
         if saved is None or saved.pop(cid, None) != digest:
             differ.append(cid)
             print(f"{digest}  {cid}", flush=True)
-
-    for cid, command in pool_commands(args.pool):
-        with tempfile.TemporaryDirectory() as tmp:
-            emit(cid, run_digest(command, Path(tmp)))
-    with tempfile.TemporaryDirectory() as tmp:
-        (Path(tmp) / "params.json").write_text(json.dumps({"n": 1, "N": 1}))
-        for cid, command in readme_commands(args.readme):
-            emit(cid, run_digest(command, Path(tmp)))
     print(f"total {total.hexdigest()}")
     if saved is None:
         return 0
